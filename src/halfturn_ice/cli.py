@@ -5,7 +5,7 @@ verification suites.
 Outputs are deterministic: identical invocations with identical seeds are
 byte-identical.  Timings are therefore kept out of the reports unless
 --timings is passed.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+2 usage error (bad arguments or values, poles, unreadable files).
 """
 
 from __future__ import annotations
@@ -57,13 +57,17 @@ def _parse_term(term: str) -> Cyclo:
     if term == "zeta":
         return Cyclo(0, 1)
     if term.endswith("*zeta"):
-        return Cyclo(0, Fraction(term[:-5]))
+        return Cyclo(0, _fraction(term[:-5]))
     if term.endswith("zeta"):
         raise UsageError(f"write {term[:-4]}*zeta instead of {term}")
+    return Cyclo(_fraction(term))
+
+
+def _fraction(text: str) -> Fraction:
     try:
-        return Cyclo(Fraction(term))
-    except ValueError as exc:
-        raise UsageError(f"cannot parse value {term!r}") from exc
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"cannot parse value {text!r}") from exc
 
 
 def _parse_assignments(pairs: Sequence[str]) -> dict[str, Cyclo]:
@@ -192,7 +196,7 @@ def _cmd_partition(args) -> int:
 def _cmd_det(args) -> int:
     if args.u is None:
         raise UsageError("det requires --u with comma-separated rationals")
-    u = tuple(Cyclo(Fraction(tok)) for tok in args.u.split(","))
+    u = tuple(Cyclo(_fraction(tok)) for tok in args.u.split(","))
     size = args.order if args.model == "dwbc" else args.m
     if size is None:
         raise UsageError("det requires --order (dwbc) or --m (ht2, ht-odd)")
@@ -387,9 +391,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (formulas.UnsupportedSize, icemodel.SizeTooLarge,
-            determinant.DimensionMismatch, determinant.CoincidentPoints,
-            ValueError) as exc:
+    except (formulas.UnsupportedSize, icemodel.SizeTooLarge, icemodel.InvalidGuard,
+            icemodel.SingularAssignment, determinant.DimensionMismatch,
+            determinant.CoincidentPoints, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,7 @@ class DimensionMismatch(ValueError):
 
 
 class CoincidentPoints(ValueError):
-    """Two coordinates coincide, putting a pole in the prefactor."""
+    """Two coordinates are equal or opposite, putting a pole in the prefactor."""
 
 
 def _exponent_run(bound: int) -> tuple[int, ...]:
@@ -101,9 +101,12 @@ def _sigma_pair_product(u: Sequence[Cyclo], power: int = 1) -> Cyclo:
     total = Cyclo.of(1)
     for i in range(len(u)):
         for j in range(i + 1, len(u)):
-            if u[i] == u[j]:
-                raise CoincidentPoints(f"u_{i + 1} = u_{j + 1} = {u[i]}")
-            total = total * sigma(u[i] / u[j]) ** power
+            s = sigma(u[i] / u[j])
+            if not s:  # u_i / u_j = +-1
+                raise CoincidentPoints(
+                    f"u_{i + 1} = {u[i]} and u_{j + 1} = {u[j]} put a pole at "
+                    f"sigma(u_{i + 1}/u_{j + 1}) = 0")
+            total = total * s ** power
     return total
 
 
@@ -115,6 +118,8 @@ def special_z(model: str, size: int, u: Sequence[Cyclo]) -> Cyclo:
     spectral vectors).
     """
     pts = tuple(Cyclo.of(x) for x in u)
+    if any(not x for x in pts):
+        raise ValueError("points must be nonzero")
     a = ZETA
     if model == "dwbc":
         n = size

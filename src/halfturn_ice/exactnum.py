@@ -1,10 +1,17 @@
 """Exact arithmetic in the quadratic field Q(zeta), zeta a primitive sixth
 root of unity.
 
-Every element is written p + q*zeta with rational p, q, reduced by the
-minimal polynomial zeta^2 = zeta - 1.  Rationals are `fractions.Fraction`
-(always lowest terms, positive denominator), so equality is structural and
-all arithmetic is exact.  Conjugation sends zeta to 1 - zeta, which is both
+Every element is p + q*zeta with rational p, q, reduced by the minimal
+polynomial zeta^2 = zeta - 1.  It is stored over one common denominator as
+three ints (a, b, d), standing for (a + b*zeta) / d, under the invariant
+
+    d > 0  and  gcd(a, b, d) = 1,
+
+so each element has exactly one representation and equality is structural
+(zero is (0, 0, 1); a rational element has b = 0 and a/d in lowest terms).
+Sums, products and inverses are a few integer products followed by one
+three-way gcd.  The rational parts p = a/d and q = b/d are exposed as
+`fractions.Fraction`s.  Conjugation sends zeta to 1 - zeta, which is both
 complex conjugation and the nontrivial field automorphism; the norm
 x * conj(x) = p^2 + p*q + q^2 is rational and positive for x != 0, which
 gives exact inversion.
@@ -12,24 +19,36 @@ gives exact inversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 Rational = Union[int, Fraction]
 CycloLike = Union[int, Fraction, "Cyclo"]
 
 
-@dataclass(frozen=True)
 class Cyclo:
     """Field element p + q*zeta with zeta^2 = zeta - 1 (zeta = exp(i*pi/3))."""
 
-    p: Fraction
-    q: Fraction
+    __slots__ = ("_abd",)
 
-    def __init__(self, p: Rational = 0, q: Rational = 0):
-        object.__setattr__(self, "p", Fraction(p))
-        object.__setattr__(self, "q", Fraction(q))
+    def __new__(cls, p: Rational = 0, q: Rational = 0):
+        if type(p) is int and type(q) is int:
+            return _make(p, q, 1)
+        p, q = Fraction(p), Fraction(q)
+        pd, qd = p.denominator, q.denominator
+        # Over the lcm of two lowest-terms denominators, gcd(a, b, d) = 1.
+        d = pd // gcd(pd, qd) * qd
+        return _make(p.numerator * (d // pd), q.numerator * (d // qd), d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Cyclo, (self.p, self.q)
 
     @staticmethod
     def of(value: CycloLike) -> Cyclo:
@@ -39,50 +58,73 @@ class Cyclo:
         return Cyclo(value)
 
     @property
+    def p(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def q(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
+
+    @property
     def is_rational(self) -> bool:
-        return self.q == 0
+        return self._abd[1] == 0
 
     def __bool__(self) -> bool:
-        return self.p != 0 or self.q != 0
+        a, b, _ = self._abd
+        return a != 0 or b != 0
 
     def __add__(self, other: CycloLike) -> Cyclo:
-        o = Cyclo.of(other)
-        return Cyclo(self.p + o.p, self.q + o.q)
+        a1, b1, d1 = self._abd
+        a2, b2, d2 = other._abd if type(other) is Cyclo else _parts(other)
+        if d1 == d2:
+            return _reduced(a1 + a2, b1 + b2, d1)
+        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self) -> Cyclo:
-        return Cyclo(-self.p, -self.q)
+        a, b, d = self._abd
+        return _make(-a, -b, d)
 
     def __sub__(self, other: CycloLike) -> Cyclo:
-        return self + (-Cyclo.of(other))
+        a1, b1, d1 = self._abd
+        a2, b2, d2 = other._abd if type(other) is Cyclo else _parts(other)
+        if d1 == d2:
+            return _reduced(a1 - a2, b1 - b2, d1)
+        return _reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __rsub__(self, other: CycloLike) -> Cyclo:
-        return Cyclo.of(other) + (-self)
+        return Cyclo.of(other) - self
 
     def __mul__(self, other: CycloLike) -> Cyclo:
-        o = Cyclo.of(other)
-        # (p1 + q1 z)(p2 + q2 z), then z^2 -> z - 1.
-        cross = self.p * o.q + self.q * o.p
-        sq = self.q * o.q
-        return Cyclo(self.p * o.p - sq, cross + sq)
+        a1, b1, d1 = self._abd
+        a2, b2, d2 = other._abd if type(other) is Cyclo else _parts(other)
+        # (a1 + b1 z)(a2 + b2 z) with z^2 -> z - 1, in three products.
+        aa = a1 * a2
+        bb = b1 * b2
+        return _reduced(aa - bb, (a1 + b1) * (a2 + b2) - aa, d1 * d2)
 
     __rmul__ = __mul__
 
     def conj(self) -> Cyclo:
         """The automorphism zeta -> 1 - zeta (complex conjugation)."""
-        return Cyclo(self.p + self.q, -self.q)
+        a, b, d = self._abd
+        return _make(a + b, -b, d)  # gcd(a + b, b, d) = gcd(a, b, d) = 1
 
     def norm(self) -> Fraction:
         """x * conj(x), always rational and nonnegative."""
-        return self.p * self.p + self.p * self.q + self.q * self.q
+        a, b, d = self._abd
+        return Fraction(a * a + a * b + b * b, d * d)
 
     def inverse(self) -> Cyclo:
-        n = self.norm()
+        # 1/x = conj(x) / norm(x) = d (a + b - b z) / (a^2 + a b + b^2)
+        a, b, d = self._abd
+        n = a * a + a * b + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        c = self.conj()
-        return Cyclo(c.p / n, c.q / n)
+        return _reduced(d * (a + b), -d * b, n)
 
     def __truediv__(self, other: CycloLike) -> Cyclo:
         return self * Cyclo.of(other).inverse()
@@ -93,7 +135,7 @@ class Cyclo:
     def __pow__(self, exponent: int) -> Cyclo:
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = Cyclo(1)
+        result = ONE
         base = self
         e = exponent
         while e:
@@ -105,26 +147,58 @@ class Cyclo:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Cyclo):
-            return self.p == other.p and self.q == other.q
+            return self._abd == other._abd
         if isinstance(other, (int, Fraction)):
-            return self.q == 0 and self.p == other
+            a, b, d = self._abd
+            return b == 0 and a == other.numerator and d == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.q == 0:
+        if self._abd[1] == 0:
             return hash(self.p)
         return hash((self.p, self.q))
 
     def __str__(self) -> str:
-        if self.q == 0:
-            return str(self.p)
-        if self.p == 0:
-            return f"{self.q}*zeta"
-        sign = "+" if self.q > 0 else "-"
-        return f"{self.p} {sign} {abs(self.q)}*zeta"
+        p, q = self.p, self.q
+        if q == 0:
+            return str(p)
+        if p == 0:
+            return f"{q}*zeta"
+        sign = "+" if q > 0 else "-"
+        return f"{p} {sign} {abs(q)}*zeta"
 
     def __repr__(self) -> str:
         return f"Cyclo({self.p!r}, {self.q!r})"
+
+
+_new = object.__new__
+_set_abd = Cyclo._abd.__set__
+
+
+def _make(a: int, b: int, d: int) -> Cyclo:
+    """(a + b*zeta)/d, already canonical: no checks, no reduction."""
+    x = _new(Cyclo)
+    _set_abd(x, (a, b, d))
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> Cyclo:
+    """(a + b*zeta)/d for d > 0, divided through by gcd(a, b, d)."""
+    g = gcd(d, a, b)  # d first: the gcd stops early once it reaches 1
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    x = _new(Cyclo)
+    _set_abd(x, (a, b, d))
+    return x
+
+
+def _parts(value: CycloLike) -> tuple[int, int, int]:
+    """The canonical (a, b, d) of an int, Fraction or Cyclo."""
+    if type(value) is int:
+        return value, 0, 1
+    return Cyclo.of(value)._abd
 
 
 ZETA = Cyclo(0, 1)

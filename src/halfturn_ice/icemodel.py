@@ -45,6 +45,15 @@ class SizeTooLarge(ValueError):
     """State count exceeds the configured guard."""
 
 
+class InvalidGuard(ValueError):
+    """The state-count guard in the environment is not an integer."""
+
+
+class SingularAssignment(ValueError):
+    """An assigned value of a or of a spectral variable is zero, a pole of
+    the weights."""
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Which boundary shape, at which size (n for dwbc, m for ht kinds)."""
@@ -149,7 +158,12 @@ def _max_states(override: Optional[int]) -> int:
     if override is not None:
         return override
     env = os.environ.get(_MAX_STATES_ENV)
-    return int(env) if env else DEFAULT_MAX_STATES
+    if not env:
+        return DEFAULT_MAX_STATES
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidGuard(f"{_MAX_STATES_ENV} must be an integer, got {env!r}") from None
 
 
 def _expected_states(spec: ModelSpec) -> int:
@@ -214,6 +228,10 @@ def partition_function(spec: ModelSpec,
     cells, profiles = _state_profiles(spec.kind, spec.size)
     if not profiles:
         return PartitionResult(Cyclo.of(1), spec, 1)
+    xs, ys = spec.spectral_vars()
+    zeros = [v for v in ("a", *xs, *ys) if v in assignment and not assignment[v]]
+    if zeros:
+        raise SingularAssignment(f"zero value for {', '.join(zeros)} puts a pole in the weights")
     a = Cyclo.of(assignment["a"])
     sig_a2 = a * a - (a * a).inverse()
     tables = []

@@ -142,3 +142,49 @@ def test_usage_errors(capsys):
     assert run(capsys, "partition", "--model", "ht-even")[0] == 2
     assert run(capsys, "det", "--model", "ht2")[0] == 2
     assert main(["no-such-command"]) == 2
+
+
+def assert_usage_error(result, *fragments):
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_det_opposite_points_is_a_usage_error(capsys):
+    assert_usage_error(run(capsys, "det", "--model", "dwbc", "-n", "1", "--u", "2,-2"),
+                       "pole")
+
+
+def test_det_bad_points_are_usage_errors(capsys):
+    assert_usage_error(run(capsys, "det", "--model", "dwbc", "-n", "1", "--u", "0,2"),
+                       "nonzero")
+    assert_usage_error(run(capsys, "det", "--model", "dwbc", "-n", "1", "--u", "1/0,2"),
+                       "1/0")
+
+
+def test_partition_zero_assignment_is_a_usage_error(capsys):
+    assert_usage_error(run(capsys, "partition", "--model", "dwbc", "-n", "2",
+                           "--assign", "a=zeta", "--assign", "x1=0", "--assign", "x2=2",
+                           "--assign", "y1=3", "--assign", "y2=5"),
+                       "x1", "pole")
+
+
+def test_partition_unparsable_value_is_a_usage_error(capsys):
+    assert_usage_error(run(capsys, "partition", "--model", "dwbc", "-n", "1",
+                           "--assign", "a=1/0*zeta", "--assign", "x1=2",
+                           "--assign", "y1=3"),
+                       "1/0")
+
+
+def test_report_missing_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    assert_usage_error(run(capsys, "report", str(missing)), "missing.jsonl")
+
+
+def test_non_integer_guard_env_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("HALFTURN_ICE_MAX_STATES", "lots")
+    assert_usage_error(run(capsys, "partition", "--model", "dwbc", "-n", "2"),
+                       "HALFTURN_ICE_MAX_STATES", "'lots'")

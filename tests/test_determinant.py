@@ -57,6 +57,22 @@ def test_coincident_points_guard():
         special_z("dwbc", 1, (Fraction(2), Fraction(2)))
 
 
+@pytest.mark.parametrize("model,size,u", [
+    ("dwbc", 1, (2, -2)),
+    ("ht2", 1, (Fraction(1, 3), Fraction(-1, 3))),
+    ("ht-odd", 1, (2, 3, -3)),
+])
+def test_opposite_points_guard(model, size, u):
+    # sigma(u_i/u_j) = sigma(-1) = 0: a pole, not a bare ZeroDivisionError
+    with pytest.raises(CoincidentPoints):
+        special_z(model, size, u)
+
+
+def test_zero_point_rejected():
+    with pytest.raises(ValueError, match="nonzero"):
+        special_z("dwbc", 1, (0, 2))
+
+
 def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
         special_z("ht2", 2, (Fraction(1), Fraction(2)))

@@ -1,5 +1,7 @@
 """Field arithmetic in Q(zeta)."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -80,3 +82,167 @@ def test_norm_is_rational(x):
     assert n.is_rational
     assert n.p == x.norm()
     assert n.p >= 0
+
+
+# ----------------------------------------------------------------------
+# differential check against the textbook representation: a pair of
+# Fractions (p, q) for p + q*zeta, with every operation written out
+# ----------------------------------------------------------------------
+
+
+class RefCyclo:
+    def __init__(self, p, q=0):
+        self.p, self.q = Fraction(p), Fraction(q)
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, RefCyclo):
+            return x
+        if isinstance(x, Cyclo):
+            return RefCyclo(x.p, x.q)
+        return RefCyclo(x)
+
+    def __add__(self, other):
+        o = RefCyclo.of(other)
+        return RefCyclo(self.p + o.p, self.q + o.q)
+
+    def __neg__(self):
+        return RefCyclo(-self.p, -self.q)
+
+    def __sub__(self, other):
+        return self + (-RefCyclo.of(other))
+
+    def __mul__(self, other):
+        o = RefCyclo.of(other)
+        sq = self.q * o.q
+        return RefCyclo(self.p * o.p - sq, self.p * o.q + self.q * o.p + sq)
+
+    def conj(self):
+        return RefCyclo(self.p + self.q, -self.q)
+
+    def norm(self):
+        return self.p * self.p + self.p * self.q + self.q * self.q
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError
+        c = self.conj()
+        return RefCyclo(c.p / n, c.q / n)
+
+    def __truediv__(self, other):
+        return self * RefCyclo.of(other).inverse()
+
+    def __pow__(self, e):
+        base = self.inverse() if e < 0 else self
+        out = RefCyclo(1)
+        for _ in range(abs(e)):
+            out = out * base
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, RefCyclo):
+            return (self.p, self.q) == (other.p, other.q)
+        return self.q == 0 and self.p == other
+
+    def __hash__(self):
+        return hash(self.p) if self.q == 0 else hash((self.p, self.q))
+
+    def __str__(self):
+        if self.q == 0:
+            return str(self.p)
+        if self.p == 0:
+            return f"{self.q}*zeta"
+        sign = "+" if self.q > 0 else "-"
+        return f"{self.p} {sign} {abs(self.q)}*zeta"
+
+    def __repr__(self):
+        return f"Cyclo({self.p!r}, {self.q!r})"
+
+
+def same(x, ref):
+    """x is the Cyclo that ref stands for, down to its printed forms."""
+    assert isinstance(x, Cyclo)
+    assert (x.p, x.q) == (ref.p, ref.q)
+    assert type(x.p) is Fraction and type(x.q) is Fraction
+    assert x == Cyclo(ref.p, ref.q)
+    assert hash(x) == hash(ref)
+    assert str(x) == str(ref)
+    assert repr(x) == repr(ref)
+    assert x.is_rational == (ref.q == 0)
+    assert bool(x) == (ref.p != 0 or ref.q != 0)
+
+
+scalars = st.one_of(st.integers(-30, 30), rationals)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cyclos, cyclos, scalars)
+def test_matches_fraction_pair_reference(x, y, c):
+    rx, ry = RefCyclo.of(x), RefCyclo.of(y)
+    same(x, rx)
+    same(x + y, rx + ry)
+    same(x - y, rx - ry)
+    same(x * y, rx * ry)
+    same(-x, -rx)
+    same(x.conj(), rx.conj())
+    assert x.norm() == rx.norm() and type(x.norm()) is Fraction
+    for left, right in ((x + c, rx + c), (c + x, rx + c), (x - c, rx - c),
+                        (c - x, RefCyclo(c) - rx), (x * c, rx * c), (c * x, rx * c)):
+        same(left, right)
+    if y:
+        same(x / y, rx / ry)
+        same(y.inverse(), ry.inverse())
+        same(c / y, RefCyclo(c) / ry)
+    if c:
+        same(x / c, rx / c)
+    for e in range(-3, 5):
+        if e >= 0 or x:
+            same(x ** e, rx ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars, scalars)
+def test_equality_with_int_and_fraction(p, r):
+    x = Cyclo(p)
+    assert x == p and p == x
+    assert (x == r) == (Fraction(p) == r)
+    assert hash(x) == hash(p) == hash(Fraction(p))
+    assert Cyclo(p, 1) != p and p != Cyclo(p, 1)
+    assert ({x: 1}[p] == 1) and ({p: 1}[x] == 1)
+
+
+def test_canonical_form():
+    x = Cyclo(Fraction(2, 4), 1)
+    y = Cyclo(Fraction(1, 2), Fraction(2, 2))
+    assert x == y and hash(x) == hash(y)
+    assert (x.p, x.q) == (Fraction(1, 2), Fraction(1))
+    assert Cyclo(Fraction(3, 6), Fraction(-5, 10)) == Cyclo(1, -1) / 2
+    assert Cyclo(Fraction(4, 6), Fraction(1, 4)) - Cyclo(Fraction(1, 6), Fraction(-3, 4)) \
+        == Cyclo(Fraction(1, 2), 1)
+    assert ZETA - ZETA == Cyclo(0) and hash(ZETA - ZETA) == hash(0)
+
+
+def test_negative_denominator_is_normalised():
+    x = Cyclo(Fraction(1, -2), Fraction(3, -4))
+    assert (x.p, x.q) == (Fraction(-1, 2), Fraction(-3, 4))
+    assert x.p.denominator > 0 and x.q.denominator > 0
+    assert x == -Cyclo(Fraction(1, 2), Fraction(3, 4))
+    assert repr(x) == "Cyclo(Fraction(-1, 2), Fraction(-3, 4))"
+    assert str(Cyclo(Fraction(1, -3))) == "-1/3"
+
+
+def test_immutable():
+    x = Cyclo(1, 2)
+    for name in ("p", "q", "is_rational", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 5)
+    with pytest.raises(AttributeError):
+        del x.p
+    assert x == Cyclo(1, 2)
+
+
+def test_pickle_and_copy_round_trip():
+    x = Cyclo(Fraction(-3, 4), Fraction(5, 6))
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert y == x and repr(y) == repr(x)

@@ -7,8 +7,8 @@ import pytest
 
 from halfturn_ice.exactnum import Cyclo, ZETA
 from halfturn_ice.icemodel import (
-    ModelSpec, SizeTooLarge, fundamental_cells, modified_multiplier,
-    modified_partition, partition_function, vertex_weight, z_ht2, z_split_odd)
+    InvalidGuard, ModelSpec, SingularAssignment, SizeTooLarge, fundamental_cells,
+    modified_multiplier, modified_partition, partition_function, vertex_weight, z_ht2, z_split_odd)
 from halfturn_ice.laurent import LaurentPoly, sigma_of
 
 M = LaurentPoly.monomial
@@ -128,6 +128,17 @@ def test_guard_env_override(monkeypatch):
         partition_function(ModelSpec("dwbc", 2))
     monkeypatch.delenv("HALFTURN_ICE_MAX_STATES")
     assert partition_function(ModelSpec("dwbc", 2)).state_count == 2
+    monkeypatch.setenv("HALFTURN_ICE_MAX_STATES", "1e6")
+    with pytest.raises(InvalidGuard, match="HALFTURN_ICE_MAX_STATES"):
+        partition_function(ModelSpec("dwbc", 2))
+
+
+def test_zero_assignment_is_a_pole():
+    assignment = {"a": ZETA, "x1": 2, "x2": 3, "y1": 5, "y2": 0}
+    with pytest.raises(SingularAssignment, match="y2"):
+        partition_function(ModelSpec("dwbc", 2), assignment)
+    with pytest.raises(SingularAssignment, match="a"):
+        partition_function(ModelSpec("dwbc", 2), assignment | {"a": 0, "y2": 7})
 
 
 def test_model_spec_validation():

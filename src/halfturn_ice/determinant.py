@@ -12,14 +12,17 @@ the last row and column.  Evaluators:
     ht-odd: sigma(a)^(2m) / prod sigma(u_mu/u_nu)^2
                  * det P'(m+1; u) * det P'(m+1; 1/u)
 
-All arithmetic is exact in Q(zeta); evaluation is O(d^3) against the
-exponentially growing state sums it reproduces.
+The prefactors are exact in Q(zeta).  The determinants clear each
+column's denominators once and then eliminate over the integers Z[zeta]
+with exact division; evaluation is O(d^3) against the exponentially
+growing state sums it reproduces.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .exactnum import Cyclo, ZETA, sigma
@@ -73,28 +76,67 @@ def build_matrix(kind: str, size: int, u: Sequence[Cyclo]) -> Matrix:
 
 
 def det_exact(mat: Matrix) -> Cyclo:
-    """Exact determinant by fraction-free (Bareiss) elimination in Q(zeta)."""
+    """Exact determinant by fraction-free (Bareiss) elimination over Z[zeta].
+
+    Each column is first scaled by the lcm of its entries' denominators, so
+    that every entry is an integer pair (a, b) standing for a + b*zeta; the
+    determinant of the original matrix is that of the scaled one over the
+    product of the column scales.  A column of P, Q or P' holds the powers
+    of one point, so its scale stays small.  Z[zeta] is an integral domain,
+    so each Bareiss step divides exactly by the previous pivot p: by `//`
+    on both parts when p is rational, otherwise by multiplying with
+    conj(p) and dividing both parts by the integer norm p * conj(p).
+    The 0 x 0 determinant is 1.
+    """
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise DimensionMismatch("matrix must be square")
-    m = [list(row) for row in mat]
+    if n == 0:
+        return Cyclo.of(1)
+    m = [[None] * n for _ in range(n)]
+    scale = 1
+    for j in range(n):
+        parts = [row[j].integer_parts() for row in mat]
+        col_scale = lcm(*(d for _, _, d in parts))
+        scale *= col_scale
+        for i, (a, b, d) in enumerate(parts):
+            f = col_scale // d
+            m[i][j] = (a * f, b * f)
     sign = 1
-    prev = Cyclo.of(1)
+    pa, pb = 1, 0  # the previous pivot
     for k in range(n - 1):
-        if not m[k][k]:
+        if m[k][k] == (0, 0):
             for i in range(k + 1, n):
-                if m[i][k]:
+                if m[i][k] != (0, 0):
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
                 return Cyclo.of(0)
+        rk = m[k]
+        ka, kb = rk[k]
+        # Divide by p = pa + pb*zeta as t * conj(p) / norm(p), where
+        # conj(p) = ca + cb*zeta.
+        ca, cb, norm = pa + pb, -pb, pa * pa + pa * pb + pb * pb
         for i in range(k + 1, n):
+            ri = m[i]
+            ia, ib = ri[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Cyclo.of(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                xa, xb = ri[j]
+                ya, yb = rk[j]
+                # t = x * pivot - ik * y, schoolbook with zeta^2 = zeta - 1:
+                # with rational entries, all but xa * ka and ia * ya are
+                # products with 0, which cost O(1).
+                ta = xa * ka - xb * kb - ia * ya + ib * yb
+                tb = xa * kb + xb * ka + xb * kb - ia * yb - ib * ya - ib * yb
+                if pb:
+                    ta, tb = ta * ca - tb * cb, ta * cb + tb * ca + tb * cb
+                    ri[j] = (ta // norm, tb // norm)
+                else:
+                    ri[j] = (ta // pa, tb // pa)
+        pa, pb = ka, kb
+    a, b = m[n - 1][n - 1]
+    return Cyclo.from_integer_parts(sign * a, sign * b, scale)
 
 
 def _sigma_pair_product(u: Sequence[Cyclo], power: int = 1) -> Cyclo:
@@ -110,13 +152,23 @@ def _sigma_pair_product(u: Sequence[Cyclo], power: int = 1) -> Cyclo:
     return total
 
 
+# Smallest size of each evaluator's model.
+_MIN_SIZE = {"dwbc": 1, "ht2": 1, "ht-odd": 0}
+
+
 def special_z(model: str, size: int, u: Sequence[Cyclo]) -> Cyclo:
     """Determinant evaluator of the partition function at a = zeta.
 
     model "dwbc" (size n, 2n points), "ht2" (size m, 2m points) or
     "ht-odd" (size m, 2m+1 points, last coordinate shared between the two
-    spectral vectors).
+    spectral vectors).  The sizes are those of `icemodel.ModelSpec`: dwbc
+    and ht2 need size >= 1, ht-odd size >= 0.
     """
+    low = _MIN_SIZE.get(model)
+    if low is None:
+        raise ValueError(f"unknown determinant model {model!r}")
+    if size < low:
+        raise ValueError(f"{model} size must be >= {low}, got {size}")
     pts = tuple(Cyclo.of(x) for x in u)
     if any(not x for x in pts):
         raise ValueError("points must be nonzero")
@@ -137,15 +189,13 @@ def special_z(model: str, size: int, u: Sequence[Cyclo]) -> Cyclo:
         if (m * (m - 1) // 2) % 2:
             pref = -pref
         return pref * det_exact(build_matrix("Q", m, pts))
-    if model == "ht-odd":
-        m = size
-        if len(pts) != 2 * m + 1:
-            raise DimensionMismatch(f"ht-odd size {m} needs {2 * m + 1} points")
-        pref = sigma(a) ** (2 * m) / _sigma_pair_product(pts, power=2)
-        inv = tuple(x.inverse() for x in pts)
-        return (pref * det_exact(build_matrix("Pprime", m + 1, pts))
-                * det_exact(build_matrix("Pprime", m + 1, inv)))
-    raise ValueError(f"unknown determinant model {model!r}")
+    m = size  # ht-odd
+    if len(pts) != 2 * m + 1:
+        raise DimensionMismatch(f"ht-odd size {m} needs {2 * m + 1} points")
+    pref = sigma(a) ** (2 * m) / _sigma_pair_product(pts, power=2)
+    inv = tuple(x.inverse() for x in pts)
+    return (pref * det_exact(build_matrix("Pprime", m + 1, pts))
+            * det_exact(build_matrix("Pprime", m + 1, inv)))
 
 
 def random_distinct_rationals(rng: random.Random, count: int,

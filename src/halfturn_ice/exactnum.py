@@ -10,11 +10,12 @@ three ints (a, b, d), standing for (a + b*zeta) / d, under the invariant
 so each element has exactly one representation and equality is structural
 (zero is (0, 0, 1); a rational element has b = 0 and a/d in lowest terms).
 Sums, products and inverses are a few integer products followed by one
-three-way gcd.  The rational parts p = a/d and q = b/d are exposed as
-`fractions.Fraction`s.  Conjugation sends zeta to 1 - zeta, which is both
-complex conjugation and the nontrivial field automorphism; the norm
-x * conj(x) = p^2 + p*q + q^2 is rational and positive for x != 0, which
-gives exact inversion.
+three-way gcd.  `integer_parts` and `from_integer_parts` read and build
+this form, for code that computes on the integers directly.  The rational
+parts p = a/d and q = b/d are exposed as `fractions.Fraction`s.
+Conjugation sends zeta to 1 - zeta, which is both complex conjugation and
+the nontrivial field automorphism; the norm x * conj(x) = p^2 + p*q + q^2
+is rational and positive for x != 0, which gives exact inversion.
 """
 
 from __future__ import annotations
@@ -66,6 +67,20 @@ class Cyclo:
     def q(self) -> Fraction:
         _, b, d = self._abd
         return Fraction(b, d)
+
+    def integer_parts(self) -> tuple[int, int, int]:
+        """The ints (a, b, d) with self = (a + b*zeta)/d, d > 0 and
+        gcd(a, b, d) = 1."""
+        return self._abd
+
+    @staticmethod
+    def from_integer_parts(a: int, b: int, d: int) -> Cyclo:
+        """(a + b*zeta)/d for ints a, b and d != 0, in canonical form."""
+        if d < 0:
+            a, b, d = -a, -b, -d
+        elif d == 0:
+            raise ZeroDivisionError("zero denominator in Q(zeta)")
+        return _reduced(a, b, d)
 
     @property
     def is_rational(self) -> bool:

@@ -1,8 +1,12 @@
 """CLI: subcommands, formats, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 
-from halfturn_ice.cli import main, parse_value
+from hypothesis import given, settings, strategies as st
+
+from halfturn_ice.cli import UsageError, main, parse_value
 from halfturn_ice.exactnum import Cyclo
 from fractions import Fraction
 
@@ -188,3 +192,88 @@ def test_non_integer_guard_env_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("HALFTURN_ICE_MAX_STATES", "lots")
     assert_usage_error(run(capsys, "partition", "--model", "dwbc", "-n", "2"),
                        "HALFTURN_ICE_MAX_STATES", "'lots'")
+
+
+def test_det_negative_size_is_a_usage_error(capsys):
+    result = run(capsys, "det", "--model", "dwbc", "--order", "-1", "--u", "1,2")
+    assert_usage_error(result, "size must be >= 1", "-1")
+    assert len(result[2].splitlines()) == 1
+
+
+# ----------------------------------------------------------------------
+# fuzzing the value parser and the commands that take values
+# ----------------------------------------------------------------------
+
+# Pieces of values: rationals, zeta terms, and the ways they go wrong.
+# Exponents stay short, so that no value is a huge power of ten.
+value_pieces = st.sampled_from(["0", "1", "2", "7", "-", "+", "/", "*", "zeta",
+                                "3*zeta", "1/2", ".", " ", "e1", "x", "=", ","])
+fuzz_values = st.lists(value_pieces, max_size=5).map("".join)
+rational_values = st.sampled_from(["2", "3", "-1/3", "5/7", "1/2", "-4", "9/5", "11"])
+good_values = st.one_of(rational_values,
+                        st.sampled_from(["zeta", "1-zeta", "1/2+3*zeta", "-2*zeta"]))
+
+
+def draw_value(data, good):
+    """Mostly a well-formed value, one time in eight a fuzzed one."""
+    return data.draw(fuzz_values if data.draw(st.integers(0, 7)) == 0 else good)
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(argv):
+    code, out, err = run_quiet(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 2:
+        assert out == "" and "error:" in err, (argv, out, err)
+    else:
+        assert out and err == "", (argv, out, err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_values)
+def test_parse_value_fuzz(text):
+    try:
+        value = parse_value(text)
+    except UsageError:
+        return
+    assert isinstance(value, Cyclo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([("dwbc", "-n", 1), ("dwbc", "-n", 2), ("ht-odd", "--m", 0),
+                        ("ht-odd", "--m", 1)]),
+       st.data())
+def test_partition_assign_fuzz(model, data):
+    kind, flag, size = model
+    count = size if kind == "dwbc" else size + 1
+    names = ["a"] + [f"{v}{i}" for v in "xy" for i in range(1, count + 1)]
+    argv = ["partition", "--model", kind, flag, str(size)]
+    for name in names:
+        if data.draw(st.integers(0, 19)):  # now and then leave one out
+            argv.append(f"--assign={name}={draw_value(data, good_values)}")
+    if data.draw(st.integers(0, 3)) == 0:
+        argv.append(f"--assign={data.draw(fuzz_values)}")
+    assert_contract(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([("dwbc", "-n"), ("ht2", "--m"), ("ht-odd", "--m")]),
+       st.integers(-1, 2), st.data())
+def test_det_points_fuzz(model, size, data):
+    kind, flag = model
+    count = max(0, 2 * size + (kind == "ht-odd"))
+    if data.draw(st.booleans()):  # the right number of distinct points
+        points = data.draw(st.lists(rational_values, min_size=count, max_size=count,
+                                    unique=True))
+        if points and data.draw(st.integers(0, 3)) == 0:
+            points[data.draw(st.integers(0, count - 1))] = data.draw(fuzz_values)
+    else:
+        points = [draw_value(data, good_values) for _ in range(data.draw(st.integers(0, 6)))]
+    assert_contract(["det", "--model", kind, flag, str(size), "--u=" + ",".join(points)])

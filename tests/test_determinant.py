@@ -4,11 +4,48 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfturn_ice.determinant import (
     CoincidentPoints, DimensionMismatch, build_matrix, det_exact,
     random_distinct_rationals, row_exponents, special_z)
 from halfturn_ice.exactnum import Cyclo, ZETA, sigma
+from halfturn_ice.icemodel import ModelSpec
+
+
+def reference_det(mat):
+    """Bareiss elimination with every entry and quotient in Q(zeta): the
+    plain form that `det_exact` must agree with."""
+    n = len(mat)
+    if n == 0:
+        return Cyclo(1)
+    m = [list(row) for row in mat]
+    sign = 1
+    prev = Cyclo(1)
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Cyclo(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+# Small Q(zeta) values, zero about half the time, so that pivot swaps,
+# singular matrices and nonzero zeta parts all occur.
+parts = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
+                         Fraction(5, 7)])
+entries = st.one_of(st.just(Cyclo(0)), st.builds(Cyclo, parts, parts))
+square_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n).map(tuple),
+                       min_size=n, max_size=n).map(tuple))
 
 
 def test_row_exponent_patterns():
@@ -37,6 +74,38 @@ def test_det_examples():
     assert det_exact(ident) == Cyclo(1)
     dup = ((Cyclo(1), Cyclo(1)), (Cyclo(2), Cyclo(2)))
     assert det_exact(dup) == Cyclo(0)
+
+
+def test_empty_determinant_is_one():
+    assert det_exact(()) == Cyclo(1)
+
+
+def test_det_rejects_non_square():
+    with pytest.raises(DimensionMismatch):
+        det_exact(((Cyclo(1), Cyclo(2)),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices)
+def test_det_matches_reference(mat):
+    assert det_exact(mat) == reference_det(mat)
+
+
+def test_det_matches_reference_at_p10():
+    u = random_distinct_rationals(random.Random(2024), 20)
+    mat = build_matrix("P", 10, u)
+    assert len(mat) == 20
+    assert det_exact(mat) == reference_det(mat)
+
+
+def test_det_matches_reference_at_zeta_points():
+    rng = random.Random(11)
+    u = [Cyclo(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+               Fraction(rng.randint(1, 9), rng.randint(1, 9))) for _ in range(9)]
+    mat = build_matrix("Pprime", 5, u)
+    value = det_exact(mat)
+    assert not value.is_rational
+    assert value == reference_det(mat)
 
 
 def test_det_with_zeta_entries():
@@ -80,6 +149,33 @@ def test_dimension_checks():
         special_z("ht-odd", 1, (Fraction(1), Fraction(2)))
     with pytest.raises(ValueError):
         special_z("mystery", 1, (Fraction(1), Fraction(2)))
+
+
+@pytest.mark.parametrize("model,size,u", [
+    ("dwbc", 0, ()),
+    ("ht2", 0, ()),
+    ("dwbc", -1, (1, 2)),
+    ("ht2", -2, ()),
+    ("ht-odd", -1, ()),
+])
+def test_size_out_of_range(model, size, u):
+    low = 0 if model == "ht-odd" else 1
+    with pytest.raises(ValueError, match=f"{model} size must be >= {low}, got {size}"):
+        special_z(model, size, u)
+
+
+@pytest.mark.parametrize("model,kind", [("dwbc", "dwbc"), ("ht2", "ht-even"),
+                                        ("ht-odd", "ht-odd")])
+def test_size_range_matches_model_spec(model, kind):
+    for size in range(-2, 3):
+        try:
+            ModelSpec(kind, size)
+        except ValueError:
+            with pytest.raises(ValueError, match="size must be"):
+                special_z(model, size, ())
+        else:
+            count = 2 * size + 1 if model == "ht-odd" else 2 * size
+            special_z(model, size, random_distinct_rationals(random.Random(size), count))
 
 
 def test_random_points_are_distinct():

@@ -3,6 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,3 +247,19 @@ def test_pickle_and_copy_round_trip():
     x = Cyclo(Fraction(-3, 4), Fraction(5, 6))
     for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
         assert y == x and repr(y) == repr(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclos, st.integers(-12, 12).filter(bool))
+def test_integer_parts_round_trip(x, k):
+    a, b, d = x.integer_parts()
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == (x.p, x.q)
+    same(Cyclo.from_integer_parts(a, b, d), RefCyclo.of(x))
+    # Any common factor or sign of the denominator is taken out.
+    same(Cyclo.from_integer_parts(a * k, b * k, d * k), RefCyclo.of(x))
+
+
+def test_from_integer_parts_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        Cyclo.from_integer_parts(1, 2, 0)

@@ -64,6 +64,9 @@ def _parse_term(term: str) -> Cyclo:
 
 
 def _fraction(text: str) -> Fraction:
+    # Fraction reads "1e999999999" as an integer it would take very long to build.
+    if "e" in text.lower():
+        raise UsageError(f"exponent notation is not accepted: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -72,7 +72,19 @@ def build_matrix(kind: str, size: int, u: Sequence[Cyclo]) -> Matrix:
             f"{kind}({size}) needs {len(exps)} points, got {len(pts)}")
     if any(not x for x in pts):
         raise ValueError("points must be nonzero")
-    return tuple(tuple(x ** e for x in pts) for e in exps)
+    return tuple(zip(*(_power_column(x, exps) for x in pts)))
+
+
+def _power_column(x: Cyclo, exps: Sequence[int]) -> list[Cyclo]:
+    """x ** e down a descending exponent run, whose gaps are 2 or 4 since
+    every third integer of one parity is a multiple of 3: one power for the
+    first entry, then one product per entry (one inverse of x in all)."""
+    down2 = x.inverse() ** 2
+    step = {2: down2, 4: down2 * down2}
+    col = [x ** exps[0]]
+    for prev, e in zip(exps, exps[1:]):
+        col.append(col[-1] * step[prev - e])
+    return col
 
 
 def det_exact(mat: Matrix) -> Cyclo:

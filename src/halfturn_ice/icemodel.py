@@ -154,63 +154,82 @@ def vertex_weight(vertex_type: int, spectral: LaurentPoly,
     return w
 
 
-def _max_states(override: Optional[int]) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(_MAX_STATES_ENV)
-    if not env:
-        return DEFAULT_MAX_STATES
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidGuard(f"{_MAX_STATES_ENV} must be an integer, got {env!r}") from None
-
-
-def _expected_states(spec: ModelSpec) -> int:
+def _check_guard(spec: ModelSpec, max_states: Optional[int]) -> None:
+    """Raise SizeTooLarge before any state is generated when the model's
+    state count (the closed-form ASM count) exceeds the guard: max_states
+    if given, else the HALFTURN_ICE_MAX_STATES environment variable, else
+    DEFAULT_MAX_STATES.  A non-integer variable raises InvalidGuard."""
     from . import formulas  # deferred: formulas has no icemodel dependency
 
-    if spec.kind == "dwbc":
-        return formulas.count_closed("asm", spec.order)
-    return formulas.count_closed("ht-even" if spec.kind == "ht-even" else "ht-odd",
-                                 spec.order)
+    expected = formulas.count_closed("asm" if spec.kind == "dwbc" else spec.kind, spec.order)
+    limit = max_states
+    if limit is None:
+        env = os.environ.get(_MAX_STATES_ENV)
+        try:
+            limit = int(env) if env else DEFAULT_MAX_STATES
+        except ValueError:
+            raise InvalidGuard(f"{_MAX_STATES_ENV} must be an integer, got {env!r}") from None
+    if expected > limit:
+        raise SizeTooLarge(f"{expected} states exceeds the guard {limit}")
 
 
 @lru_cache(maxsize=None)
 def _state_profiles(kind: str, size: int):
     """Per state: weight-class code of every fundamental cell, plus the
-    central entry for odd half-turn models.  Cached; order matches the
-    deterministic generator stream."""
+    central entry for odd half-turn models (0 for even orders).  Cached;
+    order matches the deterministic generator stream.  Never empty: ht-odd
+    m = 0 is the single 1 x 1 state with central entry 1."""
     spec = ModelSpec(kind, size)
     cells = fundamental_cells(spec)
     klass = "all" if kind == "dwbc" else "ht"
+    mid = (spec.order + 1) // 2
     profiles = []
-    for m in gen_asms(spec.order, klass) if spec.order >= 1 else ():
+    for m in gen_asms(spec.order, klass):
         st = to_state(m)
         codes = tuple(_WEIGHT_CLASS[st[i, j]] for i, j, _, _ in cells)
-        central = m[(spec.order + 1) // 2, (spec.order + 1) // 2] if spec.order % 2 else 0
-        profiles.append((codes, central))
-    return cells, tuple(profiles)
+        profiles.append((codes, m[mid, mid] if spec.order % 2 else 0))
+    return tuple(profiles)
+
+
+def _state_sums(kind: str, size: int, weights, one) -> dict:
+    """The one state-sum loop: {central entry: (sum, state count)}.
+
+    weights[k] is the (class 0, class 1, class 2) weight triple of the k-th
+    fundamental cell in any ring whose unit is `one` (LaurentPoly, Cyclo);
+    each state contributes the product of its cells' weights to the part of
+    its central entry (always 0 for dwbc and ht-even).
+    """
+    zero = one - one
+    sums = {}
+    for codes, central in _state_profiles(kind, size):
+        w = one
+        for cell, code in zip(weights, codes):
+            w = w * cell[code]
+        total, count = sums.get(central, (zero, 0))
+        sums[central] = (total + w, count + 1)
+    return sums
+
+
+def _total(sums: dict):
+    """(sum, state count) over every central entry of a _state_sums result."""
+    (value, count), *rest = sums.values()
+    for v, c in rest:
+        value, count = value + v, count + c
+    return value, count
+
+
+def _symbolic_sums(kind: str, size: int) -> dict:
+    """_state_sums over Laurent polynomials; vertex types 1, 3, 5 stand for
+    weight classes 0, 1, 2."""
+    weights = [tuple(vertex_weight(t, LaurentPoly.monomial(1, {xv: 1, yv: -1}))
+                     for t in (1, 3, 5))
+               for _, _, xv, yv in fundamental_cells(ModelSpec(kind, size))]
+    return _state_sums(kind, size, weights, LaurentPoly.const(1))
 
 
 @lru_cache(maxsize=None)
 def _symbolic_value(kind: str, size: int) -> tuple[LaurentPoly, int]:
-    cells, profiles = _state_profiles(kind, size)
-    one = LaurentPoly.const(1)
-    if not profiles:
-        return one, 1  # empty fundamental domain: single state of weight 1
-    a = LaurentPoly.var("a")
-    sig_a2 = sigma_of(LaurentPoly.monomial(1, {"a": 2}))
-    cell_weights = []
-    for _, _, xv, yv in cells:
-        s = LaurentPoly.monomial(1, {xv: 1, yv: -1})
-        cell_weights.append((sig_a2, sigma_of(a * s), sigma_of(a * s.monomial_inverse())))
-    total = LaurentPoly.zero()
-    for codes, _ in profiles:
-        w = one
-        for cw, code in zip(cell_weights, codes):
-            w = w * cw[code]
-        total = total + w
-    return total, len(profiles)
+    return _total(_symbolic_sums(kind, size))
 
 
 def partition_function(spec: ModelSpec,
@@ -218,33 +237,22 @@ def partition_function(spec: ModelSpec,
                        max_states: Optional[int] = None) -> PartitionResult:
     """Exact state sum: symbolic Laurent polynomial, or a field value when
     an assignment for a and all spectral variables is given."""
-    expected = _expected_states(spec)
-    if expected > _max_states(max_states):
-        raise SizeTooLarge(
-            f"{expected} states exceeds the guard {_max_states(max_states)}")
+    _check_guard(spec, max_states)
     if assignment is None:
         value, count = _symbolic_value(spec.kind, spec.size)
         return PartitionResult(value, spec, count)
-    cells, profiles = _state_profiles(spec.kind, spec.size)
-    if not profiles:
-        return PartitionResult(Cyclo.of(1), spec, 1)
     xs, ys = spec.spectral_vars()
     zeros = [v for v in ("a", *xs, *ys) if v in assignment and not assignment[v]]
     if zeros:
         raise SingularAssignment(f"zero value for {', '.join(zeros)} puts a pole in the weights")
     a = Cyclo.of(assignment["a"])
     sig_a2 = a * a - (a * a).inverse()
-    tables = []
-    for _, _, xv, yv in cells:
+    weights = []
+    for _, _, xv, yv in fundamental_cells(spec):
         s = Cyclo.of(assignment[xv]) * Cyclo.of(assignment[yv]).inverse()
-        tables.append((sig_a2, a * s - (a * s).inverse(), a / s - s / a))
-    total = Cyclo.of(0)
-    for codes, _ in profiles:
-        w = Cyclo.of(1)
-        for tab, code in zip(tables, codes):
-            w = w * tab[code]
-        total = total + w
-    return PartitionResult(total, spec, len(profiles))
+        weights.append((sig_a2, a * s - (a * s).inverse(), a / s - s / a))
+    value, count = _total(_state_sums(spec.kind, spec.size, weights, Cyclo.of(1)))
+    return PartitionResult(value, spec, count)
 
 
 def modified_multiplier(spec: ModelSpec) -> LaurentPoly:
@@ -293,9 +301,7 @@ def z_ht2(m: int, max_states: Optional[int] = None) -> PartitionResult:
     drifted; the factorization is exact by construction of the models.
     """
     spec = ModelSpec("ht-even", m)
-    expected = _expected_states(spec)
-    if expected > _max_states(max_states):
-        raise SizeTooLarge(f"{expected} states exceeds the guard")
+    _check_guard(spec, max_states)
     value, count = _z_ht2_value(m)
     return PartitionResult(value, spec, count)
 
@@ -328,9 +334,7 @@ def z_split_odd(m: int, method: str = "parity",
     Both must agree exactly.
     """
     spec = ModelSpec("ht-odd", m)
-    expected = _expected_states(spec)
-    if expected > _max_states(max_states):
-        raise SizeTooLarge(f"{expected} states exceeds the guard")
+    _check_guard(spec, max_states)
     if method == "parity":
         z, count = _symbolic_value("ht-odd", m)
         flipped = z.negate_var("a")
@@ -342,26 +346,9 @@ def z_split_odd(m: int, method: str = "parity",
                 PartitionResult(minus, spec, count))
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    cells, profiles = _state_profiles("ht-odd", m)
-    a = LaurentPoly.var("a")
-    sig_a2 = sigma_of(LaurentPoly.monomial(1, {"a": 2}))
-    cell_weights = []
-    for _, _, xv, yv in cells:
-        s = LaurentPoly.monomial(1, {xv: 1, yv: -1})
-        cell_weights.append((sig_a2, sigma_of(a * s), sigma_of(a * s.monomial_inverse())))
-    sums = {1: LaurentPoly.zero(), -1: LaurentPoly.zero()}
-    counts = {1: 0, -1: 0}
-    for codes, central in profiles:
-        w = LaurentPoly.const(1)
-        for cw, code in zip(cell_weights, codes):
-            w = w * cw[code]
-        sums[central] = sums[central] + w
-        counts[central] += 1
-    if not profiles:  # m == 0: the single matrix [[1]] has central entry 1
-        sums[1] = LaurentPoly.const(1)
-        counts[1] = 1
-    return (PartitionResult(sums[1], spec, counts[1]),
-            PartitionResult(sums[-1], spec, counts[-1]))
+    sums = _symbolic_sums("ht-odd", m)
+    (plus, n_plus), (minus, n_minus) = (sums.get(c, (LaurentPoly.zero(), 0)) for c in (1, -1))
+    return PartitionResult(plus, spec, n_plus), PartitionResult(minus, spec, n_minus)
 
 
 def fundamental_type_counts(m_asm: Asm, spec: ModelSpec) -> tuple[int, ...]:

@@ -169,6 +169,18 @@ def test_det_bad_points_are_usage_errors(capsys):
                        "1/0")
 
 
+def test_exponent_notation_is_a_usage_error(capsys):
+    # Only small exponents here: Fraction would build 10**e before any check.
+    result = run(capsys, "det", "--model", "dwbc", "-n", "1", "--u", "1e5,2")
+    assert_usage_error(result, "1e5")
+    assert len(result[2].splitlines()) == 1
+    result = run(capsys, "partition", "--model", "dwbc", "-n", "1", "--assign", "a=zeta",
+                 "--assign", "x1=2E3", "--assign", "y1=3")
+    assert_usage_error(result, "2E3")
+    assert len(result[2].splitlines()) == 1
+    assert parse_value("0.25") == Cyclo(Fraction(1, 4))
+
+
 def test_partition_zero_assignment_is_a_usage_error(capsys):
     assert_usage_error(run(capsys, "partition", "--model", "dwbc", "-n", "2",
                            "--assign", "a=zeta", "--assign", "x1=0", "--assign", "x2=2",

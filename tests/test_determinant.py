@@ -66,6 +66,20 @@ def test_build_matrix():
         build_matrix("P", 2, (Fraction(1), Fraction(2)))
     with pytest.raises(ValueError):
         build_matrix("P", 1, (Fraction(0), Fraction(2)))
+    # Every entry is the plain power, at seeded rational and zeta-valued points.
+    rng = random.Random(7)
+    for kind in ("P", "Q", "Pprime", "Qprime"):
+        for size in range(1, 6):
+            exps = row_exponents(kind, size)
+            rational = [Cyclo(f) for f in random_distinct_rationals(rng, len(exps))]
+            zeta_valued = [Cyclo(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                 Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                           for _ in exps]
+            for u in (rational, zeta_valued):
+                mat = build_matrix(kind, size, u)
+                assert len(mat) == len(exps)
+                for row, e in zip(mat, exps):
+                    assert row == tuple(x ** e for x in u), (kind, size, e)
 
 
 def test_det_examples():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from halfturn_ice.exactnum import Cyclo, ZETA
+from halfturn_ice.formulas import count_closed
 from halfturn_ice.icemodel import (
     InvalidGuard, ModelSpec, SingularAssignment, SizeTooLarge, fundamental_cells,
     modified_multiplier, modified_partition, partition_function, vertex_weight, z_ht2, z_split_odd)
@@ -51,11 +52,13 @@ def test_partition_examples():
 
 def test_symbolic_matches_evaluated():
     rng = random.Random(11)
-    for kind, size in (("dwbc", 2), ("dwbc", 3), ("ht-even", 2), ("ht-odd", 1)):
+    for kind, size in (("dwbc", 2), ("dwbc", 3), ("ht-even", 1), ("ht-even", 2),
+                       ("ht-odd", 1), ("ht-odd", 2)):
         spec = ModelSpec(kind, size)
         sym = partition_function(spec).value
-        for _ in range(5):
-            assign = {"a": Cyclo(Fraction(rng.randint(1, 9), rng.randint(1, 9)))}
+        for trial in range(10):  # five at a rational a, five at a = zeta
+            a = ZETA if trial % 2 else Cyclo(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            assign = {"a": a}
             for xs in spec.spectral_vars():
                 for v in xs:
                     assign[v] = Cyclo(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
@@ -115,11 +118,25 @@ def test_z_split_examples():
     assert pp.value + pm.value == partition_function(ModelSpec("ht-odd", 1)).value
 
 
+def test_z_split_direct_matches_parity_and_counts():
+    for m in range(3):
+        plus, minus = z_split_odd(m, "direct")
+        assert plus.value + minus.value == partition_function(ModelSpec("ht-odd", m)).value
+        pp, pm = z_split_odd(m, "parity")
+        assert (plus.value, minus.value) == (pp.value, pm.value)
+        assert plus.state_count == count_closed("ht-odd-plus", 2 * m + 1)
+        assert minus.state_count == count_closed("ht-odd-minus", 2 * m + 1)
+
+
 def test_state_guard():
-    with pytest.raises(SizeTooLarge):
+    with pytest.raises(SizeTooLarge, match="guard 10$"):
         partition_function(ModelSpec("dwbc", 4), max_states=10)
-    with pytest.raises(SizeTooLarge):
+    with pytest.raises(SizeTooLarge, match="guard 3$"):
         z_ht2(2, max_states=3)
+    with pytest.raises(SizeTooLarge, match="guard 2$"):
+        z_split_odd(1, "direct", max_states=2)
+    with pytest.raises(SizeTooLarge, match="guard 2$"):
+        z_split_odd(1, "parity", max_states=2)
 
 
 def test_guard_env_override(monkeypatch):

@@ -99,7 +99,7 @@ def as_asm(grid: Sequence[Sequence[int]]) -> Asm:
     n = len(grid)
     if n == 0 or any(len(row) != n for row in grid):
         raise NotAlternating("matrix must be square and nonempty")
-    rows = tuple(tuple(int(x) for x in row) for row in grid)
+    rows = tuple(tuple(map(int, row)) for row in grid)
     col_sums = [0] * n
     for i, row in enumerate(rows):
         r = 0
@@ -207,15 +207,20 @@ def inversions(s: Sequence[int]) -> int:
 
 
 def stats(asm: Asm) -> AsmStats:
-    n = asm.order
-    minus = sum(1 for row in asm.entries for e in row if e == -1)
-    r = next(i + 1 for i in range(n) if asm.entries[i][0] == 1)
-    perm = permutation_of(asm)
+    e = asm.entries
+    n = len(e)
+    minus = sum(row.count(-1) for row in e)
+    perm = None
+    if minus == 0:
+        s = [0] * n
+        for i, row in enumerate(e):
+            s[row.index(1)] = i + 1
+        perm = tuple(s)
     return AsmStats(
         minus_ones=minus,
-        first_column_one_pos=r,
-        ht_symmetric=is_half_turn_symmetric(asm),
-        central_entry=asm.entries[n // 2][n // 2] if n % 2 == 1 else None,
+        first_column_one_pos=[row[0] for row in e].index(1) + 1,
+        ht_symmetric=e == tuple(row[::-1] for row in reversed(e)),
+        central_entry=e[n // 2][n // 2] if n % 2 == 1 else None,
         permutation=perm,
         inversions=inversions(perm) if perm is not None else None,
     )

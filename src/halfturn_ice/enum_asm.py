@@ -1,14 +1,24 @@
 """Exhaustive ASM generators, inversion generating functions and censuses.
 
 These are the brute-force oracles behind every enumeration identity in the
-package.  Generation is row-by-row backtracking on partial column sums
-(each constrained to {0, 1}), which enforces the alternating property
-incrementally; streams are emitted in row-major lexicographic order with
-entries ordered -1 < 0 < 1, so two runs are byte-identical.
+package: every matrix is generated, none is counted by formula.  Generation
+is row-by-row backtracking on column partial sums (each constrained to
+{0, 1}), which enforces the alternating property incrementally; streams
+are emitted in row-major lexicographic order with entries ordered
+-1 < 0 < 1, so two runs are byte-identical.
+
+The valid next rows depend only on the column partial sums, so each stream
+keeps a row-transition table (`_next_rows`) from a 0/1 column-sum vector to
+its (row, new column sums) moves, filled on first use; the depth-first walk
+(`_prefixes`) then only looks rows up.  The table belongs to the stream,
+not to the module, so no state outlives it.
 
 The half-turn class fills only rows 1..ceil(n/2) (the middle row of an odd
-order is kept palindromic), completes the matrix by 180-degree rotation and
-validates the result, which is far cheaper than filtering the full stream.
+order is kept palindromic).  Those rows complete to a half-turn symmetric
+ASM by 180-degree rotation exactly when C_j + C_(n+1-j) = 1 + mid_j for
+every column j, with C their column sums and mid the middle row (0 for
+even n); only prefixes that pass this closing test are completed, and each
+completion is still validated by `as_asm`.
 
 Census weights follow the x-enumeration conventions: a matrix with k
 entries equal to -1 weighs x^k in the plain class and x^(k/2) in the
@@ -21,10 +31,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .asm import Asm, NotAlternating, as_asm, inversions, stats
+from .asm import Asm, as_asm, inversions, stats
 from .laurent import LaurentPoly
+
+Row = tuple[int, ...]
+Cols = tuple[int, ...]
+Moves = tuple[tuple[Row, Cols], ...]
 
 
 def _row_candidates(col: tuple[int, ...], force_palindrome: bool) -> Iterator[tuple[int, ...]]:
@@ -62,53 +76,87 @@ def _row_candidates(col: tuple[int, ...], force_palindrome: bool) -> Iterator[tu
     yield from fill(0, 0)
 
 
+def _next_rows(palindrome: bool,
+               closes: Optional[Callable[[Row, Cols], bool]] = None) -> Callable[[Cols], Moves]:
+    """The row-transition table of one stream.
+
+    Whether a row may follow the rows above it depends on those rows only
+    through their column partial sums: each sum must stay in {0, 1}.  The
+    sums above any row of an ASM form a 0/1 vector, so there are at most
+    2^n table keys.  The table maps each one to its (row, new column sums)
+    moves, in the lex order of `_row_candidates`, which fills it on first
+    use; a table for the last row keeps only the moves that `closes` the
+    matrix.  It lives in the returned closure, so it is built cold for each
+    stream and dies with it.
+    """
+    table: dict[Cols, Moves] = {}
+
+    def moves(col: Cols) -> Moves:
+        found = table.get(col)
+        if found is None:
+            found = tuple((row, tuple(c + e for c, e in zip(col, row)))
+                          for row in _row_candidates(col, palindrome))
+            if closes is not None:
+                found = tuple(move for move in found if closes(*move))
+            table[col] = found
+        return found
+
+    return moves
+
+
+def _prefixes(n: int, steps: list[Callable[[Cols], Moves]]) -> Iterator[tuple[Row, ...]]:
+    """Every stack of len(steps) rows that the steps allow, depth first in
+    row-major lex order; steps[i] is the transition table of row i + 1.
+
+    The walk keeps one iterator per row on an explicit stack, so each matrix
+    passes through one generator frame, not one per row.
+    """
+    depth = len(steps)
+    rows: list[Row] = [()] * depth
+    stack = [iter(steps[0]((0,) * n))]
+    while stack:
+        i = len(stack) - 1
+        if i == depth - 1:
+            for row, _ in stack.pop():
+                rows[i] = row
+                yield tuple(rows)
+            continue
+        for row, col in stack[i]:
+            rows[i] = row
+            stack.append(iter(steps[i + 1](col)))
+            break
+        else:
+            stack.pop()
+
+
 def _gen_all(n: int) -> Iterator[Asm]:
-    rows: list[tuple[int, ...]] = []
-
-    def rec(i: int, col: tuple[int, ...]):
-        if i == n:
-            if all(c == 1 for c in col):
-                yield Asm(tuple(rows))
-            return
-        for row in _row_candidates(col, False):
-            newcol = tuple(c + e for c, e in zip(col, row))
-            # Every column must still be completable to sum 1.
-            if i == n - 1 and any(c != 1 for c in newcol):
-                continue
-            rows.append(row)
-            yield from rec(i + 1, newcol)
-            rows.pop()
-
-    yield from rec(0, (0,) * n)
+    done = (1,) * n
+    last = _next_rows(False, lambda row, col: col == done)
+    for rows in _prefixes(n, [_next_rows(False)] * (n - 1) + [last]):
+        yield Asm(rows)
 
 
 def _gen_ht(n: int) -> Iterator[Asm]:
     half = (n + 1) // 2
-    rows: list[tuple[int, ...]] = []
+    odd = n % 2 == 1
 
-    def complete() -> Optional[Asm]:
-        full = list(rows)
-        for i in range(n - half - 1, -1, -1):
-            full.append(tuple(reversed(rows[i])))
-        try:
-            return as_asm(full)
-        except NotAlternating:
-            return None
+    def closes(last: Row, col: Cols) -> bool:
+        # Row n+1-i of the completion is row i reversed (i <= n/2).  Going
+        # down the lower half, column j has the partial sums
+        # C_j + (C_(n+1-j) - mid_j) - P, with C the column sums of the top
+        # ceil(n/2) rows, mid the middle row (odd n) or 0 (even n), and P
+        # running over the 0/1 partial sums of column n+1-j above the
+        # middle, down to 0.  So every lower partial sum is 0 or 1 and the
+        # column sums to 1 exactly when C_j + C_(n+1-j) = 1 + mid_j.  The
+        # test also rejects a middle row whose mirrored half took some C_j
+        # to 2 or -1: mid_j then has that sign, so C_(n+1-j) cannot make up
+        # the difference.
+        return all(col[j] + col[n - 1 - j] == 1 + (last[j] if odd else 0)
+                   for j in range(half))
 
-    def rec(i: int, col: tuple[int, ...]):
-        if i == half:
-            m = complete()
-            if m is not None:
-                yield m
-            return
-        palindrome = (n % 2 == 1 and i == half - 1)
-        for row in _row_candidates(col, palindrome):
-            newcol = tuple(c + e for c, e in zip(col, row))
-            rows.append(row)
-            yield from rec(i + 1, newcol)
-            rows.pop()
-
-    yield from rec(0, (0,) * n)
+    steps = [_next_rows(False)] * (half - 1) + [_next_rows(odd, closes)]
+    for rows in _prefixes(n, steps):
+        yield as_asm(rows + tuple(row[::-1] for row in reversed(rows[:n - half])))
 
 
 def gen_asms(n: int, klass: str = "all") -> Iterator[Asm]:
@@ -179,6 +227,8 @@ def phi_ht_closed(n: int) -> LaurentPoly:
 
 def inversion_genfunc(n: int, klass: str = "all", mode: str = "brute") -> LaurentPoly:
     """Sum of z^inv(s) over the class, by brute force or by product formula."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
     if mode == "closed":
         return phi_closed(n) if klass == "all" else phi_ht_closed(n)
     if mode != "brute":
@@ -299,13 +349,15 @@ def census(n: int, klass: str = "all") -> CensusTable:
     odd half-turn orders.  Cached: treat the returned table as read-only."""
     odd_ht = klass == "ht" and n % 2 == 1
     var = "sqrtx" if odd_ht else "x"
-    table = CensusTable(order=n, klass=klass, weight_var=var)
+    counts: dict[tuple[int, Optional[int]], dict[tuple[int], int]] = {}
+    total = 0
     for m in gen_asms(n, klass):
         st = stats(m)
         k = st.minus_ones
-        exp = k if (odd_ht or klass == "all") else k // 2
-        key = (st.first_column_one_pos, st.central_entry if odd_ht else None)
-        mono = LaurentPoly((var,), {(exp,): 1})
-        table.rows[key] = table.rows.get(key, LaurentPoly.zero()) + mono
-        table.count += 1
-    return table
+        exp = (k if (odd_ht or klass == "all") else k // 2,)
+        row = counts.setdefault(
+            (st.first_column_one_pos, st.central_entry if odd_ht else None), {})
+        row[exp] = row.get(exp, 0) + 1
+        total += 1
+    return CensusTable(order=n, klass=klass, weight_var=var, count=total,
+                       rows={key: LaurentPoly((var,), row) for key, row in counts.items()})

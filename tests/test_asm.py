@@ -1,10 +1,13 @@
 """ASM validation, the six-vertex bijection and matrix statistics."""
 
+import itertools
+
 import pytest
 
 from halfturn_ice.asm import (
     InconsistentOrientation, NotAlternating, SixVertexState, as_asm,
-    inversions, is_half_turn_symmetric, parse_text, stats, to_asm, to_state)
+    inversions, is_half_turn_symmetric, parse_text, permutation_of, stats,
+    to_asm, to_state)
 from halfturn_ice.enum_asm import gen_asms
 
 
@@ -82,6 +85,31 @@ def test_stats_examples():
     assert inversions((2, 4, 1, 3)) == 3
     even = stats(as_asm([[1, 0], [0, 1]]))
     assert even.central_entry is None
+
+    s = stats(as_asm([[0, 1, 0, 0, 0], [1, -1, 1, 0, 0], [0, 1, 0, 0, 0],
+                      [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]))
+    assert (s.minus_ones, s.first_column_one_pos, s.central_entry) == (1, 2, 0)
+    assert not s.ht_symmetric
+    assert s.permutation is None and s.inversions is None
+
+    s = stats(as_asm([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
+    assert (s.minus_ones, s.first_column_one_pos, s.central_entry) == (0, 2, 0)
+    assert not s.ht_symmetric
+    assert s.permutation == (2, 3, 1) and s.inversions == 2
+
+
+def test_stats_field_by_field():
+    streams = [gen_asms(n) for n in range(1, 7)] + [gen_asms(7, "ht")]
+    for m in itertools.chain(*streams):
+        e, n = m.entries, m.order
+        s = stats(m)
+        perm = permutation_of(m)
+        assert s.minus_ones == sum(1 for row in e for x in row if x == -1)
+        assert s.first_column_one_pos == next(i + 1 for i in range(n) if e[i][0] == 1)
+        assert s.ht_symmetric == is_half_turn_symmetric(m)
+        assert s.central_entry == (e[n // 2][n // 2] if n % 2 == 1 else None)
+        assert s.permutation == perm
+        assert s.inversions == (inversions(perm) if perm is not None else None)
 
 
 def test_text_round_trip():

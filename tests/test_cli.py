@@ -206,6 +206,14 @@ def test_non_integer_guard_env_is_a_usage_error(monkeypatch, capsys):
                        "HALFTURN_ICE_MAX_STATES", "'lots'")
 
 
+def test_genfunc_order_below_one_is_a_usage_error(capsys):
+    for argv in (("genfunc", "-n", "0"),
+                 ("genfunc", "-n", "-3", "--class", "ht", "--mode", "closed")):
+        result = run(capsys, *argv)
+        assert_usage_error(result, "order must be >= 1")
+        assert len(result[2].splitlines()) == 1
+
+
 def test_det_negative_size_is_a_usage_error(capsys):
     result = run(capsys, "det", "--model", "dwbc", "--order", "-1", "--u", "1,2")
     assert_usage_error(result, "size must be >= 1", "-1")

@@ -1,10 +1,78 @@
 """Generators, inversion generating functions and censuses."""
 
+import itertools
+
 import pytest
 
+from halfturn_ice.asm import Asm, NotAlternating, as_asm, stats
 from halfturn_ice.enum_asm import (
     census, gen_asms, ht_permutations, inversion_genfunc)
+from halfturn_ice.formulas import count_closed
 from halfturn_ice.laurent import LaurentPoly
+
+
+# ----------------------------------------------------------------------
+# the per-node generators that the streams replaced, kept as a reference
+# ----------------------------------------------------------------------
+
+
+def reference_row_candidates(col, force_palindrome):
+    """All valid next rows given column partial sums, in lex order (-1 < 0 < 1)."""
+    n = len(col)
+    row = [0] * n
+    half = (n + 1) // 2
+
+    def fill(j, rsum):
+        if force_palindrome and j >= half:
+            for k in range(half, n):
+                row[k] = row[n - 1 - k]
+            s = 0
+            for k in range(n):
+                s += row[k]
+                if s not in (0, 1):
+                    return
+            if s == 1:
+                yield tuple(row)
+            return
+        if j == n:
+            if rsum == 1:
+                yield tuple(row)
+            return
+        for e in (-1, 0, 1):
+            if rsum + e not in (0, 1) or col[j] + e not in (0, 1):
+                continue
+            row[j] = e
+            yield from fill(j + 1, rsum + e)
+        row[j] = 0
+
+    yield from fill(0, 0)
+
+
+def reference_gen(n, klass):
+    """Backtracking with one recursive generator per node; the half-turn
+    class completes every top half by rotation and keeps what validates."""
+    last = n if klass == "all" else (n + 1) // 2
+    rows = []
+
+    def rec(i, col):
+        if i == last:
+            if klass == "all":
+                if all(c == 1 for c in col):
+                    yield Asm(tuple(rows))
+                return
+            full = rows + [tuple(reversed(rows[k])) for k in range(n - last - 1, -1, -1)]
+            try:
+                yield as_asm(full)
+            except NotAlternating:
+                pass
+            return
+        palindrome = klass == "ht" and n % 2 == 1 and i == last - 1
+        for row in reference_row_candidates(col, palindrome):
+            rows.append(row)
+            yield from rec(i + 1, tuple(c + e for c, e in zip(col, row)))
+            rows.pop()
+
+    return rec(0, (0,) * n)
 
 
 def zpoly(*coeffs):
@@ -25,10 +93,31 @@ def test_gen_unique_and_valid():
 
 
 def test_gen_order_deterministic_and_lex():
-    runs = [list(gen_asms(4, "all")), list(gen_asms(4, "all"))]
-    assert runs[0] == runs[1]
-    flat = [tuple(x for row in m.entries for x in row) for m in runs[0]]
-    assert flat == sorted(flat)
+    for n, klass in ((4, "all"), (6, "all"), (7, "ht")):
+        runs = [list(gen_asms(n, klass)), list(gen_asms(n, klass))]
+        assert runs[0] == runs[1]
+        flat = [tuple(x for row in m.entries for x in row) for m in runs[0]]
+        assert flat == sorted(flat)
+        assert len(set(flat)) == len(flat)
+
+
+@pytest.mark.parametrize("n, klass", [(n, "all") for n in range(1, 7)]
+                         + [(n, "ht") for n in range(1, 9)])
+def test_gen_matches_reference(n, klass):
+    assert list(gen_asms(n, klass)) == list(reference_gen(n, klass))
+
+
+def test_interleaved_streams_are_independent():
+    # Each stream owns its transition table: consuming two in turn must give
+    # what each gives alone.
+    pairs = list(itertools.zip_longest(gen_asms(5), gen_asms(5, "ht")))
+    assert [a for a, _ in pairs] == list(gen_asms(5))
+    assert [h for _, h in pairs if h is not None] == list(gen_asms(5, "ht"))
+    assert sum(1 for _, h in pairs if h is not None) == 25
+
+
+def test_order9_ht_count():
+    assert sum(1 for _ in gen_asms(9, "ht")) == count_closed("ht-odd", 9) == 39204
 
 
 def test_ht_stream_is_filter_of_full_stream():
@@ -103,6 +192,25 @@ def test_bad_inputs():
         list(gen_asms(2, "diagonal"))
     with pytest.raises(ValueError):
         inversion_genfunc(2, "all", "guess")
+    for n, klass, mode in ((0, "all", "brute"), (0, "ht", "closed"), (-3, "all", "closed")):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            inversion_genfunc(n, klass, mode)
+
+
+def reference_census_rows(matrices, n, klass):
+    """One LaurentPoly monomial per matrix, added up row by row, with every
+    key and exponent read directly off the entries."""
+    odd_ht = klass == "ht" and n % 2 == 1
+    var = "sqrtx" if odd_ht else "x"
+    rows: dict = {}
+    for m in matrices:
+        e = m.entries
+        k = sum(1 for row in e for x in row if x == -1)
+        exp = k if (odd_ht or klass == "all") else k // 2
+        r = next(i + 1 for i in range(n) if e[i][0] == 1)
+        key = (r, e[n // 2][n // 2] if odd_ht else None)
+        rows[key] = rows.get(key, LaurentPoly.zero()) + LaurentPoly((var,), {(exp,): 1})
+    return rows
 
 
 def test_census_is_a_chunked_reduction():
@@ -110,7 +218,6 @@ def test_census_is_a_chunked_reduction():
     # full census (the reduction is associative and commutative).
     full = census(4, "all")
     matrices = list(gen_asms(4, "all"))
-    from halfturn_ice.asm import stats
     halves = [matrices[:20], matrices[20:]]
     merged: dict = {}
     for chunk in halves:
@@ -120,3 +227,12 @@ def test_census_is_a_chunked_reduction():
             mono = LaurentPoly(("x",), {(st.minus_ones,): 1})
             merged[key] = merged.get(key, LaurentPoly.zero()) + mono
     assert merged == full.rows
+    # The int-count census against the per-matrix sum: plain x^k, even
+    # half-turn x^(k/2), odd half-turn sqrtx^k keyed by central entry.
+    for n, klass in ((6, "all"), (6, "ht"), (7, "ht")):
+        tab = census(n, klass)
+        matrices = list(reference_gen(n, klass))
+        rows = reference_census_rows(matrices, n, klass)
+        assert tab.rows == rows and list(tab.rows) == list(rows)
+        assert tab.count == len(matrices)
+    assert {c for _, c in census(7, "ht").rows} == {-1, 1}

@@ -122,6 +122,8 @@ def _cmd_enumerate(args) -> int:
     n = args.order
     if n is None:
         raise UsageError("enumerate requires --order")
+    if args.format == "csv" and not args.census:
+        raise UsageError("--format csv requires --census")
     if args.census:
         table = census(n, args.klass)
         if args.format == "csv":
@@ -131,8 +133,7 @@ def _cmd_enumerate(args) -> int:
                   args.out)
         else:
             lines = [f"order {n} class {args.klass}: {table.total_count()} matrices"]
-            for (r, central), poly in sorted(table.rows.items(),
-                                             key=lambda kv: (kv[0][0], kv[0][1] or 0)):
+            for (r, central), poly in table.ordered_rows():
                 tag = f"r={r}" + (f" central={central:+d}" if central is not None else "")
                 lines.append(f"  {tag}: {poly}")
             _emit("\n".join(lines) + "\n", args.out)
@@ -250,6 +251,8 @@ def _cmd_verify(args) -> int:
         raise UsageError("verify requires --suite ID or --all")
     overrides = {}
     if args.points is not None:
+        if args.points < 1:
+            raise UsageError(f"--points must be >= 1, got {args.points}")
         for sid, (_, defaults) in verify.SUITES.items():
             if "points" in defaults:
                 overrides[sid] = {"points": args.points}
@@ -275,14 +278,27 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _report_line(path: str, lineno: int, line: str) -> dict:
+    where = f"{path}, line {lineno}"
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise UsageError(f"{where}: not JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise UsageError(f"{where}: expected a JSON object")
+    for key in ("suiteId", "status"):
+        if not isinstance(obj.get(key, ""), str):
+            raise UsageError(f"{where}: {key} must be a string")
+    return obj
+
+
 def _cmd_report(args) -> int:
     suites = []
     for path in args.files:
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    suites.append(json.loads(line))
+            for lineno, line in enumerate(fh, 1):
+                if line.strip():
+                    suites.append(_report_line(path, lineno, line))
     passed = sum(1 for s in suites if s.get("status") == "pass")
     if args.format == "text":
         lines = [f"{s.get('status', '?').upper():4s}  {s.get('suiteId', '?')}"
@@ -313,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "and identity verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    def common(p, formats=("json", "text")):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", metavar="PATH", default=None)
 
     p = sub.add_parser("enumerate", help="stream or count ASMs, emit censuses")
@@ -322,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="klass", choices=("all", "ht"), default="all")
     p.add_argument("--census", action="store_true")
     p.add_argument("--count", action="store_true")
-    common(p)
+    common(p, ("json", "csv", "text"))
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("genfunc", help="inversion generating functions")
@@ -336,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=icemodel.KINDS, default="dwbc")
     p.add_argument("--order", "-n", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--symbolic", action="store_true",
-                   help="symbolic output (default when no --assign is given)")
     p.add_argument("--modified", action="store_true",
                    help="multiply by the monomial clearing negative exponents")
     p.add_argument("--assign", action="append", default=[], metavar="VAR=VALUE",
@@ -391,12 +405,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (formulas.UnsupportedSize, icemodel.SizeTooLarge, icemodel.InvalidGuard,
-            icemodel.SingularAssignment, determinant.DimensionMismatch,
-            determinant.CoincidentPoints, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError and every typed input error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

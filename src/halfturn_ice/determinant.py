@@ -185,22 +185,14 @@ def special_z(model: str, size: int, u: Sequence[Cyclo]) -> Cyclo:
     if any(not x for x in pts):
         raise ValueError("points must be nonzero")
     a = ZETA
-    if model == "dwbc":
+    if model in ("dwbc", "ht2"):
         n = size
         if len(pts) != 2 * n:
-            raise DimensionMismatch(f"dwbc size {n} needs {2 * n} points")
+            raise DimensionMismatch(f"{model} size {n} needs {2 * n} points")
         pref = sigma(a) ** n / _sigma_pair_product(pts)
         if (n * (n - 1) // 2) % 2:
             pref = -pref
-        return pref * det_exact(build_matrix("P", n, pts))
-    if model == "ht2":
-        m = size
-        if len(pts) != 2 * m:
-            raise DimensionMismatch(f"ht2 size {m} needs {2 * m} points")
-        pref = sigma(a) ** m / _sigma_pair_product(pts)
-        if (m * (m - 1) // 2) % 2:
-            pref = -pref
-        return pref * det_exact(build_matrix("Q", m, pts))
+        return pref * det_exact(build_matrix("P" if model == "dwbc" else "Q", n, pts))
     m = size  # ht-odd
     if len(pts) != 2 * m + 1:
         raise DimensionMismatch(f"ht-odd size {m} needs {2 * m + 1} points")

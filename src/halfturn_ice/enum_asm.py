@@ -272,10 +272,14 @@ class CensusTable:
         """Number of matrices (all weights at x = 1)."""
         return self.count
 
+    def ordered_rows(self) -> list[tuple[tuple[int, Optional[int]], LaurentPoly]]:
+        """(key, polynomial) pairs by row, then central entry (-1 before +1)."""
+        return sorted(self.rows.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0))
+
     def genfunc(self) -> LaurentPoly:
         """The full refined generating function in (t, weight_var)."""
         tot = LaurentPoly.zero()
-        for (r, _), p in sorted(self.rows.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0)):
+        for (r, _), p in self.ordered_rows():
             tot = tot + p * LaurentPoly(("t",), {(r - 1,): 1})
         return tot
 
@@ -307,15 +311,13 @@ class CensusTable:
             "rows": [
                 {"r": r, "central": central,
                  "weight": poly.to_json_obj()}
-                for (r, central), poly in sorted(
-                    self.rows.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0))
+                for (r, central), poly in self.ordered_rows()
             ],
         }
 
     def to_csv(self) -> str:
         lines = ["r,central,terms"]
-        for (r, central), poly in sorted(self.rows.items(),
-                                         key=lambda kv: (kv[0][0], kv[0][1] or 0)):
+        for (r, central), poly in self.ordered_rows():
             terms = ";".join(
                 f"{(e[0] if e else 0)}:{c}" for e, c in sorted(poly.terms.items()))
             lines.append(f"{r},{'' if central is None else central},{terms}")

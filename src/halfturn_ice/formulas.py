@@ -169,14 +169,6 @@ def refined_ht2_closed(m: int, allow_base_case: bool = False) -> LaurentPoly:
     return _refined_ht2_formula(m, ht2_refined_reading())
 
 
-def refined_closed(family: str, index: int, allow_base_case: bool = False) -> LaurentPoly:
-    if family == "asm":
-        return refined_asm_closed(index)
-    if family == "ht2":
-        return refined_ht2_closed(index, allow_base_case)
-    raise UnsupportedSize(f"unknown refined family {family!r}")
-
-
 # ----------------------------------------------------------------------
 # central-entry split of the odd refined enumerations
 # ----------------------------------------------------------------------

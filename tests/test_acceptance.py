@@ -129,9 +129,10 @@ def test_criterion_14_four_enumeration():
 
 
 def test_criterion_15_yang_baxter():
-    rep = verify.verify_ybe()
-    assert rep.passed and rep.checks_run == 64
-    _criterion(15, "all 64 boundary components of the triangle move agree")
+    rep = _run("ybe")
+    assert rep.checks_run == 129  # 64 symbolic, 1 negative control, 64 at the unit point
+    _criterion(15, "all 64 boundary components of the triangle move agree, "
+                   "symbolically and at the unit point")
 
 
 def test_criterion_16_full_verify_all(capsys):

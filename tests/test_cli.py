@@ -214,6 +214,45 @@ def test_genfunc_order_below_one_is_a_usage_error(capsys):
         assert len(result[2].splitlines()) == 1
 
 
+def test_report_malformed_lines_are_usage_errors(tmp_path, capsys):
+    good = '{"suiteId":"parity","status":"pass"}\n'
+    for bad in ("1", "[]", '"pass"', '{"suiteId":5,"status":"pass"}',
+                '{"suiteId":"parity","status":null}', "{not json"):
+        path = tmp_path / "r.jsonl"
+        path.write_text(good + "\n" + bad + "\n")
+        for fmt in ("json", "text"):
+            result = run(capsys, "report", str(path), "--format", fmt)
+            assert_usage_error(result, "r.jsonl", "line 3")
+            assert len(result[2].splitlines()) == 1
+
+
+def test_verify_points_below_one_is_a_usage_error(capsys):
+    for points in ("0", "-3"):
+        result = run(capsys, "verify", "--suite", "theorem3", "--points", points)
+        assert_usage_error(result, "--points", points)
+
+
+def assert_rejected_by_parser(result):
+    code, out, err = result
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
+def test_csv_only_for_enumerate_census(capsys):
+    for argv in (("verify", "--suite", "parity"), ("report", "r.jsonl"),
+                 ("partition", "-n", "1"), ("genfunc", "-n", "3"),
+                 ("det", "-n", "1", "--u", "2,3"), ("formulas", "--family", "asm", "-n", "3")):
+        assert_rejected_by_parser(run(capsys, *argv, "--format", "csv"))
+    for argv in (("enumerate", "-n", "3"), ("enumerate", "-n", "3", "--count")):
+        assert_usage_error(run(capsys, *argv, "--format", "csv"), "--census")
+
+
+def test_partition_symbolic_flag_is_gone(capsys):
+    assert_rejected_by_parser(run(capsys, "partition", "-n", "1", "--symbolic"))
+    assert_rejected_by_parser(run(capsys, "partition", "-n", "1", "--symbolic",
+                                  "--assign", "a=zeta", "--assign", "x1=2",
+                                  "--assign", "y1=3"))
+
+
 def test_det_negative_size_is_a_usage_error(capsys):
     result = run(capsys, "det", "--model", "dwbc", "--order", "-1", "--u", "1,2")
     assert_usage_error(result, "size must be >= 1", "-1")

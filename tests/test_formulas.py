@@ -8,7 +8,7 @@ from halfturn_ice.exactnum import Cyclo, ZETA
 from halfturn_ice.formulas import (
     PoleAtSigmaZero, SingularAtFour, UnsupportedSize, count_asm, count_closed,
     count_ht_even, count_ht_odd, four_enum_identity, ht2_refined_reading,
-    refined_asm_closed, refined_closed, refined_ht2_closed, refined_ht_odd,
+    refined_asm_closed, refined_ht2_closed, refined_ht_odd,
     xenum_map)
 from halfturn_ice.laurent import LaurentPoly
 
@@ -63,9 +63,6 @@ def test_refined_ht2():
     with pytest.raises(UnsupportedSize):
         refined_ht2_closed(1)
     assert refined_ht2_closed(1, allow_base_case=True) == 1 + T
-    assert refined_closed("ht2", 2) == refined_ht2_closed(2)
-    with pytest.raises(UnsupportedSize):
-        refined_closed("other", 2)
 
 
 def test_refined_ht2_reassembles_even_census():

@@ -2,9 +2,10 @@
 
 import pytest
 
+from halfturn_ice import verify
 from halfturn_ice.laurent import LaurentPoly
 from halfturn_ice.verify import (
-    SUITES, UnknownSuite, run_suite, verify_theorem, verify_ybe)
+    SUITES, UnknownSuite, _WITNESS_CAP, _Run, _clip, run_suite)
 
 CHEAP_SUITES = [
     "ybe", "leading-C-S", "lemma2-counts", "lemma7-12-counts", "genfunc",
@@ -45,30 +46,65 @@ def test_report_json_shape():
     assert "elapsedSeconds" in rep.to_json_obj(include_elapsed=True)
 
 
-def test_ybe_negative_control_has_witness():
-    x = LaurentPoly.monomial(1, {"X": 1})
-    y = LaurentPoly.monomial(1, {"Y": 1})
-    rep = verify_ybe(x, y, z=x)
+def _ybe_with_z(monkeypatch, wrong_z):
+    """The ybe suite with ybe_components taking z = wrong_z(x, y, z)."""
+    real = verify.ybe_components
+    monkeypatch.setattr(verify, "ybe_components",
+                        lambda x, y, z=None: real(x, y, wrong_z(x, y, z)))
+    return run_suite("ybe")
+
+
+def test_ybe_negative_control_has_witness(monkeypatch):
+    # z = x instead of a/(x*y) at the symbolic point breaks the triangle move.
+    rep = _ybe_with_z(monkeypatch, lambda x, y, z: x)
     assert not rep.passed
-    assert rep.witness is not None
+    assert rep.witness["check"].startswith("symbolic component")
     assert "lhs" in rep.witness and "rhs" in rep.witness
 
 
-def test_ybe_unit_point():
-    one = LaurentPoly.const(1)
-    a = LaurentPoly.var("a")
-    rep = verify_ybe(one, one, z=a)
-    assert rep.passed and rep.checks_run == 64
+def test_ybe_unit_point(monkeypatch):
+    rep = run_suite("ybe")
+    assert rep.passed and rep.checks_run == 64 + 1 + 64  # symbolic, control, unit
+    # The 64 unit-point checks are live: z = a^2 at x = y = 1 fails there.
+    one, a = LaurentPoly.const(1), LaurentPoly.var("a")
+    rep = _ybe_with_z(monkeypatch, lambda x, y, z: a * a if x == one else z)
+    assert not rep.passed
+    assert rep.witness["check"].startswith("unit component")
 
 
-def test_verify_theorem_wrappers():
-    assert verify_theorem(1, 1).passed
-    rep2 = verify_theorem(2, 1)
+def test_theorem_suites_through_run_suite():
+    assert run_suite("theorem1", {"m_max": 1}).passed
+    rep2 = run_suite("theorem2", {"m_max": 1})
     assert rep2.passed and rep2.params["eq25_reading"] == "2m+2"
-    rep3 = verify_theorem(3, 1, points=5, seed=3)
-    assert rep3.passed and rep3.checks_run == 5
-    with pytest.raises(ValueError):
-        verify_theorem(4, 1)
+    rep3 = run_suite("theorem3", {"m_max": 1, "points": 5}, seed=3)
+    assert rep3.passed and rep3.checks_run == 10  # m = 0 and m = 1, five points each
+    with pytest.raises(UnknownSuite):
+        run_suite("theorem4")
+
+
+def test_run_keeps_first_failure_and_clips():
+    run = _Run()
+    run.check("equal", 1, 1)
+    run.check("first", 1, 2, n=3)
+    run.check("second", 5, 6)
+    run.check_true("third", False)
+    assert run.checks == 4
+    assert run.witness == {"check": "first", "n": "3", "lhs": "1", "rhs": "2"}
+
+    at_cap, over = "x" * _WITNESS_CAP, "y" * (_WITNESS_CAP + 1)
+    assert _clip(at_cap) == at_cap
+    assert _clip(over) == "y" * _WITNESS_CAP + "...<clipped>"
+    run = _Run()
+    run.check("long", over, at_cap, context=over)
+    assert run.witness == {"check": "long", "context": _clip(over),
+                           "lhs": _clip(over), "rhs": at_cap}
+
+
+def test_suite_without_checks_fails():
+    rep = run_suite("theorem3", {"m_max": -1})
+    assert rep.checks_run == 0
+    assert rep.status == "fail"
+    assert rep.witness == {"check": "no checks ran"}
 
 
 def test_suite_params_override():

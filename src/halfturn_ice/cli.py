@@ -113,6 +113,18 @@ def _jsonline(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _matrix_jsonline(entries, row_text: dict) -> str:
+    """The _jsonline of a matrix's rows; row_text keeps the JSON of each
+    distinct row, so a stream serializes every row only once."""
+    parts = []
+    for row in entries:
+        text = row_text.get(row)
+        if text is None:
+            text = row_text[row] = json.dumps(row, separators=(",", ":"))
+        parts.append(text)
+    return "[" + ",".join(parts) + "]\n"
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -142,9 +154,10 @@ def _cmd_enumerate(args) -> int:
         _emit(f"{sum(1 for _ in gen_asms(n, args.klass))}\n", args.out)
         return 0
     chunks = []
+    row_text: dict = {}
     for m in gen_asms(n, args.klass):
         if args.format == "json":
-            chunks.append(_jsonline([list(row) for row in m.entries]))
+            chunks.append(_matrix_jsonline(m.entries, row_text))
         else:
             chunks.append(m.to_text() + "\n\n")
     _emit("".join(chunks), args.out)
@@ -218,6 +231,7 @@ def _cmd_formulas(args) -> int:
     if args.order is None:
         raise UsageError("formulas requires --order")
     family, order = args.family, args.order
+    value = formulas.count_closed(family, order)  # refuses an order outside the family
     if args.refined:
         if family == "asm":
             poly = formulas.refined_asm_closed(order)
@@ -237,7 +251,6 @@ def _cmd_formulas(args) -> int:
         else:
             _emit(str(poly) + "\n", args.out)
         return 0
-    value = formulas.count_closed(family, order)
     if args.format == "json":
         _emit(_jsonline({"schemaVersion": SCHEMA_VERSION, "family": family,
                          "order": order, "value": str(value)}), args.out)
@@ -249,10 +262,14 @@ def _cmd_formulas(args) -> int:
 def _cmd_verify(args) -> int:
     if not args.all and not args.suite:
         raise UsageError("verify requires --suite ID or --all")
+    if not args.all and args.suite not in verify.SUITES:
+        raise UsageError(f"unknown suite {args.suite!r}; known: " + ", ".join(verify.SUITES))
     overrides = {}
     if args.points is not None:
         if args.points < 1:
             raise UsageError(f"--points must be >= 1, got {args.points}")
+        if not args.all and "points" not in verify.SUITES[args.suite][1]:
+            raise UsageError(f"suite {args.suite} takes no --points")
         for sid, (_, defaults) in verify.SUITES.items():
             if "points" in defaults:
                 overrides[sid] = {"points": args.points}
@@ -260,9 +277,6 @@ def _cmd_verify(args) -> int:
         if args.all:
             reports = verify.run_all(args.seed, overrides)
         else:
-            if args.suite not in verify.SUITES:
-                raise UsageError(f"unknown suite {args.suite!r}; known: "
-                                 + ", ".join(verify.SUITES))
             reports = [verify.run_suite(args.suite, overrides.get(args.suite),
                                         args.seed)]
     if args.format == "text":

@@ -20,7 +20,33 @@ order 2m or 2m+1; only fundamental-domain vertices are weighted:
   central cell) carries weight 1.
 
 Symbolic sums are Laurent polynomials over the integers in a and the
-spectral variables; evaluated sums work directly in Q(zeta) or Q.
+spectral variables, summed state by state over the ASM stream
+(`_state_sums`).  Evaluated sums work directly in Q(zeta) or Q and run a
+row transfer matrix over boundary profiles instead (`_transfer_sums`):
+
+* The rows are read cell by cell, left to right.  A partial state is keyed
+  by its profile: the column partial sums C_1..C_n above the current cell
+  and the running row sum R to its left, all 0 or 1.  An entry e in
+  {-1, 0, 1} may go at a cell when C + e and R + e both stay in {0, 1};
+  a row closes only with R = 1.
+* The weight class follows `asm.to_state`: class 0 (types 1/2) when
+  e != 0; otherwise class 1 (types 3/4) when C = R and class 2 (types 5/6)
+  when C != R.
+* dwbc runs all n rows and closes with every C = 1.
+* The half-turn kinds run only the top floor(n/2) rows, over all n columns.
+  A top cell (i, j) with j > m is the half-turn image of the fundamental
+  cell (n+1-i, n+1-j) and carries its weights (x_i, y_(n+1-j)).  The image
+  has the same entry e and, when e = 0, the partial sums (1-C, 1-R), so
+  C = R holds at both or at neither and the two share a weight class.
+  Column j of the full matrix then sums to C_j + mid_j + C_(n+1-j), with
+  mid the middle row (none for even n), and its lower partial sums are 1
+  minus partial sums of column n+1-j, so the top half completes exactly
+  when C_j + C_(n+1-j) = 1 after the middle row.
+* For odd n = 2m+1 the middle row runs its cells 1..m with x(m+1); its
+  right half mirrors the left.  The central cell has weight 1; the row
+  sums to 2 R_m + e_c = 1, so its entry is e_c = 1 - 2 R_m, and column
+  m+1 sums to 2 C_(m+1) + e_c = 1, so it needs C_(m+1) = R_m.  The
+  central entry keys the two parts of the result.
 """
 
 from __future__ import annotations
@@ -176,7 +202,7 @@ def _check_guard(spec: ModelSpec, max_states: Optional[int]) -> None:
 @lru_cache(maxsize=None)
 def _state_profiles(kind: str, size: int):
     """Per state: weight-class code of every fundamental cell, plus the
-    central entry for odd half-turn models (0 for even orders).  Cached;
+    central entry for odd half-turn models (0 for the other kinds).  Cached;
     order matches the deterministic generator stream.  Never empty: ht-odd
     m = 0 is the single 1 x 1 state with central entry 1."""
     spec = ModelSpec(kind, size)
@@ -187,12 +213,12 @@ def _state_profiles(kind: str, size: int):
     for m in gen_asms(spec.order, klass):
         st = to_state(m)
         codes = tuple(_WEIGHT_CLASS[st[i, j]] for i, j, _, _ in cells)
-        profiles.append((codes, m[mid, mid] if spec.order % 2 else 0))
+        profiles.append((codes, m[mid, mid] if kind == "ht-odd" else 0))
     return tuple(profiles)
 
 
 def _state_sums(kind: str, size: int, weights, one) -> dict:
-    """The one state-sum loop: {central entry: (sum, state count)}.
+    """The brute state-sum loop: {central entry: (sum, state count)}.
 
     weights[k] is the (class 0, class 1, class 2) weight triple of the k-th
     fundamental cell in any ring whose unit is `one` (LaurentPoly, Cyclo);
@@ -210,6 +236,89 @@ def _state_sums(kind: str, size: int, weights, one) -> dict:
     return sums
 
 
+@lru_cache(maxsize=None)
+def _transfer_plan(kind: str, size: int):
+    """The transfer matrix of the module docstring, compiled once per model.
+
+    A profile is one int: bit 0 holds R and bit j holds C_j.  Returns
+    (steps, final, counts).  Each step is one cell: (index of its weight
+    triple, width of the next front, moves), a move being (source, target,
+    weight class) between positions in consecutive fronts.  `final` lists
+    (position, central entry) of every closing profile; moves that reach no
+    closing profile are pruned.  `counts` is the plan run over ints with
+    unit weights: the state count per central entry.
+    """
+    spec = ModelSpec(kind, size)
+    n, m = spec.order, spec.order // 2
+    index = {(i, j): k for k, (i, j, _, _) in enumerate(fundamental_cells(spec))}
+    cells = [(i, j) for i in range(1, (n if kind == "dwbc" else m) + 1)
+             for j in range(1, n + 1)]
+    if kind == "ht-odd":
+        cells += [(m + 1, j) for j in range(1, m + 1)]
+    front, steps = [0], []
+    for i, j in cells:
+        flip = 1 << j | 1
+        targets, moves = {}, []
+        for source, key in enumerate(front):
+            if (key >> j ^ key) & 1:  # C != R: only e = 0
+                options = ((key, 2),)
+            else:  # e = 0, or e = 1 - 2C taking both C and R across
+                options = ((key, 1), (key ^ flip, 0))
+            for target, klass in options:
+                if j == n:  # the row closes only with R = 1
+                    if not target & 1:
+                        continue
+                    target ^= 1
+                moves.append((source, targets.setdefault(target, len(targets)), klass))
+        k = index.get((i, j))
+        steps.append((index[n + 1 - i, n + 1 - j] if k is None else k, moves))
+        front = list(targets)
+    if kind == "dwbc":
+        final = [(s, 0) for s, key in enumerate(front) if key == (1 << n + 1) - 2]
+    else:
+        final = [(s, 1 - 2 * (key & 1) if n % 2 else 0) for s, key in enumerate(front)
+                 if all((key >> j ^ key >> n + 1 - j) & 1 for j in range(1, m + 1))
+                 and not (n % 2 and (key >> m + 1 ^ key) & 1)]
+    alive = {s for s, _ in final}
+    for t in reversed(range(len(steps))):
+        k, moves = steps[t]
+        moves = [move for move in moves if move[1] in alive]
+        steps[t] = k, moves
+        alive = {s for s, _, _ in moves}
+    renumber, compiled = {0: 0}, []
+    for k, moves in steps:
+        targets = {}
+        moves = tuple((renumber[s], targets.setdefault(t, len(targets)), c)
+                      for s, t, c in moves)
+        compiled.append((k, len(targets), moves))
+        renumber = targets
+    final = tuple((renumber[s], central) for s, central in final)
+    return tuple(compiled), final, _run_plan(compiled, final, [(1, 1, 1)] * len(index), 1)
+
+
+def _run_plan(steps, final, weights, one) -> dict:
+    """{central entry: sum} of a compiled transfer plan in any ring."""
+    front = [one]
+    for k, width, moves in steps:
+        w = weights[k]
+        nxt = [None] * width
+        for s, t, c in moves:
+            x = front[s] * w[c]
+            nxt[t] = x if nxt[t] is None else nxt[t] + x
+        front = nxt
+    sums = {}
+    for s, central in final:
+        sums[central] = sums[central] + front[s] if central in sums else front[s]
+    return sums
+
+
+def _transfer_sums(kind: str, size: int, weights, one) -> dict:
+    """The contract of `_state_sums`, {central entry: (sum, state count)},
+    by the transfer matrix: no state is listed."""
+    steps, final, counts = _transfer_plan(kind, size)
+    return {c: (v, counts[c]) for c, v in _run_plan(steps, final, weights, one).items()}
+
+
 def _total(sums: dict):
     """(sum, state count) over every central entry of a _state_sums result."""
     (value, count), *rest = sums.values()
@@ -218,13 +327,17 @@ def _total(sums: dict):
     return value, count
 
 
+def _symbolic_weights(kind: str, size: int) -> list:
+    """Laurent weight triple of every fundamental cell; vertex types 1, 3, 5
+    stand for weight classes 0, 1, 2."""
+    return [tuple(vertex_weight(t, LaurentPoly.monomial(1, {xv: 1, yv: -1}))
+                  for t in (1, 3, 5))
+            for _, _, xv, yv in fundamental_cells(ModelSpec(kind, size))]
+
+
 def _symbolic_sums(kind: str, size: int) -> dict:
-    """_state_sums over Laurent polynomials; vertex types 1, 3, 5 stand for
-    weight classes 0, 1, 2."""
-    weights = [tuple(vertex_weight(t, LaurentPoly.monomial(1, {xv: 1, yv: -1}))
-                     for t in (1, 3, 5))
-               for _, _, xv, yv in fundamental_cells(ModelSpec(kind, size))]
-    return _state_sums(kind, size, weights, LaurentPoly.const(1))
+    """_state_sums over Laurent polynomials."""
+    return _state_sums(kind, size, _symbolic_weights(kind, size), LaurentPoly.const(1))
 
 
 @lru_cache(maxsize=None)
@@ -245,14 +358,21 @@ def partition_function(spec: ModelSpec,
     zeros = [v for v in ("a", *xs, *ys) if v in assignment and not assignment[v]]
     if zeros:
         raise SingularAssignment(f"zero value for {', '.join(zeros)} puts a pole in the weights")
+    weights = _point_weights(spec, assignment)
+    value, count = _total(_transfer_sums(spec.kind, spec.size, weights, Cyclo.of(1)))
+    return PartitionResult(value, spec, count)
+
+
+def _point_weights(spec: ModelSpec, assignment: Mapping[str, Coeff]) -> list:
+    """Field weight triple of every fundamental cell at an assignment of a
+    and the spectral variables (none of them zero)."""
     a = Cyclo.of(assignment["a"])
     sig_a2 = a * a - (a * a).inverse()
     weights = []
     for _, _, xv, yv in fundamental_cells(spec):
         s = Cyclo.of(assignment[xv]) * Cyclo.of(assignment[yv]).inverse()
         weights.append((sig_a2, a * s - (a * s).inverse(), a / s - s / a))
-    value, count = _total(_state_sums(spec.kind, spec.size, weights, Cyclo.of(1)))
-    return PartitionResult(value, spec, count)
+    return weights
 
 
 def modified_multiplier(spec: ModelSpec) -> LaurentPoly:

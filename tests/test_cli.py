@@ -232,6 +232,49 @@ def test_verify_points_below_one_is_a_usage_error(capsys):
         assert_usage_error(result, "--points", points)
 
 
+def test_verify_points_for_a_suite_without_points_is_a_usage_error(capsys):
+    result = run(capsys, "verify", "--suite", "parity", "--points", "5")
+    assert_usage_error(result, "parity", "--points")
+
+
+def test_verify_all_points_reaches_only_the_suites_that_take_points(monkeypatch, capsys):
+    from halfturn_ice import verify
+
+    seen = {}
+
+    def fake_run_all(seed, overrides):
+        seen.update(overrides)
+        return []
+
+    monkeypatch.setattr(verify, "run_all", fake_run_all)
+    assert run(capsys, "verify", "--all", "--points", "3")[0] == 0
+    takers = {sid for sid, (_, defaults) in verify.SUITES.items() if "points" in defaults}
+    assert "parity" not in takers and "theorem3" in takers
+    assert seen == {sid: {"points": 3} for sid in takers}
+
+
+def test_formulas_refined_refuses_an_order_outside_the_family(capsys):
+    for family, order in (("ht-even", "5"), ("ht-odd", "6"), ("robbins", "4"),
+                          ("ht-odd-plus", "6")):
+        plain = run(capsys, "formulas", "--family", family, "--order", order)
+        refined = run(capsys, "formulas", "--family", family, "--order", order, "--refined")
+        assert_usage_error(refined, "order")
+        assert refined == plain
+
+
+def test_enumerate_json_lines_match_jsonline():
+    from halfturn_ice.cli import _jsonline, _matrix_jsonline
+    from halfturn_ice.enum_asm import gen_asms
+
+    for klass, orders in (("all", range(1, 6)), ("ht", range(1, 8))):
+        for n in orders:
+            row_text = {}
+            for m in gen_asms(n, klass):
+                want = _jsonline([list(row) for row in m.entries])
+                assert _matrix_jsonline(m.entries, row_text) == want
+                assert _matrix_jsonline(m.entries, {}) == want
+
+
 def assert_rejected_by_parser(result):
     code, out, err = result
     assert code == 2 and out == "" and "Traceback" not in err

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from halfturn_ice.determinant import random_distinct_rationals, special_z
 from halfturn_ice.exactnum import Cyclo, ZETA
 from halfturn_ice.formulas import count_closed
 from halfturn_ice.icemodel import (
-    InvalidGuard, ModelSpec, SingularAssignment, SizeTooLarge, fundamental_cells,
-    modified_multiplier, modified_partition, partition_function, vertex_weight, z_ht2, z_split_odd)
+    InvalidGuard, ModelSpec, SingularAssignment, SizeTooLarge, _point_weights, _state_sums,
+    _symbolic_weights, _transfer_sums, fundamental_cells, modified_multiplier,
+    modified_partition, partition_function, vertex_weight, z_ht2, z_split_odd)
 from halfturn_ice.laurent import LaurentPoly, sigma_of
 
 M = LaurentPoly.monomial
@@ -196,3 +198,58 @@ def test_state_sum_is_chunking_independent():
             w = w * vertex_weight(st[i, j], M(1, {xv: 1, yv: -1}))
         chunks[idx % 2] = chunks[idx % 2] + w
     assert chunks[0] + chunks[1] == full
+
+
+def random_assignment(rng, spec, a):
+    assign = {"a": a}
+    for names in spec.spectral_vars():
+        for v in names:
+            assign[v] = Cyclo(Fraction(rng.randint(1, 50), rng.randint(1, 50)))
+    return assign
+
+
+TRANSFER_RANGE = (("dwbc", range(1, 6)), ("ht-even", range(1, 4)), ("ht-odd", range(0, 4)))
+
+
+def test_transfer_matches_brute_sums_at_points():
+    rng = random.Random(29)
+    for kind, sizes in TRANSFER_RANGE:
+        for size in sizes:
+            spec = ModelSpec(kind, size)
+            for a in (ZETA, Cyclo(Fraction(rng.randint(1, 9), rng.randint(10, 19)))):
+                weights = _point_weights(spec, random_assignment(rng, spec, a))
+                fast = _transfer_sums(kind, size, weights, Cyclo.of(1))
+                assert fast == _state_sums(kind, size, weights, Cyclo.of(1)), (kind, size, a)
+
+
+def test_transfer_matches_brute_sums_symbolically():
+    for kind, sizes in (("dwbc", range(1, 4)), ("ht-even", range(1, 3)), ("ht-odd", range(0, 3))):
+        for size in sizes:
+            weights = _symbolic_weights(kind, size)
+            one = LaurentPoly.const(1)
+            fast = _transfer_sums(kind, size, weights, one)
+            assert fast == _state_sums(kind, size, weights, one), (kind, size)
+
+
+def test_transfer_counts_are_the_closed_counts():
+    for kind, sizes in TRANSFER_RANGE:
+        for size in range(sizes.start, sizes.stop + 2):
+            spec = ModelSpec(kind, size)
+            counts = _transfer_sums(kind, size, [(1, 1, 1)] * len(fundamental_cells(spec)), 1)
+            family = "asm" if kind == "dwbc" else kind
+            assert sum(c for _, c in counts.values()) == count_closed(family, spec.order)
+            if kind == "ht-odd" and size:
+                assert counts[1][1] == count_closed("ht-odd-plus", spec.order)
+                assert counts[-1][1] == count_closed("ht-odd-minus", spec.order)
+
+
+def test_transfer_matches_the_determinant_past_the_brute_range():
+    rng = random.Random(31)
+    for n in (6, 7):
+        spec = ModelSpec("dwbc", n)
+        u = random_distinct_rationals(rng, 2 * n)
+        assign = {"a": ZETA} | {f"x{i + 1}": Cyclo(u[2 * i]) for i in range(n)} \
+            | {f"y{i + 1}": Cyclo(u[2 * i + 1]) for i in range(n)}
+        res = partition_function(spec, assign)
+        assert res.state_count == count_closed("asm", n)
+        assert res.value == special_z("dwbc", n, u)

@@ -1,4 +1,5 @@
-"""Alternating-sign matrices, the six-vertex bijection and per-matrix stats.
+"""Alternating-sign matrices, the six-vertex bijection and the per-matrix
+facts that key the refined census.
 
 Conventions (all 1-based in the public API, matching the usual matrix
 notation):
@@ -19,12 +20,10 @@ notation):
   With the domain-wall boundary (horizontal edges in, vertical out) this
   is the standard bijection; types 3/4 sit at zeros with the column's
   nearest 1 below and the row's nearest 1 to the right (resp. above/left).
-* A permutation matrix stores s with s(j) = row of the 1 in column j.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -86,12 +85,11 @@ class SixVertexState:
 
 @dataclass(frozen=True)
 class AsmStats:
+    """The census key of a matrix: its weight and its refinement."""
+
     minus_ones: int
     first_column_one_pos: int
-    ht_symmetric: bool
-    central_entry: Optional[int]
-    permutation: Optional[tuple[int, ...]]
-    inversions: Optional[int]
+    central_entry: Optional[int]  # None for even order
 
 
 def as_asm(grid: Sequence[Sequence[int]]) -> Asm:
@@ -188,19 +186,6 @@ def is_half_turn_symmetric(asm: Asm) -> bool:
                for i in range(n) for j in range(n))
 
 
-def permutation_of(asm: Asm) -> Optional[tuple[int, ...]]:
-    """s with s(j) = row of the 1 in column j, if the matrix is a permutation."""
-    if any(e == -1 for row in asm.entries for e in row):
-        return None
-    n = asm.order
-    s = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if asm.entries[i][j] == 1:
-                s[j] = i + 1
-    return tuple(s)
-
-
 def inversions(s: Sequence[int]) -> int:
     return sum(1 for i in range(len(s)) for j in range(i + 1, len(s))
                if s[i] > s[j])
@@ -209,34 +194,8 @@ def inversions(s: Sequence[int]) -> int:
 def stats(asm: Asm) -> AsmStats:
     e = asm.entries
     n = len(e)
-    minus = sum(row.count(-1) for row in e)
-    perm = None
-    if minus == 0:
-        s = [0] * n
-        for i, row in enumerate(e):
-            s[row.index(1)] = i + 1
-        perm = tuple(s)
     return AsmStats(
-        minus_ones=minus,
+        minus_ones=sum(row.count(-1) for row in e),
         first_column_one_pos=[row[0] for row in e].index(1) + 1,
-        ht_symmetric=e == tuple(row[::-1] for row in reversed(e)),
         central_entry=e[n // 2][n // 2] if n % 2 == 1 else None,
-        permutation=perm,
-        inversions=inversions(perm) if perm is not None else None,
     )
-
-
-def parse_text(text: str) -> Asm:
-    """Parse the plain text format: rows of space-separated -1/0/1."""
-    rows = [[int(tok) for tok in line.split()]
-            for line in text.strip().splitlines() if line.strip()]
-    return as_asm(rows)
-
-
-def parse_json(text: str) -> Asm:
-    """Parse the JSON array-of-arrays alternative."""
-    return as_asm(json.loads(text))
-
-
-def to_json(asm: Asm) -> str:
-    return json.dumps([list(row) for row in asm.entries], separators=(",", ":"))

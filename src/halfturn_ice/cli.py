@@ -11,9 +11,7 @@ byte-identical.  Timings are therefore kept out of the reports unless
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -81,24 +79,6 @@ def _parse_assignments(pairs: Sequence[str]) -> dict[str, Cyclo]:
         var, _, val = pair.partition("=")
         out[var.strip()] = parse_value(val)
     return out
-
-
-@contextlib.contextmanager
-def _guard_override(max_states: Optional[int]):
-    """Temporarily raise or lower the state-count guard via its env var."""
-    if max_states is None:
-        yield
-        return
-    key = icemodel._MAX_STATES_ENV
-    saved = os.environ.get(key)
-    os.environ[key] = str(max_states)
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = saved
 
 
 def _emit(text: str, out: Optional[str]):
@@ -273,12 +253,10 @@ def _cmd_verify(args) -> int:
         for sid, (_, defaults) in verify.SUITES.items():
             if "points" in defaults:
                 overrides[sid] = {"points": args.points}
-    with _guard_override(args.max_states):
-        if args.all:
-            reports = verify.run_all(args.seed, overrides)
-        else:
-            reports = [verify.run_suite(args.suite, overrides.get(args.suite),
-                                        args.seed)]
+    if args.all:
+        reports = verify.run_all(args.seed, overrides)
+    else:
+        reports = [verify.run_suite(args.suite, overrides.get(args.suite), args.seed)]
     if args.format == "text":
         lines = []
         for r in reports:
@@ -384,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_det)
 
     p = sub.add_parser("formulas", help="closed-form counts and refined polynomials")
-    p.add_argument("--family", choices=("asm", "ht-even", "ht-odd", "ht-odd-plus",
-                                        "ht-odd-minus", "robbins"), required=True)
+    p.add_argument("--family", choices=formulas.FAMILIES, required=True)
     p.add_argument("--order", "-n", type=int)
     p.add_argument("--refined", action="store_true")
     common(p)
@@ -399,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the point count of random-point suites")
     p.add_argument("--timings", action="store_true",
                    help="include elapsed seconds (not byte-reproducible)")
-    p.add_argument("--max-states", type=int, default=None)
     common(p)
     p.set_defaults(fn=_cmd_verify, format="json")  # one JSON line per suite
 

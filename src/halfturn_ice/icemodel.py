@@ -5,9 +5,9 @@ Weights (parameter a, vertex spectral parameter s = rowvar * colvar^-1):
 
     types 1/2 -> sigma(a^2)      types 3/4 -> sigma(a*s)     types 5/6 -> sigma(a/s)
 
-with sigma(u) = u - 1/u.  The modified normalization multiplies each
-0-entry weight by rowvar*colvar, turning sigma(a*s) into
-a*rowvar^2 - a^-1*colvar^2 and clearing all negative spectral exponents.
+with sigma(u) = u - 1/u.  The modified normalization (`modified_partition`)
+multiplies the whole state sum by one spectral monomial,
+`modified_multiplier`, that clears every negative spectral exponent.
 
 Half-turn states are represented as full six-vertex states of the ASM of
 order 2m or 2m+1; only fundamental-domain vertices are weighted:
@@ -86,13 +86,10 @@ class ModelSpec:
 
     kind: str
     size: int
-    normalization: str = "standard"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.normalization not in ("standard", "modified"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.size < 0 or (self.size == 0 and self.kind != "ht-odd"):
             raise ValueError("size parameter out of range")
 
@@ -119,6 +116,7 @@ class PartitionResult:
     value: Union[LaurentPoly, Coeff]
     model: ModelSpec
     state_count: int
+    normalization: str = "standard"  # "modified" from modified_partition
 
     def to_json_obj(self) -> dict:
         val = (self.value.to_json_obj() if isinstance(self.value, LaurentPoly)
@@ -126,7 +124,7 @@ class PartitionResult:
         return {
             "kind": self.model.kind,
             "sizeParam": self.model.size,
-            "normalization": self.model.normalization,
+            "normalization": self.normalization,
             "stateCount": self.state_count,
             "value": val,
         }
@@ -161,8 +159,7 @@ def fundamental_cells(spec: ModelSpec) -> tuple[tuple[int, int, str, str], ...]:
 _WEIGHT_CLASS = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2}
 
 
-def vertex_weight(vertex_type: int, spectral: LaurentPoly,
-                  normalization: str = "standard") -> LaurentPoly:
+def vertex_weight(vertex_type: int, spectral: LaurentPoly) -> LaurentPoly:
     """Weight of one vertex given its spectral-parameter monomial."""
     if vertex_type not in _WEIGHT_CLASS:
         raise ValueError(f"vertex type must be 1..6, got {vertex_type}")
@@ -173,11 +170,7 @@ def vertex_weight(vertex_type: int, spectral: LaurentPoly,
         raise NotAMonomial("spectral parameter must be one monomial")
     a = LaurentPoly.var("a")
     s = spectral if cls == 1 else spectral.monomial_inverse()
-    w = sigma_of(a * s)
-    if normalization == "modified":
-        (e, _), = spectral.terms.items()
-        w = w * LaurentPoly(spectral.vars, {tuple(abs(k) for k in e): 1})
-    return w
+    return sigma_of(a * s)
 
 
 def _check_guard(spec: ModelSpec, max_states: Optional[int]) -> None:
@@ -401,10 +394,9 @@ def modified_multiplier(spec: ModelSpec) -> LaurentPoly:
 def modified_partition(spec: ModelSpec,
                        max_states: Optional[int] = None) -> PartitionResult:
     """The state sum times the clearing monomial: an ordinary polynomial."""
-    base = partition_function(ModelSpec(spec.kind, spec.size), None, max_states)
-    mod_spec = ModelSpec(spec.kind, spec.size, "modified")
-    return PartitionResult(base.value * modified_multiplier(spec), mod_spec,
-                           base.state_count)
+    base = partition_function(spec, None, max_states)
+    return PartitionResult(base.value * modified_multiplier(spec), spec,
+                           base.state_count, "modified")
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,7 @@ from . import determinant as det
 from . import formulas
 from . import icemodel as ice
 from .asm import Asm, inversions, to_state
-from .enum_asm import census, gen_asms, ht_permutations, inversion_genfunc
+from .enum_asm import census, ht_permutations, inversion_genfunc
 from .exactnum import Cyclo, ZETA, sigma
 from .laurent import LaurentPoly, sigma_of
 
@@ -706,12 +706,11 @@ def _suite_counts_closed(run: _Run, params: Mapping, rng: random.Random):
                   formulas.count_ht_odd(order), order=order)
     for order in (3, 5, 7):
         tab = census(order, "ht")
-        plus = sum(1 for m_ in gen_asms(order, "ht")
-                   if m_[(order + 1) // 2, (order + 1) // 2] == 1)
-        total = tab.total_count()
+        plus = sum(sum(poly.terms.values()) for (_, central), poly in tab.rows.items()
+                   if central == 1)
         run.check(f"central +1 count order={order}", plus,
                   formulas.count_closed("ht-odd-plus", order), order=order)
-        run.check(f"central -1 count order={order}", total - plus,
+        run.check(f"central -1 count order={order}", tab.total_count() - plus,
                   formulas.count_closed("ht-odd-minus", order), order=order)
 
 
@@ -750,10 +749,8 @@ def _genfunc_av_pair(order: int, klass: str, weight_sub: LaurentPoly,
 
 
 def _suite_xenum(run: _Run, params: Mapping, rng: random.Random):
-    a, v = _A, LaurentPoly.var("v")
-    s_av = sigma_of(a * _m(v=1))
-    s_avb = sigma_of(a * _m(v=-1))
-    x_of_a = LaurentPoly(("a",), {(2,): 1, (0,): 2, (-2,): 1})
+    a = _A
+    x_of_a, (s_avb, s_av) = formulas.xenum_map()
     sqrtx_of_a = LaurentPoly(("a",), {(1,): 1, (-1,): 1})
 
     def zspec(kind, size):

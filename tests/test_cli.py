@@ -44,6 +44,22 @@ def test_enumerate_count_and_stream(capsys):
     assert rows == [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]
 
 
+def _text_stream(*rows):
+    """The text stream of matrices given as "r1 / r2 / ..." rows."""
+    return "".join(m.replace(" / ", "\n") + "\n\n" for m in rows)
+
+
+def test_enumerate_text_bytes(capsys):
+    code, out, _ = run(capsys, "enumerate", "-n", "3")
+    assert code == 0 and out == _text_stream(
+        "0 0 1 / 0 1 0 / 1 0 0", "0 0 1 / 1 0 0 / 0 1 0", "0 1 0 / 0 0 1 / 1 0 0",
+        "0 1 0 / 1 -1 1 / 0 1 0", "0 1 0 / 1 0 0 / 0 0 1", "1 0 0 / 0 0 1 / 0 1 0",
+        "1 0 0 / 0 1 0 / 0 0 1")
+    code, out, _ = run(capsys, "enumerate", "--order", "3", "--class", "ht")
+    assert code == 0 and out == _text_stream(
+        "0 0 1 / 0 1 0 / 1 0 0", "0 1 0 / 1 -1 1 / 0 1 0", "1 0 0 / 0 1 0 / 0 0 1")
+
+
 def test_genfunc(capsys):
     code, out, _ = run(capsys, "genfunc", "-n", "3", "--class", "ht")
     assert code == 0 and out.strip() == "z^3 + 1"
@@ -55,10 +71,18 @@ def test_partition_symbolic_and_evaluated(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["stateCount"] == 1 and obj["kind"] == "dwbc"
+    assert obj["normalization"] == "standard"
+    code, out, _ = run(capsys, "partition", "--model", "dwbc", "-n", "1", "--modified",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["normalization"] == "modified"
     code, out, _ = run(capsys, "partition", "--model", "ht-odd", "--m", "1",
                        "--assign", "a=zeta", "--assign", "x1=1", "--assign", "x2=1",
                        "--assign", "y1=1", "--assign", "y2=1")
     assert code == 0 and out.strip() == "27"
+    code, out, _ = run(capsys, "partition", "--model", "ht-odd", "--m", "1",
+                       "--assign", "a=zeta", "--assign", "x1=1", "--assign", "x2=1",
+                       "--assign", "y1=1", "--assign", "y2=1", "--format", "json")
+    assert code == 0 and json.loads(out)["normalization"] == "standard"
 
 
 def test_partition_missing_assignment(capsys):
@@ -379,3 +403,9 @@ def test_det_points_fuzz(model, size, data):
     else:
         points = [draw_value(data, good_values) for _ in range(data.draw(st.integers(0, 6)))]
     assert_contract(["det", "--model", kind, flag, str(size), "--u=" + ",".join(points)])
+
+
+def test_verify_max_states_is_gone(capsys):
+    result = run(capsys, "verify", "--suite", "factorization", "--max-states", "5")
+    assert_rejected_by_parser(result)
+    assert "--max-states" in result[2]

@@ -27,15 +27,6 @@ def test_vertex_weights_standard():
     assert w5 == sigma_of(M(1, {"a": 1, "x1": -1, "y2": 1}))
 
 
-def test_vertex_weights_modified():
-    spec = M(1, {"x1": 1, "y2": -1})
-    w5 = vertex_weight(5, spec, "modified")
-    assert w5 == V("a") * M(1, {"y2": 2}) - M(1, {"a": -1, "x1": 2})
-    w3 = vertex_weight(3, spec, "modified")
-    assert w3 == V("a") * M(1, {"x1": 2}) - M(1, {"a": -1, "y2": 2})
-    assert vertex_weight(2, spec, "modified") == sigma_of(M(1, {"a": 2}))
-
-
 def test_partition_examples():
     z1 = partition_function(ModelSpec("dwbc", 1))
     assert z1.value == sigma_of(M(1, {"a": 2}))
@@ -165,8 +156,8 @@ def test_model_spec_validation():
         ModelSpec("weird", 1)
     with pytest.raises(ValueError):
         ModelSpec("dwbc", 0)
-    with pytest.raises(ValueError):
-        ModelSpec("dwbc", 1, "fancy")
+    with pytest.raises(TypeError):  # the normalization is a result label, not a spec field
+        ModelSpec("dwbc", 1, "modified")
 
 
 def test_multiplier_shapes():
@@ -180,6 +171,17 @@ def test_partition_result_json():
     obj = partition_function(ModelSpec("dwbc", 1)).to_json_obj()
     assert obj["kind"] == "dwbc" and obj["stateCount"] == 1
     assert obj["value"]["vars"] == ["a"]
+    assert obj["normalization"] == "standard"
+
+
+def test_only_modified_partition_is_labelled_modified():
+    spec = ModelSpec("ht-odd", 1)
+    plain, modified = partition_function(spec), modified_partition(spec)
+    assert plain.normalization == "standard"
+    assert modified.normalization == "modified"
+    assert modified.value == plain.value * modified_multiplier(spec)
+    assert all(r.normalization == "standard"
+               for r in (z_ht2(1), *z_split_odd(1), *z_split_odd(1, "direct")))
 
 
 def test_state_sum_is_chunking_independent():

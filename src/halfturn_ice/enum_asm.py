@@ -299,7 +299,7 @@ class CensusTable:
                 plus = plus + tp
             else:
                 minus = minus + LaurentPoly(
-                    tp.vars, {_shift_sqrtx(tp.vars, e, -1): c for e, c in tp.terms.items()})
+                    tp.vars, {_shift_sqrtx(tp.vars, e, -1): c for e, c in tp.tuple_terms().items()})
         return _halve_sqrtx(plus), _halve_sqrtx(minus)
 
     def to_json_obj(self) -> dict:
@@ -319,7 +319,7 @@ class CensusTable:
         lines = ["r,central,terms"]
         for (r, central), poly in self.ordered_rows():
             terms = ";".join(
-                f"{(e[0] if e else 0)}:{c}" for e, c in sorted(poly.terms.items()))
+                f"{(e[0] if e else 0)}:{c}" for e, c in sorted(poly.tuple_terms().items()))
             lines.append(f"{r},{'' if central is None else central},{terms}")
         return "\n".join(lines) + "\n"
 
@@ -337,7 +337,7 @@ def _halve_sqrtx(p: LaurentPoly) -> LaurentPoly:
         return p
     i = p.vars.index("sqrtx")
     out = {}
-    for e, c in p.terms.items():
+    for e, c in p.tuple_terms().items():
         if e[i] % 2:
             raise ValueError("odd sqrtx power cannot be halved")
         out[e[:i] + (e[i] // 2,) + e[i + 1:]] = c

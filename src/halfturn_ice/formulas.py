@@ -176,7 +176,7 @@ def refined_ht2_closed(m: int, allow_base_case: bool = False) -> LaurentPoly:
 
 def _intify(p: LaurentPoly) -> LaurentPoly:
     out = {}
-    for e, c in p.terms.items():
+    for e, c in p.tuple_terms().items():
         if isinstance(c, Fraction) and c.denominator == 1:
             c = c.numerator
         out[e] = c

@@ -429,7 +429,7 @@ def modified_z_ht2(m: int) -> LaurentPoly:
 
 def _half_int_poly(p: LaurentPoly) -> LaurentPoly:
     out = {}
-    for e, c in p.terms.items():
+    for e, c in p.tuple_terms().items():
         if c % 2:
             raise ValueError("polynomial is not divisible by 2")
         out[e] = c // 2

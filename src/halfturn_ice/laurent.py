@@ -2,21 +2,37 @@
 
 Representation
 --------------
-A polynomial carries an ordered tuple of variable names and a dict mapping
-integer exponent tuples (one slot per variable, negative exponents allowed)
-to nonzero coefficients:
+Every variable name has a slot: a module registry hands out 0, 1, 2, ...
+the first time a name is seen.  The exponents of a monomial are packed into
+one int key as balanced base-2^W digits (W = 16), the exponent of slot s
+being the digit at 2^(W*s):
 
-    a^2*x1 - 3*x1^-2  ->  vars=("a", "x1"), terms={(2, 1): 1, (0, -2): -3}
+    x^e * y^f  ->  e * 2^(W*s_x) + f * 2^(W*s_y),   every digit in (-2^(W-1), 2^(W-1))
+
+The packing is linear and, while every digit stays in range, one-to-one.
+So the key of a product of monomials is the sum of their keys, and two
+polynomials are equal exactly when their dicts `terms` (key -> nonzero
+coefficient) are.  Each polynomial also carries `bound`, an upper bound on
+|exponent| over its terms; `*`, `**`, `substitute` and `exact_div` derive
+the bound of their result from their operands' and raise OverflowError
+when it leaves the digit range, instead of letting a digit carry into its
+neighbour.
+
+Keys are unpacked only at the edges: `vars` (the variables some term uses,
+derived on first use), `tuple_terms` and everything built on it (`str`,
+`sorted_terms` and the JSON form, `rename_vars`), `evaluate`, and the
+leading-term order of `exact_div`.  `substitute`, `coeff_of`, `negate_var`
+and `degree_in` read the one digit they need.
 
 Coefficients may be int, Fraction or Cyclo; within one polynomial they are
-kept in a single ring.  Canonical form: no zero coefficients are stored,
-variables that appear in no term are dropped, and the variable order is the
-fixed global order below, so equality is plain structural equality.
+kept in a single ring.  `LaurentPoly(vars, {exponent tuple: coeff})` packs
+terms given over a list of distinct variable names.
 
 Variable order: a, x1..xk, y1..yk, z, t, v, u1..uk, then anything else
-alphabetically.  Serialization lists terms in descending graded
-lexicographic order, which makes the JSON form a canonical fingerprint
-(serialize -> parse -> serialize is the identity).
+alphabetically.  `vars` and every exponent tuple follow it, and
+serialization lists terms in descending graded lexicographic order, which
+makes the JSON form a canonical fingerprint (serialize -> parse ->
+serialize is the identity).
 """
 
 from __future__ import annotations
@@ -24,6 +40,7 @@ from __future__ import annotations
 import heapq
 import json
 import re
+import threading
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -33,6 +50,20 @@ Coeff = Union[int, Fraction, Cyclo]
 
 _VAR_GROUP = {"a": 0, "x": 1, "y": 2, "z": 3, "t": 4, "v": 5, "u": 6}
 _VAR_RE = re.compile(r"^([A-Za-z]+)(\d*)$")
+
+_W = 16                      # bits per exponent digit
+_MASK = (1 << _W) - 1
+_HALF = 1 << (_W - 1)
+_LIMIT = _HALF - 1           # largest |exponent| a digit holds
+
+# The slot registry: grows by one entry per new variable name and never
+# changes an entry, so a key means the same monomial for the whole process.
+# Registration takes a lock; lookups read _SLOT without one.
+_SLOT: dict[str, int] = {}
+_NAME: list[str] = []
+_UNIT: list[int] = []        # key of the variable itself, 2^(W*s)
+_BIAS: list[int] = []        # _HALF at digits 0..s; added to a key, makes those digits >= 0
+_REGISTERING = threading.Lock()
 
 
 class NotAMonomial(ValueError):
@@ -61,29 +92,60 @@ def _grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
 
+def _slot(name: str) -> int:
+    s = _SLOT.get(name)
+    if s is None:
+        with _REGISTERING:
+            s = _SLOT.get(name)
+            if s is None:
+                s = len(_NAME)
+                _NAME.append(name)
+                _UNIT.append(1 << (_W * s))
+                _BIAS.append((_BIAS[-1] if _BIAS else 0) + (_HALF << (_W * s)))
+                _SLOT[name] = s  # last: a name found here has its constants
+    return s
+
+
+def _digit(key: int, s: int) -> int:
+    """Exponent of slot s in a key."""
+    return ((key + _BIAS[s]) >> (_W * s) & _MASK) - _HALF
+
+
+def _check(bound: int) -> int:
+    if bound > _LIMIT:
+        raise OverflowError(f"exponent bound {bound} exceeds the digit range +-{_LIMIT}")
+    return bound
+
+
+def _make(terms: dict, bound: int) -> LaurentPoly:
+    """A polynomial from packed terms (nonzero coefficients) and a bound."""
+    p = object.__new__(LaurentPoly)
+    p.terms = terms
+    p.bound = bound if terms else 0
+    p._vars = None
+    return p
+
+
 class LaurentPoly:
     """Immutable-by-convention exact Laurent polynomial."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms", "bound", "_vars")
 
     def __init__(self, vars: Sequence[str] = (), terms: Mapping[tuple, Coeff] | None = None):
-        clean = {e: c for e, c in (terms or {}).items() if c != 0}
-        vs = tuple(vars)
-        # Drop variables unused by every term, then sort canonically.
-        if clean:
-            used = [i for i in range(len(vs)) if any(e[i] for e in clean)]
-        else:
-            used = []
-        if len(used) != len(vs):
-            vs2 = tuple(vs[i] for i in used)
-            clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
-            vs = vs2
-        order = sorted(range(len(vs)), key=lambda i: _var_key(vs[i]))
-        if order != list(range(len(vs))):
-            vs = tuple(vs[i] for i in order)
-            clean = {tuple(e[i] for i in order): c for e, c in clean.items()}
-        self.vars = vs
-        self.terms = clean
+        units = [_UNIT[_slot(v)] for v in vars]
+        if len(set(units)) != len(units):
+            raise ValueError(f"repeated variable name in {tuple(vars)}")
+        packed = {}
+        bound = 0
+        for e, c in (terms or {}).items():
+            if c != 0:
+                if len(e) != len(units):
+                    raise ValueError(f"exponent tuple {e} does not match {tuple(vars)}")
+                packed[sum(k * u for k, u in zip(e, units))] = c
+                bound = max(bound, max(map(abs, e), default=0))
+        self.terms = packed
+        self.bound = _check(bound)
+        self._vars = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -91,15 +153,15 @@ class LaurentPoly:
 
     @staticmethod
     def zero() -> LaurentPoly:
-        return LaurentPoly()
+        return _make({}, 0)
 
     @staticmethod
     def const(c: Coeff) -> LaurentPoly:
-        return LaurentPoly((), {(): c} if c != 0 else {})
+        return _make({0: c} if c != 0 else {}, 0)
 
     @staticmethod
     def var(name: str) -> LaurentPoly:
-        return LaurentPoly((name,), {(1,): 1})
+        return _make({_UNIT[_slot(name)]: 1}, 1)
 
     @staticmethod
     def monomial(coeff: Coeff, exps: Mapping[str, int]) -> LaurentPoly:
@@ -109,6 +171,26 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # structure helpers
     # ------------------------------------------------------------------
+
+    @property
+    def vars(self) -> tuple[str, ...]:
+        """Names of the variables with a nonzero exponent in some term, in
+        the canonical variable order."""
+        if self._vars is None:
+            bias = _BIAS[-1] if _BIAS else 0
+            used = 0
+            for k in self.terms:
+                used |= (k + bias) ^ bias  # nonzero exactly at the nonzero digits
+            names = [_NAME[s] for s in range(len(_NAME)) if used >> (_W * s) & _MASK]
+            self._vars = tuple(sorted(names, key=_var_key))
+        return self._vars
+
+    def tuple_terms(self) -> dict[tuple, Coeff]:
+        """The terms as {exponent tuple in `vars` order: coefficient}."""
+        shifts = [_W * _SLOT[v] for v in self.vars]
+        bias = _BIAS[-1] if shifts else 0
+        return {tuple(((k + bias) >> sh & _MASK) - _HALF for sh in shifts): c
+                for k, c in self.terms.items()}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -126,16 +208,9 @@ class LaurentPoly:
         """The value of a constant polynomial (zero or a single exponent-free term)."""
         if not self.terms:
             return 0
-        if self.vars:
+        if len(self.terms) != 1 or 0 not in self.terms:
             raise NotAMonomial(f"not a constant: {self}")
-        return self.terms[()]
-
-    def _aligned(self, other: LaurentPoly):
-        """Common variable tuple plus both term dicts re-keyed onto it."""
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        union = sorted(set(self.vars) | set(other.vars), key=_var_key)
-        return tuple(union), _embed(self, union), _embed(other, union)
+        return self.terms[0]
 
     # ------------------------------------------------------------------
     # ring operations
@@ -144,20 +219,22 @@ class LaurentPoly:
     def __add__(self, other: LaurentPoly | Coeff) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             other = LaurentPoly.const(other)
-        vs, a, b = self._aligned(other)
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
         out = dict(a)
-        for e, c in b.items():
-            s = out.get(e, 0) + c
+        for k, c in b.items():
+            s = out.get(k, 0) + c
             if s == 0:
-                out.pop(e, None)
+                del out[k]
             else:
-                out[e] = s
-        return LaurentPoly(vs, out)
+                out[k] = s
+        return _make(out, max(self.bound, other.bound))
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _make({k: -c for k, c in self.terms.items()}, self.bound)
 
     def __sub__(self, other: LaurentPoly | Coeff) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -170,23 +247,29 @@ class LaurentPoly:
     def __mul__(self, other: LaurentPoly | Coeff) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             other = LaurentPoly.const(other)
-        vs, a, b = self._aligned(other)
+        bound = _check(self.bound + other.bound)
+        a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                prev = out.get(e)
-                if prev is None:
-                    out[e] = c1 * c2
+        if not a:
+            return LaurentPoly.zero()
+        # The first term shifts b's keys one-to-one, so its row merges nothing.
+        (k1, c1), *rest = a.items()
+        out = {k1 + k: c1 * c for k, c in b.items()}
+        get = out.get
+        for k1, c1 in rest:
+            for k2, c2 in b.items():
+                k = k1 + k2
+                s = get(k)
+                if s is None:
+                    out[k] = c1 * c2
                 else:
-                    s = prev + c1 * c2
+                    s += c1 * c2
                     if s == 0:
-                        del out[e]
+                        del out[k]
                     else:
-                        out[e] = s
-        return LaurentPoly(vs, out)
+                        out[k] = s
+        return _make(out, bound)
 
     __rmul__ = __mul__
 
@@ -195,24 +278,37 @@ class LaurentPoly:
             if not self.is_monomial():
                 raise NotAMonomial("negative powers only for monomials")
             return self.monomial_inverse() ** (-n)
-        result = LaurentPoly.const(1)
+        if n == 0:
+            return LaurentPoly.const(1)
+        _check(self.bound * n)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, LaurentPoly):
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction, Cyclo)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+            return self.terms == ({0: other} if other != 0 else {})
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        # A constant hashes as its value, since it compares equal to it.
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and 0 in self.terms:
+            return hash(self.terms[0])
+        return hash(frozenset(self.terms.items()))
+
+    def __reduce__(self):
+        # Keys depend on this process's slot registry; pickle the tuple form.
+        return (LaurentPoly, (self.vars, self.tuple_terms()))
 
     # ------------------------------------------------------------------
     # monomial utilities
@@ -222,8 +318,8 @@ class LaurentPoly:
         """m -> m^-1 for a single term whose coefficient is a unit."""
         if len(self.terms) != 1:
             raise NotAMonomial(f"expected one term, got {len(self.terms)}")
-        (e, c), = self.terms.items()
-        return LaurentPoly(self.vars, {tuple(-x for x in e): _unit_inverse(c)})
+        (k, c), = self.terms.items()
+        return _make({-k: _unit_inverse(c)}, self.bound)
 
     # ------------------------------------------------------------------
     # evaluation and substitution
@@ -235,21 +331,23 @@ class LaurentPoly:
         Values standing at a negative exponent must be invertible: Fraction
         and Cyclo values are inverted exactly, plain ints only if +-1.
         """
-        missing = [v for v in self.vars if v not in assignment]
+        vs = self.vars
+        missing = [v for v in vs if v not in assignment]
         if missing:
             raise KeyError(f"no value assigned for {missing}")
-        powers: list[dict[int, Coeff]] = [{} for _ in self.vars]
-        values = [assignment[v] for v in self.vars]
+        # Per variable: its digit's shift, its value and its powers so far.
+        slots = [(_W * _SLOT[v], assignment[v], {}, v) for v in vs]
+        bias = _BIAS[-1] if vs else 0
         total: Coeff = 0
-        for e, c in self.terms.items():
+        for key, c in self.terms.items():
+            key += bias
             term = c
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                cache = powers[i]
-                if k not in cache:
-                    cache[k] = _power(values[i], k, self.vars[i])
-                term = term * cache[k]
+            for shift, value, cache, v in slots:
+                k = (key >> shift & _MASK) - _HALF
+                if k:
+                    if k not in cache:
+                        cache[k] = _power(value, k, v)
+                    term = term * cache[k]
             total = total + term
         return total
 
@@ -259,59 +357,55 @@ class LaurentPoly:
         Handles self-referential rules such as x -> a*x or x -> x^-1; for a
         swap of two variables use `rename_vars`.
         """
-        if var not in self.vars:
+        s = _SLOT.get(var)
+        if s is None:
             return self
         if len(replacement.terms) != 1:
             raise NotAMonomial("substitution value must be one monomial")
-        idx = self.vars.index(var)
-        (rexp, rc), = replacement.terms.items()
-        union = sorted(set(self.vars) | set(replacement.vars), key=_var_key)
-        pos = {n: i for i, n in enumerate(union)}
-        self_pos = [pos[n] for n in self.vars]
-        rep_pos = [pos[n] for n in replacement.vars]
+        (rkey, rc), = replacement.terms.items()
+        step = rkey - _UNIT[s]  # a term x^d * rest becomes rest * rkey^d
+        top = 0
         out: dict = {}
-        n = len(union)
-        for e, c in self.terms.items():
-            k = e[idx]
-            acc = [0] * n
-            for p, x in zip(self_pos, e):
-                acc[p] += x
-            acc[pos[var]] -= k
-            for p, x in zip(rep_pos, rexp):
-                acc[p] += k * x
-            coeff = c if k == 0 or rc == 1 else c * _power(rc, k, var)
-            key = tuple(acc)
-            s = out.get(key, 0) + coeff
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return LaurentPoly(tuple(union), out)
+        for k, c in self.terms.items():
+            d = _digit(k, s)
+            if d:
+                top = max(top, abs(d))
+                k += d * step
+                if rc != 1:
+                    c = c * _power(rc, d, var)
+            out[k] = out.get(k, 0) + c
+        if not top:
+            return self
+        # Checked only now that the largest power of var is known; out is
+        # discarded if some digit left the range.
+        bound = _check(self.bound + top * replacement.bound)
+        return _make({k: c for k, c in out.items() if c != 0}, bound)
 
     def substitute_poly(self, var: str, value: LaurentPoly) -> LaurentPoly:
         """Substitute an arbitrary polynomial for a variable occurring only
         with nonnegative exponents."""
-        if var not in self.vars:
+        s = _SLOT.get(var)
+        if s is None:
             return self
-        idx = self.vars.index(var)
-        rest = self.vars[:idx] + self.vars[idx + 1:]
+        unit = _UNIT[s]
         buckets: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            if k < 0:
+        for k, c in self.terms.items():
+            d = _digit(k, s)
+            if d < 0:
                 raise NonInvertibleValue(f"{var} occurs with negative exponent")
-            buckets.setdefault(k, {})[e[:idx] + e[idx + 1:]] = c
+            buckets.setdefault(d, {})[k - d * unit] = c
+        if buckets.keys() <= {0}:
+            return self
         total = LaurentPoly.zero()
-        for k, terms in buckets.items():
-            total = total + LaurentPoly(rest, terms) * value ** k
+        for d, terms in buckets.items():
+            total = total + _make(terms, self.bound) * value ** d
         return total
 
     def rename_vars(self, mapping: Mapping[str, str]) -> LaurentPoly:
-        """Simultaneously rename variables (may permute existing names)."""
+        """Simultaneously rename variables (may permute existing names);
+        ValueError if two variables would get one name."""
         new_names = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(new_names)) != len(new_names):
-            raise ValueError("renaming collides two variables")
-        return LaurentPoly(new_names, dict(self.terms))
+        return LaurentPoly(new_names, self.tuple_terms())
 
     # ------------------------------------------------------------------
     # coefficient extraction and variable-wise transforms
@@ -323,48 +417,41 @@ class LaurentPoly:
         Returns 0 when no term matches; constrained variables are removed
         from the result.
         """
-        idxs = []
+        picks = []
         for v, k in constraints.items():
-            if v in self.vars:
-                idxs.append((self.vars.index(v), k))
+            s = _SLOT.get(v)
+            if s is not None:
+                picks.append((s, k))
             elif k != 0:
                 return LaurentPoly.zero()
-        keep = [i for i in range(len(self.vars)) if i not in {i0 for i0, _ in idxs}]
-        out = {}
-        for e, c in self.terms.items():
-            if all(e[i] == k for i, k in idxs):
-                out[tuple(e[i] for i in keep)] = c
-        return LaurentPoly(tuple(self.vars[i] for i in keep), out)
+        drop = sum(k * _UNIT[s] for s, k in picks)
+        out = {key - drop: c for key, c in self.terms.items()
+               if all(_digit(key, s) == k for s, k in picks)}
+        return _make(out, self.bound)
 
     def negate_var(self, var: str) -> LaurentPoly:
         """Multiply each term by (-1)^(exponent of var); no-op if absent."""
-        if var not in self.vars:
+        s = _SLOT.get(var)
+        if s is None:
             return self
-        idx = self.vars.index(var)
-        return LaurentPoly(
-            self.vars,
-            {e: (c if e[idx] % 2 == 0 else -c) for e, c in self.terms.items()},
-        )
+        return _make({k: (-c if _digit(k, s) & 1 else c) for k, c in self.terms.items()},
+                     self.bound)
 
     def degree_in(self, var: str) -> int | None:
         """Maximal exponent of `var`, or None for the zero polynomial."""
         if not self.terms:
             return None
-        if var not in self.vars:
-            return 0
-        idx = self.vars.index(var)
-        return max(e[idx] for e in self.terms)
+        s = _SLOT.get(var)
+        return 0 if s is None else max(_digit(k, s) for k in self.terms)
 
     def min_degree_in(self, var: str) -> int | None:
         if not self.terms:
             return None
-        if var not in self.vars:
-            return 0
-        idx = self.vars.index(var)
-        return min(e[idx] for e in self.terms)
+        s = _SLOT.get(var)
+        return 0 if s is None else min(_digit(k, s) for k in self.terms)
 
     def total_degrees(self) -> set[int]:
-        return {sum(e) for e in self.terms}
+        return {sum(e) for e in self.tuple_terms()}
 
     # ------------------------------------------------------------------
     # exact division
@@ -375,23 +462,21 @@ class LaurentPoly:
 
         Both operands are shifted by their per-variable minimal exponents
         into the ordinary polynomial ring, where leading-term reduction
-        under graded-lex order must terminate with zero remainder; the
-        quotient is shifted back.
+        under a graded order must end with zero remainder; the quotient is
+        shifted back.  Its exponents lie within self.bound + den.bound.
         """
         if den.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
-        vs, num_t, den_t = self._aligned(den)
-        n = len(vs)
-        num_shift = [min(e[i] for e in num_t) for i in range(n)]
-        den_shift = [min(e[i] for e in den_t) for i in range(n)]
-        num_t = {tuple(x - s for x, s in zip(e, num_shift)): c for e, c in num_t.items()}
-        den_t = {tuple(x - s for x, s in zip(e, den_shift)): c for e, c in den_t.items()}
-        quotient = _poly_exact_div(num_t, den_t)
-        shift = tuple(a - b for a, b in zip(num_shift, den_shift))
-        return LaurentPoly(vs, {tuple(x + s for x, s in zip(e, shift)): c
-                                for e, c in quotient.items()})
+        bound = _check(self.bound + den.bound)
+        slots = sorted({_SLOT[v] for v in self.vars + den.vars})
+        num_t, num_shift = _shifted(self.terms, slots)
+        den_t, den_shift = _shifted(den.terms, slots)
+        bias = _BIAS[slots[-1]] if slots else 0
+        quotient = _poly_exact_div(num_t, den_t, bias)
+        shift = num_shift - den_shift
+        return _make({k + shift: c for k, c in quotient.items()}, bound)
 
     # ------------------------------------------------------------------
     # serialization
@@ -399,7 +484,7 @@ class LaurentPoly:
 
     def sorted_terms(self) -> list[tuple[tuple, Coeff]]:
         """Terms in descending graded-lex order (canonical)."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        return sorted(self.tuple_terms().items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def to_json_obj(self) -> dict:
         return {
@@ -457,19 +542,6 @@ def sigma_of(m: LaurentPoly) -> LaurentPoly:
     return m - m.monomial_inverse()
 
 
-def _embed(p: LaurentPoly, union: Sequence[str]) -> dict:
-    pos = {n: i for i, n in enumerate(union)}
-    idx = [pos[v] for v in p.vars]
-    n = len(union)
-    out = {}
-    for e, c in p.terms.items():
-        acc = [0] * n
-        for i, x in zip(idx, e):
-            acc[i] = x
-        out[tuple(acc)] = c
-    return out
-
-
 def _unit_inverse(c: Coeff) -> Coeff:
     if isinstance(c, int):
         if c in (1, -1):
@@ -509,45 +581,70 @@ def _coeff_divide(c: Coeff, d: Coeff) -> Coeff:
     return c / d
 
 
-def _poly_exact_div(num: dict, den: dict) -> dict:
+def _shifted(terms: dict, slots: list[int]) -> tuple[dict, int]:
+    """Terms moved into the polynomial ring: ({key - shift: (coeff, total
+    degree)}, shift), where shift packs each slot's minimal exponent."""
+    shifts = [_W * s for s in slots]
+    bias = _BIAS[slots[-1]] if slots else 0
+    exps = {k: [((k + bias) >> sh & _MASK) - _HALF for sh in shifts] for k in terms}
+    low = [min(col) for col in zip(*exps.values())]
+    shift = sum(m * _UNIT[s] for m, s in zip(low, slots))
+    low_deg = sum(low)
+    return {k - shift: (c, sum(exps[k]) - low_deg) for k, c in terms.items()}, shift
+
+
+def _poly_exact_div(num: dict, den: dict, bias: int) -> dict:
     """Leading-term reduction for ordinary (nonnegative-exponent) terms.
 
-    For an exact quotient the graded-lex leading term of the running
-    remainder is always divisible by the divisor's leading term, so a
-    failed step proves NotDivisible.  A max-heap tracks candidate leading
-    exponents; stale entries are skipped.
+    num and den map keys to (coefficient, total degree); bias is _BIAS of
+    the highest slot in use.  The order is graded, then by key, which is
+    lexicographic from the highest slot down: a monomial order, so for an
+    exact quotient the leading term of the running remainder is always
+    divisible by the divisor's leading term, and a failed step proves
+    NotDivisible.  Every remainder exponent lies in [0, D] for D the top
+    degree of num, which must fit a digit (and so must the divisor's, or
+    it cannot divide).  A max-heap tracks candidate leading terms; stale
+    entries are skipped.
     """
-    den_lead = max(den, key=_grlex_key)
-    den_lc = den[den_lead]
-    rem = dict(num)
-    heap = [(-sum(e), tuple(-x for x in e)) for e in rem]
+    top = _check(max(deg for _, deg in num.values()))
+    den_lead = max(den, key=lambda k: (den[k][1], k))
+    den_lc, den_deg = den[den_lead]
+    if den_deg > top:  # top degrees add under multiplication
+        raise NotDivisible("no exact quotient exists")
+    den_items = [(k, c, deg) for k, (c, deg) in den.items()]
+    rem = {k: c for k, (c, _) in num.items()}
+    get = rem.get
+    heap = [(-deg, -k) for k, (_, deg) in num.items()]
     heapq.heapify(heap)
     quotient: dict = {}
     while rem:
         lead = None
         while heap:
-            _, nege = heap[0]
-            e = tuple(-x for x in nege)
-            if e in rem:
-                lead = e
+            neg_deg, neg_key = heap[0]
+            if -neg_key in rem:
+                lead = -neg_key
                 break
             heapq.heappop(heap)
         if lead is None:  # cannot happen: every live key has a heap entry
             raise AssertionError("division heap lost track of the remainder")
-        diff = tuple(x - y for x, y in zip(lead, den_lead))
-        if any(x < 0 for x in diff):
+        diff = lead - den_lead
+        if (diff + bias) & bias != bias:  # some digit of diff is negative
             raise NotDivisible("no exact quotient exists")
         c = _coeff_divide(rem[lead], den_lc)
         quotient[diff] = c
-        for de, dc in den.items():
-            ne = tuple(x + y for x, y in zip(diff, de))
-            s = rem.get(ne, 0) - c * dc
-            if s == 0:
-                rem.pop(ne, None)
+        diff_deg = -neg_deg - den_deg
+        for de, dc, deg in den_items:
+            ne = diff + de
+            s = get(ne)
+            if s is None:
+                rem[ne] = -c * dc
+                heapq.heappush(heap, (-(diff_deg + deg), -ne))
             else:
-                if ne not in rem:
-                    heapq.heappush(heap, (-sum(ne), tuple(-x for x in ne)))
-                rem[ne] = s
+                s -= c * dc
+                if s == 0:
+                    del rem[ne]
+                else:
+                    rem[ne] = s
     return quotient
 
 

@@ -198,7 +198,7 @@ def _spectral_degrees(p: LaurentPoly) -> set[int]:
     if "a" not in p.vars:
         return p.total_degrees()
     ia = p.vars.index("a")
-    return {sum(e) - e[ia] for e in p.terms}
+    return {sum(e) - e[ia] for e in p.tuple_terms()}
 
 
 def _perm_asm(s: tuple[int, ...]) -> Asm:

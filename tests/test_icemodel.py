@@ -86,10 +86,10 @@ def test_modified_order_one_is_plain():
 def test_modified_degrees():
     zt = modified_partition(ModelSpec("dwbc", 2)).value
     ia = zt.vars.index("a")
-    assert {sum(e) - e[ia] for e in zt.terms} == {4}
+    assert {sum(e) - e[ia] for e in zt.tuple_terms()} == {4}
     zt5 = modified_partition(ModelSpec("ht-odd", 1)).value
     ia = zt5.vars.index("a")
-    assert {sum(e) - e[ia] for e in zt5.terms} == {6}
+    assert {sum(e) - e[ia] for e in zt5.tuple_terms()} == {6}
 
 
 def test_z_ht2_small():

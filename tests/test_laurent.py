@@ -1,13 +1,18 @@
 """Laurent polynomial ring: canonical form, arithmetic, division, JSON."""
 
+import json
+import pickle
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from halfturn_ice import laurent
 from halfturn_ice.exactnum import Cyclo, ZETA
 from halfturn_ice.laurent import (
-    LaurentPoly, NonInvertibleValue, NotAMonomial, NotDivisible, sigma_of)
+    _LIMIT, LaurentPoly, NonInvertibleValue, NotAMonomial, NotDivisible, sigma_of)
 
 M = LaurentPoly.monomial
 V = LaurentPoly.var
@@ -164,8 +169,196 @@ def test_substitution_commutes_with_evaluation(p):
 @given(poly_strategy())
 def test_coefficient_slices_reconstruct(p):
     idx = p.vars.index("x1") if "x1" in p.vars else None
-    exps = {e[idx] for e in p.terms} if idx is not None else {0}
+    exps = {e[idx] for e in p.tuple_terms()} if idx is not None else {0}
     total = LaurentPoly.zero()
     for k in exps:
         total = total + p.coeff_of({"x1": k}) * M(1, {"x1": k})
     assert total == p
+
+
+def test_repeated_variable_name_is_refused():
+    with pytest.raises(ValueError):
+        LaurentPoly(("x1", "x1"), {(1, 2): 1})
+
+
+def test_constant_hashes_as_its_value():
+    assert len({LaurentPoly.const(3), 3}) == 1
+    assert hash(LaurentPoly.const(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(LaurentPoly.zero()) == hash(0) and LaurentPoly.zero() == 0
+
+
+def test_pow_multiplies_only_while_bits_remain(monkeypatch):
+    calls = []
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda p, q: calls.append(1) or mul(p, q))
+    x = V("x1") + 1
+    for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (5, 3), (8, 3)):
+        calls.clear()
+        want = LaurentPoly.const(1)
+        for _ in range(n):
+            want = mul(want, x)
+        assert x ** n == want
+        assert len(calls) == products, n
+
+
+def test_product_past_the_digit_range_overflows():
+    top = M(1, {"a": 1, "x1": _LIMIT - 1})
+    assert (top * V("x1")).degree_in("x1") == _LIMIT
+    with pytest.raises(OverflowError):
+        top * V("x1") ** 2
+    with pytest.raises(OverflowError):
+        (top + 1) ** 2
+    with pytest.raises(OverflowError):
+        top.substitute("a", M(1, {"x1": 2}))
+    with pytest.raises(OverflowError):
+        M(1, {"x1": _LIMIT + 1})
+
+
+def test_concurrent_registration_gives_each_name_one_slot():
+    # Registering a name appends to the slot lists; a thread switch inside
+    # that append is forced here, so without the registration lock two
+    # threads would both give the same new name a slot.
+    class SwitchingList(list):
+        def append(self, item):
+            time.sleep(0.001)
+            super().append(item)
+
+    names = [f"race{i}" for i in range(5)]
+    seen = []
+    start = threading.Barrier(4, timeout=30)
+
+    def work():
+        start.wait()
+        seen.append([LaurentPoly.var(n) for n in names])
+
+    original = laurent._NAME
+    laurent._NAME = SwitchingList(original)
+    try:
+        threads = [threading.Thread(target=work, daemon=True) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        original[:] = laurent._NAME
+        laurent._NAME = original
+    assert not any(t.is_alive() for t in threads) and len(seen) == 4
+    assert len(set(original)) == len(original)
+    for polys in seen:
+        assert polys == seen[0]
+        assert [p.vars for p in polys] == [(n,) for n in names]
+
+
+def test_pickle_round_trip():
+    p = sigma_of(M(1, {"a": 2, "x1": -1})) * V("y1") + Fraction(1, 3)
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+# ----------------------------------------------------------------------
+# differential test against exponent-tuple polynomials
+# ----------------------------------------------------------------------
+
+# In the canonical variable order; a case uses 1-4 of them.
+_NAMES = ("a", "x1", "x2", "y1", "z", "t", "w")
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_substitute(p, i, r, rc):
+    """x_i -> rc * prod x^r, rc = +-1."""
+    out = {}
+    for e, c in p.items():
+        k = e[i]
+        new = [x + k * y for x, y in zip(e, r)]
+        new[i] -= k
+        out[tuple(new)] = out.get(tuple(new), 0) + c * rc ** abs(k)
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_json(p, names):
+    used = [i for i in range(len(names)) if any(e[i] for e in p)]
+    terms = sorted(((tuple(e[i] for i in used), c) for e, c in p.items()),
+                   key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    return json.dumps({"vars": [names[i] for i in used],
+                       "terms": [{"exps": list(e), "coef": str(c)} for e, c in terms]},
+                      separators=(",", ":"))
+
+
+def _as_ref(p, names):
+    """The terms of p as exponent tuples over all of names."""
+    pos = [names.index(v) for v in p.vars]
+    out = {}
+    for e, c in p.tuple_terms().items():
+        full = [0] * len(names)
+        for i, k in zip(pos, e):
+            full[i] = k
+        out[tuple(full)] = c
+    return out
+
+
+@st.composite
+def _ref_case(draw):
+    picked = draw(st.lists(st.integers(0, len(_NAMES) - 1), min_size=1, max_size=4, unique=True))
+    names = tuple(_NAMES[i] for i in sorted(picked))
+    exps = st.tuples(*[st.integers(-4, 4)] * len(names))
+    terms = st.dictionaries(exps, st.integers(-9, 9).filter(bool), max_size=4)
+    return names, draw(terms), draw(terms), draw(exps), draw(st.data())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ref_case(), st.integers(0, 4), st.sampled_from((1, -1)))
+def test_packed_terms_match_tuple_reference(case, n, rc):
+    names, p, q, r, data = case
+    P, Q = LaurentPoly(names, p), LaurentPoly(names, q)
+    assert _as_ref(P, names) == _ref_add(p, {})
+    assert _as_ref(P + Q, names) == _ref_add(p, q)
+    assert _as_ref(P - Q, names) == _ref_add(p, {e: -c for e, c in q.items()})
+    pq = _ref_mul(p, q)
+    assert _as_ref(P * Q, names) == pq
+    pn = {(0,) * len(names): 1}
+    for _ in range(n):
+        pn = _ref_mul(pn, p)
+    assert _as_ref(P ** n, names) == pn
+    assert P.to_json() == _ref_json(_ref_add(p, {}), names)
+    assert (P * Q).to_json() == _ref_json(pq, names)
+
+    i = data.draw(st.integers(0, len(names) - 1))
+    v, k = names[i], data.draw(st.integers(-4, 4))
+    sub = P.substitute(v, LaurentPoly(names, {r: rc}))
+    assert _as_ref(sub, names) == _ref_substitute(p, i, r, rc)
+    sliced = {e[:i] + (0,) + e[i + 1:]: c for e, c in p.items() if e[i] == k}
+    assert _as_ref(P.coeff_of({v: k}), names) == _ref_add(sliced, {})
+    assert _as_ref(P.negate_var(v), names) == _ref_add(
+        {e: -c if e[i] % 2 else c for e, c in p.items()}, {})
+    live = _ref_add(p, {})
+    assert P.degree_in(v) == (max(e[i] for e in live) if live else None)
+    assert P.min_degree_in(v) == (min(e[i] for e in live) if live else None)
+
+    if q:
+        assert _as_ref((P * Q).exact_div(Q), names) == live
+    if len(Q) > 1:  # a polynomial of two or more terms divides no monomial
+        with pytest.raises(NotDivisible):
+            (P * Q + LaurentPoly(names, {r: 1})).exact_div(Q)
+    at = {name: Fraction(data.draw(st.integers(-5, 5).filter(bool)), data.draw(st.integers(1, 5)))
+          for name in names}
+    want = 0
+    for e, c in p.items():
+        term = Fraction(c)
+        for name, x in zip(names, e):
+            term *= at[name] ** x
+        want += term
+    assert P.evaluate(at) == want

@@ -71,13 +71,19 @@ def _fraction(text: str) -> Fraction:
         raise UsageError(f"cannot parse value {text!r}") from exc
 
 
-def _parse_assignments(pairs: Sequence[str]) -> dict[str, Cyclo]:
+def _parse_assignments(pairs: Sequence[str], known: Sequence[str]) -> dict[str, Cyclo]:
+    """var=value pairs, each var one of `known` and given once."""
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise UsageError(f"--assign expects var=value, got {pair!r}")
         var, _, val = pair.partition("=")
-        out[var.strip()] = parse_value(val)
+        var = var.strip()
+        if var not in known:
+            raise UsageError(f"unknown variable {var!r}; this model takes {', '.join(known)}")
+        if var in out:
+            raise UsageError(f"variable {var!r} is assigned twice")
+        out[var] = parse_value(val)
     return out
 
 
@@ -172,9 +178,10 @@ def _cmd_partition(args) -> int:
     if args.assign and args.modified:
         raise UsageError("--modified is symbolic only")
     if args.assign:
-        assignment = _parse_assignments(args.assign)
         xs, ys = spec.spectral_vars()
-        missing = [v for v in ("a", *xs, *ys) if v not in assignment]
+        known = ("a", *xs, *ys)
+        assignment = _parse_assignments(args.assign, known)
+        missing = [v for v in known if v not in assignment]
         if missing:
             raise UsageError(f"missing assignments for {', '.join(missing)}")
         result = icemodel.partition_function(spec, assignment, args.max_states)
@@ -191,7 +198,7 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    if args.u is None:
+    if not args.u:  # argparse reads --u=-- as an empty list
         raise UsageError("det requires --u with comma-separated rationals")
     u = tuple(Cyclo(_fraction(tok)) for tok in args.u.split(","))
     size = args.order if args.model == "dwbc" else args.m
@@ -216,7 +223,7 @@ def _cmd_formulas(args) -> int:
         if family == "asm":
             poly = formulas.refined_asm_closed(order)
         elif family == "ht-even":
-            poly = formulas.refined_ht2_closed(order // 2, allow_base_case=True)
+            poly = formulas.refined_ht2_closed(order // 2)
         elif family in ("ht-odd", "ht-odd-plus", "ht-odd-minus", "robbins"):
             m = (order - 1) // 2
             plus, minus, robbins = formulas.refined_ht_odd(m, 1)
@@ -288,9 +295,11 @@ def _cmd_report(args) -> int:
     suites = []
     for path in args.files:
         with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if line.strip():
-                    suites.append(_report_line(path, lineno, line))
+            found = [_report_line(path, lineno, line)
+                     for lineno, line in enumerate(fh, 1) if line.strip()]
+        if not found:
+            raise UsageError(f"{path}: no report lines")
+        suites.extend(found)
     passed = sum(1 for s in suites if s.get("status") == "pass")
     if args.format == "text":
         lines = [f"{s.get('status', '?').upper():4s}  {s.get('suiteId', '?')}"
@@ -328,8 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream or count ASMs, emit censuses")
     p.add_argument("--order", "-n", type=int)
     p.add_argument("--class", dest="klass", choices=("all", "ht"), default="all")
-    p.add_argument("--census", action="store_true")
-    p.add_argument("--count", action="store_true")
+    what = p.add_mutually_exclusive_group()
+    what.add_argument("--census", action="store_true")
+    what.add_argument("--count", action="store_true")
     common(p, ("json", "csv", "text"))
     p.set_defaults(fn=_cmd_enumerate)
 

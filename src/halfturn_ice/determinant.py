@@ -202,13 +202,12 @@ def special_z(model: str, size: int, u: Sequence[Cyclo]) -> Cyclo:
             * det_exact(build_matrix("Pprime", m + 1, inv)))
 
 
-def random_distinct_rationals(rng: random.Random, count: int,
-                              bound: int = 50) -> tuple[Fraction, ...]:
-    """Distinct positive rationals with numerator/denominator <= bound."""
+def random_distinct_rationals(rng: random.Random, count: int) -> tuple[Fraction, ...]:
+    """Distinct positive rationals with numerator and denominator <= 50."""
     seen: set[Fraction] = set()
     out = []
     while len(out) < count:
-        f = Fraction(rng.randint(1, bound), rng.randint(1, bound))
+        f = Fraction(rng.randint(1, 50), rng.randint(1, 50))
         if f not in seen:
             seen.add(f)
             out.append(f)

@@ -3,7 +3,9 @@ the x-enumeration change of variables and the 4-enumeration identity.
 
 All arithmetic is exact; whenever a closed form is a ratio of factorials
 that is asserted to be an integer, the integrality is checked at runtime
-rather than assumed.
+rather than assumed.  The central-entry split of the odd refined
+enumerations is built once in (t, x) from the censuses and once at x = 1
+from the closed forms; every other rational x evaluates the (t, x) form.
 """
 
 from __future__ import annotations
@@ -11,10 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Optional, Union
+from typing import Union
 
 from .enum_asm import census
-from .exactnum import Cyclo, sigma
 from .laurent import LaurentPoly, sigma_of
 
 FAMILIES = ("asm", "ht-even", "ht-odd", "ht-odd-plus", "ht-odd-minus", "robbins")
@@ -22,14 +23,6 @@ FAMILIES = ("asm", "ht-even", "ht-odd", "ht-odd-plus", "ht-odd-minus", "robbins"
 
 class UnsupportedSize(ValueError):
     """The requested closed form does not apply at this size."""
-
-
-class SingularAtFour(ZeroDivisionError):
-    """x = 4 is a pole of the central-split formulas."""
-
-
-class PoleAtSigmaZero(ZeroDivisionError):
-    """sigma(a*v) vanished in the x-enumeration change of variables."""
 
 
 def _as_int(f: Fraction, what: str) -> int:
@@ -153,18 +146,15 @@ def _refined_ht2_formula(m: int, reading: str) -> LaurentPoly:
     return _t_poly(coeffs)
 
 
-def refined_ht2_closed(m: int, allow_base_case: bool = False) -> LaurentPoly:
+def refined_ht2_closed(m: int) -> LaurentPoly:
     """Refined cofactor polynomial A_HT(2m, .)/A(m, .) summed against t.
 
-    The formula's r = 1 term is ill-defined at m = 1; the documented base
-    case 1 + t (exact by brute force) is returned only on request.
+    The formula's r = 1 term is ill-defined at m = 1, where the documented
+    base case 1 + t (exact by brute force) is returned.
     """
     if m < 1:
         raise UnsupportedSize("m must be >= 1")
     if m == 1:
-        if not allow_base_case:
-            raise UnsupportedSize("m = 1 falls outside the formula; "
-                                  "pass allow_base_case=True for the census value")
         return LaurentPoly(("t",), {(0,): 1, (1,): 1})
     return _refined_ht2_formula(m, ht2_refined_reading())
 
@@ -195,42 +185,28 @@ def refined_ht_odd(m: int, x: Union[int, Fraction, None] = 1,
     """Central-split refined x-enumerations of odd order 2m + 1.
 
     Returns (plus, minus, robbins) where the full generating function is
-    plus + sqrt(x)*minus and robbins = plus + x*minus.  x may be a rational
-    (x = 1 uses the closed forms, anything else the census) or None for a
-    fully symbolic result in (t, x).  x = 4 is a pole; see
-    four_enum_identity for that point.
+    plus + sqrt(x)*minus and robbins = plus + x*minus.  x = None gives the
+    result in (t, x), from the censuses; x = 1 builds it from the closed
+    forms; any other rational x evaluates the (t, x) result there (x = 4
+    included: the division by 4 - x is exact).
     """
     if m < 1:
         raise UnsupportedSize("m must be >= 1")
-    if x == 4:
-        raise SingularAtFour("x = 4: use four_enum_identity")
+    if x is not None and x != 1:
+        at_x = LaurentPoly.const(x)
+        return tuple(_intify(p.substitute_poly("x", at_x)) for p in refined_ht_odd(m, None))
     if x is None:
         a_m, h_2m = _census_refined_pair(m)
         a_m1, h_2m2 = _census_refined_pair(m + 1)
-        den = LaurentPoly(("x",), {(0,): 4, (1,): -1})
-        plus = (-LaurentPoly.var("x") * a_m1 * h_2m + 2 * a_m * h_2m2).exact_div(den)
-        minus = (2 * a_m1 * h_2m - a_m * h_2m2).exact_div(den)
-        robbins = plus + LaurentPoly.var("x") * minus
-        return plus, minus, robbins
-    xv = Fraction(x)
-    if xv == 1:
-        a_m = refined_asm_closed(m)
-        a_m1 = refined_asm_closed(m + 1)
-        h_2m = refined_ht2_closed(m, allow_base_case=True)
-        h_2m2 = refined_ht2_closed(m + 1, allow_base_case=True)
+        xv = LaurentPoly.var("x")
     else:
-        a_m, h_2m = _census_refined_pair(m)
-        a_m1, h_2m2 = _census_refined_pair(m + 1)
-        const_x = LaurentPoly.const(xv)
-        a_m = _intify(a_m.substitute_poly("x", const_x))
-        a_m1 = _intify(a_m1.substitute_poly("x", const_x))
-        h_2m = _intify(h_2m.substitute_poly("x", const_x))
-        h_2m2 = _intify(h_2m2.substitute_poly("x", const_x))
-    scale = Fraction(1, 4 - xv)
-    plus = _intify((-xv * a_m1 * h_2m + 2 * a_m * h_2m2) * LaurentPoly.const(scale))
-    minus = _intify((2 * a_m1 * h_2m - a_m * h_2m2) * LaurentPoly.const(scale))
-    robbins = _intify(plus + minus * LaurentPoly.const(xv))
-    return plus, minus, robbins
+        a_m, a_m1 = refined_asm_closed(m), refined_asm_closed(m + 1)
+        h_2m, h_2m2 = refined_ht2_closed(m), refined_ht2_closed(m + 1)
+        xv = LaurentPoly.const(1)
+    den = 4 - xv
+    plus = (-xv * a_m1 * h_2m + 2 * a_m * h_2m2).exact_div(den)
+    minus = (2 * a_m1 * h_2m - a_m * h_2m2).exact_div(den)
+    return plus, minus, plus + xv * minus
 
 
 # ----------------------------------------------------------------------
@@ -238,30 +214,13 @@ def refined_ht_odd(m: int, x: Union[int, Fraction, None] = 1,
 # ----------------------------------------------------------------------
 
 
-def xenum_map(a_value: Optional[Cyclo] = None,
-              v_value: Union[Cyclo, Fraction, int, None] = None):
-    """The (x, t) pair attached to parameters (a, v).
-
-    Symbolic mode (both None): returns (x, (t_num, t_den)) with
-    x = a^2 + 2 + a^-2 and t = sigma(a/v)/sigma(a*v) as a Laurent pair.
-    Evaluated mode: exact field values; raises PoleAtSigmaZero when
-    sigma(a*v) = 0.
-    """
-    if a_value is None:
-        x = LaurentPoly(("a",), {(2,): 1, (0,): 2, (-2,): 1})
-        a = LaurentPoly.var("a")
-        v = LaurentPoly.var("v")
-        t_num = sigma_of(a * v.monomial_inverse())
-        t_den = sigma_of(a * v)
-        return x, (t_num, t_den)
-    a = Cyclo.of(a_value)
-    v = Cyclo.of(v_value)
-    x = (a + a.inverse()) ** 2
-    den = sigma(a * v)
-    if not den:
-        raise PoleAtSigmaZero(f"sigma(a*v) = 0 at a={a}, v={v}")
-    t = sigma(a * v.inverse()) / den
-    return x, t
+def xenum_map() -> tuple[LaurentPoly, tuple[LaurentPoly, LaurentPoly]]:
+    """The (x, t) pair attached to parameters (a, v): x = a^2 + 2 + a^-2
+    and t = sigma(a/v)/sigma(a*v), as (x, (t_num, t_den))."""
+    x = LaurentPoly(("a",), {(2,): 1, (0,): 2, (-2,): 1})
+    a = LaurentPoly.var("a")
+    v = LaurentPoly.var("v")
+    return x, (sigma_of(a * v.monomial_inverse()), sigma_of(a * v))
 
 
 def four_enum_identity(m: int) -> LaurentPoly:

@@ -19,10 +19,12 @@ order 2m or 2m+1; only fundamental-domain vertices are weighted:
   parameter is y(m+1) after the central turn.  The turning point (the
   central cell) carries weight 1.
 
-Symbolic sums are Laurent polynomials over the integers in a and the
+Symbolic totals are Laurent polynomials over the integers in a and the
 spectral variables, summed state by state over the ASM stream
-(`_state_sums`).  Evaluated sums work directly in Q(zeta) or Q and run a
-row transfer matrix over boundary profiles instead (`_transfer_sums`):
+(`_state_sums`, whose one caller is `_symbolic_value`).  Evaluated sums,
+in Q(zeta) or Q, and the direct central-entry split of Z_HT(2m+1), in
+Laurent polynomials, run a row transfer matrix over boundary profiles
+instead (`_transfer_sums`):
 
 * The rows are read cell by cell, left to right.  A partial state is keyed
   by its profile: the column partial sums C_1..C_n above the current cell
@@ -51,7 +53,6 @@ row transfer matrix over boundary profiles instead (`_transfer_sums`):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional, Union
@@ -62,17 +63,12 @@ from .exactnum import Cyclo
 from .laurent import Coeff, LaurentPoly, NotAMonomial, sigma_of
 
 DEFAULT_MAX_STATES = 10_000_000
-_MAX_STATES_ENV = "HALFTURN_ICE_MAX_STATES"
 
 KINDS = ("dwbc", "ht-even", "ht-odd")
 
 
 class SizeTooLarge(ValueError):
     """State count exceeds the configured guard."""
-
-
-class InvalidGuard(ValueError):
-    """The state-count guard in the environment is not an integer."""
 
 
 class SingularAssignment(ValueError):
@@ -173,21 +169,14 @@ def vertex_weight(vertex_type: int, spectral: LaurentPoly) -> LaurentPoly:
     return sigma_of(a * s)
 
 
-def _check_guard(spec: ModelSpec, max_states: Optional[int]) -> None:
+def _check_guard(spec: ModelSpec, max_states: Optional[int] = None) -> None:
     """Raise SizeTooLarge before any state is generated when the model's
     state count (the closed-form ASM count) exceeds the guard: max_states
-    if given, else the HALFTURN_ICE_MAX_STATES environment variable, else
-    DEFAULT_MAX_STATES.  A non-integer variable raises InvalidGuard."""
+    if given, else DEFAULT_MAX_STATES."""
     from . import formulas  # deferred: formulas has no icemodel dependency
 
     expected = formulas.count_closed("asm" if spec.kind == "dwbc" else spec.kind, spec.order)
-    limit = max_states
-    if limit is None:
-        env = os.environ.get(_MAX_STATES_ENV)
-        try:
-            limit = int(env) if env else DEFAULT_MAX_STATES
-        except ValueError:
-            raise InvalidGuard(f"{_MAX_STATES_ENV} must be an integer, got {env!r}") from None
+    limit = DEFAULT_MAX_STATES if max_states is None else max_states
     if expected > limit:
         raise SizeTooLarge(f"{expected} states exceeds the guard {limit}")
 
@@ -328,14 +317,10 @@ def _symbolic_weights(kind: str, size: int) -> list:
             for _, _, xv, yv in fundamental_cells(ModelSpec(kind, size))]
 
 
-def _symbolic_sums(kind: str, size: int) -> dict:
-    """_state_sums over Laurent polynomials."""
-    return _state_sums(kind, size, _symbolic_weights(kind, size), LaurentPoly.const(1))
-
-
 @lru_cache(maxsize=None)
 def _symbolic_value(kind: str, size: int) -> tuple[LaurentPoly, int]:
-    return _total(_symbolic_sums(kind, size))
+    """(symbolic state sum, state count), by the per-state loop."""
+    return _total(_state_sums(kind, size, _symbolic_weights(kind, size), LaurentPoly.const(1)))
 
 
 def partition_function(spec: ModelSpec,
@@ -406,14 +391,14 @@ def _z_ht2_value(m: int) -> tuple[LaurentPoly, int]:
     return zht.exact_div(z), count
 
 
-def z_ht2(m: int, max_states: Optional[int] = None) -> PartitionResult:
+def z_ht2(m: int) -> PartitionResult:
     """The half-turn cofactor: Z_HT(2m) / Z(m), an exact Laurent quotient.
 
     NotDivisible coming out of here would mean the weight conventions have
     drifted; the factorization is exact by construction of the models.
     """
     spec = ModelSpec("ht-even", m)
-    _check_guard(spec, max_states)
+    _check_guard(spec)
     value, count = _z_ht2_value(m)
     return PartitionResult(value, spec, count)
 
@@ -436,17 +421,16 @@ def _half_int_poly(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(p.vars, out)
 
 
-def z_split_odd(m: int, method: str = "parity",
-                max_states: Optional[int] = None) -> tuple[PartitionResult, PartitionResult]:
+def z_split_odd(m: int, method: str = "parity") -> tuple[PartitionResult, PartitionResult]:
     """Split Z_HT(2m+1) by the central entry of the underlying matrices.
 
-    parity: half-sums of the state sum and its image under a -> -a, using
-    that the plus part carries (-1)^m and the minus part (-1)^(m+1).
-    direct: separate accumulation over the two groups of states.
+    parity: half-sums of the per-state total and its image under a -> -a,
+    using that the plus part carries (-1)^m and the minus part (-1)^(m+1).
+    direct: the transfer matrix's sums, kept apart by the central entry.
     Both must agree exactly.
     """
     spec = ModelSpec("ht-odd", m)
-    _check_guard(spec, max_states)
+    _check_guard(spec)
     if method == "parity":
         z, count = _symbolic_value("ht-odd", m)
         flipped = z.negate_var("a")
@@ -458,7 +442,7 @@ def z_split_odd(m: int, method: str = "parity",
                 PartitionResult(minus, spec, count))
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    sums = _symbolic_sums("ht-odd", m)
+    sums = _transfer_sums("ht-odd", m, _symbolic_weights("ht-odd", m), LaurentPoly.const(1))
     (plus, n_plus), (minus, n_minus) = (sums.get(c, (LaurentPoly.zero(), 0)) for c in (1, -1))
     return PartitionResult(plus, spec, n_plus), PartitionResult(minus, spec, n_minus)
 

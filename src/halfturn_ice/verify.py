@@ -235,9 +235,11 @@ def _z_at(n: int, u: tuple) -> Cyclo:
 
 
 def _z2_at(m: int, u: tuple) -> Cyclo:
+    """The cofactor Z_HT(2m)/Z(m) at a point, from two evaluated sums."""
     if m == 0:
         return Cyclo.of(1)
-    return ice.z_ht2(m).value.evaluate(_assign_interleaved(u, m))
+    zht = ice.partition_function(ice.ModelSpec("ht-even", m), _assign_interleaved(u, m)).value
+    return zht / _z_at(m, u)
 
 
 # ----------------------------------------------------------------------
@@ -731,7 +733,7 @@ def _suite_refined_1(run: _Run, params: Mapping, rng: random.Random):
         run.check(f"cofactor refined polynomial m={m}",
                   formulas.refined_ht2_closed(m), brute, m=m)
     run.check("documented base case m=1",
-              formulas.refined_ht2_closed(1, allow_base_case=True),
+              formulas.refined_ht2_closed(1),
               LaurentPoly(("t",), {(0,): 1, (1,): 1}))
     return {"ht2_reading": reading}
 

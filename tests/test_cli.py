@@ -224,12 +224,6 @@ def test_report_missing_file_is_a_usage_error(tmp_path, capsys):
     assert_usage_error(run(capsys, "report", str(missing)), "missing.jsonl")
 
 
-def test_non_integer_guard_env_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("HALFTURN_ICE_MAX_STATES", "lots")
-    assert_usage_error(run(capsys, "partition", "--model", "dwbc", "-n", "2"),
-                       "HALFTURN_ICE_MAX_STATES", "'lots'")
-
-
 def test_genfunc_order_below_one_is_a_usage_error(capsys):
     for argv in (("genfunc", "-n", "0"),
                  ("genfunc", "-n", "-3", "--class", "ht", "--mode", "closed")):
@@ -409,3 +403,27 @@ def test_verify_max_states_is_gone(capsys):
     result = run(capsys, "verify", "--suite", "factorization", "--max-states", "5")
     assert_rejected_by_parser(result)
     assert "--max-states" in result[2]
+
+
+def test_partition_unknown_or_repeated_assignment_is_a_usage_error(capsys):
+    base = ("partition", "--model", "dwbc", "-n", "1",
+            "--assign", "a=zeta", "--assign", "x1=2", "--assign", "y1=3")
+    assert run(capsys, *base)[0] == 0
+    assert_usage_error(run(capsys, *base, "--assign", "x9=5"), "x9")
+    assert_usage_error(run(capsys, *base, "--assign", "x1=5"), "x1", "twice")
+
+
+def test_report_without_report_lines_is_a_usage_error(tmp_path, capsys):
+    good = tmp_path / "good.jsonl"
+    assert run(capsys, "verify", "--suite", "parity", "--out", str(good))[0] == 0
+    for name, text in (("empty.jsonl", ""), ("blank.jsonl", "\n  \n")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert_usage_error(run(capsys, "report", str(path)), name)
+        assert_usage_error(run(capsys, "report", str(good), str(path)), name)
+
+
+def test_enumerate_count_and_census_are_exclusive(capsys):
+    result = run(capsys, "enumerate", "-n", "3", "--count", "--census")
+    assert_rejected_by_parser(result)
+    assert "--count" in result[2] and "--census" in result[2]

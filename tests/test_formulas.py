@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from halfturn_ice.exactnum import Cyclo, ZETA
+from halfturn_ice.enum_asm import census
+from halfturn_ice.exactnum import ZETA
 from halfturn_ice.formulas import (
-    PoleAtSigmaZero, SingularAtFour, UnsupportedSize, count_asm, count_closed,
+    UnsupportedSize, count_asm, count_closed,
     count_ht_even, count_ht_odd, four_enum_identity, ht2_refined_reading,
     refined_asm_closed, refined_ht2_closed, refined_ht_odd,
     xenum_map)
@@ -60,9 +61,9 @@ def test_refined_asm_sums_and_symmetry(n):
 def test_refined_ht2():
     assert ht2_refined_reading() == "factorial"
     assert refined_ht2_closed(2) == 2 + T + 2 * T ** 2
+    assert refined_ht2_closed(1) == 1 + T  # the base case outside the formula
     with pytest.raises(UnsupportedSize):
-        refined_ht2_closed(1)
-    assert refined_ht2_closed(1, allow_base_case=True) == 1 + T
+        refined_ht2_closed(0)
 
 
 def test_refined_ht2_reassembles_even_census():
@@ -85,29 +86,37 @@ def test_refined_ht_odd_small():
     assert (p2.evaluate({"t": 1}), m2.evaluate({"t": 1})) == (15, 10)
 
 
-def test_refined_ht_odd_singularity_and_symbolic():
-    with pytest.raises(SingularAtFour):
-        refined_ht_odd(1, 4)
+def test_refined_ht_odd_symbolic():
     plus, minus, robbins = refined_ht_odd(1, None)
     x = LaurentPoly.var("x")
     assert plus == 1 + T ** 2
     assert minus == T
     assert robbins == 1 + x * T + T ** 2
-    # general rational x goes through the census route
+    # any other rational x evaluates the (t, x) result
     p3, m3, _ = refined_ht_odd(1, 3)
     assert p3 == 1 + T ** 2 and m3 == T
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_refined_ht_odd_at_x_is_the_census_split(m):
+    # The reference route: the census split substituted at x.  x = 4 is no
+    # pole: the division by 4 - x is exact.
+    cplus, cminus = census(2 * m + 1, "ht").split_by_center()
+    for x in (0, 2, 3, Fraction(1, 2), 4):
+        at_x = LaurentPoly.const(x)
+        want_plus, want_minus = (p.substitute_poly("x", at_x) for p in (cplus, cminus))
+        plus, minus, robbins = refined_ht_odd(m, x)
+        assert (plus, minus) == (want_plus, want_minus), (m, x)
+        assert robbins == want_plus + x * want_minus, (m, x)
+
+
 def test_xenum_map():
-    x, t = xenum_map(ZETA, 1)
-    assert x == Cyclo(1) and t == Cyclo(1)
-    x, t = xenum_map(ZETA, ZETA)
-    assert t == Cyclo(0)
-    with pytest.raises(PoleAtSigmaZero):
-        xenum_map(ZETA, ZETA.inverse())
     xs, (t_num, t_den) = xenum_map()
     assert xs == LaurentPoly(("a",), {(2,): 1, (0,): 2, (-2,): 1})
-    assert not t_num.is_zero() and not t_den.is_zero()
+    assert xs.evaluate({"a": ZETA}) == 1
+    assert t_num.evaluate({"a": ZETA, "v": 1}) == t_den.evaluate({"a": ZETA, "v": 1})
+    assert t_num.evaluate({"a": ZETA, "v": ZETA}) == 0  # t = 0 at v = a
+    assert t_den.evaluate({"a": ZETA, "v": ZETA.inverse()}) == 0  # the pole at v = 1/a
 
 
 def test_four_enum():

@@ -8,8 +8,9 @@ import pytest
 from halfturn_ice.determinant import random_distinct_rationals, special_z
 from halfturn_ice.exactnum import Cyclo, ZETA
 from halfturn_ice.formulas import count_closed
+from halfturn_ice import icemodel
 from halfturn_ice.icemodel import (
-    InvalidGuard, ModelSpec, SingularAssignment, SizeTooLarge, _point_weights, _state_sums,
+    ModelSpec, SingularAssignment, SizeTooLarge, _point_weights, _state_sums,
     _symbolic_weights, _transfer_sums, fundamental_cells, modified_multiplier,
     modified_partition, partition_function, vertex_weight, z_ht2, z_split_odd)
 from halfturn_ice.laurent import LaurentPoly, sigma_of
@@ -121,26 +122,20 @@ def test_z_split_direct_matches_parity_and_counts():
         assert minus.state_count == count_closed("ht-odd-minus", 2 * m + 1)
 
 
-def test_state_guard():
+def test_state_guard(monkeypatch):
     with pytest.raises(SizeTooLarge, match="guard 10$"):
         partition_function(ModelSpec("dwbc", 4), max_states=10)
-    with pytest.raises(SizeTooLarge, match="guard 3$"):
-        z_ht2(2, max_states=3)
-    with pytest.raises(SizeTooLarge, match="guard 2$"):
-        z_split_odd(1, "direct", max_states=2)
-    with pytest.raises(SizeTooLarge, match="guard 2$"):
-        z_split_odd(1, "parity", max_states=2)
-
-
-def test_guard_env_override(monkeypatch):
-    monkeypatch.setenv("HALFTURN_ICE_MAX_STATES", "1")
-    with pytest.raises(SizeTooLarge):
-        partition_function(ModelSpec("dwbc", 2))
-    monkeypatch.delenv("HALFTURN_ICE_MAX_STATES")
     assert partition_function(ModelSpec("dwbc", 2)).state_count == 2
-    monkeypatch.setenv("HALFTURN_ICE_MAX_STATES", "1e6")
-    with pytest.raises(InvalidGuard, match="HALFTURN_ICE_MAX_STATES"):
-        partition_function(ModelSpec("dwbc", 2))
+    monkeypatch.setattr(icemodel, "DEFAULT_MAX_STATES", 2)
+    with pytest.raises(SizeTooLarge, match="guard 2$"):
+        partition_function(ModelSpec("dwbc", 3))
+    with pytest.raises(SizeTooLarge, match="guard 2$"):
+        z_ht2(2)
+    with pytest.raises(SizeTooLarge, match="guard 2$"):
+        z_split_odd(1, "direct")
+    with pytest.raises(SizeTooLarge, match="guard 2$"):
+        z_split_odd(1, "parity")
+    assert z_ht2(1).state_count == 2
 
 
 def test_zero_assignment_is_a_pole():

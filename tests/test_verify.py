@@ -1,8 +1,12 @@
 """The verification engine itself: reports, determinism, failure witnesses."""
 
+import random
+
 import pytest
 
-from halfturn_ice import verify
+from halfturn_ice import icemodel, verify
+from halfturn_ice.determinant import random_distinct_rationals
+from halfturn_ice.exactnum import Cyclo
 from halfturn_ice.laurent import LaurentPoly
 from halfturn_ice.verify import (
     SUITES, UnknownSuite, _WITNESS_CAP, _Run, _clip, run_suite)
@@ -132,3 +136,13 @@ def test_catalog_is_complete():
         "counts-closed", "refined-1", "xenum", "refined-split", "four-enum",
     }
     assert set(SUITES) == expected
+
+
+def test_cofactor_at_a_point_is_the_symbolic_cofactor_evaluated():
+    # The reference route: the symbolic Z_HT(2m)/Z(m), evaluated.
+    rng = random.Random(37)
+    for m, points in ((1, 3), (2, 3), (3, 1)):
+        symbolic = icemodel.z_ht2(m).value
+        for _ in range(points):
+            u = tuple(Cyclo.of(f) for f in random_distinct_rationals(rng, 2 * m))
+            assert verify._z2_at(m, u) == symbolic.evaluate(verify._assign_interleaved(u, m)), (m, u)

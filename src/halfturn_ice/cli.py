@@ -198,7 +198,7 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    if not args.u:  # argparse reads --u=-- as an empty list
+    if not args.u:
         raise UsageError("det requires --u with comma-separated rationals")
     u = tuple(Cyclo(_fraction(tok)) for tok in args.u.split(","))
     size = args.order if args.model == "dwbc" else args.m
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--modified", action="store_true",
                    help="multiply by the monomial clearing negative exponents")
-    p.add_argument("--assign", action="append", default=[], metavar="VAR=VALUE",
+    p.add_argument("--assign", action="append", metavar="VAR=VALUE",
                    help="evaluate at values (rationals or zeta-expressions)")
     p.add_argument("--max-states", type=int, default=None)
     common(p)
@@ -404,6 +404,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        for dest, value in vars(args).items():
+            # argparse reads an attached "--" (--opt=--) as an empty list.
+            if value == [] or (isinstance(value, list) and [] in value):
+                flag = "class" if dest == "klass" else dest.replace("_", "-")
+                raise UsageError(f"--{flag} needs a value")
         return args.fn(args)
     except (ValueError, OSError) as exc:  # UsageError and every typed input error
         print(f"error: {exc}", file=sys.stderr)

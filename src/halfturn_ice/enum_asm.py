@@ -175,16 +175,34 @@ def gen_asms(n: int, klass: str = "all") -> Iterator[Asm]:
 # ----------------------------------------------------------------------
 
 
-def _is_ht_perm(s: tuple[int, ...]) -> bool:
-    n = len(s)
-    return all(s[n - 1 - i] == n + 1 - s[i] for i in range(n))
-
-
 def ht_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """Permutations (1-based words) whose matrices are half-turn symmetric."""
-    for s in itertools.permutations(range(1, n + 1)):
-        if _is_ht_perm(s):
-            yield s
+    """Permutations (1-based words) whose matrices are half-turn symmetric,
+    in lexicographic order.
+
+    Such a word has s(n+1-i) = n+1-s(i), so its first floor(n/2) letters
+    fix it: each takes one value of a pair {v, n+1-v} that no earlier letter
+    touched, an odd order keeps its self-paired value (n+1)/2 in the middle,
+    and the second half mirrors the first.  The first half is filled by
+    backtracking over values in increasing order.
+    """
+    half = n // 2
+    mid = ((n + 1) // 2,) if n % 2 else ()
+    free = [2 * v != n + 1 for v in range(n + 1)]  # free[v]: v's pair is unused
+    head: list[int] = []
+
+    def fill() -> Iterator[tuple[int, ...]]:
+        if len(head) == half:
+            yield (*head, *mid, *(n + 1 - v for v in reversed(head)))
+            return
+        for v in range(1, n + 1):
+            if free[v]:
+                free[v] = free[n + 1 - v] = False
+                head.append(v)
+                yield from fill()
+                head.pop()
+                free[v] = free[n + 1 - v] = True
+
+    return fill()
 
 
 def _z(exp: int) -> LaurentPoly:

@@ -20,9 +20,13 @@ neighbour.
 
 Keys are unpacked only at the edges: `vars` (the variables some term uses,
 derived on first use), `tuple_terms` and everything built on it (`str`,
-`sorted_terms` and the JSON form, `rename_vars`), `evaluate`, and the
-leading-term order of `exact_div`.  `substitute`, `coeff_of`, `negate_var`
-and `degree_in` read the one digit they need.
+`sorted_terms` and the JSON form), `evaluate`, and the leading-term order
+of `exact_div`.  The rest works on the keys in place: `rename_vars` moves
+each renamed digit to its new slot by adding a multiple of the difference
+of the two unit keys, `substitute` does the same for one digit, `coeff_of`
+compares the masked digits of each key with the wanted ones, and
+`degree_in`, `min_degree_in` and `negate_var` read the one digit they
+need.
 
 Coefficients may be int, Fraction or Cyclo; within one polynomial they are
 kept in a single ring.  `LaurentPoly(vars, {exponent tuple: coeff})` packs
@@ -364,16 +368,25 @@ class LaurentPoly:
             raise NotAMonomial("substitution value must be one monomial")
         (rkey, rc), = replacement.terms.items()
         step = rkey - _UNIT[s]  # a term x^d * rest becomes rest * rkey^d
+        bias, shift = _BIAS[s], _W * s
+        powers: dict = {}  # d -> rc^d
         top = 0
         out: dict = {}
+        get = out.get
         for k, c in self.terms.items():
-            d = _digit(k, s)
+            d = ((k + bias) >> shift & _MASK) - _HALF
             if d:
-                top = max(top, abs(d))
+                if d > top:
+                    top = d
+                elif -d > top:
+                    top = -d
                 k += d * step
                 if rc != 1:
-                    c = c * _power(rc, d, var)
-            out[k] = out.get(k, 0) + c
+                    p = powers.get(d)
+                    if p is None:
+                        p = powers[d] = _power(rc, d, var)
+                    c = c * p
+            out[k] = get(k, 0) + c
         if not top:
             return self
         # Checked only now that the largest power of var is known; out is
@@ -405,7 +418,22 @@ class LaurentPoly:
         """Simultaneously rename variables (may permute existing names);
         ValueError if two variables would get one name."""
         new_names = tuple(mapping.get(v, v) for v in self.vars)
-        return LaurentPoly(new_names, self.tuple_terms())
+        if len(set(new_names)) != len(new_names):
+            raise ValueError(f"repeated variable name in {new_names}")
+        # Per moved slot s -> t: the shift of digit s and the key change
+        # per unit of it, _UNIT[t] - _UNIT[s].
+        moves = [(_W * _SLOT[v], _UNIT[_slot(w)] - _UNIT[_SLOT[v]])
+                 for v, w in zip(self.vars, new_names) if v != w]
+        if not moves:
+            return self
+        bias = _BIAS[-1]  # read after the new names took their slots
+        out = {}
+        for k, c in self.terms.items():
+            b = k + bias
+            for shift, step in moves:
+                k += ((b >> shift & _MASK) - _HALF) * step
+            out[k] = c
+        return _make(out, self.bound)
 
     # ------------------------------------------------------------------
     # coefficient extraction and variable-wise transforms
@@ -417,16 +445,20 @@ class LaurentPoly:
         Returns 0 when no term matches; constrained variables are removed
         from the result.
         """
-        picks = []
+        mask = target = drop = 0
         for v, k in constraints.items():
+            if abs(k) > _LIMIT:  # no digit holds it; its target would carry over
+                return LaurentPoly.zero()
             s = _SLOT.get(v)
             if s is not None:
-                picks.append((s, k))
+                mask |= _MASK << (_W * s)
+                target |= (k + _HALF) << (_W * s)
+                drop += k * _UNIT[s]
             elif k != 0:
                 return LaurentPoly.zero()
-        drop = sum(k * _UNIT[s] for s, k in picks)
+        bias = _BIAS[-1] if _BIAS else 0
         out = {key - drop: c for key, c in self.terms.items()
-               if all(_digit(key, s) == k for s, k in picks)}
+               if (key + bias) & mask == target}
         return _make(out, self.bound)
 
     def negate_var(self, var: str) -> LaurentPoly:
@@ -442,13 +474,19 @@ class LaurentPoly:
         if not self.terms:
             return None
         s = _SLOT.get(var)
-        return 0 if s is None else max(_digit(k, s) for k in self.terms)
+        if s is None:
+            return 0
+        bias, shift = _BIAS[s], _W * s  # the biased digit is monotone in the exponent
+        return max((k + bias) >> shift & _MASK for k in self.terms) - _HALF
 
     def min_degree_in(self, var: str) -> int | None:
         if not self.terms:
             return None
         s = _SLOT.get(var)
-        return 0 if s is None else min(_digit(k, s) for k in self.terms)
+        if s is None:
+            return 0
+        bias, shift = _BIAS[s], _W * s
+        return min((k + bias) >> shift & _MASK for k in self.terms) - _HALF
 
     def total_degrees(self) -> set[int]:
         return {sum(e) for e in self.tuple_terms()}

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfturn_ice.cli import UsageError, main, parse_value
@@ -203,6 +204,22 @@ def test_exponent_notation_is_a_usage_error(capsys):
     assert_usage_error(result, "2E3")
     assert len(result[2].splitlines()) == 1
     assert parse_value("0.25") == Cyclo(Fraction(1, 4))
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "parity", "--seed=--"),
+    ("enumerate", "--order=--"),
+    ("enumerate", "-n", "2", "--class=--"),
+    ("partition", "-n", "1", "--out=--"),
+    ("partition", "-n", "1", "--assign=--"),
+    ("partition", "-n", "1", "--max-states=--"),
+    ("det", "--model", "dwbc", "-n", "1", "--u=--"),
+])
+def test_attached_double_dash_is_a_missing_value(capsys, argv):
+    # argparse reads an attached "--" as an empty list, not as a value.
+    result = run(capsys, *argv)
+    assert_usage_error(result, argv[-1][:-3], "needs a value")
+    assert len(result[2].splitlines()) == 1
 
 
 def test_partition_zero_assignment_is_a_usage_error(capsys):

@@ -144,11 +144,21 @@ def test_genfunc_brute_equals_closed_ht(n):
     assert inversion_genfunc(n, "ht", "brute") == inversion_genfunc(n, "ht", "closed")
 
 
+def _is_ht_perm(s: tuple[int, ...]) -> bool:
+    n = len(s)
+    return all(s[n - 1 - i] == n + 1 - s[i] for i in range(n))
+
+
 def test_ht_permutation_condition():
-    for s in ht_permutations(4):
-        n = len(s)
-        assert all(s[n - 1 - i] == n + 1 - s[i] for i in range(n))
+    assert all(_is_ht_perm(s) for s in ht_permutations(4))
     assert sum(1 for _ in ht_permutations(7)) == 48
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_ht_permutations_equal_the_filtered_symmetric_group(n):
+    # Same words in the same (lexicographic) order as filtering all n! words.
+    want = [s for s in itertools.permutations(range(1, n + 1)) if _is_ht_perm(s)]
+    assert list(ht_permutations(n)) == want
 
 
 def test_census_order3_all():

@@ -1,5 +1,6 @@
 """Laurent polynomial ring: canonical form, arithmetic, division, JSON."""
 
+import itertools
 import json
 import pickle
 import threading
@@ -91,6 +92,11 @@ def test_coeff_extraction():
     assert p.coeff_of({"x1": 2}) == V("a")
     assert p.coeff_of({"x1": 5}).is_zero()
     assert p.coeff_of({"zz": 3}).is_zero()
+    # Two names registered in turn hold adjacent digits; an exponent past the
+    # digit range must not carry into its neighbour's constraint.
+    q = M(1, {"carry_lo": 5, "carry_hi": 1})
+    assert laurent._SLOT["carry_hi"] == laurent._SLOT["carry_lo"] + 1
+    assert q.coeff_of({"carry_lo": 5 + (1 << laurent._W), "carry_hi": 1}).is_zero()
 
 
 def test_negate_var():
@@ -260,6 +266,7 @@ def test_pickle_round_trip():
 
 # In the canonical variable order; a case uses 1-4 of them.
 _NAMES = ("a", "x1", "x2", "y1", "z", "t", "w")
+_FRESH = itertools.count()  # suffixes of names renamed onto before any use
 
 
 def _ref_add(p, q):
@@ -287,6 +294,12 @@ def _ref_substitute(p, i, r, rc):
         new[i] -= k
         out[tuple(new)] = out.get(tuple(new), 0) + c * rc ** abs(k)
     return {e: c for e, c in out.items() if c}
+
+
+def _ref_rename(p, mapping):
+    """rename_vars through exponent tuples and the constructor."""
+    new_names = tuple(mapping.get(v, v) for v in p.vars)
+    return LaurentPoly(new_names, p.tuple_terms())
 
 
 def _ref_json(p, names):
@@ -347,6 +360,39 @@ def test_packed_terms_match_tuple_reference(case, n, rc):
     live = _ref_add(p, {})
     assert P.degree_in(v) == (max(e[i] for e in live) if live else None)
     assert P.min_degree_in(v) == (min(e[i] for e in live) if live else None)
+
+    # Every exponent of v made negative, so each term takes rc^d at d < 0.
+    low = {e[:i] + (-abs(e[i]) - 1,) + e[i + 1:]: c for e, c in p.items()}
+    sub = LaurentPoly(names, low).substitute(v, LaurentPoly(names, {r: -1}))
+    assert _as_ref(sub, names) == _ref_substitute(low, i, r, -1)
+
+    # Two or three constrained variables, the last absent from P.
+    fixed = data.draw(st.lists(st.integers(0, len(names) - 1), min_size=1, max_size=2,
+                               unique=True))
+    ks = [data.draw(st.integers(-4, 4)) for _ in fixed]
+    absent = data.draw(st.sampled_from([n for n in _NAMES if n not in names]))
+    k0 = data.draw(st.integers(-1, 1))
+    sliced = {} if k0 else {
+        tuple(0 if j in fixed else x for j, x in enumerate(e)): c
+        for e, c in p.items() if all(e[j] == k for j, k in zip(fixed, ks))}
+    wanted = {names[j]: k for j, k in zip(fixed, ks)} | {absent: k0}
+    assert _as_ref(P.coeff_of(wanted), names) == _ref_add(sliced, {})
+    assert P.coeff_of({v: _LIMIT + 1}).is_zero()
+    assert P.coeff_of({v: -_LIMIT - 1, absent: 0}).is_zero()
+
+    # A swap, a 3-cycle and a rename onto a name no slot has yet.
+    order = data.draw(st.permutations(names))
+    fresh = f"fresh{next(_FRESH)}"
+    assert fresh not in laurent._SLOT
+    for mapping in (dict(zip(order[:2], order[1::-1])),
+                    dict(zip(order[:3], order[1:3] + order[:1])),
+                    {v: fresh}):
+        renamed = P.rename_vars(mapping)
+        assert renamed == _ref_rename(P, mapping)
+        assert renamed.to_json() == _ref_rename(P, mapping).to_json()
+    if len(P.vars) > 1:
+        with pytest.raises(ValueError):
+            P.rename_vars({P.vars[0]: P.vars[1]})
 
     if q:
         assert _as_ref((P * Q).exact_div(Q), names) == live

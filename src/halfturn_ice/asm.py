@@ -187,8 +187,16 @@ def is_half_turn_symmetric(asm: Asm) -> bool:
 
 
 def inversions(s: Sequence[int]) -> int:
-    return sum(1 for i in range(len(s)) for j in range(i + 1, len(s))
-               if s[i] > s[j])
+    """Number of pairs i < j with s[i] > s[j], by the Lehmer code: each
+    letter adds the count of smaller letters after it, its index in the
+    sorted rest of the word."""
+    rest = sorted(s)
+    total = 0
+    for v in s:
+        i = rest.index(v)
+        total += i
+        del rest[i]
+    return total
 
 
 def stats(asm: Asm) -> AsmStats:

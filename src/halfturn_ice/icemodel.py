@@ -24,7 +24,8 @@ spectral variables, summed state by state over the ASM stream
 (`_state_sums`, whose one caller is `_symbolic_value`).  Evaluated sums,
 in Q(zeta) or Q, and the direct central-entry split of Z_HT(2m+1), in
 Laurent polynomials, run a row transfer matrix over boundary profiles
-instead (`_transfer_sums`):
+instead (`_transfer_sums`), and so do the state counts (`state_counts`,
+the same matrix with unit weights):
 
 * The rows are read cell by cell, left to right.  A partial state is keyed
   by its profile: the column partial sums C_1..C_n above the current cell
@@ -294,10 +295,19 @@ def _run_plan(steps, final, weights, one) -> dict:
     return sums
 
 
+def state_counts(spec: ModelSpec) -> dict[int, int]:
+    """{central entry: number of states} of a model, from its compiled
+    transfer plan (key 0 for dwbc and ht-even): no state is listed.  Raises
+    SizeTooLarge past the guard of `partition_function`."""
+    _check_guard(spec)
+    return dict(_transfer_plan(spec.kind, spec.size)[2])
+
+
 def _transfer_sums(kind: str, size: int, weights, one) -> dict:
     """The contract of `_state_sums`, {central entry: (sum, state count)},
     by the transfer matrix: no state is listed."""
-    steps, final, counts = _transfer_plan(kind, size)
+    steps, final, _ = _transfer_plan(kind, size)
+    counts = state_counts(ModelSpec(kind, size))
     return {c: (v, counts[c]) for c, v in _run_plan(steps, final, weights, one).items()}
 
 
@@ -346,11 +356,13 @@ def _point_weights(spec: ModelSpec, assignment: Mapping[str, Coeff]) -> list:
     and the spectral variables (none of them zero)."""
     a = Cyclo.of(assignment["a"])
     sig_a2 = a * a - (a * a).inverse()
-    weights = []
-    for _, _, xv, yv in fundamental_cells(spec):
-        s = Cyclo.of(assignment[xv]) * Cyclo.of(assignment[yv]).inverse()
-        weights.append((sig_a2, a * s - (a * s).inverse(), a / s - s / a))
-    return weights
+    cells = fundamental_cells(spec)
+    triples = {}  # one per (x, y) pair: half-turn cells repeat every pair
+    for _, _, xv, yv in cells:
+        if (xv, yv) not in triples:
+            s = Cyclo.of(assignment[xv]) * Cyclo.of(assignment[yv]).inverse()
+            triples[xv, yv] = (sig_a2, a * s - (a * s).inverse(), a / s - s / a)
+    return [triples[xv, yv] for _, _, xv, yv in cells]
 
 
 def modified_multiplier(spec: ModelSpec) -> LaurentPoly:

@@ -24,9 +24,9 @@ derived on first use), `tuple_terms` and everything built on it (`str`,
 of `exact_div`.  The rest works on the keys in place: `rename_vars` moves
 each renamed digit to its new slot by adding a multiple of the difference
 of the two unit keys, `substitute` does the same for one digit, `coeff_of`
-compares the masked digits of each key with the wanted ones, and
-`degree_in`, `min_degree_in` and `negate_var` read the one digit they
-need.
+compares the masked digits of each key with the wanted ones,
+`invert_vars` negates them, and `degree_in`, `min_degree_in` and
+`negate_var` read the one digit they need.
 
 Coefficients may be int, Fraction or Cyclo; within one polynomial they are
 kept in a single ring.  `LaurentPoly(vars, {exponent tuple: coeff})` packs
@@ -46,7 +46,7 @@ import json
 import re
 import threading
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .exactnum import Cyclo
 
@@ -467,6 +467,26 @@ class LaurentPoly:
         if s is None:
             return self
         return _make({k: (-c if _digit(k, s) & 1 else c) for k, c in self.terms.items()},
+                     self.bound)
+
+    def invert_vars(self, names: Iterable[str]) -> LaurentPoly:
+        """Replace each named variable v by 1/v, all in one pass; names no
+        term uses are skipped, and a repeated name counts once.
+
+        With b = key + bias, the masked digits b & mask less their biases
+        are the sum of d_s * unit_s over the named slots, so subtracting it
+        twice negates exactly those exponents.  |-d| = |d|: the bound holds.
+        """
+        mask = half = 0
+        for v in names:
+            s = _SLOT.get(v)
+            if s is not None:
+                mask |= _MASK << (_W * s)
+                half |= _HALF << (_W * s)
+        if not mask:
+            return self
+        bias = _BIAS[-1]
+        return _make({k - 2 * (((k + bias) & mask) - half): c for k, c in self.terms.items()},
                      self.bound)
 
     def degree_in(self, var: str) -> int | None:

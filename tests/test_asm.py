@@ -91,6 +91,22 @@ def test_stats_examples():
     assert (s.minus_ones, s.first_column_one_pos, s.central_entry) == (0, 2, 0)
 
 
+def _pair_inversions(s):
+    """The O(n^2) pair count: the oracle of the Lehmer-code `inversions`."""
+    return sum(1 for i in range(len(s)) for j in range(i + 1, len(s)) if s[i] > s[j])
+
+
+def test_inversions_match_the_pair_count():
+    assert inversions(()) == _pair_inversions(()) == 0
+    for n in range(1, 8):
+        for s in itertools.permutations(range(1, n + 1)):
+            assert inversions(s) == _pair_inversions(s), s
+    for n in range(1, 7):  # words with repeated letters
+        for s in itertools.product(range(3), repeat=n):
+            assert inversions(s) == _pair_inversions(s), s
+    assert inversions((5, 5, 5)) == 0 and inversions((3, 1, 3, 1)) == 3
+
+
 def test_stats_fields_are_the_census_keys():
     # census weighs by minus_ones and keys its rows by the other two
     assert [f.name for f in dataclasses.fields(AsmStats)] == [

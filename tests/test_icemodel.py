@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from halfturn_ice.determinant import random_distinct_rationals, special_z
+from halfturn_ice.enum_asm import census
 from halfturn_ice.exactnum import Cyclo, ZETA
 from halfturn_ice.formulas import count_closed
 from halfturn_ice import icemodel
 from halfturn_ice.icemodel import (
     ModelSpec, SingularAssignment, SizeTooLarge, _point_weights, _state_sums,
     _symbolic_weights, _transfer_sums, fundamental_cells, modified_multiplier,
-    modified_partition, partition_function, vertex_weight, z_ht2, z_split_odd)
+    modified_partition, partition_function, state_counts, vertex_weight, z_ht2, z_split_odd)
 from halfturn_ice.laurent import LaurentPoly, sigma_of
 
 M = LaurentPoly.monomial
@@ -136,6 +137,8 @@ def test_state_guard(monkeypatch):
     with pytest.raises(SizeTooLarge, match="guard 2$"):
         z_split_odd(1, "parity")
     assert z_ht2(1).state_count == 2
+    with pytest.raises(SizeTooLarge, match="guard 2$"):
+        state_counts(ModelSpec("ht-odd", 1))
 
 
 def test_zero_assignment_is_a_pole():
@@ -229,15 +232,30 @@ def test_transfer_matches_brute_sums_symbolically():
 
 
 def test_transfer_counts_are_the_closed_counts():
+    # The plan's state counts against the product formulas, and against the
+    # census, which lists every matrix, for orders <= 7 (the all-class
+    # census of order 7 takes seconds, so it stops at n = 6).
     for kind, sizes in TRANSFER_RANGE:
         for size in range(sizes.start, sizes.stop + 2):
             spec = ModelSpec(kind, size)
-            counts = _transfer_sums(kind, size, [(1, 1, 1)] * len(fundamental_cells(spec)), 1)
+            counts = state_counts(spec)
+            unit = _transfer_sums(kind, size, [(1, 1, 1)] * len(fundamental_cells(spec)), 1)
+            assert unit == {c: (n, n) for c, n in counts.items()}
             family = "asm" if kind == "dwbc" else kind
-            assert sum(c for _, c in counts.values()) == count_closed(family, spec.order)
+            assert sum(counts.values()) == count_closed(family, spec.order)
             if kind == "ht-odd" and size:
-                assert counts[1][1] == count_closed("ht-odd-plus", spec.order)
-                assert counts[-1][1] == count_closed("ht-odd-minus", spec.order)
+                assert counts == {1: count_closed("ht-odd-plus", spec.order),
+                                  -1: count_closed("ht-odd-minus", spec.order)}
+            if spec.order <= (6 if kind == "dwbc" else 7):
+                tab = census(spec.order, "all" if kind == "dwbc" else "ht")
+                split = {}
+                for (_, central), poly in tab.rows.items():
+                    key = 0 if central is None else central
+                    split[key] = split.get(key, 0) + sum(poly.terms.values())
+                assert counts == split, (kind, size)
+    counts = state_counts(ModelSpec("dwbc", 3))
+    counts[0] += 1  # a copy: the compiled plan's counts stay as they were
+    assert state_counts(ModelSpec("dwbc", 3)) == {0: 7}
 
 
 def test_transfer_matches_the_determinant_past_the_brute_range():

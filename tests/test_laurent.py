@@ -408,3 +408,32 @@ def test_packed_terms_match_tuple_reference(case, n, rc):
             term *= at[name] ** x
         want += term
     assert P.evaluate(at) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ref_case())
+def test_invert_vars_matches_chained_substitution(case):
+    names, p, _, _, data = case
+    P = LaurentPoly(names, p)
+    absent = [n for n in _NAMES if n not in names]
+    inverted = data.draw(st.lists(st.sampled_from(names + tuple(absent)), unique=True,
+                                  max_size=len(names) + 2))
+    out = P.invert_vars(inverted)
+    chained = P
+    for v in inverted:
+        chained = chained.substitute(v, M(1, {v: -1}))
+    assert out == chained
+    flipped = [i for i, v in enumerate(names) if v in inverted]
+    assert _as_ref(out, names) == _ref_add(
+        {tuple(-x if i in flipped else x for i, x in enumerate(e)): c for e, c in p.items()}, {})
+    assert out.bound == P.bound
+    assert out.invert_vars(inverted) == P
+    assert P.invert_vars([]) is P
+
+
+def test_invert_vars_skips_unregistered_names():
+    p = V("x1") ** 2 * M(1, {"y1": -3}) + 5
+    fresh = f"fresh{next(_FRESH)}"
+    assert p.invert_vars([fresh]) is p
+    assert fresh not in laurent._SLOT
+    assert p.invert_vars(["y1", fresh, "y1"]) == V("x1") ** 2 * M(1, {"y1": 3}) + 5

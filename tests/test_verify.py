@@ -76,6 +76,43 @@ def test_ybe_unit_point(monkeypatch):
     assert rep.witness["check"].startswith("unit component")
 
 
+@pytest.mark.parametrize("kind, size, delta, check", [
+    ("dwbc", 4, {0: 1}, "plain count n=4"),
+    ("ht-even", 3, {0: -1}, "half-turn count order=6"),
+    ("ht-odd", 0, {1: 1}, "half-turn count order=1"),
+    ("ht-odd", 3, {-1: 1}, "half-turn count order=7"),
+    ("ht-odd", 2, {1: 1, -1: -1}, "central +1 count order=5"),
+])
+def test_counts_closed_negative_control(monkeypatch, kind, size, delta, check):
+    # One plan count off by one (the total kept in the last case) fails the
+    # check that reads it.
+    real = icemodel.state_counts
+
+    def off_by_one(spec):
+        counts = real(spec)
+        if (spec.kind, spec.size) == (kind, size):
+            for central, d in delta.items():
+                counts[central] += d
+        return counts
+
+    monkeypatch.setattr(icemodel, "state_counts", off_by_one)
+    rep = run_suite("counts-closed")
+    assert not rep.passed
+    assert rep.witness["check"] == check
+    assert abs(int(rep.witness["lhs"]) - int(rep.witness["rhs"])) == 1
+
+
+def test_ht_odd_inversion_negative_control(monkeypatch):
+    assert run_suite("ht-odd-inversion", {"m_max": 1}).passed
+    real = LaurentPoly.invert_vars
+    monkeypatch.setattr(LaurentPoly, "invert_vars",
+                        lambda self, names: real(self, [v for v in names if v != "y1"]))
+    rep = run_suite("ht-odd-inversion", {"m_max": 1})
+    assert not rep.passed
+    assert rep.witness["check"] == "invariance under reciprocal variables, m=1"
+    assert rep.witness["lhs"] != rep.witness["rhs"]
+
+
 def test_theorem_suites_through_run_suite():
     assert run_suite("theorem1", {"m_max": 1}).passed
     rep2 = run_suite("theorem2", {"m_max": 1})

@@ -306,8 +306,7 @@ def state_counts(spec: ModelSpec) -> dict[int, int]:
 def _transfer_sums(kind: str, size: int, weights, one) -> dict:
     """The contract of `_state_sums`, {central entry: (sum, state count)},
     by the transfer matrix: no state is listed."""
-    steps, final, _ = _transfer_plan(kind, size)
-    counts = state_counts(ModelSpec(kind, size))
+    steps, final, counts = _transfer_plan(kind, size)
     return {c: (v, counts[c]) for c, v in _run_plan(steps, final, weights, one).items()}
 
 
@@ -356,13 +355,11 @@ def _point_weights(spec: ModelSpec, assignment: Mapping[str, Coeff]) -> list:
     and the spectral variables (none of them zero)."""
     a = Cyclo.of(assignment["a"])
     sig_a2 = a * a - (a * a).inverse()
-    cells = fundamental_cells(spec)
-    triples = {}  # one per (x, y) pair: half-turn cells repeat every pair
-    for _, _, xv, yv in cells:
-        if (xv, yv) not in triples:
-            s = Cyclo.of(assignment[xv]) * Cyclo.of(assignment[yv]).inverse()
-            triples[xv, yv] = (sig_a2, a * s - (a * s).inverse(), a / s - s / a)
-    return [triples[xv, yv] for _, _, xv, yv in cells]
+    weights = []
+    for _, _, xv, yv in fundamental_cells(spec):
+        s = Cyclo.of(assignment[xv]) * Cyclo.of(assignment[yv]).inverse()
+        weights.append((sig_a2, a * s - (a * s).inverse(), a / s - s / a))
+    return weights
 
 
 def modified_multiplier(spec: ModelSpec) -> LaurentPoly:

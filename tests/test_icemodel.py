@@ -139,6 +139,11 @@ def test_state_guard(monkeypatch):
     assert z_ht2(1).state_count == 2
     with pytest.raises(SizeTooLarge, match="guard 2$"):
         state_counts(ModelSpec("ht-odd", 1))
+    # A caller's own max_states overrides the default guard, for symbolic
+    # and evaluated sums alike: 7 states pass a guard of 100.
+    point = {"a": ZETA, "x1": 2, "x2": 3, "x3": 5, "y1": 7, "y2": 11, "y3": 13}
+    assert partition_function(ModelSpec("dwbc", 3), max_states=100).state_count == 7
+    assert partition_function(ModelSpec("dwbc", 3), point, max_states=100).state_count == 7
 
 
 def test_zero_assignment_is_a_pole():

@@ -1,37 +1,52 @@
 """Determinant representations of the partition functions at the special
 parameter value a = zeta (the primitive sixth root of unity).
 
-The matrices are generalized Vandermonde matrices u_c^(e_r) whose row
-exponents are the integers of fixed parity, not divisible by 3, bounded by
-3n - 2 (kind P, for the domain-wall sum) or 3m - 1 (kind Q, for the
-half-turn cofactor), listed in descending order.  The primed kinds drop
-the last row and column.  Evaluators:
+The paper's forms divide generalized Vandermonde determinants det[u_c^(e_r)]
+by a product of sigma(u_mu/u_nu).  Their row exponents e_1 > ... > e_N are
+the integers of fixed parity, not divisible by 3, bounded by 3n - 2 (kind
+P, for the domain-wall sum) or 3m - 1 (kind Q, for the half-turn
+cofactor); the primed kinds drop the last row (`row_exponents`):
 
     dwbc : (-1)^(n(n-1)/2) sigma(a)^n / prod_(mu<nu) sigma(u_mu/u_nu) * det P(n)
     ht2  : (-1)^(m(m-1)/2) sigma(a)^m / prod sigma(u_mu/u_nu) * det Q(m)
     ht-odd: sigma(a)^(2m) / prod sigma(u_mu/u_nu)^2
                  * det P'(m+1; u) * det P'(m+1; 1/u)
 
-The prefactors are exact in Q(zeta).  The determinants clear each
-column's denominators once and then eliminate over the integers Z[zeta]
-with exact division; evaluation is O(d^3) against the exponentially
-growing state sums it reproduces.
+Taking u_c^(e_1) out of each column leaves the alternant of w_c = u_c^-2
+with exponents k_r = (e_1 - e_r)/2: the Vandermonde determinant of the w's
+times the Schur function s_lam(w), lam_j = k_(N+1-j) - (N-j).  The
+Vandermonde factor cancels the sigma product (Stroganov for P; Okada for
+the symmetry classes), which leaves
+
+    dwbc, ht2 (size n): (-1)^(n(n-1)/2) sigma(a)^n (prod_c u_c)^(e_1-N+1) s_lam(u^-2), N = 2n
+    ht-odd (size m):    (-1)^(N(N-1)/2) sigma(a)^(2m) s_lam(u^-2) s_lam(u^2), N = 2m+1
+
+with lam = (n-1, n-1, ..., 1, 1, 0, 0) for P(n), (m, m-1, m-1, ..., 1, 1, 0)
+for Q(m) and (m, m-1, m-1, ..., 1, 1, 0, 0) for P'(m+1).  `special_z`
+evaluates these: each s_lam is the dual Jacobi-Trudi determinant
+det[e_(lam'_i - i + j)] over the elementary symmetric functions e_k of the
+N arguments, of size lam_1 = n - 1 (dwbc) or m (ht2, ht-odd) where the
+paper's matrices are N x N.  With no sigma product formed, the pole at
+u_i = +-u_j is refused up front.  `det_exact` clears each column's
+denominators once and then eliminates over the integers Z[zeta] with exact
+division.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import lcm, prod
 from typing import Sequence
 
-from .exactnum import Cyclo, ZETA, sigma
+from .exactnum import ONE, ZERO, ZETA, Cyclo, sigma
 
 Matrix = tuple[tuple[Cyclo, ...], ...]
 
 
 class DimensionMismatch(ValueError):
-    """Point vector length does not match the matrix being built."""
+    """A point vector does not fit the model size, or a matrix is not square."""
 
 
 class CoincidentPoints(ValueError):
@@ -63,42 +78,20 @@ def row_exponents(kind: str, size: int) -> tuple[int, ...]:
     return exps
 
 
-def build_matrix(kind: str, size: int, u: Sequence[Cyclo]) -> Matrix:
-    """Row r, column c entry is u_c ** e_r for the kind's exponent list."""
-    exps = row_exponents(kind, size)
-    pts = tuple(Cyclo.of(x) for x in u)
-    if len(pts) != len(exps):
-        raise DimensionMismatch(
-            f"{kind}({size}) needs {len(exps)} points, got {len(pts)}")
-    if any(not x for x in pts):
-        raise ValueError("points must be nonzero")
-    return tuple(zip(*(_power_column(x, exps) for x in pts)))
-
-
-def _power_column(x: Cyclo, exps: Sequence[int]) -> list[Cyclo]:
-    """x ** e down a descending exponent run, whose gaps are 2 or 4 since
-    every third integer of one parity is a multiple of 3: one power for the
-    first entry, then one product per entry (one inverse of x in all)."""
-    down2 = x.inverse() ** 2
-    step = {2: down2, 4: down2 * down2}
-    col = [x ** exps[0]]
-    for prev, e in zip(exps, exps[1:]):
-        col.append(col[-1] * step[prev - e])
-    return col
-
-
 def det_exact(mat: Matrix) -> Cyclo:
     """Exact determinant by fraction-free (Bareiss) elimination over Z[zeta].
 
     Each column is first scaled by the lcm of its entries' denominators, so
     that every entry is an integer pair (a, b) standing for a + b*zeta; the
     determinant of the original matrix is that of the scaled one over the
-    product of the column scales.  A column of P, Q or P' holds the powers
-    of one point, so its scale stays small.  Z[zeta] is an integral domain,
-    so each Bareiss step divides exactly by the previous pivot p: by `//`
-    on both parts when p is rational, otherwise by multiplying with
-    conj(p) and dividing both parts by the integer norm p * conj(p).
-    The 0 x 0 determinant is 1.
+    product of the column scales.  The matrices `special_z` passes hold
+    elementary symmetric functions e_k of the squared points or of their
+    inverses, not powers of the points: every entry's denominator divides
+    the product of the arguments' denominators, which bounds each column's
+    scale.  Z[zeta] is an integral domain, so each Bareiss step divides
+    exactly by the previous pivot p: by `//` on both parts when p is
+    rational, otherwise by multiplying with conj(p) and dividing both
+    parts by the integer norm p * conj(p).  The 0 x 0 determinant is 1.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
@@ -151,21 +144,33 @@ def det_exact(mat: Matrix) -> Cyclo:
     return Cyclo.from_integer_parts(sign * a, sign * b, scale)
 
 
-def _sigma_pair_product(u: Sequence[Cyclo], power: int = 1) -> Cyclo:
-    total = Cyclo.of(1)
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            s = sigma(u[i] / u[j])
-            if not s:  # u_i / u_j = +-1
-                raise CoincidentPoints(
-                    f"u_{i + 1} = {u[i]} and u_{j + 1} = {u[j]} put a pole at "
-                    f"sigma(u_{i + 1}/u_{j + 1}) = 0")
-            total = total * s ** power
-    return total
+def _partition(exps: Sequence[int]) -> tuple[int, ...]:
+    """The partition lam of a descending exponent run e_1 > ... > e_N: with
+    k_r = (e_1 - e_r)/2, lam_j = k_(N+1-j) - (N-j)."""
+    k = [(exps[0] - e) // 2 for e in exps]
+    return tuple(k[r] - r for r in reversed(range(len(k))))
 
 
-# Smallest size of each evaluator's model.
-_MIN_SIZE = {"dwbc": 1, "ht2": 1, "ht-odd": 0}
+def _schur(lam: Sequence[int], args: Sequence[Cyclo]) -> Cyclo:
+    """s_lam(args) by the dual Jacobi-Trudi determinant det[e_(lam'_i - i + j)]
+    of size lam_1, where e_k is the k-th elementary symmetric function of
+    args (0 outside 0..len(args)) and lam' the conjugate partition."""
+    e = [ONE] + [ZERO] * len(args)  # the coefficients of prod_w (1 + w t)
+    for c, w in enumerate(args, 1):
+        for k in range(c, 0, -1):
+            e[k] += w * e[k - 1]
+
+    def entry(k: int) -> Cyclo:
+        return e[k] if 0 <= k < len(e) else ZERO
+
+    conj = [sum(1 for part in lam if part > i) for i in range(lam[0])]
+    return det_exact(tuple(tuple(entry(c - i + j) for j in range(len(conj)))
+                           for i, c in enumerate(conj)))
+
+
+# Each evaluator's matrix kind and smallest size (that of its
+# `icemodel.ModelSpec`).
+_MODELS = {"dwbc": ("P", 1), "ht2": ("Q", 1), "ht-odd": ("Pprime", 0)}
 
 
 def special_z(model: str, size: int, u: Sequence[Cyclo]) -> Cyclo:
@@ -174,32 +179,37 @@ def special_z(model: str, size: int, u: Sequence[Cyclo]) -> Cyclo:
     model "dwbc" (size n, 2n points), "ht2" (size m, 2m points) or
     "ht-odd" (size m, 2m+1 points, last coordinate shared between the two
     spectral vectors).  The sizes are those of `icemodel.ModelSpec`: dwbc
-    and ht2 need size >= 1, ht-odd size >= 0.
+    and ht2 need size >= 1, ht-odd size >= 0.  Two points with u_i = +-u_j
+    put a pole in the paper's prefactor and raise `CoincidentPoints`.
     """
-    low = _MIN_SIZE.get(model)
-    if low is None:
+    if model not in _MODELS:
         raise ValueError(f"unknown determinant model {model!r}")
+    kind, low = _MODELS[model]
     if size < low:
         raise ValueError(f"{model} size must be >= {low}, got {size}")
     pts = tuple(Cyclo.of(x) for x in u)
     if any(not x for x in pts):
         raise ValueError("points must be nonzero")
-    a = ZETA
-    if model in ("dwbc", "ht2"):
-        n = size
-        if len(pts) != 2 * n:
-            raise DimensionMismatch(f"{model} size {n} needs {2 * n} points")
-        pref = sigma(a) ** n / _sigma_pair_product(pts)
-        if (n * (n - 1) // 2) % 2:
-            pref = -pref
-        return pref * det_exact(build_matrix("P" if model == "dwbc" else "Q", n, pts))
-    m = size  # ht-odd
-    if len(pts) != 2 * m + 1:
-        raise DimensionMismatch(f"ht-odd size {m} needs {2 * m + 1} points")
-    pref = sigma(a) ** (2 * m) / _sigma_pair_product(pts, power=2)
-    inv = tuple(x.inverse() for x in pts)
-    return (pref * det_exact(build_matrix("Pprime", m + 1, pts))
-            * det_exact(build_matrix("Pprime", m + 1, inv)))
+    ht_odd = model == "ht-odd"
+    npts = 2 * size + 1 if ht_odd else 2 * size
+    if len(pts) != npts:
+        raise DimensionMismatch(f"{model} size {size} needs {npts} points")
+    squares = [x * x for x in pts]
+    for (i, s), (j, t) in combinations(enumerate(squares), 2):
+        if s == t:  # u_i / u_j = +-1
+            raise CoincidentPoints(
+                f"u_{i + 1} = {pts[i]} and u_{j + 1} = {pts[j]} put a pole at "
+                f"sigma(u_{i + 1}/u_{j + 1}) = 0")
+    exps = row_exponents(kind, size + 1 if ht_odd else size)
+    lam = _partition(exps)
+    s_inv = _schur(lam, [s.inverse() for s in squares])
+    if ht_odd:
+        value = sigma(ZETA) ** (2 * size) * s_inv * _schur(lam, squares)
+        flips = npts * (npts - 1) // 2
+    else:
+        value = sigma(ZETA) ** size * prod(pts, start=ONE) ** (exps[0] - npts + 1) * s_inv
+        flips = size * (size - 1) // 2
+    return -value if flips % 2 else value
 
 
 def random_distinct_rationals(rng: random.Random, count: int) -> tuple[Fraction, ...]:

@@ -25,8 +25,9 @@ of `exact_div`.  The rest works on the keys in place: `rename_vars` moves
 each renamed digit to its new slot by adding a multiple of the difference
 of the two unit keys, `substitute` does the same for one digit, `coeff_of`
 compares the masked digits of each key with the wanted ones,
-`invert_vars` negates them, and `degree_in`, `min_degree_in` and
-`negate_var` read the one digit they need.
+`invert_vars` negates them, `total_degrees` reads digit sums as residues
+modulo 2^W - 1, and `degree_in`, `min_degree_in` and `negate_var` read the
+one digit they need.
 
 Coefficients may be int, Fraction or Cyclo; within one polynomial they are
 kept in a single ring.  `LaurentPoly(vars, {exponent tuple: coeff})` packs
@@ -508,8 +509,27 @@ class LaurentPoly:
         bias, shift = _BIAS[s], _W * s
         return min((k + bias) >> shift & _MASK for k in self.terms) - _HALF
 
-    def total_degrees(self) -> set[int]:
-        return {sum(e) for e in self.tuple_terms()}
+    def total_degrees(self, skip: Iterable[str] = ()) -> set[int]:
+        """The total degrees of the terms, not counting the exponents of the
+        variables named in `skip` (names no term uses are ignored).
+
+        The named digits are masked out of each key as in `invert_vars`.
+        Since 2^W = 1 modulo 2^W - 1, a key is the sum of its digits modulo
+        2^W - 1, and that sum lies within +-(slots * bound): while that is
+        at most _LIMIT, the balanced residue of the key is the sum itself.
+        Beyond it, the digits are summed one by one.
+        """
+        mask = half = 0
+        for v in skip:
+            s = _SLOT.get(v)
+            if s is not None:
+                mask |= _MASK << (_W * s)
+                half |= _HALF << (_W * s)
+        bias = _BIAS[-1] if _BIAS else 0
+        keys = {k - ((k + bias) & mask) + half for k in self.terms}
+        if len(_NAME) * self.bound <= _LIMIT:
+            return {(k + _LIMIT) % _MASK - _LIMIT for k in keys}
+        return {sum(_digit(k, s) for s in range(len(_NAME))) for k in keys}
 
     # ------------------------------------------------------------------
     # exact division

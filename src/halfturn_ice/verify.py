@@ -195,10 +195,7 @@ def _check_swaps(run: _Run, p: LaurentPoly, key: str, size: int):
 
 def _spectral_degrees(p: LaurentPoly) -> set[int]:
     """Total degrees in the spectral variables only (a excluded)."""
-    if "a" not in p.vars:
-        return p.total_degrees()
-    ia = p.vars.index("a")
-    return {sum(e) - e[ia] for e in p.tuple_terms()}
+    return p.total_degrees(skip=("a",))
 
 
 def _perm_asm(s: tuple[int, ...]) -> Asm:

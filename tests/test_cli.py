@@ -187,6 +187,20 @@ def test_det_opposite_points_is_a_usage_error(capsys):
                        "pole")
 
 
+@pytest.mark.parametrize("argv,pair", [
+    (("--model", "dwbc", "--order", "2", "--u", "1/2,3,5,1/2"), ("1/2", 1, 4, "1/2")),
+    (("--model", "ht2", "--m", "2", "--u", "7,-3,5,3"), ("-3", 2, 4, "3")),
+    (("--model", "ht-odd", "--m", "1", "--u", "2,3,-2"), ("2", 1, 3, "-2")),
+])
+def test_det_pole_message(capsys, argv, pair):
+    # A non-adjacent pair of equal or opposite points: one error line that
+    # names the pair, exit 2.
+    ui, i, j, uj = pair
+    code, out, err = run(capsys, "det", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: u_{i} = {ui} and u_{j} = {uj} put a pole at sigma(u_{i}/u_{j}) = 0\n"
+
+
 def test_det_bad_points_are_usage_errors(capsys):
     assert_usage_error(run(capsys, "det", "--model", "dwbc", "-n", "1", "--u", "0,2"),
                        "nonzero")

@@ -6,11 +6,82 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from halfturn_ice import determinant
 from halfturn_ice.determinant import (
-    CoincidentPoints, DimensionMismatch, build_matrix, det_exact,
-    random_distinct_rationals, row_exponents, special_z)
+    CoincidentPoints, DimensionMismatch, det_exact, random_distinct_rationals,
+    row_exponents, special_z)
 from halfturn_ice.exactnum import Cyclo, ZETA, sigma
 from halfturn_ice.icemodel import ModelSpec
+
+
+# ----------------------------------------------------------------------
+# the paper's route: N x N generalized Vandermonde determinants divided by
+# sigma products, against which the Schur-function form of `special_z`
+# is checked
+# ----------------------------------------------------------------------
+
+def build_matrix(kind, size, u):
+    """Row r, column c entry is u_c ** e_r for the kind's exponent list."""
+    exps = row_exponents(kind, size)
+    pts = tuple(Cyclo.of(x) for x in u)
+    if len(pts) != len(exps):
+        raise DimensionMismatch(
+            f"{kind}({size}) needs {len(exps)} points, got {len(pts)}")
+    if any(not x for x in pts):
+        raise ValueError("points must be nonzero")
+    return tuple(zip(*(_power_column(x, exps) for x in pts)))
+
+
+def _power_column(x, exps):
+    """x ** e down a descending exponent run, whose gaps are 2 or 4 since
+    every third integer of one parity is a multiple of 3: one power for the
+    first entry, then one product per entry (one inverse of x in all)."""
+    down2 = x.inverse() ** 2
+    step = {2: down2, 4: down2 * down2}
+    col = [x ** exps[0]]
+    for prev, e in zip(exps, exps[1:]):
+        col.append(col[-1] * step[prev - e])
+    return col
+
+
+def _sigma_pair_product(u, power=1):
+    total = Cyclo(1)
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
+            s = sigma(u[i] / u[j])
+            if not s:  # u_i / u_j = +-1
+                raise CoincidentPoints(
+                    f"u_{i + 1} = {u[i]} and u_{j + 1} = {u[j]} put a pole at "
+                    f"sigma(u_{i + 1}/u_{j + 1}) = 0")
+            total = total * s ** power
+    return total
+
+
+def reference_special_z(model, size, u):
+    """The paper's forms: det P(n), det Q(m) or det P'(m+1; u) det P'(m+1; 1/u)
+    by `det_exact`, times sigma(a)^k over the product of sigma(u_mu/u_nu)."""
+    pts = tuple(Cyclo.of(x) for x in u)
+    if model in ("dwbc", "ht2"):
+        pref = sigma(ZETA) ** size / _sigma_pair_product(pts)
+        if (size * (size - 1) // 2) % 2:
+            pref = -pref
+        return pref * det_exact(build_matrix("P" if model == "dwbc" else "Q", size, pts))
+    pref = sigma(ZETA) ** (2 * size) / _sigma_pair_product(pts, power=2)
+    inv = tuple(x.inverse() for x in pts)
+    return (pref * det_exact(build_matrix("Pprime", size + 1, pts))
+            * det_exact(build_matrix("Pprime", size + 1, inv)))
+
+
+def point_count(model, size):
+    return 2 * size + 1 if model == "ht-odd" else 2 * size
+
+
+def zeta_points(rng, count):
+    """Points p + q*zeta with q != 0; two of them may still be equal up to
+    sign, which the caller meets as `CoincidentPoints`."""
+    return [Cyclo(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                  Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)))
+            for _ in range(count)]
 
 
 def reference_det(mat):
@@ -163,6 +234,9 @@ def test_dimension_checks():
         special_z("ht-odd", 1, (Fraction(1), Fraction(2)))
     with pytest.raises(ValueError):
         special_z("mystery", 1, (Fraction(1), Fraction(2)))
+    # The point count is checked before anything of the size's order is built.
+    with pytest.raises(DimensionMismatch, match="dwbc size 1000000000 needs 2000000000 points"):
+        special_z("dwbc", 10 ** 9, (Fraction(1), Fraction(2)))
 
 
 @pytest.mark.parametrize("model,size,u", [
@@ -205,3 +279,86 @@ def test_permutation_symmetry():
     base = special_z("ht2", 2, tuple(u))
     rng.shuffle(u)
     assert special_z("ht2", 2, tuple(u)) == base
+
+
+# ----------------------------------------------------------------------
+# the Schur-function form against the paper's route
+# ----------------------------------------------------------------------
+
+def _shape(pairs_from, top=(), tail=(0, 0)):
+    """top, then pairs_from, pairs_from, pairs_from - 1, ..., 1, 1, then tail."""
+    return tuple(top) + tuple(k for k in range(pairs_from, 0, -1) for _ in (0, 1)) + tuple(tail)
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_partitions_of_the_kinds(size):
+    partition = determinant._partition
+    assert partition(row_exponents("P", size)) == _shape(size - 1)
+    assert partition(row_exponents("Q", size)) == _shape(size - 1, top=(size,), tail=(0,))
+    assert partition(row_exponents("Pprime", size + 1)) == _shape(size - 1, top=(size,))
+
+
+@pytest.mark.parametrize("model,sizes", [("dwbc", range(1, 11)), ("ht2", range(1, 8)),
+                                         ("ht-odd", range(0, 7))])
+def test_special_z_matches_reference_at_rational_points(model, sizes):
+    rng = random.Random(f"special-z-{model}")
+    for size in sizes:
+        for _ in range(2):
+            # Distinct absolute values with random signs: never u_i = +-u_j.
+            u = tuple(f * rng.choice((-1, 1))
+                      for f in random_distinct_rationals(rng, point_count(model, size)))
+            assert special_z(model, size, u) == reference_special_z(model, size, u), (model, size, u)
+
+
+@pytest.mark.parametrize("model,sizes", [("dwbc", range(1, 5)), ("ht2", range(1, 5)),
+                                         ("ht-odd", range(0, 5))])
+def test_special_z_matches_reference_at_zeta_points(model, sizes):
+    rng = random.Random(f"special-z-zeta-{model}")
+    irrational = 0
+    for size in sizes:
+        for _ in range(3):
+            u = zeta_points(rng, point_count(model, size))
+            try:
+                value = special_z(model, size, u)
+            except CoincidentPoints:
+                with pytest.raises(CoincidentPoints):
+                    reference_special_z(model, size, u)
+                continue
+            assert value == reference_special_z(model, size, u), (model, size, u)
+            irrational += not value.is_rational
+    assert irrational > 0
+
+
+def _with_pair(model, size, i, j, value, opposite):
+    """Seeded distinct rational points with u_i = value and u_j = +-value."""
+    u = list(random_distinct_rationals(random.Random(size), point_count(model, size)))
+    u[i] = Cyclo.of(value)
+    u[j] = -u[i] if opposite else u[i]
+    return tuple(u)
+
+
+@pytest.mark.parametrize("model", ["dwbc", "ht2", "ht-odd"])
+@pytest.mark.parametrize("opposite", [False, True])
+@pytest.mark.parametrize("value", [Fraction(51, 2), Cyclo(Fraction(1, 3), Fraction(-5, 2))])
+def test_pole_guard_at_a_non_adjacent_pair(model, opposite, value):
+    # Points 2 and 4 (1-based) of five or four coincide up to sign.
+    u = _with_pair(model, 2, 1, 3, value, opposite)
+    message = (f"u_2 = {u[1]} and u_4 = {u[3]} put a pole at sigma(u_2/u_4) = 0")
+    with pytest.raises(CoincidentPoints) as got:
+        special_z(model, 2, u)
+    assert str(got.value) == message
+    with pytest.raises(CoincidentPoints) as want:
+        reference_special_z(model, 2, u)
+    assert str(want.value) == message
+
+
+@pytest.mark.parametrize("model", ["dwbc", "ht2", "ht-odd"])
+def test_pole_guard_names_the_first_pair(model):
+    # u_1 = -u_4 and u_2 = u_3: the first pair in (i, j) order is (1, 4),
+    # though (2, 3) closes first.
+    u = list(random_distinct_rationals(random.Random(5), point_count(model, 2)))
+    u[3], u[2] = -u[0], u[1]
+    with pytest.raises(CoincidentPoints, match=r"^u_1 = .* and u_4 = .*sigma\(u_1/u_4\) = 0$"):
+        special_z(model, 2, u)
+    with pytest.raises(CoincidentPoints, match=r"^u_1 = .* and u_4 = "):
+        reference_special_z(model, 2, u)

@@ -437,3 +437,31 @@ def test_invert_vars_skips_unregistered_names():
     assert p.invert_vars([fresh]) is p
     assert fresh not in laurent._SLOT
     assert p.invert_vars(["y1", fresh, "y1"]) == V("x1") ** 2 * M(1, {"y1": 3}) + 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ref_case())
+def test_total_degrees_match_the_tuple_reference(case):
+    # The case draws a about half the time, negative exponents and subsets
+    # of the registered names that leave slots unused in between.
+    names, p, _, _, data = case
+    P = LaurentPoly(names, p)
+    live = _ref_add(p, {})
+    fresh = f"fresh{next(_FRESH)}"
+    skip = data.draw(st.lists(st.sampled_from(_NAMES + (fresh,)), unique=True, max_size=3))
+    assert P.total_degrees() == {sum(e) for e in live}
+    assert P.total_degrees(skip) == {sum(x for v, x in zip(names, e) if v not in skip)
+                                     for e in live}
+    assert fresh not in laurent._SLOT
+
+
+def test_total_degrees_beyond_the_residue_range():
+    # Sums past +-_LIMIT are not the balanced residue of one key modulo
+    # 2^W - 1, so these are read digit by digit.
+    big = _LIMIT - 1
+    p = M(1, {"x1": big, "y1": big, "a": -3}) + M(2, {"x1": -big, "y1": -big})
+    assert p.total_degrees() == {2 * big - 3, -2 * big}
+    assert p.total_degrees(["a"]) == {2 * big, -2 * big}
+    assert p.total_degrees(["x1", "y1"]) == {-3, 0}
+    assert LaurentPoly.zero().total_degrees() == set()
+    assert LaurentPoly.const(5).total_degrees(["a"]) == {0}

@@ -183,3 +183,16 @@ def test_cofactor_at_a_point_is_the_symbolic_cofactor_evaluated():
         for _ in range(points):
             u = tuple(Cyclo.of(f) for f in random_distinct_rationals(rng, 2 * m))
             assert verify._z2_at(m, u) == symbolic.evaluate(verify._assign_interleaved(u, m)), (m, u)
+
+
+@pytest.mark.parametrize("kind,size", [("dwbc", 2), ("dwbc", 3), ("ht-even", 2), ("ht-odd", 2)])
+def test_spectral_degrees_match_the_tuple_reference(kind, size):
+    zt = icemodel.modified_partition(icemodel.ModelSpec(kind, size)).value
+    ia = zt.vars.index("a")
+    want = {sum(e) - e[ia] for e in zt.tuple_terms()}
+    assert len(want) == 1
+    assert verify._spectral_degrees(zt) == want
+    # Without a, every exponent counts; a spread of degrees is kept apart.
+    spread = zt.coeff_of({"a": zt.degree_in("a")}) + LaurentPoly.monomial(3, {"x1": -2, "y1": 5})
+    assert verify._spectral_degrees(spread) == {sum(e) for e in spread.tuple_terms()}
+    assert len(verify._spectral_degrees(spread)) == 2

@@ -27,9 +27,10 @@ evaluates these: each s_lam is the dual Jacobi-Trudi determinant
 det[e_(lam'_i - i + j)] over the elementary symmetric functions e_k of the
 N arguments, of size lam_1 = n - 1 (dwbc) or m (ht2, ht-odd) where the
 paper's matrices are N x N.  With no sigma product formed, the pole at
-u_i = +-u_j is refused up front.  `det_exact` clears each column's
-denominators once and then eliminates over the integers Z[zeta] with exact
-division.
+u_i = +-u_j is refused up front.  Writing each argument as v/d with v in
+Z[zeta] and d an integer, `_schur` forms D e_k, D = prod d, as integer
+pairs; `det_exact` eliminates over the integers Z[zeta] with exact
+division, and the one division by D^lam_1 comes last.
 """
 
 from __future__ import annotations
@@ -84,14 +85,14 @@ def det_exact(mat: Matrix) -> Cyclo:
     Each column is first scaled by the lcm of its entries' denominators, so
     that every entry is an integer pair (a, b) standing for a + b*zeta; the
     determinant of the original matrix is that of the scaled one over the
-    product of the column scales.  The matrices `special_z` passes hold
-    elementary symmetric functions e_k of the squared points or of their
-    inverses, not powers of the points: every entry's denominator divides
-    the product of the arguments' denominators, which bounds each column's
-    scale.  Z[zeta] is an integral domain, so each Bareiss step divides
-    exactly by the previous pivot p: by `//` on both parts when p is
-    rational, otherwise by multiplying with conj(p) and dividing both
-    parts by the integer norm p * conj(p).  The 0 x 0 determinant is 1.
+    product of the column scales.  The matrices `_schur` passes are
+    already integral (elementary symmetric functions times the product of
+    their arguments' denominators), so their column scales are all 1 and
+    the one division is `_schur`'s.  Z[zeta] is an integral domain, so
+    each Bareiss step divides exactly by the previous pivot p: by `//` on
+    both parts when p is rational, otherwise by multiplying with conj(p)
+    and dividing both parts by the integer norm p * conj(p).  The 0 x 0
+    determinant is 1.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
@@ -154,18 +155,33 @@ def _partition(exps: Sequence[int]) -> tuple[int, ...]:
 def _schur(lam: Sequence[int], args: Sequence[Cyclo]) -> Cyclo:
     """s_lam(args) by the dual Jacobi-Trudi determinant det[e_(lam'_i - i + j)]
     of size lam_1, where e_k is the k-th elementary symmetric function of
-    args (0 outside 0..len(args)) and lam' the conjugate partition."""
-    e = [ONE] + [ZERO] * len(args)  # the coefficients of prod_w (1 + w t)
+    args (0 outside 0..len(args)) and lam' the conjugate partition.
+
+    Each argument is w = v/d with v in Z[zeta] and d a positive integer.
+    The integer pairs E_k, the coefficients of prod (d + v t), are D e_k
+    with D = prod d, so `det_exact` sees only integral entries and
+    s_lam = det[E_(lam'_i - i + j)] / D^lam_1: one division in all.
+    """
+    e = [(1, 0)] + [(0, 0)] * len(args)  # (a, b) standing for a + b*zeta
+    scale = 1
     for c, w in enumerate(args, 1):
+        va, vb, d = w.integer_parts()
         for k in range(c, 0, -1):
-            e[k] += w * e[k - 1]
+            ea, eb = e[k]
+            fa, fb = e[k - 1]
+            # d * E_k + v * E_(k-1), with zeta^2 = zeta - 1
+            aa = va * fa
+            e[k] = (d * ea + aa - vb * fb, d * eb + (va + vb) * (fa + fb) - aa)
+        scale *= d
+        e[0] = (scale, 0)
 
     def entry(k: int) -> Cyclo:
-        return e[k] if 0 <= k < len(e) else ZERO
+        return Cyclo(*e[k]) if 0 <= k < len(e) else ZERO
 
     conj = [sum(1 for part in lam if part > i) for i in range(lam[0])]
-    return det_exact(tuple(tuple(entry(c - i + j) for j in range(len(conj)))
-                           for i, c in enumerate(conj)))
+    a, b, _ = det_exact(tuple(tuple(entry(c - i + j) for j in range(len(conj)))
+                              for i, c in enumerate(conj))).integer_parts()
+    return Cyclo.from_integer_parts(a, b, scale ** len(conj))
 
 
 # Each evaluator's matrix kind and smallest size (that of its

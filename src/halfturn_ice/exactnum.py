@@ -150,15 +150,17 @@ class Cyclo:
     def __pow__(self, exponent: int) -> Cyclo:
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = ONE
+        if exponent == 0:
+            return ONE
+        result = None
         base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
+        while True:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if not exponent:
+                return result
             base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Cyclo):

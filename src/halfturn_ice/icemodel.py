@@ -25,7 +25,10 @@ spectral variables, summed state by state over the ASM stream
 in Q(zeta) or Q, and the direct central-entry split of Z_HT(2m+1), in
 Laurent polynomials, run a row transfer matrix over boundary profiles
 instead (`_transfer_sums`), and so do the state counts (`state_counts`,
-the same matrix with unit weights):
+the same matrix with unit weights).  An evaluated sum runs it over the
+integers Z[zeta]: `_point_weights` scales each cell's weight triple by the
+lcm of its three denominators, and the total is divided once, by the
+product of those scales.  The matrix:
 
 * The rows are read cell by cell, left to right.  A partial state is keyed
   by its profile: the column partial sums C_1..C_n above the current cell
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from typing import Mapping, Optional, Union
 
 from .asm import Asm, to_state
@@ -345,21 +349,39 @@ def partition_function(spec: ModelSpec,
     zeros = [v for v in ("a", *xs, *ys) if v in assignment and not assignment[v]]
     if zeros:
         raise SingularAssignment(f"zero value for {', '.join(zeros)} puts a pole in the weights")
-    weights = _point_weights(spec, assignment)
+    weights, scale = _point_weights(spec, assignment)
     value, count = _total(_transfer_sums(spec.kind, spec.size, weights, Cyclo.of(1)))
-    return PartitionResult(value, spec, count)
+    a, b, _ = value.integer_parts()
+    return PartitionResult(Cyclo.from_integer_parts(a, b, scale), spec, count)
 
 
-def _point_weights(spec: ModelSpec, assignment: Mapping[str, Coeff]) -> list:
-    """Field weight triple of every fundamental cell at an assignment of a
-    and the spectral variables (none of them zero)."""
+def _point_weights(spec: ModelSpec, assignment: Mapping[str, Coeff]) -> tuple[list, int]:
+    """(weights, scale) at an assignment of a and the spectral variables
+    (none of them zero): the weight triple of every fundamental cell times
+    the lcm of its three denominators, so that each weight lies in Z[zeta],
+    and the product of those lcms over the cells.  Every state takes one
+    weight from each cell, so a state sum over these weights is `scale`
+    times the sum over the field weights.  Each distinct (row, column)
+    variable pair is scaled once; the half-turn kinds use every pair twice.
+    """
     a = Cyclo.of(assignment["a"])
-    sig_a2 = a * a - (a * a).inverse()
-    weights = []
+    a_inv = a.inverse()
+    sig_a2 = a * a - a_inv * a_inv
+    scaled = {}
+    weights, scale = [], 1
     for _, _, xv, yv in fundamental_cells(spec):
-        s = Cyclo.of(assignment[xv]) * Cyclo.of(assignment[yv]).inverse()
-        weights.append((sig_a2, a * s - (a * s).inverse(), a / s - s / a))
-    return weights
+        if (xv, yv) not in scaled:
+            s = Cyclo.of(assignment[xv]) * Cyclo.of(assignment[yv]).inverse()
+            s_inv = s.inverse()
+            # sigma(a s) = a s - 1/(a s) and sigma(a/s) = a/s - s/a
+            parts = [w.integer_parts() for w in
+                     (sig_a2, a * s - a_inv * s_inv, a * s_inv - a_inv * s)]
+            d = lcm(*(e for _, _, e in parts))
+            scaled[xv, yv] = tuple(Cyclo(p * (d // e), q * (d // e)) for p, q, e in parts), d
+        triple, d = scaled[xv, yv]
+        weights.append(triple)
+        scale *= d
+    return weights, scale
 
 
 def modified_multiplier(spec: ModelSpec) -> LaurentPoly:

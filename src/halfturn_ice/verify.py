@@ -662,10 +662,15 @@ def _suite_det_oracle(run: _Run, params: Mapping, rng: random.Random):
 
 
 def _wronskian(m: int, u: tuple) -> Cyclo:
+    """Z(lo) Z2(hi) - Z2(lo) Z(hi) for m >= 1, with the last coordinate
+    shifted by a^-2 and a^2, from one Z(m) and one Z_HT(2m) per point."""
     a2 = ZETA * ZETA
-    lo = u[:-1] + (u[-1] / a2,)
-    hi = u[:-1] + (a2 * u[-1],)
-    return _z_at(m, lo) * _z2_at(m, hi) - _z2_at(m, lo) * _z_at(m, hi)
+    z, zht = [], []
+    for v in (u[:-1] + (u[-1] / a2,), u[:-1] + (a2 * u[-1],)):
+        assign = _assign_interleaved(v, m)
+        z.append(ice.partition_function(ice.ModelSpec("dwbc", m), assign).value)
+        zht.append(ice.partition_function(ice.ModelSpec("ht-even", m), assign).value)
+    return z[0] * zht[1] / z[1] - zht[0] / z[0] * z[1]
 
 
 def _suite_wronskian(run: _Run, params: Mapping, rng: random.Random):

@@ -45,6 +45,15 @@ def test_powers():
     assert ZETA ** -2 == -ZETA
 
 
+@pytest.mark.parametrize("x", [ZETA, Cyclo(Fraction(-3, 4), Fraction(5, 7)), Cyclo(2)])
+def test_powers_match_repeated_products(x):
+    product = Cyclo(1)
+    for e in range(10):
+        assert x ** e == product, e
+        assert x ** -e == product.inverse(), e
+        product = product * x
+
+
 def test_mixed_arithmetic_with_ints_and_fractions():
     x = Cyclo(Fraction(1, 2), 3)
     assert x + 1 == Cyclo(Fraction(3, 2), 3)

@@ -45,19 +45,41 @@ def test_partition_examples():
     assert zht3.state_count == 3
 
 
+def _point_value(rng, style):
+    """A random nonzero value: a rational Cyclo, a plain Fraction, or a
+    zeta-valued Cyclo (q != 0)."""
+    p = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    if style == "fraction":
+        return p
+    if style == "zeta":
+        return Cyclo(p - 1, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)))
+    return Cyclo(p)
+
+
+# (a, style of the spectral values), a = None for a random one of that style.
+# Cyclo(2, 1/3) is neither rational nor a unit of Z[zeta].
+EVALUATED_POINTS = ((None, "rational"), (ZETA, "rational"), (ZETA, "zeta"),
+                    (Cyclo(2, Fraction(1, 3)), "rational"), (Cyclo(2, Fraction(1, 3)), "zeta"),
+                    (None, "fraction"))
+
+
 def test_symbolic_matches_evaluated():
+    # LaurentPoly.evaluate of the symbolic sum shares nothing with the
+    # scaled integral weights of the evaluated sum.
     rng = random.Random(11)
     for kind, size in (("dwbc", 2), ("dwbc", 3), ("ht-even", 1), ("ht-even", 2),
-                       ("ht-odd", 1), ("ht-odd", 2)):
+                       ("ht-odd", 0), ("ht-odd", 1), ("ht-odd", 2)):
         spec = ModelSpec(kind, size)
         sym = partition_function(spec).value
-        for trial in range(10):  # five at a rational a, five at a = zeta
-            a = ZETA if trial % 2 else Cyclo(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
-            assign = {"a": a}
-            for xs in spec.spectral_vars():
-                for v in xs:
-                    assign[v] = Cyclo(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
-            assert sym.evaluate(assign) == partition_function(spec, assign).value
+        for a, style in EVALUATED_POINTS:
+            for _ in range(3):
+                assign = {"a": _point_value(rng, style) if a is None else a}
+                for xs in spec.spectral_vars():
+                    for v in xs:
+                        assign[v] = _point_value(rng, style)
+                value = partition_function(spec, assign).value
+                assert isinstance(value, Cyclo)
+                assert sym.evaluate(assign) == value, (kind, size, assign)
 
 
 def test_fundamental_domain_shapes():
@@ -222,7 +244,9 @@ def test_transfer_matches_brute_sums_at_points():
         for size in sizes:
             spec = ModelSpec(kind, size)
             for a in (ZETA, Cyclo(Fraction(rng.randint(1, 9), rng.randint(10, 19)))):
-                weights = _point_weights(spec, random_assignment(rng, spec, a))
+                weights, scale = _point_weights(spec, random_assignment(rng, spec, a))
+                assert all(w.integer_parts()[2] == 1 for triple in weights for w in triple)
+                assert scale >= 1
                 fast = _transfer_sums(kind, size, weights, Cyclo.of(1))
                 assert fast == _state_sums(kind, size, weights, Cyclo.of(1)), (kind, size, a)
 

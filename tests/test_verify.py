@@ -6,7 +6,7 @@ import pytest
 
 from halfturn_ice import icemodel, verify
 from halfturn_ice.determinant import random_distinct_rationals
-from halfturn_ice.exactnum import Cyclo
+from halfturn_ice.exactnum import ZETA, Cyclo
 from halfturn_ice.laurent import LaurentPoly
 from halfturn_ice.verify import (
     SUITES, UnknownSuite, _WITNESS_CAP, _Run, _clip, run_suite)
@@ -183,6 +183,20 @@ def test_cofactor_at_a_point_is_the_symbolic_cofactor_evaluated():
         for _ in range(points):
             u = tuple(Cyclo.of(f) for f in random_distinct_rationals(rng, 2 * m))
             assert verify._z2_at(m, u) == symbolic.evaluate(verify._assign_interleaved(u, m)), (m, u)
+
+
+def test_wronskian_matches_the_cofactor_form():
+    # The reference route: Z(lo) Z2(hi) - Z2(lo) Z(hi) with every factor
+    # from its own evaluated sums.
+    rng = random.Random(41)
+    a2 = ZETA * ZETA
+    for m in (1, 2):
+        for _ in range(2):
+            u = tuple(Cyclo.of(f) for f in random_distinct_rationals(rng, 2 * m))
+            lo, hi = u[:-1] + (u[-1] / a2,), u[:-1] + (a2 * u[-1],)
+            want = (verify._z_at(m, lo) * verify._z2_at(m, hi)
+                    - verify._z2_at(m, lo) * verify._z_at(m, hi))
+            assert verify._wronskian(m, u) == want, (m, u)
 
 
 @pytest.mark.parametrize("kind,size", [("dwbc", 2), ("dwbc", 3), ("ht-even", 2), ("ht-odd", 2)])

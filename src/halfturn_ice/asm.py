@@ -24,8 +24,7 @@ notation):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 Grid = tuple[tuple[int, ...], ...]
 
@@ -38,11 +37,33 @@ class InconsistentOrientation(ValueError):
     """Vertex types do not glue into a consistent edge orientation."""
 
 
-@dataclass(frozen=True)
 class Asm:
-    """A validated alternating-sign matrix."""
+    """A validated alternating-sign matrix; immutable, compared by entries."""
 
-    entries: Grid
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Grid):
+        _set_entries(self, entries)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"Asm(entries={self.entries!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Asm, (self.entries,)
 
     @property
     def order(self) -> int:
@@ -61,11 +82,34 @@ class Asm:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
-@dataclass(frozen=True)
 class SixVertexState:
-    """Vertex types (ints 1..6) of a square-ice state with domain-wall boundary."""
+    """Vertex types (ints 1..6) of a square-ice state with domain-wall
+    boundary; immutable, compared by types."""
 
-    types: Grid
+    __slots__ = ("types",)
+
+    def __init__(self, types: Grid):
+        _set_types(self, types)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.types == other.types
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.types,))
+
+    def __repr__(self) -> str:
+        return f"SixVertexState(types={self.types!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SixVertexState, (self.types,)
 
     @property
     def order(self) -> int:
@@ -83,8 +127,11 @@ class SixVertexState:
         return tuple(counts[1:])
 
 
-@dataclass(frozen=True)
-class AsmStats:
+_set_entries = Asm.entries.__set__
+_set_types = SixVertexState.types.__set__
+
+
+class AsmStats(NamedTuple):
     """The census key of a matrix: its weight and its refinement."""
 
     minus_ones: int

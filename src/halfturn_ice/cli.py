@@ -247,23 +247,28 @@ def _cmd_formulas(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.all and args.suite:
+        raise UsageError("--suite and --all exclude each other")
     if not args.all and not args.suite:
         raise UsageError("verify requires --suite ID or --all")
-    if not args.all and args.suite not in verify.SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; known: " + ", ".join(verify.SUITES))
+    if args.suite and len(args.suite) > 1:
+        raise UsageError("--suite may be given only once; use --all for the whole catalog")
+    suite = None if args.all else args.suite[0]
+    if suite is not None and suite not in verify.SUITES:
+        raise UsageError(f"unknown suite {suite!r}; known: " + ", ".join(verify.SUITES))
     overrides = {}
     if args.points is not None:
         if args.points < 1:
             raise UsageError(f"--points must be >= 1, got {args.points}")
-        if not args.all and "points" not in verify.SUITES[args.suite][1]:
-            raise UsageError(f"suite {args.suite} takes no --points")
+        if suite is not None and "points" not in verify.SUITES[suite][1]:
+            raise UsageError(f"suite {suite} takes no --points")
         for sid, (_, defaults) in verify.SUITES.items():
             if "points" in defaults:
                 overrides[sid] = {"points": args.points}
     if args.all:
         reports = verify.run_all(args.seed, overrides)
     else:
-        reports = [verify.run_suite(args.suite, overrides.get(args.suite), args.seed)]
+        reports = [verify.run_suite(suite, overrides.get(suite), args.seed)]
     if args.format == "text":
         lines = []
         for r in reports:
@@ -379,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_formulas)
 
     p = sub.add_parser("verify", help="run identity-verification suites")
-    p.add_argument("--suite", metavar="ID", default=None)
+    p.add_argument("--suite", metavar="ID", action="append")
     p.add_argument("--all", action="store_true")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--points", type=int, default=None,

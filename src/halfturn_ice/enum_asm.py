@@ -29,7 +29,6 @@ are kept in the variable "sqrtx" with exponent k (sqrtx^2 = x).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
@@ -265,20 +264,31 @@ def inversion_genfunc(n: int, klass: str = "all", mode: str = "brute") -> Lauren
 # ----------------------------------------------------------------------
 
 
-@dataclass
 class CensusTable:
     """Refined x-enumeration table of one ASM class.
 
     Rows are keyed by (position r of the 1 in the first column, central
     entry or None); values are weight polynomials in "x" (classes all and
-    even ht) or "sqrtx" (odd ht, where sqrtx^2 = x).
+    even ht) or "sqrtx" (odd ht, where sqrtx^2 = x).  Tables compare by
+    their fields.
     """
 
-    order: int
-    klass: str
-    weight_var: str
-    rows: dict[tuple[int, Optional[int]], LaurentPoly] = field(default_factory=dict)
-    count: int = 0
+    def __init__(self, order: int, klass: str, weight_var: str,
+                 rows: Optional[dict[tuple[int, Optional[int]], LaurentPoly]] = None,
+                 count: int = 0):
+        self.order = order
+        self.klass = klass
+        self.weight_var = weight_var
+        self.rows = {} if rows is None else rows
+        self.count = count
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"CensusTable({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def total_poly(self) -> LaurentPoly:
         tot = LaurentPoly.zero()

@@ -57,10 +57,9 @@ product of those scales.  The matrix:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .asm import Asm, to_state
 from .enum_asm import gen_asms
@@ -81,18 +80,39 @@ class SingularAssignment(ValueError):
     the weights."""
 
 
-@dataclass(frozen=True)
 class ModelSpec:
-    """Which boundary shape, at which size (n for dwbc, m for ht kinds)."""
+    """Which boundary shape, at which size (n for dwbc, m for ht kinds);
+    immutable, compared by (kind, size)."""
 
-    kind: str
-    size: int
+    __slots__ = ("kind", "size")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.size < 0 or (self.size == 0 and self.kind != "ht-odd"):
+    def __init__(self, kind: str, size: int):
+        if kind not in KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        if size < 0 or (size == 0 and kind != "ht-odd"):
             raise ValueError("size parameter out of range")
+        _set_kind(self, kind)
+        _set_size(self, size)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.kind, self.size) == (other.kind, other.size)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.size))
+
+    def __repr__(self) -> str:
+        return f"ModelSpec(kind={self.kind!r}, size={self.size!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ModelSpec, (self.kind, self.size)
 
     @property
     def order(self) -> int:
@@ -112,8 +132,11 @@ class ModelSpec:
                 tuple(f"y{i}" for i in range(1, k + 1)))
 
 
-@dataclass(frozen=True)
-class PartitionResult:
+_set_kind = ModelSpec.kind.__set__
+_set_size = ModelSpec.size.__set__
+
+
+class PartitionResult(NamedTuple):
     value: Union[LaurentPoly, Coeff]
     model: ModelSpec
     state_count: int

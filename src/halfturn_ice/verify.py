@@ -22,7 +22,6 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from . import determinant as det
@@ -42,15 +41,26 @@ class UnknownSuite(KeyError):
     """Requested suite id is not in the catalog."""
 
 
-@dataclass
 class VerificationReport:
-    suite_id: str
-    params: dict
-    seed: int
-    status: str
-    checks_run: int
-    witness: Optional[dict]
-    elapsed: float
+    """One suite's outcome; reports compare by their fields."""
+
+    def __init__(self, suite_id: str, params: dict, seed: int, status: str,
+                 checks_run: int, witness: Optional[dict], elapsed: float):
+        self.suite_id = suite_id
+        self.params = params
+        self.seed = seed
+        self.status = status
+        self.checks_run = checks_run
+        self.witness = witness
+        self.elapsed = elapsed
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"VerificationReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def passed(self) -> bool:

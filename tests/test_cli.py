@@ -444,6 +444,17 @@ def test_partition_unknown_or_repeated_assignment_is_a_usage_error(capsys):
     assert_usage_error(run(capsys, *base, "--assign", "x1=5"), "x1", "twice")
 
 
+def test_verify_repeated_suite_or_suite_with_all_is_a_usage_error(capsys):
+    for argv, message in (
+            (("--suite", "ybe", "--suite", "parity"),
+             "--suite may be given only once; use --all for the whole catalog"),
+            (("--suite", "parity", "--suite", "parity"),
+             "--suite may be given only once; use --all for the whole catalog"),
+            (("--suite", "ybe", "--all"), "--suite and --all exclude each other"),
+            (("--all", "--suite", "ybe"), "--suite and --all exclude each other")):
+        assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n"), argv
+
+
 def test_report_without_report_lines_is_a_usage_error(tmp_path, capsys):
     good = tmp_path / "good.jsonl"
     assert run(capsys, "verify", "--suite", "parity", "--out", str(good))[0] == 0

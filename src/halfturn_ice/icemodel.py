@@ -24,11 +24,13 @@ spectral variables, summed state by state over the ASM stream
 (`_state_sums`, whose one caller is `_symbolic_value`).  Evaluated sums,
 in Q(zeta) or Q, and the direct central-entry split of Z_HT(2m+1), in
 Laurent polynomials, run a row transfer matrix over boundary profiles
-instead (`_transfer_sums`), and so do the state counts (`state_counts`,
-the same matrix with unit weights).  An evaluated sum runs it over the
-integers Z[zeta]: `_point_weights` scales each cell's weight triple by the
-lcm of its three denominators, and the total is divided once, by the
-product of those scales.  The matrix:
+instead, and so do the state counts (`state_counts`, the same matrix with
+unit weights).  An evaluated sum runs it on integer pairs (p, q) standing
+for p + q*zeta in Z[zeta] (`_pair_weights`, `_run_pairs`).  Each value is
+read once as V/d with V in Z[zeta] and d an integer; every weight triple
+is multiplied by a factor that clears all of its denominators, so the sum
+takes no inverse and no gcd, and the total is divided once, by the product
+of those factors.  The matrix:
 
 * The rows are read cell by cell, left to right.  A partial state is keyed
   by its profile: the column partial sums C_1..C_n above the current cell
@@ -58,7 +60,6 @@ product of those scales.  The matrix:
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 from typing import Mapping, NamedTuple, Optional, Union
 
 from .asm import Asm, to_state
@@ -193,7 +194,7 @@ def vertex_weight(vertex_type: int, spectral: LaurentPoly) -> LaurentPoly:
     if not spectral.is_monomial():
         raise NotAMonomial("spectral parameter must be one monomial")
     a = LaurentPoly.var("a")
-    s = spectral if cls == 1 else spectral.monomial_inverse()
+    s = spectral if cls == 1 else spectral ** -1
     return sigma_of(a * s)
 
 
@@ -337,14 +338,6 @@ def _transfer_sums(kind: str, size: int, weights, one) -> dict:
     return {c: (v, counts[c]) for c, v in _run_plan(steps, final, weights, one).items()}
 
 
-def _total(sums: dict):
-    """(sum, state count) over every central entry of a _state_sums result."""
-    (value, count), *rest = sums.values()
-    for v, c in rest:
-        value, count = value + v, count + c
-    return value, count
-
-
 def _symbolic_weights(kind: str, size: int) -> list:
     """Laurent weight triple of every fundamental cell; vertex types 1, 3, 5
     stand for weight classes 0, 1, 2."""
@@ -355,8 +348,13 @@ def _symbolic_weights(kind: str, size: int) -> list:
 
 @lru_cache(maxsize=None)
 def _symbolic_value(kind: str, size: int) -> tuple[LaurentPoly, int]:
-    """(symbolic state sum, state count), by the per-state loop."""
-    return _total(_state_sums(kind, size, _symbolic_weights(kind, size), LaurentPoly.const(1)))
+    """(symbolic state sum, state count), by the per-state loop, over every
+    central entry."""
+    sums = _state_sums(kind, size, _symbolic_weights(kind, size), LaurentPoly.const(1))
+    (value, count), *rest = sums.values()
+    for v, c in rest:
+        value, count = value + v, count + c
+    return value, count
 
 
 def partition_function(spec: ModelSpec,
@@ -368,43 +366,97 @@ def partition_function(spec: ModelSpec,
     if assignment is None:
         value, count = _symbolic_value(spec.kind, spec.size)
         return PartitionResult(value, spec, count)
-    xs, ys = spec.spectral_vars()
-    zeros = [v for v in ("a", *xs, *ys) if v in assignment and not assignment[v]]
+    names, _, _ = _point_layout(spec.kind, spec.size)
+    missing = [v for v in names if v not in assignment]
+    if missing:
+        raise ValueError(f"missing assignments for {', '.join(missing)}")
+    zeros = [v for v in names if not assignment[v]]
     if zeros:
         raise SingularAssignment(f"zero value for {', '.join(zeros)} puts a pole in the weights")
-    weights, scale = _point_weights(spec, assignment)
-    value, count = _total(_transfer_sums(spec.kind, spec.size, weights, Cyclo.of(1)))
-    a, b, _ = value.integer_parts()
-    return PartitionResult(Cyclo.from_integer_parts(a, b, scale), spec, count)
+    weights, scale = _pair_weights(spec.kind, spec.size, assignment)
+    steps, final, counts = _transfer_plan(spec.kind, spec.size)
+    value = Cyclo(*_run_pairs(steps, final, weights)) / Cyclo(*scale)
+    return PartitionResult(value, spec, sum(counts.values()))
 
 
-def _point_weights(spec: ModelSpec, assignment: Mapping[str, Coeff]) -> tuple[list, int]:
-    """(weights, scale) at an assignment of a and the spectral variables
-    (none of them zero): the weight triple of every fundamental cell times
-    the lcm of its three denominators, so that each weight lies in Z[zeta],
-    and the product of those lcms over the cells.  Every state takes one
-    weight from each cell, so a state sum over these weights is `scale`
-    times the sum over the field weights.  Each distinct (row, column)
-    variable pair is scaled once; the half-turn kinds use every pair twice.
+@lru_cache(maxsize=None)
+def _point_layout(kind: str, size: int):
+    """(names, pairs, cell_pairs) of a model: the names ("a", x..., y...)
+    an assignment must give, the distinct (row, column) variable pairs of
+    the fundamental cells, and each cell's index into `pairs`."""
+    spec = ModelSpec(kind, size)
+    xs, ys = spec.spectral_vars()
+    index = {}
+    cell_pairs = tuple(index.setdefault((xv, yv), len(index))
+                       for _, _, xv, yv in fundamental_cells(spec))
+    return ("a", *xs, *ys), tuple(index), cell_pairs
+
+
+def _mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """(ua + ub*zeta)(va + vb*zeta) with zeta^2 = zeta - 1."""
+    ua, ub = u
+    va, vb = v
+    return ua * va - ub * vb, ua * vb + ub * va + ub * vb
+
+
+def _pair_weights(kind: str, size: int, assignment: Mapping[str, Coeff]):
+    """(weights, scale) at an assignment of a and every spectral variable,
+    none of them zero, all as integer pairs (p, q) = p + q*zeta.
+
+    With a = A/d_a, x = X/d_x and y = Y/d_y (A, X, Y in Z[zeta]), the weight
+    triple of a cell (x, y), s = x/y, times c = a^2 x y d_a^4 d_x^2 d_y^2 =
+    A^2 d_a^2 (X d_x)(Y d_y) is
+
+        sigma(a^2) c = (A^4 - d_a^4) (X d_x)(Y d_y)
+        sigma(a s) c = A d_a (A^2 (X d_y)^2 - d_a^2 (Y d_x)^2)
+        sigma(a/s) c = A d_a (A^2 (Y d_x)^2 - d_a^2 (X d_y)^2)
+
+    Every state takes one weight from each cell, so a state sum over these
+    weights is `scale`, the product of c over the cells, times the sum over
+    the field weights.  Each (x, y) pair is weighted once.
     """
-    a = Cyclo.of(assignment["a"])
-    a_inv = a.inverse()
-    sig_a2 = a * a - a_inv * a_inv
-    scaled = {}
-    weights, scale = [], 1
-    for _, _, xv, yv in fundamental_cells(spec):
-        if (xv, yv) not in scaled:
-            s = Cyclo.of(assignment[xv]) * Cyclo.of(assignment[yv]).inverse()
-            s_inv = s.inverse()
-            # sigma(a s) = a s - 1/(a s) and sigma(a/s) = a/s - s/a
-            parts = [w.integer_parts() for w in
-                     (sig_a2, a * s - a_inv * s_inv, a * s_inv - a_inv * s)]
-            d = lcm(*(e for _, _, e in parts))
-            scaled[xv, yv] = tuple(Cyclo(p * (d // e), q * (d // e)) for p, q, e in parts), d
-        triple, d = scaled[xv, yv]
-        weights.append(triple)
-        scale *= d
-    return weights, scale
+    _, pairs, cell_pairs = _point_layout(kind, size)
+    aa, ab, da = Cyclo.of(assignment["a"]).integer_parts()
+    a2 = _mul((aa, ab), (aa, ab))
+    a4 = _mul(a2, a2)
+    da2 = da * da
+    class0 = a4[0] - da2 * da2, a4[1]
+    ad = aa * da, ab * da
+    c_a = a2[0] * da2, a2[1] * da2
+    read, triples, cs = {}, [], []
+    for xv, yv in pairs:
+        for v in (xv, yv):
+            if v not in read:
+                read[v] = Cyclo.of(assignment[v]).integer_parts()
+        (xa, xb, dx), (ya, yb, dy) = read[xv], read[yv]
+        xy = _mul((xa * dx, xb * dx), (ya * dy, yb * dy))
+        xx = _mul((xa * dy, xb * dy), (xa * dy, xb * dy))
+        yy = _mul((ya * dx, yb * dx), (ya * dx, yb * dx))
+        a2xx, a2yy = _mul(a2, xx), _mul(a2, yy)
+        triples.append((_mul(class0, xy),
+                        _mul(ad, (a2xx[0] - da2 * yy[0], a2xx[1] - da2 * yy[1])),
+                        _mul(ad, (a2yy[0] - da2 * xx[0], a2yy[1] - da2 * xx[1]))))
+        cs.append(_mul(c_a, xy))
+    scale = 1, 0
+    for p in cell_pairs:
+        scale = _mul(scale, cs[p])
+    return [triples[p] for p in cell_pairs], scale
+
+
+def _run_pairs(steps, final, weights) -> tuple[int, int]:
+    """The total over every central entry of a compiled transfer plan, in
+    Z[zeta] on integer-pair weights: `_run_plan` with the product inline."""
+    fa, fb = [1], [0]
+    for k, width, moves in steps:
+        w = weights[k]
+        na, nb = [0] * width, [0] * width
+        for s, t, c in moves:
+            xa, xb = fa[s], fb[s]
+            wa, wb = w[c]
+            na[t] += xa * wa - xb * wb
+            nb[t] += xa * wb + xb * (wa + wb)
+        fa, fb = na, nb
+    return sum(fa[s] for s, _ in final), sum(fb[s] for s, _ in final)
 
 
 def modified_multiplier(spec: ModelSpec) -> LaurentPoly:

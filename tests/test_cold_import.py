@@ -1,6 +1,7 @@
 """Importing the package stays light: no module of it may pull in
-`dataclasses` or `inspect` (which loads `ast`, `dis` and `tokenize`), since
-every CLI command and every benchmark child pays for its imports cold."""
+`dataclasses` or `inspect` (which loads `ast`, `dis` and `tokenize`), nor
+`argparse`, which only `cli.build_parser` needs, since every CLI command and
+every benchmark child pays for its imports cold."""
 
 import json
 import os
@@ -31,4 +32,4 @@ def test_package_import_loads_no_dataclasses_or_inspect():
                          capture_output=True, text=True, check=True).stdout
     added = set(json.loads(out))
     assert set(names) <= added
-    assert not added & {"dataclasses", "inspect"}, sorted(added)
+    assert not added & {"dataclasses", "inspect", "argparse"}, sorted(added)

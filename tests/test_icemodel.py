@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -11,9 +12,10 @@ from halfturn_ice.exactnum import Cyclo, ZETA
 from halfturn_ice.formulas import count_closed
 from halfturn_ice import icemodel
 from halfturn_ice.icemodel import (
-    ModelSpec, SingularAssignment, SizeTooLarge, _point_weights, _state_sums,
-    _symbolic_weights, _transfer_sums, fundamental_cells, modified_multiplier,
-    modified_partition, partition_function, state_counts, vertex_weight, z_ht2, z_split_odd)
+    ModelSpec, SingularAssignment, SizeTooLarge, _pair_weights, _run_pairs, _run_plan,
+    _state_sums, _symbolic_weights, _transfer_plan, _transfer_sums, fundamental_cells,
+    modified_multiplier, modified_partition, partition_function, state_counts, vertex_weight,
+    z_ht2, z_split_odd)
 from halfturn_ice.laurent import LaurentPoly, sigma_of
 
 M = LaurentPoly.monomial
@@ -168,6 +170,17 @@ def test_state_guard(monkeypatch):
     assert partition_function(ModelSpec("dwbc", 3), point, max_states=100).state_count == 7
 
 
+def test_partial_assignment_names_every_missing_variable():
+    spec = ModelSpec("dwbc", 2)
+    with pytest.raises(ValueError, match="^missing assignments for y2$"):
+        partition_function(spec, {"a": ZETA, "x1": 2, "x2": 3, "y1": 5})
+    with pytest.raises(ValueError, match="^missing assignments for a, x2, y2$"):
+        partition_function(spec, {"x1": 2, "y1": 5})
+    # The central pair of an odd model is part of its assignment.
+    with pytest.raises(ValueError, match="^missing assignments for x2, y2$"):
+        partition_function(ModelSpec("ht-odd", 1), {"a": ZETA, "x1": 2, "y1": 5})
+
+
 def test_zero_assignment_is_a_pole():
     assignment = {"a": ZETA, "x1": 2, "x2": 3, "y1": 5, "y2": 0}
     with pytest.raises(SingularAssignment, match="y2"):
@@ -238,17 +251,62 @@ def random_assignment(rng, spec, a):
 TRANSFER_RANGE = (("dwbc", range(1, 6)), ("ht-even", range(1, 4)), ("ht-odd", range(0, 4)))
 
 
+def _lcm_point_weights(spec, assignment):
+    """The reference weights: each cell's field weight triple times the lcm
+    of its three denominators, as Cyclos, and the product of those lcms."""
+    a = Cyclo.of(assignment["a"])
+    a_inv = a.inverse()
+    sig_a2 = a * a - a_inv * a_inv
+    weights, scale = [], 1
+    for _, _, xv, yv in fundamental_cells(spec):
+        s = Cyclo.of(assignment[xv]) * Cyclo.of(assignment[yv]).inverse()
+        s_inv = s.inverse()
+        # sigma(a s) = a s - 1/(a s) and sigma(a/s) = a/s - s/a
+        parts = [w.integer_parts() for w in
+                 (sig_a2, a * s - a_inv * s_inv, a * s_inv - a_inv * s)]
+        d = lcm(*(e for _, _, e in parts))
+        weights.append(tuple(Cyclo(p * (d // e), q * (d // e)) for p, q, e in parts))
+        scale *= d
+    return weights, scale
+
+
 def test_transfer_matches_brute_sums_at_points():
     rng = random.Random(29)
     for kind, sizes in TRANSFER_RANGE:
         for size in sizes:
             spec = ModelSpec(kind, size)
             for a in (ZETA, Cyclo(Fraction(rng.randint(1, 9), rng.randint(10, 19)))):
-                weights, scale = _point_weights(spec, random_assignment(rng, spec, a))
-                assert all(w.integer_parts()[2] == 1 for triple in weights for w in triple)
-                assert scale >= 1
-                fast = _transfer_sums(kind, size, weights, Cyclo.of(1))
-                assert fast == _state_sums(kind, size, weights, Cyclo.of(1)), (kind, size, a)
+                pairs, scale = _pair_weights(kind, size, random_assignment(rng, spec, a))
+                assert all(type(p) is int for triple in pairs for w in triple for p in w)
+                assert Cyclo(*scale)
+                weights = [tuple(Cyclo(*w) for w in triple) for triple in pairs]
+                brute = _state_sums(kind, size, weights, Cyclo.of(1))
+                assert _transfer_sums(kind, size, weights, Cyclo.of(1)) == brute, (kind, size, a)
+                total = sum((v for v, _ in brute.values()), Cyclo.of(0))
+                steps, final, _ = _transfer_plan(kind, size)
+                assert Cyclo(*_run_pairs(steps, final, pairs)) == total, (kind, size, a)
+
+
+def test_pair_run_matches_the_lcm_scaled_reference():
+    # The integer-pair weights and run against the field weights scaled cell
+    # by cell by the lcm of their denominators, through the generic plan run:
+    # sum / scale must agree, cross-multiplied so that nothing is divided.
+    rng = random.Random(37)
+    for kind, sizes in TRANSFER_RANGE:
+        for size in sizes:
+            spec = ModelSpec(kind, size)
+            steps, final, _ = _transfer_plan(kind, size)
+            for a, style in EVALUATED_POINTS:
+                assign = {"a": _point_value(rng, style) if a is None else a}
+                for names in spec.spectral_vars():
+                    for v in names:
+                        assign[v] = _point_value(rng, style)
+                pairs, scale = _pair_weights(kind, size, assign)
+                total = Cyclo(*_run_pairs(steps, final, pairs))
+                ref_weights, ref_scale = _lcm_point_weights(spec, assign)
+                ref = sum(_run_plan(steps, final, ref_weights, Cyclo.of(1)).values(),
+                          Cyclo.of(0))
+                assert total * ref_scale == ref * Cyclo(*scale), (kind, size, assign)
 
 
 def test_transfer_matches_brute_sums_symbolically():

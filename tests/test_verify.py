@@ -1,6 +1,7 @@
 """The verification engine itself: reports, determinism, failure witnesses."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -111,6 +112,23 @@ def test_ht_odd_inversion_negative_control(monkeypatch):
     assert not rep.passed
     assert rep.witness["check"] == "invariance under reciprocal variables, m=1"
     assert rep.witness["lhs"] != rep.witness["rhs"]
+
+
+@pytest.mark.parametrize("seed", (42, 7, 8))
+def test_det_oracle_transpositions_fail_at_generic_a(monkeypatch, seed):
+    # The suite's own draws with a = 3/7 in place of zeta, the only input
+    # changed: each transposition must then change the state sum, so the
+    # symmetry it checks at a = zeta is no identity of every a.
+    real = verify._assign_interleaved
+    monkeypatch.setattr(verify, "_assign_interleaved",
+                        lambda u, size: real(u, size) | {"a": Cyclo(Fraction(3, 7))})
+    outcomes = []
+    monkeypatch.setattr(_Run, "check", lambda self, name, lhs, rhs, **context:
+                        outcomes.append((name, lhs == rhs)))
+    run_suite("det-oracle", seed=seed)
+    swaps = [(name, same) for name, same in outcomes if name.startswith("u-permutation")]
+    assert swaps == [(f"u-permutation invariance of the state sum, {model}", False)
+                     for model in ("dwbc", "ht2", "ht-odd")]
 
 
 def test_theorem_suites_through_run_suite():

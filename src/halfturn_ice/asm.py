@@ -20,6 +20,8 @@ notation):
   With the domain-wall boundary (horizontal edges in, vertical out) this
   is the standard bijection; types 3/4 sit at zeros with the column's
   nearest 1 below and the row's nearest 1 to the right (resp. above/left).
+  The package needs only this direction, `to_state`; the inverse map is
+  the round-trip oracle of the tests.
 """
 
 from __future__ import annotations
@@ -33,28 +35,28 @@ class NotAlternating(ValueError):
     """Input grid violates the alternating-sign conditions."""
 
 
-class InconsistentOrientation(ValueError):
-    """Vertex types do not glue into a consistent edge orientation."""
+class _Frozen:
+    """Base of the immutable records.  The fields are the subclass's
+    `__slots__`, set once by its `__init__` through the slot descriptors;
+    records are equal when of one class with equal fields, hash as their
+    field tuple, and pickle by calling the class on the fields."""
 
+    __slots__ = ()
 
-class Asm:
-    """A validated alternating-sign matrix; immutable, compared by entries."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Grid):
-        _set_entries(self, entries)
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self.entries == other.entries
+            return self._values() == other._values()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.entries,))
+        return hash(self._values())
 
     def __repr__(self) -> str:
-        return f"Asm(entries={self.entries!r})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -63,7 +65,16 @@ class Asm:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return Asm, (self.entries,)
+        return self.__class__, self._values()
+
+
+class Asm(_Frozen):
+    """A validated alternating-sign matrix; immutable, compared by entries."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Grid):
+        _set_entries(self, entries)
 
     @property
     def order(self) -> int:
@@ -73,16 +84,11 @@ class Asm:
         i, j = ij
         return self.entries[i - 1][j - 1]
 
-    def rotated(self) -> Asm:
-        n = self.order
-        return Asm(tuple(tuple(self.entries[n - 1 - i][n - 1 - j]
-                               for j in range(n)) for i in range(n)))
-
     def to_text(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
-class SixVertexState:
+class SixVertexState(_Frozen):
     """Vertex types (ints 1..6) of a square-ice state with domain-wall
     boundary; immutable, compared by types."""
 
@@ -90,26 +96,6 @@ class SixVertexState:
 
     def __init__(self, types: Grid):
         _set_types(self, types)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.types == other.types
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.types,))
-
-    def __repr__(self) -> str:
-        return f"SixVertexState(types={self.types!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return SixVertexState, (self.types,)
 
     @property
     def order(self) -> int:
@@ -184,53 +170,6 @@ def to_state(asm: Asm) -> SixVertexState:
                 trow.append({(0, 0): 3, (1, 1): 4, (0, 1): 5, (1, 0): 6}[(col[j], r)])
         types.append(tuple(trow))
     return SixVertexState(tuple(types))
-
-
-# Partial sums (R_left, R_right, C_top, C_bottom) implied by each type;
-# adjacent cells must agree and the boundary values are forced to 0/1.
-_EDGE_PROFILE = {
-    1: (0, 1, 0, 1),
-    2: (1, 0, 1, 0),
-    3: (0, 0, 0, 0),
-    4: (1, 1, 1, 1),
-    5: (1, 1, 0, 0),
-    6: (0, 0, 1, 1),
-}
-
-
-def to_asm(state: SixVertexState) -> Asm:
-    """Inverse bijection; raises InconsistentOrientation for bad hand-built
-    states and NotAlternating if the implied entries fail validation."""
-    n = state.order
-    for i in range(n):
-        for j in range(n):
-            t = state.types[i][j]
-            if t not in _EDGE_PROFILE:
-                raise InconsistentOrientation(f"unknown type {t} at ({i + 1}, {j + 1})")
-            rl, rr, ct, cb = _EDGE_PROFILE[t]
-            if j == 0 and rl != 0:
-                raise InconsistentOrientation(f"left boundary violated in row {i + 1}")
-            if j == n - 1 and rr != 1:
-                raise InconsistentOrientation(f"right boundary violated in row {i + 1}")
-            if i == 0 and ct != 0:
-                raise InconsistentOrientation(f"top boundary violated in column {j + 1}")
-            if i == n - 1 and cb != 1:
-                raise InconsistentOrientation(f"bottom boundary violated in column {j + 1}")
-            if j + 1 < n and rr != _EDGE_PROFILE[state.types[i][j + 1]][0]:
-                raise InconsistentOrientation(
-                    f"horizontal edge mismatch between ({i + 1}, {j + 1}) and ({i + 1}, {j + 2})")
-            if i + 1 < n and cb != _EDGE_PROFILE[state.types[i + 1][j]][2]:
-                raise InconsistentOrientation(
-                    f"vertical edge mismatch between ({i + 1}, {j + 1}) and ({i + 2}, {j + 1})")
-    entry = {1: 1, 2: -1, 3: 0, 4: 0, 5: 0, 6: 0}
-    return as_asm([[entry[t] for t in row] for row in state.types])
-
-
-def is_half_turn_symmetric(asm: Asm) -> bool:
-    n = asm.order
-    e = asm.entries
-    return all(e[i][j] == e[n - 1 - i][n - 1 - j]
-               for i in range(n) for j in range(n))
 
 
 def inversions(s: Sequence[int]) -> int:

@@ -5,7 +5,8 @@ The paper's forms divide generalized Vandermonde determinants det[u_c^(e_r)]
 by a product of sigma(u_mu/u_nu).  Their row exponents e_1 > ... > e_N are
 the integers of fixed parity, not divisible by 3, bounded by 3n - 2 (kind
 P, for the domain-wall sum) or 3m - 1 (kind Q, for the half-turn
-cofactor); the primed kinds drop the last row (`row_exponents`):
+cofactor); the primed kind P' of the odd sum drops P's last row
+(`row_exponents`):
 
     dwbc : (-1)^(n(n-1)/2) sigma(a)^n / prod_(mu<nu) sigma(u_mu/u_nu) * det P(n)
     ht2  : (-1)^(m(m-1)/2) sigma(a)^m / prod sigma(u_mu/u_nu) * det Q(m)
@@ -69,9 +70,6 @@ def row_exponents(kind: str, size: int) -> tuple[int, ...]:
         want = 2 * size
     elif kind == "Pprime":
         exps = _exponent_run(3 * size - 2)[:-1]
-        want = 2 * size - 1
-    elif kind == "Qprime":
-        exps = _exponent_run(3 * size - 1)[:-1]
         want = 2 * size - 1
     else:
         raise ValueError(f"unknown matrix kind {kind!r}")

@@ -290,12 +290,6 @@ class CensusTable:
     def __repr__(self) -> str:
         return f"CensusTable({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
-    def total_poly(self) -> LaurentPoly:
-        tot = LaurentPoly.zero()
-        for p in self.rows.values():
-            tot = tot + p
-        return tot
-
     def total_count(self) -> int:
         """Number of matrices (all weights at x = 1)."""
         return self.count
@@ -326,9 +320,8 @@ class CensusTable:
             if central == 1:
                 plus = plus + tp
             else:
-                minus = minus + LaurentPoly(
-                    tp.vars, {_shift_sqrtx(tp.vars, e, -1): c for e, c in tp.tuple_terms().items()})
-        return _halve_sqrtx(plus), _halve_sqrtx(minus)
+                minus = minus + tp
+        return _halve_sqrtx(plus), _halve_sqrtx(minus * LaurentPoly.monomial(1, {"sqrtx": -1}))
 
     def to_json_obj(self) -> dict:
         return {
@@ -350,13 +343,6 @@ class CensusTable:
                 f"{(e[0] if e else 0)}:{c}" for e, c in sorted(poly.tuple_terms().items()))
             lines.append(f"{r},{'' if central is None else central},{terms}")
         return "\n".join(lines) + "\n"
-
-
-def _shift_sqrtx(vars: tuple, e: tuple, delta: int) -> tuple:
-    if "sqrtx" not in vars:
-        raise ValueError("no sqrtx component to shift")
-    i = vars.index("sqrtx")
-    return e[:i] + (e[i] + delta,) + e[i + 1:]
 
 
 def _halve_sqrtx(p: LaurentPoly) -> LaurentPoly:

@@ -13,9 +13,8 @@ Sums, products and inverses are a few integer products followed by one
 three-way gcd.  `integer_parts` and `from_integer_parts` read and build
 this form, for code that computes on the integers directly.  The rational
 parts p = a/d and q = b/d are exposed as `fractions.Fraction`s.
-Conjugation sends zeta to 1 - zeta, which is both complex conjugation and
-the nontrivial field automorphism; the norm x * conj(x) = p^2 + p*q + q^2
-is rational and positive for x != 0, which gives exact inversion.
+Inversion multiplies by the conjugate (zeta -> 1 - zeta) and divides by
+the norm p^2 + p*q + q^2, which is rational and positive for x != 0.
 """
 
 from __future__ import annotations
@@ -122,16 +121,6 @@ class Cyclo:
         return _reduced(aa - bb, (a1 + b1) * (a2 + b2) - aa, d1 * d2)
 
     __rmul__ = __mul__
-
-    def conj(self) -> Cyclo:
-        """The automorphism zeta -> 1 - zeta (complex conjugation)."""
-        a, b, d = self._abd
-        return _make(a + b, -b, d)  # gcd(a + b, b, d) = gcd(a, b, d) = 1
-
-    def norm(self) -> Fraction:
-        """x * conj(x), always rational and nonnegative."""
-        a, b, d = self._abd
-        return Fraction(a * a + a * b + b * b, d * d)
 
     def inverse(self) -> Cyclo:
         # 1/x = conj(x) / norm(x) = d (a + b - b z) / (a^2 + a b + b^2)

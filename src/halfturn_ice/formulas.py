@@ -5,7 +5,7 @@ All arithmetic is exact; whenever a closed form is a ratio of factorials
 that is asserted to be an integer, the integrality is checked at runtime
 rather than assumed.  The central-entry split of the odd refined
 enumerations is built once in (t, x) from the censuses and once at x = 1
-from the closed forms; every other rational x evaluates the (t, x) form.
+from the closed forms; any other x is read off the (t, x) form.
 """
 
 from __future__ import annotations
@@ -164,15 +164,6 @@ def refined_ht2_closed(m: int) -> LaurentPoly:
 # ----------------------------------------------------------------------
 
 
-def _intify(p: LaurentPoly) -> LaurentPoly:
-    out = {}
-    for e, c in p.tuple_terms().items():
-        if isinstance(c, Fraction) and c.denominator == 1:
-            c = c.numerator
-        out[e] = c
-    return LaurentPoly(p.vars, out)
-
-
 def _census_refined_pair(m: int) -> tuple[LaurentPoly, LaurentPoly]:
     """(A(m; t, x), cofactor A_HT(2m; t, x)/A(m; t, x)) from brute force."""
     amx = census(m, "all").genfunc()
@@ -187,22 +178,21 @@ def refined_ht_odd(m: int, x: Union[int, Fraction, None] = 1,
     Returns (plus, minus, robbins) where the full generating function is
     plus + sqrt(x)*minus and robbins = plus + x*minus.  x = None gives the
     result in (t, x), from the censuses; x = 1 builds it from the closed
-    forms; any other rational x evaluates the (t, x) result there (x = 4
-    included: the division by 4 - x is exact).
+    forms.  Any other x raises UnsupportedSize: substitute it into the
+    (t, x) result instead (the division by 4 - x is exact there).
     """
     if m < 1:
         raise UnsupportedSize("m must be >= 1")
-    if x is not None and x != 1:
-        at_x = LaurentPoly.const(x)
-        return tuple(_intify(p.substitute_poly("x", at_x)) for p in refined_ht_odd(m, None))
     if x is None:
         a_m, h_2m = _census_refined_pair(m)
         a_m1, h_2m2 = _census_refined_pair(m + 1)
         xv = LaurentPoly.var("x")
-    else:
+    elif x == 1:
         a_m, a_m1 = refined_asm_closed(m), refined_asm_closed(m + 1)
         h_2m, h_2m2 = refined_ht2_closed(m), refined_ht2_closed(m + 1)
         xv = LaurentPoly.const(1)
+    else:
+        raise UnsupportedSize(f"x must be 1 or None, got {x}")
     den = 4 - xv
     plus = (-xv * a_m1 * h_2m + 2 * a_m * h_2m2).exact_div(den)
     minus = (2 * a_m1 * h_2m - a_m * h_2m2).exact_div(den)
@@ -228,6 +218,6 @@ def four_enum_identity(m: int) -> LaurentPoly:
     2^(m-1) * (1 + t) * A(m; t, 4)^2, built on the census oracle."""
     if m < 1:
         raise UnsupportedSize("m must be >= 1")
-    a_m4 = _intify(census(m, "all").genfunc().substitute_poly("x", LaurentPoly.const(4)))
+    a_m4 = census(m, "all").genfunc().substitute_poly("x", LaurentPoly.const(4))
     one_plus_t = LaurentPoly(("t",), {(0,): 1, (1,): 1})
     return 2 ** (m - 1) * one_plus_t * a_m4 * a_m4

@@ -62,7 +62,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Optional, Union
 
-from .asm import Asm, to_state
+from . import formulas
+from .asm import Asm, _Frozen, to_state
 from .enum_asm import gen_asms
 from .exactnum import Cyclo
 from .laurent import Coeff, LaurentPoly, NotAMonomial, sigma_of
@@ -81,7 +82,7 @@ class SingularAssignment(ValueError):
     the weights."""
 
 
-class ModelSpec:
+class ModelSpec(_Frozen):
     """Which boundary shape, at which size (n for dwbc, m for ht kinds);
     immutable, compared by (kind, size)."""
 
@@ -94,26 +95,6 @@ class ModelSpec:
             raise ValueError("size parameter out of range")
         _set_kind(self, kind)
         _set_size(self, size)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.kind, self.size) == (other.kind, other.size)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.size))
-
-    def __repr__(self) -> str:
-        return f"ModelSpec(kind={self.kind!r}, size={self.size!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return ModelSpec, (self.kind, self.size)
 
     @property
     def order(self) -> int:
@@ -202,8 +183,6 @@ def _check_guard(spec: ModelSpec, max_states: Optional[int] = None) -> None:
     """Raise SizeTooLarge before any state is generated when the model's
     state count (the closed-form ASM count) exceeds the guard: max_states
     if given, else DEFAULT_MAX_STATES."""
-    from . import formulas  # deferred: formulas has no icemodel dependency
-
     expected = formulas.count_closed("asm" if spec.kind == "dwbc" else spec.kind, spec.order)
     limit = DEFAULT_MAX_STATES if max_states is None else max_states
     if expected > limit:

@@ -26,8 +26,8 @@ each renamed digit to its new slot by adding a multiple of the difference
 of the two unit keys, `substitute` does the same for one digit, `coeff_of`
 compares the masked digits of each key with the wanted ones,
 `invert_vars` negates them, `total_degrees` reads digit sums as residues
-modulo 2^W - 1, and `degree_in`, `min_degree_in` and `negate_var` read the
-one digit they need.
+modulo 2^W - 1, and `degree_in` and `negate_var` read the one digit they
+need.
 
 Coefficients may be int, Fraction or Cyclo; within one polynomial they are
 kept in a single ring.  `LaurentPoly(vars, {exponent tuple: coeff})` packs
@@ -36,8 +36,8 @@ terms given over a list of distinct variable names.
 Variable order: a, x1..xk, y1..yk, z, t, v, u1..uk, then anything else
 alphabetically.  `vars` and every exponent tuple follow it, and
 serialization lists terms in descending graded lexicographic order, which
-makes the JSON form a canonical fingerprint (serialize -> parse ->
-serialize is the identity).
+makes the JSON form a canonical fingerprint: equal polynomials serialize
+to the same bytes.
 """
 
 from __future__ import annotations
@@ -500,15 +500,6 @@ class LaurentPoly:
         bias, shift = _BIAS[s], _W * s  # the biased digit is monotone in the exponent
         return max((k + bias) >> shift & _MASK for k in self.terms) - _HALF
 
-    def min_degree_in(self, var: str) -> int | None:
-        if not self.terms:
-            return None
-        s = _SLOT.get(var)
-        if s is None:
-            return 0
-        bias, shift = _BIAS[s], _W * s
-        return min((k + bias) >> shift & _MASK for k in self.terms) - _HALF
-
     def total_degrees(self, skip: Iterable[str] = ()) -> set[int]:
         """The total degrees of the terms, not counting the exponents of the
         variables named in `skip` (names no term uses are ignored).
@@ -573,16 +564,6 @@ class LaurentPoly:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-    @staticmethod
-    def from_json_obj(obj: Mapping) -> LaurentPoly:
-        vs = tuple(obj["vars"])
-        terms = {tuple(t["exps"]): _coeff_from_json(t["coef"]) for t in obj["terms"]}
-        return LaurentPoly(vs, terms)
-
-    @staticmethod
-    def from_json(text: str) -> LaurentPoly:
-        return LaurentPoly.from_json_obj(json.loads(text))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -737,10 +718,3 @@ def _coeff_to_json(c: Coeff):
 def _frac_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
-
-def _coeff_from_json(obj) -> Coeff:
-    if isinstance(obj, dict):
-        return Cyclo(Fraction(obj["p"]), Fraction(obj["q"]))
-    if "/" in obj:
-        return Fraction(obj)
-    return int(obj)

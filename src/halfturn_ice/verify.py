@@ -136,8 +136,6 @@ def _Z(n: int) -> LaurentPoly:
 def _Zht(order: int) -> LaurentPoly:
     if order % 2:
         return ice.partition_function(ice.ModelSpec("ht-odd", (order - 1) // 2)).value
-    if order == 0:
-        return _ONE
     return ice.partition_function(ice.ModelSpec("ht-even", order // 2)).value
 
 
@@ -236,8 +234,6 @@ def _assign_interleaved(u: tuple, size: int) -> dict:
 
 
 def _z_at(n: int, u: tuple) -> Cyclo:
-    if n == 0:
-        return Cyclo.of(1)
     return ice.partition_function(ice.ModelSpec("dwbc", n), _assign_interleaved(u, n)).value
 
 
@@ -782,14 +778,9 @@ def _suite_xenum(run: _Run, params: Mapping, rng: random.Random):
         return _specialize_av(ice.partition_function(spec).value, spec.x_count)
 
     def a_pair(n):
-        if n == 0:
-            return _ONE, _ONE
-        num, den = _genfunc_av_pair(n, "all", x_of_a, s_av, s_avb)
-        return num, den
+        return _genfunc_av_pair(n, "all", x_of_a, s_av, s_avb)
 
     def a2_pair(m):
-        if m == 0:
-            return _ONE, _ONE
         z2 = _specialize_av(ice.z_ht2(m).value, m)
         return z2, sigma_of(a) ** (m * m - m) * s_av ** m
 

@@ -127,7 +127,6 @@ def test_row_exponent_patterns():
     assert row_exponents("Q", 2) == (5, 1, -1, -5)
     assert row_exponents("Q", 3) == (8, 4, 2, -2, -4, -8)
     assert row_exponents("Pprime", 2) == (4, 2, -2)
-    assert row_exponents("Qprime", 2) == (5, 1, -1)
 
 
 def test_build_matrix():
@@ -139,7 +138,7 @@ def test_build_matrix():
         build_matrix("P", 1, (Fraction(0), Fraction(2)))
     # Every entry is the plain power, at seeded rational and zeta-valued points.
     rng = random.Random(7)
-    for kind in ("P", "Q", "Pprime", "Qprime"):
+    for kind in ("P", "Q", "Pprime"):
         for size in range(1, 6):
             exps = row_exponents(kind, size)
             rational = [Cyclo(f) for f in random_distinct_rationals(rng, len(exps))]

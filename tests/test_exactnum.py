@@ -77,23 +77,6 @@ def test_inverse_round_trip(x):
     assert x.inverse() * x == Cyclo(1)
 
 
-@settings(max_examples=300, deadline=None)
-@given(cyclos, cyclos)
-def test_conjugation_is_an_automorphism(x, y):
-    assert x.conj().conj() == x
-    assert (x * y).conj() == x.conj() * y.conj()
-    assert (x + y).conj() == x.conj() + y.conj()
-
-
-@settings(max_examples=300, deadline=None)
-@given(cyclos)
-def test_norm_is_rational(x):
-    n = x * x.conj()
-    assert n.is_rational
-    assert n.p == x.norm()
-    assert n.p >= 0
-
-
 # ----------------------------------------------------------------------
 # differential check against the textbook representation: a pair of
 # Fractions (p, q) for p + q*zeta, with every operation written out
@@ -195,8 +178,6 @@ def test_matches_fraction_pair_reference(x, y, c):
     same(x - y, rx - ry)
     same(x * y, rx * ry)
     same(-x, -rx)
-    same(x.conj(), rx.conj())
-    assert x.norm() == rx.norm() and type(x.norm()) is Fraction
     for left, right in ((x + c, rx + c), (c + x, rx + c), (x - c, rx - c),
                         (c - x, RefCyclo(c) - rx), (x * c, rx * c), (c * x, rx * c)):
         same(left, right)

@@ -92,22 +92,21 @@ def test_refined_ht_odd_symbolic():
     assert plus == 1 + T ** 2
     assert minus == T
     assert robbins == 1 + x * T + T ** 2
-    # any other rational x evaluates the (t, x) result
-    p3, m3, _ = refined_ht_odd(1, 3)
-    assert p3 == 1 + T ** 2 and m3 == T
+
+
+def test_refined_ht_odd_refuses_other_x():
+    for x in (3, 0, Fraction(1, 2), 4):
+        with pytest.raises(UnsupportedSize):
+            refined_ht_odd(1, x)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_refined_ht_odd_at_x_is_the_census_split(m):
-    # The reference route: the census split substituted at x.  x = 4 is no
-    # pole: the division by 4 - x is exact.
-    cplus, cminus = census(2 * m + 1, "ht").split_by_center()
-    for x in (0, 2, 3, Fraction(1, 2), 4):
-        at_x = LaurentPoly.const(x)
-        want_plus, want_minus = (p.substitute_poly("x", at_x) for p in (cplus, cminus))
-        plus, minus, robbins = refined_ht_odd(m, x)
-        assert (plus, minus) == (want_plus, want_minus), (m, x)
-        assert robbins == want_plus + x * want_minus, (m, x)
+    # The (t, x) result is the census split as polynomials in x, so it
+    # agrees with the census at every x at once.
+    plus, minus, robbins = refined_ht_odd(m, None)
+    assert (plus, minus) == census(2 * m + 1, "ht").split_by_center()
+    assert robbins == plus + LaurentPoly.var("x") * minus
 
 
 def test_xenum_map():

@@ -126,17 +126,23 @@ def test_rename_swap():
 
 
 def test_json_round_trip_is_canonical():
+    # The same polynomial, built over reversed variables with its terms in
+    # reverse order, serializes to the same bytes.
     p = (sigma_of(M(1, {"a": 2})) * V("x1") + 3) * (V("y1") - M(1, {"y1": -1}))
-    blob = p.to_json()
-    again = LaurentPoly.from_json(blob)
-    assert again == p
-    assert again.to_json() == blob
+    twin = LaurentPoly(tuple(reversed(p.vars)),
+                       {e[::-1]: c for e, c in reversed(list(p.tuple_terms().items()))})
+    assert twin == p
+    assert twin.to_json() == p.to_json() == (
+        '{"vars":["a","x1","y1"],"terms":[{"exps":[2,1,1],"coef":"1"},'
+        '{"exps":[2,1,-1],"coef":"-1"},{"exps":[0,0,1],"coef":"3"},'
+        '{"exps":[-2,1,1],"coef":"-1"},{"exps":[0,0,-1],"coef":"-3"},'
+        '{"exps":[-2,1,-1],"coef":"1"}]}')
 
 
 def test_json_fraction_and_cyclo_coefficients():
     p = LaurentPoly(("a",), {(1,): Fraction(3, 4), (0,): Cyclo(1, Fraction(-2, 5))})
-    blob = p.to_json()
-    assert LaurentPoly.from_json(blob).to_json() == blob
+    assert p.to_json() == ('{"vars":["a"],"terms":[{"exps":[1],"coef":"3/4"},'
+                           '{"exps":[0],"coef":{"p":"1","q":"-2/5"}}]}')
 
 
 @settings(max_examples=500, deadline=None)
@@ -359,7 +365,6 @@ def test_packed_terms_match_tuple_reference(case, n, rc):
         {e: -c if e[i] % 2 else c for e, c in p.items()}, {})
     live = _ref_add(p, {})
     assert P.degree_in(v) == (max(e[i] for e in live) if live else None)
-    assert P.min_degree_in(v) == (min(e[i] for e in live) if live else None)
 
     # Every exponent of v made negative, so each term takes rc^d at d < 0.
     low = {e[:i] + (-abs(e[i]) - 1,) + e[i + 1:]: c for e, c in p.items()}

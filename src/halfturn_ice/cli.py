@@ -416,7 +416,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 flag = "class" if dest == "klass" else dest.replace("_", "-")
                 raise UsageError(f"--{flag} needs a value")
         return args.fn(args)
-    except (ValueError, OSError) as exc:  # UsageError and every typed input error
+    except (ValueError, OSError, OverflowError) as exc:  # typed input errors, oversized orders
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

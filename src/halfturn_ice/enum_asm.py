@@ -228,17 +228,12 @@ def _phi_squared_arg(m: int) -> LaurentPoly:
 
 def phi_ht_closed(n: int) -> LaurentPoly:
     """Inversion generating function of the half-turn permutations:
-    a product of binomials (1 + z^odd) times phi of half the order in z^2."""
-    if n % 2 == 1:
-        m = (n - 1) // 2
-        p = _phi_squared_arg(m)
-        for i in range(1, m + 1):
-            p = p * (LaurentPoly.const(1) + _z(2 * i + 1))
-        return p
+    phi of m = floor(n/2) in z^2 times the binomials 1 + z^(2i - 1) for
+    even n, 1 + z^(2i + 1) for odd n, i = 1..m."""
     m = n // 2
     p = _phi_squared_arg(m)
     for i in range(1, m + 1):
-        p = p * (LaurentPoly.const(1) + _z(2 * i - 1))
+        p = p * (LaurentPoly.const(1) + _z(2 * i - 1 + 2 * (n % 2)))
     return p
 
 

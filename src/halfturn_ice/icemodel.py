@@ -32,20 +32,23 @@ is multiplied by a factor that clears all of its denominators, so the sum
 takes no inverse and no gcd, and the total is divided once, by the product
 of those factors.  The matrix:
 
-* The rows are read cell by cell, left to right.  A partial state is keyed
-  by its profile: the column partial sums C_1..C_n above the current cell
-  and the running row sum R to its left, all 0 or 1.  An entry e in
-  {-1, 0, 1} may go at a cell when C + e and R + e both stay in {0, 1};
-  a row closes only with R = 1.
+* The plan visits the cells of `_plan_cells`, row by row, left to right;
+  step k weighs with the k-th of `fundamental_cells`, the cell itself or
+  its half-turn image.  A partial state is keyed by its profile: the
+  column partial sums C_1..C_n above the current cell and the running row
+  sum R to its left, all 0 or 1.  An entry e in {-1, 0, 1} may go at a
+  cell when C + e and R + e both stay in {0, 1}; a row closes only with
+  R = 1.
 * The weight class follows `asm.to_state`: class 0 (types 1/2) when
   e != 0; otherwise class 1 (types 3/4) when C = R and class 2 (types 5/6)
   when C != R.
 * dwbc runs all n rows and closes with every C = 1.
 * The half-turn kinds run only the top floor(n/2) rows, over all n columns.
-  A top cell (i, j) with j > m is the half-turn image of the fundamental
-  cell (n+1-i, n+1-j) and carries its weights (x_i, y_(n+1-j)).  The image
-  has the same entry e and, when e = 0, the partial sums (1-C, 1-R), so
-  C = R holds at both or at neither and the two share a weight class.
+  A top cell (i, j) with j > m stands for its half-turn image, the
+  fundamental cell (n+1-i, n+1-j), and carries its weights
+  (x_i, y_(n+1-j)).  The image has the same entry e and, when e = 0, the
+  partial sums (1-C, 1-R), so C = R holds at both or at neither and the
+  two share a weight class.
   Column j of the full matrix then sums to C_j + mid_j + C_(n+1-j), with
   mid the middle row (none for even n), and its lower partial sums are 1
   minus partial sums of column n+1-j, so the top half completes exactly
@@ -136,29 +139,26 @@ class PartitionResult(NamedTuple):
         }
 
 
+def _plan_cells(spec: ModelSpec) -> list[tuple[int, int]]:
+    """The cells the transfer matrix visits, row by row, left to right:
+    every row for dwbc; for the half-turn kinds the first floor(n^2/2), the
+    top floor(n/2) rows and then the left half of an odd middle row, one
+    cell of every half-turn orbit but the central cell's."""
+    n = spec.order
+    count = n * n if spec.kind == "dwbc" else n * n // 2
+    return [(k // n + 1, k % n + 1) for k in range(count)]
+
+
 def fundamental_cells(spec: ModelSpec) -> tuple[tuple[int, int, str, str], ...]:
-    """(i, j, row variable, column variable) of every weighted vertex."""
-    cells = []
-    if spec.kind == "dwbc":
-        n = spec.size
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                cells.append((i, j, f"x{i}", f"y{j}"))
-    elif spec.kind == "ht-even":
-        m = spec.size
-        for i in range(1, 2 * m + 1):
-            xv = f"x{min(i, 2 * m + 1 - i)}"
-            for j in range(1, m + 1):
-                cells.append((i, j, xv, f"y{j}"))
-    else:
-        m = spec.size
-        for i in range(1, 2 * m + 2):
-            xv = f"x{min(i, 2 * m + 2 - i)}"
-            for j in range(1, m + 1):
-                cells.append((i, j, xv, f"y{j}"))
-        for i in range(m + 2, 2 * m + 2):
-            cells.append((i, m + 1, f"x{2 * m + 2 - i}", f"y{m + 1}"))
-    return tuple(cells)
+    """(i, j, row variable, column variable) of every weighted vertex, one
+    per plan cell (i, j) and in its order: the cell itself with (x_i, y_j)
+    when j <= n/2 (every cell of dwbc), otherwise its half-turn image
+    (n+1-i, n+1-j) with (x_i, y_(n+1-j))."""
+    n = spec.order
+    half = n if spec.kind == "dwbc" else n // 2
+    return tuple((i, j, f"x{i}", f"y{j}") if j <= half
+                 else (n + 1 - i, n + 1 - j, f"x{i}", f"y{n + 1 - j}")
+                 for i, j in _plan_cells(spec))
 
 
 # Weight class per vertex type: 0 -> sigma(a^2), 1 -> sigma(a*s), 2 -> sigma(a/s).
@@ -231,22 +231,18 @@ def _transfer_plan(kind: str, size: int):
     """The transfer matrix of the module docstring, compiled once per model.
 
     A profile is one int: bit 0 holds R and bit j holds C_j.  Returns
-    (steps, final, counts).  Each step is one cell: (index of its weight
-    triple, width of the next front, moves), a move being (source, target,
-    weight class) between positions in consecutive fronts.  `final` lists
-    (position, central entry) of every closing profile; moves that reach no
-    closing profile are pruned.  `counts` is the plan run over ints with
-    unit weights: the state count per central entry.
+    (steps, final, counts).  Step k visits the k-th of `_plan_cells` and
+    weighs with the k-th fundamental cell: (width of the next front, moves),
+    a move being (source, target, weight class) between positions in
+    consecutive fronts.  `final` lists (position, central entry) of every
+    closing profile; moves that reach no closing profile are pruned.
+    `counts` is the plan run over ints with unit weights: the state count
+    per central entry.
     """
     spec = ModelSpec(kind, size)
     n, m = spec.order, spec.order // 2
-    index = {(i, j): k for k, (i, j, _, _) in enumerate(fundamental_cells(spec))}
-    cells = [(i, j) for i in range(1, (n if kind == "dwbc" else m) + 1)
-             for j in range(1, n + 1)]
-    if kind == "ht-odd":
-        cells += [(m + 1, j) for j in range(1, m + 1)]
     front, steps = [0], []
-    for i, j in cells:
+    for _, j in _plan_cells(spec):
         flip = 1 << j | 1
         targets, moves = {}, []
         for source, key in enumerate(front):
@@ -260,8 +256,7 @@ def _transfer_plan(kind: str, size: int):
                         continue
                     target ^= 1
                 moves.append((source, targets.setdefault(target, len(targets)), klass))
-        k = index.get((i, j))
-        steps.append((index[n + 1 - i, n + 1 - j] if k is None else k, moves))
+        steps.append(moves)
         front = list(targets)
     if kind == "dwbc":
         final = [(s, 0) for s, key in enumerate(front) if key == (1 << n + 1) - 2]
@@ -271,26 +266,24 @@ def _transfer_plan(kind: str, size: int):
                  and not (n % 2 and (key >> m + 1 ^ key) & 1)]
     alive = {s for s, _ in final}
     for t in reversed(range(len(steps))):
-        k, moves = steps[t]
-        moves = [move for move in moves if move[1] in alive]
-        steps[t] = k, moves
-        alive = {s for s, _, _ in moves}
+        steps[t] = [move for move in steps[t] if move[1] in alive]
+        alive = {s for s, _, _ in steps[t]}
     renumber, compiled = {0: 0}, []
-    for k, moves in steps:
+    for moves in steps:
         targets = {}
         moves = tuple((renumber[s], targets.setdefault(t, len(targets)), c)
                       for s, t, c in moves)
-        compiled.append((k, len(targets), moves))
+        compiled.append((len(targets), moves))
         renumber = targets
     final = tuple((renumber[s], central) for s, central in final)
-    return tuple(compiled), final, _run_plan(compiled, final, [(1, 1, 1)] * len(index), 1)
+    return tuple(compiled), final, _run_plan(compiled, final, [(1, 1, 1)] * len(compiled), 1)
 
 
 def _run_plan(steps, final, weights, one) -> dict:
-    """{central entry: sum} of a compiled transfer plan in any ring."""
+    """{central entry: sum} of a compiled transfer plan in any ring, with
+    weights[k] the weight triple of step k."""
     front = [one]
-    for k, width, moves in steps:
-        w = weights[k]
+    for (width, moves), w in zip(steps, weights):
         nxt = [None] * width
         for s, t, c in moves:
             x = front[s] * w[c]
@@ -426,8 +419,7 @@ def _run_pairs(steps, final, weights) -> tuple[int, int]:
     """The total over every central entry of a compiled transfer plan, in
     Z[zeta] on integer-pair weights: `_run_plan` with the product inline."""
     fa, fb = [1], [0]
-    for k, width, moves in steps:
-        w = weights[k]
+    for (width, moves), w in zip(steps, weights):
         na, nb = [0] * width, [0] * width
         for s, t, c in moves:
             xa, xb = fa[s], fb[s]
@@ -439,26 +431,11 @@ def _run_pairs(steps, final, weights) -> tuple[int, int]:
 
 
 def modified_multiplier(spec: ModelSpec) -> LaurentPoly:
-    """Monomial clearing all negative spectral exponents of the state sum."""
-    exps: dict[str, int] = {}
-    if spec.kind == "dwbc":
-        n = spec.size
-        for i in range(1, n + 1):
-            exps[f"x{i}"] = n - 1
-            exps[f"y{i}"] = n - 1
-    elif spec.kind == "ht-even":
-        m = spec.size
-        for i in range(1, m + 1):
-            exps[f"x{i}"] = 2 * m - 1
-            exps[f"y{i}"] = 2 * m - 1
-    else:
-        m = spec.size
-        for i in range(1, m + 1):
-            exps[f"x{i}"] = 2 * m
-            exps[f"y{i}"] = 2 * m
-        exps[f"x{m + 1}"] = m
-        exps[f"y{m + 1}"] = m
-    return LaurentPoly.monomial(1, exps)
+    """Monomial clearing all negative spectral exponents of the state sum:
+    (x_i y_i)^(order - 1) for i <= size, and (x_c y_c)^m for the central
+    pair c = m + 1 of ht-odd."""
+    return LaurentPoly.monomial(1, {f"{v}{i}": spec.order - 1 if i <= spec.size else spec.size
+                                    for i in range(1, spec.x_count + 1) for v in "xy"})
 
 
 def modified_partition(spec: ModelSpec,
@@ -489,12 +466,10 @@ def z_ht2(m: int) -> PartitionResult:
 
 
 def modified_z_ht2(m: int) -> LaurentPoly:
-    """Cofactor of the modified functions: multiply by prod (x_i y_i)^m."""
-    exps = {}
-    for i in range(1, m + 1):
-        exps[f"x{i}"] = m
-        exps[f"y{i}"] = m
-    return z_ht2(m).value * LaurentPoly.monomial(1, exps)
+    """Cofactor of the modified functions: z_ht2(m) times the ht-even
+    multiplier over the dwbc one, prod (x_i y_i)^m."""
+    return z_ht2(m).value * (modified_multiplier(ModelSpec("ht-even", m))
+                             * modified_multiplier(ModelSpec("dwbc", m)).monomial_inverse())
 
 
 def _half_int_poly(p: LaurentPoly) -> LaurentPoly:

@@ -821,6 +821,18 @@ def _suite_xenum(run: _Run, params: Mapping, rng: random.Random):
                   lhs_num * (sqrtx_of_a + 2) * rhs_den, rhs_num * lhs_den, m=m)
 
 
+def _orbit_weighted(tab) -> LaurentPoly:
+    """An odd half-turn census in (t, x), each matrix weighted by x once per
+    half-turn orbit of its -1 entries: sqrtx^k -> x^ceil(k/2), as the
+    central entry is an orbit of its own."""
+    total = LaurentPoly.zero()
+    for (r, _), poly in tab.ordered_rows():
+        for e, c in poly.tuple_terms().items():
+            k = e[0] if e else 0  # a constant row has no sqrtx
+            total = total + LaurentPoly.monomial(c, {"t": r - 1, "x": (k + 1) // 2})
+    return total
+
+
 def _suite_refined_split(run: _Run, params: Mapping, rng: random.Random):
     for order in params["orders"]:
         m = (order - 1) // 2
@@ -831,8 +843,8 @@ def _suite_refined_split(run: _Run, params: Mapping, rng: random.Random):
         cminus1 = cminus.substitute_poly("x", _ONE)
         run.check(f"central +1 refined order={order}", plus, cplus1, order=order)
         run.check(f"central -1 refined order={order}", minus, cminus1, order=order)
-        run.check(f"orbit-weighted column order={order}", robbins, cplus1 + cminus1,
-                  order=order)
+        run.check(f"orbit-weighted column order={order}", robbins,
+                  formulas.census_genfunc_at_x1(order, "ht"), order=order)
         t_one = {"t": 1}
         run.check(f"split totals order={order}",
                   (plus.evaluate(t_one), minus.evaluate(t_one)),
@@ -840,11 +852,11 @@ def _suite_refined_split(run: _Run, params: Mapping, rng: random.Random):
                    formulas.count_closed("ht-odd-minus", order)), order=order)
     # fully symbolic split at the smallest size
     plus, minus, robbins = formulas.refined_ht_odd(1, None)
-    cplus, cminus = census(3, "ht").split_by_center()
+    tab = census(3, "ht")
+    cplus, cminus = tab.split_by_center()
     run.check("symbolic central +1 split m=1", plus, cplus)
     run.check("symbolic central -1 split m=1", minus, cminus)
-    run.check("symbolic orbit-weighted m=1", robbins,
-              cplus + LaurentPoly.var("x") * cminus)
+    run.check("symbolic orbit-weighted m=1", robbins, _orbit_weighted(tab))
 
 
 def _suite_four_enum(run: _Run, params: Mapping, rng: random.Random):

@@ -236,6 +236,18 @@ def test_attached_double_dash_is_a_missing_value(capsys, argv):
     assert len(result[2].splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--order", "99999999999999999999", "--count"),
+    ("enumerate", "--order", "99999999999999999999", "--count", "--class", "ht"),
+    ("genfunc", "--order", "99999999999999999999", "--mode", "brute"),
+])
+def test_oversized_order_is_a_usage_error(capsys, argv):
+    # The order overflows an index (OverflowError) before anything is built.
+    result = run(capsys, *argv)
+    assert_usage_error(result)
+    assert len(result[2].splitlines()) == 1
+
+
 def test_partition_zero_assignment_is_a_usage_error(capsys):
     assert_usage_error(run(capsys, "partition", "--model", "dwbc", "-n", "2",
                            "--assign", "a=zeta", "--assign", "x1=0", "--assign", "x2=2",

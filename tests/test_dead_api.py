@@ -3,13 +3,16 @@
 Every public function, method and class defined in `src/halfturn_ice/` must
 be referenced elsewhere in the package source: by a Name node, an Attribute
 node or an import alias.  Docstrings and comments do not count.  Test
-oracles belong next to their tests, not in `src/`.
+oracles belong next to their tests, not in `src/`.  So must every private
+module-level function, outside its own body: a helper that only tests call
+does not stay in the package either.
 
 Matching is by name only, so a public name that some local name shadows
 (say, a variable `norm` in another module) escapes this check.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "halfturn_ice"
@@ -30,18 +33,19 @@ def _public_definitions(tree):
                             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
 
 
-def _referenced_names(trees):
-    names = set()
+def _referenced_names(trees) -> Counter:
+    """How often each name is referenced under the given nodes."""
+    names = Counter()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                names.add(node.id)
+                names[node.id] += 1
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                names[node.attr] += 1
             elif isinstance(node, ast.alias):
-                names.add(node.name.split(".")[-1])
+                names[node.name.split(".")[-1]] += 1
                 if node.asname:
-                    names.add(node.asname)
+                    names[node.asname] += 1
     return names
 
 
@@ -49,5 +53,15 @@ def test_every_public_definition_has_a_caller_in_the_package():
     trees = _trees()
     referenced = _referenced_names(trees)
     unused = sorted({node.name for tree in trees for node in _public_definitions(tree)
-                     if not node.name.startswith("_")} - referenced)
+                     if not node.name.startswith("_")} - referenced.keys())
     assert unused == [], f"public names nothing in src/ calls: {', '.join(unused)}"
+
+
+def test_every_private_module_function_has_a_caller_in_the_package():
+    trees = _trees()
+    referenced = _referenced_names(trees)
+    unused = sorted(node.name for tree in trees for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and referenced[node.name] == _referenced_names([node])[node.name])
+    assert unused == [], f"private functions nothing else in src/ calls: {', '.join(unused)}"

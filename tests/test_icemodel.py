@@ -12,10 +12,10 @@ from halfturn_ice.exactnum import Cyclo, ZETA
 from halfturn_ice.formulas import count_closed
 from halfturn_ice import icemodel
 from halfturn_ice.icemodel import (
-    ModelSpec, SingularAssignment, SizeTooLarge, _pair_weights, _run_pairs, _run_plan,
-    _state_sums, _symbolic_weights, _transfer_plan, _transfer_sums, fundamental_cells,
-    modified_multiplier, modified_partition, partition_function, state_counts, vertex_weight,
-    z_ht2, z_split_odd)
+    ModelSpec, SingularAssignment, SizeTooLarge, _pair_weights, _plan_cells, _run_pairs,
+    _run_plan, _state_sums, _symbolic_weights, _transfer_plan, _transfer_sums, fundamental_cells,
+    modified_multiplier, modified_partition, modified_z_ht2, partition_function, state_counts,
+    vertex_weight, z_ht2, z_split_odd)
 from halfturn_ice.laurent import LaurentPoly, sigma_of
 
 M = LaurentPoly.monomial
@@ -203,6 +203,22 @@ def test_multiplier_shapes():
         1, {"x1": 2, "x2": 2, "x3": 2, "y1": 2, "y2": 2, "y3": 2})
     assert modified_multiplier(ModelSpec("ht-odd", 1)) == M(
         1, {"x1": 2, "y1": 2, "x2": 1, "y2": 1})
+    assert modified_multiplier(ModelSpec("ht-even", 2)) == M(
+        1, {"x1": 3, "y1": 3, "x2": 3, "y2": 3})
+    # Per kind, the exponents of x_i and y_i for i = 1, 2, ...
+    table = {"dwbc": lambda n: [n - 1] * n,
+             "ht-even": lambda m: [2 * m - 1] * m,
+             "ht-odd": lambda m: [2 * m] * m + [m]}
+    for kind, exponents in table.items():
+        for size in range(1, 6):
+            want = M(1, {f"{v}{i}": e for i, e in enumerate(exponents(size), 1) for v in "xy"})
+            assert modified_multiplier(ModelSpec(kind, size)) == want, (kind, size)
+
+
+def test_modified_cofactor_is_the_cofactor_times_prod_xy_to_the_m():
+    for m in (1, 2, 3):
+        prod = M(1, {f"{v}{i}": m for i in range(1, m + 1) for v in "xy"})
+        assert modified_z_ht2(m) == z_ht2(m).value * prod, m
 
 
 def test_partition_result_json():
@@ -249,6 +265,36 @@ def random_assignment(rng, spec, a):
 
 
 TRANSFER_RANGE = (("dwbc", range(1, 6)), ("ht-even", range(1, 4)), ("ht-odd", range(0, 4)))
+
+
+def _row_major_cells(spec):
+    """The fundamental domain by its definition, as a set: every cell for
+    dwbc; for the half-turn kinds columns 1..m of every row, row i weighted
+    by x_min(i, n+1-i), plus rows m+2..n of an odd central column."""
+    n, m = spec.order, spec.order // 2
+    if spec.kind == "dwbc":
+        return {(i, j, f"x{i}", f"y{j}") for i in range(1, n + 1) for j in range(1, n + 1)}
+    cells = {(i, j, f"x{min(i, n + 1 - i)}", f"y{j}")
+             for i in range(1, n + 1) for j in range(1, m + 1)}
+    if n % 2:
+        cells |= {(i, m + 1, f"x{n + 1 - i}", f"y{m + 1}") for i in range(m + 2, n + 1)}
+    return cells
+
+
+def test_plan_step_k_is_fundamental_cell_k():
+    # Step k of the plan visits the k-th plan cell and weighs with the k-th
+    # fundamental cell: that cell itself or its half-turn image.
+    for kind, sizes in TRANSFER_RANGE:
+        for size in sizes:
+            spec = ModelSpec(kind, size)
+            n = spec.order
+            steps, _, _ = _transfer_plan(kind, size)
+            cells = fundamental_cells(spec)
+            assert len(steps) == len(cells) == len(_plan_cells(spec)), (kind, size)
+            for (i, j), (fi, fj, _, _) in zip(_plan_cells(spec), cells):
+                assert (fi, fj) in ((i, j), (n + 1 - i, n + 1 - j)), (kind, size, i, j)
+            assert len(set(cells)) == len(cells)
+            assert set(cells) == _row_major_cells(spec), (kind, size)
 
 
 def _lcm_point_weights(spec, assignment):

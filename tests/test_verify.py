@@ -7,6 +7,7 @@ import pytest
 
 from halfturn_ice import icemodel, verify
 from halfturn_ice.determinant import random_distinct_rationals
+from halfturn_ice.enum_asm import CensusTable
 from halfturn_ice.exactnum import ZETA, Cyclo
 from halfturn_ice.laurent import LaurentPoly
 from halfturn_ice.verify import (
@@ -112,6 +113,28 @@ def test_ht_odd_inversion_negative_control(monkeypatch):
     assert not rep.passed
     assert rep.witness["check"] == "invariance under reciprocal variables, m=1"
     assert rep.witness["lhs"] != rep.witness["rhs"]
+
+
+def test_orbit_weighted_checks_do_not_read_the_split(monkeypatch):
+    # With the t^0 terms of the split's minus part dropped, the split checks
+    # fail, and the orbit-weighted ones, which read the unsplit census, pass.
+    real = CensusTable.split_by_center
+
+    def drop_minus_t0(self):
+        plus, minus = real(self)
+        it = minus.vars.index("t")
+        return plus, LaurentPoly(minus.vars, {e: c for e, c in minus.tuple_terms().items()
+                                              if e[it]})
+
+    monkeypatch.setattr(CensusTable, "split_by_center", drop_minus_t0)
+    outcomes = {}
+    monkeypatch.setattr(_Run, "check", lambda self, name, lhs, rhs, **context:
+                        outcomes.__setitem__(name, lhs == rhs))
+    run_suite("refined-split", {"orders": [5, 7]})
+    for order in (5, 7):
+        assert not outcomes[f"central -1 refined order={order}"]
+        assert outcomes[f"orbit-weighted column order={order}"]
+    assert outcomes["symbolic orbit-weighted m=1"]
 
 
 @pytest.mark.parametrize("seed", (42, 7, 8))

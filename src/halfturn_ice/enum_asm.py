@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from .asm import Asm, as_asm, inversions, stats
-from .laurent import LaurentPoly
+from .laurent import _LIMIT, LaurentPoly
 
 Row = tuple[int, ...]
 Cols = tuple[int, ...]
@@ -241,6 +241,9 @@ def inversion_genfunc(n: int, klass: str = "all", mode: str = "brute") -> Lauren
     """Sum of z^inv(s) over the class, by brute force or by product formula."""
     if n < 1:
         raise ValueError("order must be >= 1")
+    if n * (n - 1) // 2 > _LIMIT:  # the reversed word's inversions, before anything is built
+        raise OverflowError(f"order {n} has up to {n * (n - 1) // 2} inversions, "
+                            f"past the exponent range +-{_LIMIT}")
     if mode == "closed":
         return phi_closed(n) if klass == "all" else phi_ht_closed(n)
     if mode != "brute":

@@ -20,7 +20,8 @@ order 2m or 2m+1; only fundamental-domain vertices are weighted:
   central cell) carries weight 1.
 
 Symbolic totals are Laurent polynomials over the integers in a and the
-spectral variables, summed state by state over the ASM stream
+spectral variables, summed over the states the ASM stream lists by
+Horner's rule on shared prefixes of their weight-class codes
 (`_state_sums`, whose one caller is `_symbolic_value`).  Evaluated sums,
 in Q(zeta) or Q, and the direct central-entry split of Z_HT(2m+1), in
 Laurent polynomials, run a row transfer matrix over boundary profiles
@@ -208,22 +209,38 @@ def _state_profiles(kind: str, size: int):
 
 
 def _state_sums(kind: str, size: int, weights, one) -> dict:
-    """The brute state-sum loop: {central entry: (sum, state count)}.
+    """The sum over the listed states: {central entry: (sum, state count)}.
 
     weights[k] is the (class 0, class 1, class 2) weight triple of the k-th
     fundamental cell in any ring whose unit is `one` (LaurentPoly, Cyclo);
     each state contributes the product of its cells' weights to the part of
-    its central entry (always 0 for dwbc and ht-even).
+    its central entry (always 0 for dwbc and ht-even).  The products are
+    summed by Horner's rule on shared prefixes: the states that agree on
+    cells 0..k-1 sum to the sum over c of weights[k][c] times the sum over
+    those that go on with code c at cell k, so each distinct prefix costs
+    one product and no state is multiplied out alone.
     """
-    zero = one - one
-    sums = {}
+    groups = {}
     for codes, central in _state_profiles(kind, size):
-        w = one
-        for cell, code in zip(weights, codes):
-            w = w * cell[code]
-        total, count = sums.get(central, (zero, 0))
-        sums[central] = (total + w, count + 1)
-    return sums
+        groups.setdefault(central, []).append(codes)
+    depth = len(weights)
+
+    def horner(codes, lo, hi, k):
+        # codes[lo:hi] agree on cells 0..k-1 and are sorted.
+        if k == depth:
+            return one * (hi - lo)
+        total = None
+        while lo < hi:
+            c, mid = codes[lo][k], lo + 1
+            while mid < hi and codes[mid][k] == c:
+                mid += 1
+            term = weights[k][c] * horner(codes, lo, mid, k + 1)
+            total = term if total is None else total + term
+            lo = mid
+        return total
+
+    return {central: (horner(sorted(codes), 0, len(codes), 0), len(codes))
+            for central, codes in groups.items()}
 
 
 @lru_cache(maxsize=None)
@@ -320,8 +337,8 @@ def _symbolic_weights(kind: str, size: int) -> list:
 
 @lru_cache(maxsize=None)
 def _symbolic_value(kind: str, size: int) -> tuple[LaurentPoly, int]:
-    """(symbolic state sum, state count), by the per-state loop, over every
-    central entry."""
+    """(symbolic state sum, state count) over every central entry: the
+    listed states summed by Horner's rule on shared prefixes."""
     sums = _state_sums(kind, size, _symbolic_weights(kind, size), LaurentPoly.const(1))
     (value, count), *rest = sums.values()
     for v, c in rest:
@@ -484,7 +501,7 @@ def _half_int_poly(p: LaurentPoly) -> LaurentPoly:
 def z_split_odd(m: int, method: str = "parity") -> tuple[PartitionResult, PartitionResult]:
     """Split Z_HT(2m+1) by the central entry of the underlying matrices.
 
-    parity: half-sums of the per-state total and its image under a -> -a,
+    parity: half-sums of the listed-state total and its image under a -> -a,
     using that the plus part carries (-1)^m and the minus part (-1)^(m+1).
     direct: the transfer matrix's sums, kept apart by the central entry.
     Both must agree exactly.

@@ -248,6 +248,18 @@ def test_oversized_order_is_a_usage_error(capsys, argv):
     assert len(result[2].splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("genfunc", "--class", "ht", "--mode", "brute", "--order", "99999999999999999999"),
+    ("genfunc", "--order", "300"),
+])
+def test_genfunc_past_the_exponent_range_is_a_usage_error(capsys, argv):
+    # n(n-1)/2 inversions past the +-32767 exponent digits: refused before a
+    # permutation or a factor is built.
+    result = run(capsys, *argv)
+    assert_usage_error(result, "exponent range")
+    assert len(result[2].splitlines()) == 1
+
+
 def test_partition_zero_assignment_is_a_usage_error(capsys):
     assert_usage_error(run(capsys, "partition", "--model", "dwbc", "-n", "2",
                            "--assign", "a=zeta", "--assign", "x1=0", "--assign", "x2=2",

@@ -356,12 +356,45 @@ def test_pair_run_matches_the_lcm_scaled_reference():
 
 
 def test_transfer_matches_brute_sums_symbolically():
-    for kind, sizes in (("dwbc", range(1, 4)), ("ht-even", range(1, 3)), ("ht-odd", range(0, 3))):
+    for kind, sizes in (("dwbc", range(1, 4)), ("ht-even", range(1, 4)), ("ht-odd", range(0, 3))):
         for size in sizes:
             weights = _symbolic_weights(kind, size)
             one = LaurentPoly.const(1)
             fast = _transfer_sums(kind, size, weights, one)
             assert fast == _state_sums(kind, size, weights, one), (kind, size)
+
+
+def reference_state_sums(kind, size, weights, one):
+    """The sum over the listed states with no shared work: every state's
+    product multiplied out alone and added into the part of its central
+    entry."""
+    sums = {}
+    for codes, central in icemodel._state_profiles(kind, size):
+        w = one
+        for cell, code in zip(weights, codes):
+            w = w * cell[code]
+        total, count = sums.get(central, (one - one, 0))
+        sums[central] = (total + w, count + 1)
+    return sums
+
+
+def test_horner_sums_match_the_per_state_products():
+    one = LaurentPoly.const(1)
+    for kind, sizes in (("dwbc", range(1, 5)), ("ht-even", range(1, 3)), ("ht-odd", range(0, 3))):
+        for size in sizes:
+            # {central entry: (sum, count)}: equal part by part, counts too.
+            weights = _symbolic_weights(kind, size)
+            assert (_state_sums(kind, size, weights, one)
+                    == reference_state_sums(kind, size, weights, one)), (kind, size)
+
+
+def test_class_codes_fix_the_state():
+    # Distinct states have distinct code vectors, so every leaf of the
+    # Horner sum holds one state.
+    for kind, sizes in TRANSFER_RANGE:
+        for size in sizes:
+            profiles = icemodel._state_profiles(kind, size)
+            assert len({codes for codes, _ in profiles}) == len(profiles), (kind, size)
 
 
 def test_transfer_counts_are_the_closed_counts():
@@ -372,8 +405,11 @@ def test_transfer_counts_are_the_closed_counts():
         for size in range(sizes.start, sizes.stop + 2):
             spec = ModelSpec(kind, size)
             counts = state_counts(spec)
-            unit = _transfer_sums(kind, size, [(1, 1, 1)] * len(fundamental_cells(spec)), 1)
+            units = [(1, 1, 1)] * len(fundamental_cells(spec))
+            unit = _transfer_sums(kind, size, units, 1)
             assert unit == {c: (n, n) for c, n in counts.items()}
+            if size in sizes:
+                assert _state_sums(kind, size, units, 1) == unit, (kind, size)
             family = "asm" if kind == "dwbc" else kind
             assert sum(counts.values()) == count_closed(family, spec.order)
             if kind == "ht-odd" and size:

@@ -220,28 +220,34 @@ def _cmd_formulas(args) -> int:
     value = formulas.count_closed(family, order)  # refuses an order outside the family
     if args.refined:
         if family == "asm":
-            poly = formulas.refined_asm_closed(order)
+            value = formulas.refined_asm_closed(order)
         elif family == "ht-even":
-            poly = formulas.refined_ht2_closed(order // 2)
+            value = formulas.refined_ht2_closed(order // 2)
         elif family in ("ht-odd", "ht-odd-plus", "ht-odd-minus", "robbins"):
             m = (order - 1) // 2
             plus, minus, robbins = formulas.refined_ht_odd(m, 1)
-            poly = {"ht-odd": plus + minus, "ht-odd-plus": plus,
-                    "ht-odd-minus": minus, "robbins": robbins}[family]
+            value = {"ht-odd": plus + minus, "ht-odd-plus": plus,
+                     "ht-odd-minus": minus, "robbins": robbins}[family]
         else:
             raise UsageError(f"no refined form for family {family}")
-        if args.format == "json":
-            _emit(_jsonline({"schemaVersion": SCHEMA_VERSION, "family": family,
-                             "order": order, "refined": True,
-                             "poly": poly.to_json_obj()}), args.out)
+    # Exact counts pass Python's cap on int-to-string digits (4,300 from
+    # 3.11; A(200) has 4,545), so it is lifted only while they are written.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "text":
+            text = f"{value}\n"
+        elif args.refined:
+            text = _jsonline({"schemaVersion": SCHEMA_VERSION, "family": family,
+                              "order": order, "refined": True, "poly": value.to_json_obj()})
         else:
-            _emit(str(poly) + "\n", args.out)
-        return 0
-    if args.format == "json":
-        _emit(_jsonline({"schemaVersion": SCHEMA_VERSION, "family": family,
-                         "order": order, "value": str(value)}), args.out)
-    else:
-        _emit(f"{value}\n", args.out)
+            text = _jsonline({"schemaVersion": SCHEMA_VERSION, "family": family,
+                              "order": order, "value": str(value)})
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    _emit(text, args.out)
     return 0
 
 

@@ -204,26 +204,28 @@ def ht_permutations(n: int) -> Iterator[tuple[int, ...]]:
     return fill()
 
 
-def _z(exp: int) -> LaurentPoly:
-    return LaurentPoly(("z",), {(exp,): 1})
+def _times_geometric(coeffs: list[int], k: int, step: int) -> list[int]:
+    """The coefficients in z of coeffs times 1 + z^step + ... + z^((k-1)step):
+    each is a window sum of k coefficients of coeffs, step apart, read as
+    the difference of two running sums."""
+    run = coeffs + [0] * ((k - 1) * step)
+    for e in range(step, len(run)):
+        run[e] += run[e - step]  # run[e] = coeffs[e] + coeffs[e - step] + ...
+    span = k * step
+    return run[:span] + [run[e] - run[e - span] for e in range(span, len(run))]
 
 
-def _geometric(k: int) -> LaurentPoly:
-    """1 + z + ... + z^(k-1)."""
-    return LaurentPoly(("z",), {(i,): 1 for i in range(k)})
+def _z_poly(coeffs: list[int]) -> LaurentPoly:
+    return LaurentPoly(("z",), {(e,): c for e, c in enumerate(coeffs) if c})
 
 
 def phi_closed(n: int) -> LaurentPoly:
-    """Inversion generating function of the full symmetric group."""
-    p = LaurentPoly.const(1)
+    """Inversion generating function of the full symmetric group: the
+    product of 1 + z + ... + z^(k-1) over k = 2..n."""
+    coeffs = [1]
     for k in range(2, n + 1):
-        p = p * _geometric(k)
-    return p
-
-
-def _phi_squared_arg(m: int) -> LaurentPoly:
-    """phi(m) with z replaced by z^2."""
-    return phi_closed(m).substitute("z", LaurentPoly(("z",), {(2,): 1}))
+        coeffs = _times_geometric(coeffs, k, 1)
+    return _z_poly(coeffs)
 
 
 def phi_ht_closed(n: int) -> LaurentPoly:
@@ -231,10 +233,16 @@ def phi_ht_closed(n: int) -> LaurentPoly:
     phi of m = floor(n/2) in z^2 times the binomials 1 + z^(2i - 1) for
     even n, 1 + z^(2i + 1) for odd n, i = 1..m."""
     m = n // 2
-    p = _phi_squared_arg(m)
+    coeffs = [1]
+    for k in range(2, m + 1):
+        coeffs = _times_geometric(coeffs, k, 2)
     for i in range(1, m + 1):
-        p = p * (LaurentPoly.const(1) + _z(2 * i - 1 + 2 * (n % 2)))
-    return p
+        e = 2 * i - 1 + 2 * (n % 2)
+        shifted = coeffs + [0] * e  # coeffs times 1 + z^e
+        for j, c in enumerate(coeffs):
+            shifted[j + e] += c
+        coeffs = shifted
+    return _z_poly(coeffs)
 
 
 def inversion_genfunc(n: int, klass: str = "all", mode: str = "brute") -> LaurentPoly:

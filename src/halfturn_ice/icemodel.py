@@ -25,8 +25,9 @@ Horner's rule on shared prefixes of their weight-class codes
 (`_state_sums`, whose one caller is `_symbolic_value`).  Evaluated sums,
 in Q(zeta) or Q, and the direct central-entry split of Z_HT(2m+1), in
 Laurent polynomials, run a row transfer matrix over boundary profiles
-instead, and so do the state counts (`state_counts`, the same matrix with
-unit weights).  An evaluated sum runs it on integer pairs (p, q) standing
+instead.  Every state count, split by the central entry or not, is that
+matrix run once with unit weights (`_guarded_counts`, behind the state
+guard).  An evaluated sum runs it on integer pairs (p, q) standing
 for p + q*zeta in Z[zeta] (`_pair_weights`, `_run_pairs`).  Each value is
 read once as V/d with V in Z[zeta] and d an integer; every weight triple
 is multiplied by a factor that clears all of its denominators, so the sum
@@ -63,7 +64,8 @@ of those factors.  The matrix:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Mapping, NamedTuple, Optional, Union
 
 from . import formulas
@@ -180,49 +182,36 @@ def vertex_weight(vertex_type: int, spectral: LaurentPoly) -> LaurentPoly:
     return sigma_of(a * s)
 
 
-def _check_guard(spec: ModelSpec, max_states: Optional[int] = None) -> None:
-    """Raise SizeTooLarge before any state is generated when the model's
-    state count (the closed-form ASM count) exceeds the guard: max_states
-    if given, else DEFAULT_MAX_STATES."""
-    expected = formulas.count_closed("asm" if spec.kind == "dwbc" else spec.kind, spec.order)
-    limit = DEFAULT_MAX_STATES if max_states is None else max_states
-    if expected > limit:
-        raise SizeTooLarge(f"{expected} states exceeds the guard {limit}")
-
-
 @lru_cache(maxsize=None)
 def _state_profiles(kind: str, size: int):
-    """Per state: weight-class code of every fundamental cell, plus the
-    central entry for odd half-turn models (0 for the other kinds).  Cached;
-    order matches the deterministic generator stream.  Never empty: ht-odd
-    m = 0 is the single 1 x 1 state with central entry 1."""
+    """((central entry, codes), ...): per central entry (0 for dwbc and
+    ht-even), in the generator stream's order of first appearance, the
+    sorted weight-class codes of its states' fundamental cells.  Cached.
+    Never empty: ht-odd m = 0 is one 1 x 1 state with central entry 1."""
     spec = ModelSpec(kind, size)
     cells = fundamental_cells(spec)
-    klass = "all" if kind == "dwbc" else "ht"
     mid = (spec.order + 1) // 2
-    profiles = []
-    for m in gen_asms(spec.order, klass):
+    groups = {}
+    for m in gen_asms(spec.order, "all" if kind == "dwbc" else "ht"):
         st = to_state(m)
-        codes = tuple(_WEIGHT_CLASS[st[i, j]] for i, j, _, _ in cells)
-        profiles.append((codes, m[mid, mid] if kind == "ht-odd" else 0))
-    return tuple(profiles)
+        groups.setdefault(m[mid, mid] if kind == "ht-odd" else 0, []).append(
+            tuple(_WEIGHT_CLASS[st[i, j]] for i, j, _, _ in cells))
+    return tuple((central, sorted(codes)) for central, codes in groups.items())
 
 
-def _state_sums(kind: str, size: int, weights, one) -> dict:
-    """The sum over the listed states: {central entry: (sum, state count)}.
+def _state_sums(kind: str, size: int, weights, one):
+    """The sum over the listed states of the product of their cells' weights.
 
     weights[k] is the (class 0, class 1, class 2) weight triple of the k-th
-    fundamental cell in any ring whose unit is `one` (LaurentPoly, Cyclo);
-    each state contributes the product of its cells' weights to the part of
-    its central entry (always 0 for dwbc and ht-even).  The products are
-    summed by Horner's rule on shared prefixes: the states that agree on
-    cells 0..k-1 sum to the sum over c of weights[k][c] times the sum over
-    those that go on with code c at cell k, so each distinct prefix costs
-    one product and no state is multiplied out alone.
+    fundamental cell in any ring whose unit is `one` (LaurentPoly, Cyclo).
+    The products are summed by Horner's rule on shared prefixes: the states
+    that agree on cells 0..k-1 sum to the sum over c of weights[k][c] times
+    the sum over those that go on with code c at cell k, so each distinct
+    prefix costs one product and no state is multiplied out alone.  Each
+    central entry's group is summed apart and the group sums are added: one
+    Horner pass over all the states at once gives the same total at a
+    higher peak memory.
     """
-    groups = {}
-    for codes, central in _state_profiles(kind, size):
-        groups.setdefault(central, []).append(codes)
     depth = len(weights)
 
     def horner(codes, lo, hi, k):
@@ -239,8 +228,8 @@ def _state_sums(kind: str, size: int, weights, one) -> dict:
             lo = mid
         return total
 
-    return {central: (horner(sorted(codes), 0, len(codes), 0), len(codes))
-            for central, codes in groups.items()}
+    return reduce(add, (horner(codes, 0, len(codes), 0)
+                        for _, codes in _state_profiles(kind, size)))
 
 
 @lru_cache(maxsize=None)
@@ -312,19 +301,26 @@ def _run_plan(steps, final, weights, one) -> dict:
     return sums
 
 
+def _guarded_counts(spec: ModelSpec, max_states: Optional[int] = None) -> dict[int, int]:
+    """The compiled plan's {central entry: state count}, once no closed-form
+    count up to the model's size passes max_states (DEFAULT_MAX_STATES if
+    None): counts grow with the size, so the first size past it refuses,
+    and no count far above the guard is computed."""
+    limit = DEFAULT_MAX_STATES if max_states is None else max_states
+    family = "asm" if spec.kind == "dwbc" else spec.kind
+    step = 1 if spec.kind == "dwbc" else 2
+    for order in range(spec.order % step or step, spec.order + 1, step):
+        expected = formulas.count_closed(family, order)
+        if expected > limit:
+            raise SizeTooLarge(f"{spec.kind} size {spec.size} has at least {expected} "
+                               f"states, more than the guard {limit}")
+    return _transfer_plan(spec.kind, spec.size)[2]
+
+
 def state_counts(spec: ModelSpec) -> dict[int, int]:
-    """{central entry: number of states} of a model, from its compiled
-    transfer plan (key 0 for dwbc and ht-even): no state is listed.  Raises
-    SizeTooLarge past the guard of `partition_function`."""
-    _check_guard(spec)
-    return dict(_transfer_plan(spec.kind, spec.size)[2])
-
-
-def _transfer_sums(kind: str, size: int, weights, one) -> dict:
-    """The contract of `_state_sums`, {central entry: (sum, state count)},
-    by the transfer matrix: no state is listed."""
-    steps, final, counts = _transfer_plan(kind, size)
-    return {c: (v, counts[c]) for c, v in _run_plan(steps, final, weights, one).items()}
+    """{central entry: number of states} (key 0 for dwbc and ht-even), from
+    the compiled transfer plan behind the default guard."""
+    return dict(_guarded_counts(spec))
 
 
 def _symbolic_weights(kind: str, size: int) -> list:
@@ -336,14 +332,10 @@ def _symbolic_weights(kind: str, size: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _symbolic_value(kind: str, size: int) -> tuple[LaurentPoly, int]:
-    """(symbolic state sum, state count) over every central entry: the
-    listed states summed by Horner's rule on shared prefixes."""
-    sums = _state_sums(kind, size, _symbolic_weights(kind, size), LaurentPoly.const(1))
-    (value, count), *rest = sums.values()
-    for v, c in rest:
-        value, count = value + v, count + c
-    return value, count
+def _symbolic_value(kind: str, size: int) -> LaurentPoly:
+    """The symbolic state sum: the listed states summed by Horner's rule on
+    shared prefixes."""
+    return _state_sums(kind, size, _symbolic_weights(kind, size), LaurentPoly.const(1))
 
 
 def partition_function(spec: ModelSpec,
@@ -351,10 +343,9 @@ def partition_function(spec: ModelSpec,
                        max_states: Optional[int] = None) -> PartitionResult:
     """Exact state sum: symbolic Laurent polynomial, or a field value when
     an assignment for a and all spectral variables is given."""
-    _check_guard(spec, max_states)
+    count = sum(_guarded_counts(spec, max_states).values())
     if assignment is None:
-        value, count = _symbolic_value(spec.kind, spec.size)
-        return PartitionResult(value, spec, count)
+        return PartitionResult(_symbolic_value(spec.kind, spec.size), spec, count)
     names, _, _ = _point_layout(spec.kind, spec.size)
     missing = [v for v in names if v not in assignment]
     if missing:
@@ -363,9 +354,8 @@ def partition_function(spec: ModelSpec,
     if zeros:
         raise SingularAssignment(f"zero value for {', '.join(zeros)} puts a pole in the weights")
     weights, scale = _pair_weights(spec.kind, spec.size, assignment)
-    steps, final, counts = _transfer_plan(spec.kind, spec.size)
-    value = Cyclo(*_run_pairs(steps, final, weights)) / Cyclo(*scale)
-    return PartitionResult(value, spec, sum(counts.values()))
+    steps, final, _ = _transfer_plan(spec.kind, spec.size)
+    return PartitionResult(Cyclo(*_run_pairs(steps, final, weights)) / Cyclo(*scale), spec, count)
 
 
 @lru_cache(maxsize=None)
@@ -464,22 +454,20 @@ def modified_partition(spec: ModelSpec,
 
 
 @lru_cache(maxsize=None)
-def _z_ht2_value(m: int) -> tuple[LaurentPoly, int]:
-    zht, count = _symbolic_value("ht-even", m)
-    z, _ = _symbolic_value("dwbc", m)
-    return zht.exact_div(z), count
+def _z_ht2_value(m: int) -> LaurentPoly:
+    return _symbolic_value("ht-even", m).exact_div(_symbolic_value("dwbc", m))
 
 
 def z_ht2(m: int) -> PartitionResult:
-    """The half-turn cofactor: Z_HT(2m) / Z(m), an exact Laurent quotient.
+    """The half-turn cofactor: Z_HT(2m) / Z(m), an exact Laurent quotient,
+    with the state count of Z_HT(2m).
 
     NotDivisible coming out of here would mean the weight conventions have
     drifted; the factorization is exact by construction of the models.
     """
     spec = ModelSpec("ht-even", m)
-    _check_guard(spec)
-    value, count = _z_ht2_value(m)
-    return PartitionResult(value, spec, count)
+    count = sum(_guarded_counts(spec).values())
+    return PartitionResult(_z_ht2_value(m), spec, count)
 
 
 def modified_z_ht2(m: int) -> LaurentPoly:
@@ -499,7 +487,8 @@ def _half_int_poly(p: LaurentPoly) -> LaurentPoly:
 
 
 def z_split_odd(m: int, method: str = "parity") -> tuple[PartitionResult, PartitionResult]:
-    """Split Z_HT(2m+1) by the central entry of the underlying matrices.
+    """Split Z_HT(2m+1) by the central entry of the underlying matrices:
+    the +1 part and the -1 part, each with its own state count.
 
     parity: half-sums of the listed-state total and its image under a -> -a,
     using that the plus part carries (-1)^m and the minus part (-1)^(m+1).
@@ -507,21 +496,20 @@ def z_split_odd(m: int, method: str = "parity") -> tuple[PartitionResult, Partit
     Both must agree exactly.
     """
     spec = ModelSpec("ht-odd", m)
-    _check_guard(spec)
+    counts = _guarded_counts(spec)
     if method == "parity":
-        z, count = _symbolic_value("ht-odd", m)
+        z = _symbolic_value("ht-odd", m)
         flipped = z.negate_var("a")
         if m % 2:
             flipped = -flipped
-        plus = _half_int_poly(z + flipped)
-        minus = _half_int_poly(z - flipped)
-        return (PartitionResult(plus, spec, count),
-                PartitionResult(minus, spec, count))
-    if method != "direct":
+        parts = {1: _half_int_poly(z + flipped), -1: _half_int_poly(z - flipped)}
+    elif method == "direct":
+        steps, final, _ = _transfer_plan("ht-odd", m)
+        parts = _run_plan(steps, final, _symbolic_weights("ht-odd", m), LaurentPoly.const(1))
+    else:
         raise ValueError(f"unknown method {method!r}")
-    sums = _transfer_sums("ht-odd", m, _symbolic_weights("ht-odd", m), LaurentPoly.const(1))
-    (plus, n_plus), (minus, n_minus) = (sums.get(c, (LaurentPoly.zero(), 0)) for c in (1, -1))
-    return PartitionResult(plus, spec, n_plus), PartitionResult(minus, spec, n_minus)
+    return tuple(PartitionResult(parts.get(c, LaurentPoly.zero()), spec, counts.get(c, 0))
+                 for c in (1, -1))
 
 
 def fundamental_type_counts(m_asm: Asm, spec: ModelSpec) -> tuple[int, ...]:

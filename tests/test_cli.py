@@ -3,12 +3,14 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfturn_ice.cli import UsageError, main, parse_value
 from halfturn_ice.exactnum import Cyclo
+from halfturn_ice.formulas import count_closed
 from fractions import Fraction
 
 
@@ -274,6 +276,19 @@ def test_partition_unparsable_value_is_a_usage_error(capsys):
                        "1/0")
 
 
+@pytest.mark.parametrize("argv,model", [
+    (("partition", "-n", "2000"), "dwbc size 2000"),
+    (("partition", "--model", "ht-odd", "--m", "1000"), "ht-odd size 1000"),
+    (("partition", "-n", "300"), "dwbc size 300"),
+])
+def test_partition_past_the_state_guard_is_a_usage_error(capsys, argv, model):
+    # The guard tries the sizes upward and refuses at the first one past
+    # it, so no count of thousands of digits is computed or printed.
+    result = run(capsys, *argv)
+    assert_usage_error(result, model, "the guard 10000000")
+    assert len(result[2].splitlines()) == 1
+
+
 def test_report_missing_file_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "missing.jsonl"
     assert_usage_error(run(capsys, "report", str(missing)), "missing.jsonl")
@@ -324,6 +339,32 @@ def test_verify_all_points_reaches_only_the_suites_that_take_points(monkeypatch,
     takers = {sid for sid, (_, defaults) in verify.SUITES.items() if "points" in defaults}
     assert "parity" not in takers and "theorem3" in takers
     assert seen == {sid: {"points": 3} for sid in takers}
+
+
+def _int_digit_cap():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_formulas_prints_counts_past_the_int_digit_cap(capsys):
+    # A(300) has 10,226 digits.  The cap on int-to-string digits is lifted
+    # while the count is written and restored afterwards.
+    cap = _int_digit_cap()
+    code, out, _ = run(capsys, "formulas", "--family", "asm", "--order", "300")
+    assert code == 0 and _int_digit_cap() == cap
+    digits = out.strip()
+    assert len(digits) == 10226 and digits.isdigit()
+    assert int(digits[:64]) == count_closed("asm", 300) // 10 ** (10226 - 64)
+    assert count_closed("asm", 300) % 10 ** 64 == int(digits[-64:])
+
+
+@pytest.mark.skipif(not _int_digit_cap(), reason="this Python has no int digit cap")
+def test_value_parsing_keeps_the_int_digit_cap(capsys):
+    # Only formulas' output lifts the cap: a value past it is still refused.
+    huge = "7" * (_int_digit_cap() + 1)
+    assert_usage_error(run(capsys, "partition", "-n", "1", "--assign", f"a={huge}",
+                           "--assign", "x1=2", "--assign", "y1=3"), "cannot parse value")
+    assert_usage_error(run(capsys, "det", "-n", "1", "--u", f"{huge},2"), "cannot parse value")
+    assert_rejected_by_parser(run(capsys, "formulas", "--family", "asm", "--order", huge))
 
 
 def test_formulas_refined_refuses_an_order_outside_the_family(capsys):

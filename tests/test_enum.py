@@ -1,6 +1,7 @@
 """Generators, inversion generating functions and censuses."""
 
 import itertools
+import math
 
 import pytest
 
@@ -150,6 +151,20 @@ def test_genfunc_brute_equals_closed_all(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_genfunc_brute_equals_closed_ht(n):
     assert inversion_genfunc(n, "ht", "brute") == inversion_genfunc(n, "ht", "closed")
+
+
+@pytest.mark.parametrize("klass", ["all", "ht"])
+def test_genfunc_closed_at_the_largest_order(klass):
+    # Order 256 is the largest whose n(n-1)/2 inversions fit the exponent
+    # range.  Degrees run from 0 to n(n-1)/2, symmetrically (reversing a
+    # word keeps its class and complements its inversions), and the
+    # coefficients count every word once: n! or 2^m m!, m = n/2.
+    n, top = 256, 256 * 255 // 2
+    terms = inversion_genfunc(n, klass, "closed").tuple_terms()
+    assert min(terms) == (0,) and max(terms) == (top,)
+    assert all(terms.get((top - e,)) == c for (e,), c in terms.items())
+    words = math.factorial(n) if klass == "all" else 2 ** (n // 2) * math.factorial(n // 2)
+    assert sum(terms.values()) == words
 
 
 def _is_ht_perm(s: tuple[int, ...]) -> bool:

@@ -2,18 +2,20 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import pytest
 
+from halfturn_ice.asm import to_state
 from halfturn_ice.determinant import random_distinct_rationals, special_z
-from halfturn_ice.enum_asm import census
+from halfturn_ice.enum_asm import census, gen_asms
 from halfturn_ice.exactnum import Cyclo, ZETA
 from halfturn_ice.formulas import count_closed
 from halfturn_ice import icemodel
 from halfturn_ice.icemodel import (
     ModelSpec, SingularAssignment, SizeTooLarge, _pair_weights, _plan_cells, _run_pairs,
-    _run_plan, _state_sums, _symbolic_weights, _transfer_plan, _transfer_sums, fundamental_cells,
+    _WEIGHT_CLASS, _run_plan, _state_sums, _symbolic_weights, _transfer_plan, fundamental_cells,
     modified_multiplier, modified_partition, modified_z_ht2, partition_function, state_counts,
     vertex_weight, z_ht2, z_split_odd)
 from halfturn_ice.laurent import LaurentPoly, sigma_of
@@ -147,6 +149,24 @@ def test_z_split_direct_matches_parity_and_counts():
         assert minus.state_count == count_closed("ht-odd-minus", 2 * m + 1)
 
 
+def test_split_parts_carry_their_own_counts(monkeypatch):
+    # Both methods give the +1 part the count of the states with central
+    # entry +1, and the -1 part those with -1.  The counts do not depend on
+    # the sums, which are stubbed at m = 3: the symbolic Z_HT(7) takes
+    # minutes.
+    for m in range(4):
+        if m == 3:
+            monkeypatch.setattr(icemodel, "_symbolic_value", lambda kind, size: LaurentPoly.zero())
+            monkeypatch.setattr(icemodel, "_symbolic_weights",
+                                lambda kind, size: [(LaurentPoly.const(1),) * 3]
+                                * len(fundamental_cells(ModelSpec(kind, size))))
+        direct = [r.state_count for r in z_split_odd(m, "direct")]
+        assert [r.state_count for r in z_split_odd(m, "parity")] == direct, m
+        order = 2 * m + 1
+        assert direct == ([1, 0] if m == 0 else
+                          [count_closed("ht-odd-plus", order), count_closed("ht-odd-minus", order)])
+
+
 def test_state_guard(monkeypatch):
     with pytest.raises(SizeTooLarge, match="guard 10$"):
         partition_function(ModelSpec("dwbc", 4), max_states=10)
@@ -239,9 +259,6 @@ def test_only_modified_partition_is_labelled_modified():
 
 
 def test_state_sum_is_chunking_independent():
-    from halfturn_ice.asm import to_state
-    from halfturn_ice.icemodel import fundamental_cells
-    from halfturn_ice.enum_asm import gen_asms
     spec = ModelSpec("ht-even", 2)
     full = partition_function(spec).value
     cells = fundamental_cells(spec)
@@ -326,9 +343,10 @@ def test_transfer_matches_brute_sums_at_points():
                 assert all(type(p) is int for triple in pairs for w in triple for p in w)
                 assert Cyclo(*scale)
                 weights = [tuple(Cyclo(*w) for w in triple) for triple in pairs]
-                brute = _state_sums(kind, size, weights, Cyclo.of(1))
-                assert _transfer_sums(kind, size, weights, Cyclo.of(1)) == brute, (kind, size, a)
+                brute = reference_state_sums(kind, size, weights, Cyclo.of(1))
+                assert transfer_sums(kind, size, weights, Cyclo.of(1)) == brute, (kind, size, a)
                 total = sum((v for v, _ in brute.values()), Cyclo.of(0))
+                assert _state_sums(kind, size, weights, Cyclo.of(1)) == total, (kind, size, a)
                 steps, final, _ = _transfer_plan(kind, size)
                 assert Cyclo(*_run_pairs(steps, final, pairs)) == total, (kind, size, a)
 
@@ -356,45 +374,75 @@ def test_pair_run_matches_the_lcm_scaled_reference():
 
 
 def test_transfer_matches_brute_sums_symbolically():
+    # {central entry: (sum, count)} by the plan against the per-state loop,
+    # part by part, counts too.
     for kind, sizes in (("dwbc", range(1, 4)), ("ht-even", range(1, 4)), ("ht-odd", range(0, 3))):
         for size in sizes:
-            weights = _symbolic_weights(kind, size)
-            one = LaurentPoly.const(1)
-            fast = _transfer_sums(kind, size, weights, one)
-            assert fast == _state_sums(kind, size, weights, one), (kind, size)
+            fast = transfer_sums(kind, size, _symbolic_weights(kind, size), LaurentPoly.const(1))
+            assert fast == symbolic_reference(kind, size), (kind, size)
+
+
+def transfer_sums(kind, size, weights, one):
+    """{central entry: (sum, state count)} by the compiled transfer plan:
+    its sums in the ring of `one`, and its unit-weight counts."""
+    steps, final, counts = _transfer_plan(kind, size)
+    return {c: (v, counts[c]) for c, v in _run_plan(steps, final, weights, one).items()}
 
 
 def reference_state_sums(kind, size, weights, one):
-    """The sum over the listed states with no shared work: every state's
-    product multiplied out alone and added into the part of its central
-    entry."""
-    sums = {}
-    for codes, central in icemodel._state_profiles(kind, size):
+    """{central entry: (sum, state count)} over the listed states with no
+    shared work: every state read from the ASM stream, its product
+    multiplied out alone and put in the part of its own central entry (0
+    for dwbc and ht-even).  The products of a part are added pairwise, so
+    that no running total is copied once per state."""
+    spec = ModelSpec(kind, size)
+    cells = fundamental_cells(spec)
+    mid = (spec.order + 1) // 2
+    parts = {}
+    for m in gen_asms(spec.order, "all" if kind == "dwbc" else "ht"):
+        st = to_state(m)
         w = one
-        for cell, code in zip(weights, codes):
-            w = w * cell[code]
-        total, count = sums.get(central, (one - one, 0))
-        sums[central] = (total + w, count + 1)
+        for triple, (i, j, _, _) in zip(weights, cells):
+            w = w * triple[_WEIGHT_CLASS[st[i, j]]]
+        parts.setdefault(m[mid, mid] if kind == "ht-odd" else 0, []).append(w)
+    sums = {}
+    for central, products in parts.items():
+        count = len(products)
+        while len(products) > 1:
+            products = [sum(products[k + 1:k + 2], products[k]) for k in range(0, len(products), 2)]
+        sums[central] = (products[0], count)
     return sums
+
+
+@lru_cache(maxsize=None)
+def symbolic_reference(kind, size):
+    """`reference_state_sums` over the symbolic weights, shared by the tests
+    (Z_HT(6) takes seconds)."""
+    return reference_state_sums(kind, size, _symbolic_weights(kind, size), LaurentPoly.const(1))
 
 
 def test_horner_sums_match_the_per_state_products():
     one = LaurentPoly.const(1)
-    for kind, sizes in (("dwbc", range(1, 5)), ("ht-even", range(1, 3)), ("ht-odd", range(0, 3))):
+    for kind, sizes in (("dwbc", range(1, 5)), ("ht-even", range(1, 4)), ("ht-odd", range(0, 3))):
         for size in sizes:
-            # {central entry: (sum, count)}: equal part by part, counts too.
-            weights = _symbolic_weights(kind, size)
-            assert (_state_sums(kind, size, weights, one)
-                    == reference_state_sums(kind, size, weights, one)), (kind, size)
+            # One total over every central entry.
+            total = sum((v for v, _ in symbolic_reference(kind, size).values()), LaurentPoly.zero())
+            assert _state_sums(kind, size, _symbolic_weights(kind, size), one) == total, (kind, size)
 
 
 def test_class_codes_fix_the_state():
     # Distinct states have distinct code vectors, so every leaf of the
-    # Horner sum holds one state.
+    # Horner sum holds one state; each central entry's group is sorted, and
+    # the groups together hold every state once.
     for kind, sizes in TRANSFER_RANGE:
         for size in sizes:
-            profiles = icemodel._state_profiles(kind, size)
-            assert len({codes for codes, _ in profiles}) == len(profiles), (kind, size)
+            groups = icemodel._state_profiles(kind, size)
+            assert len({central for central, _ in groups}) == len(groups), (kind, size)
+            codes = [c for _, group in groups for c in group]
+            assert len(set(codes)) == len(codes), (kind, size)
+            assert all(list(group) == sorted(group) for _, group in groups), (kind, size)
+            counts = state_counts(ModelSpec(kind, size))
+            assert {central: len(group) for central, group in groups} == counts, (kind, size)
 
 
 def test_transfer_counts_are_the_closed_counts():
@@ -406,10 +454,11 @@ def test_transfer_counts_are_the_closed_counts():
             spec = ModelSpec(kind, size)
             counts = state_counts(spec)
             units = [(1, 1, 1)] * len(fundamental_cells(spec))
-            unit = _transfer_sums(kind, size, units, 1)
+            unit = transfer_sums(kind, size, units, 1)
             assert unit == {c: (n, n) for c, n in counts.items()}
             if size in sizes:
-                assert _state_sums(kind, size, units, 1) == unit, (kind, size)
+                assert reference_state_sums(kind, size, units, 1) == unit, (kind, size)
+                assert _state_sums(kind, size, units, 1) == sum(counts.values()), (kind, size)
             family = "asm" if kind == "dwbc" else kind
             assert sum(counts.values()) == count_closed(family, spec.order)
             if kind == "ht-odd" and size:

@@ -27,24 +27,31 @@ for Q(m) and (m, m-1, m-1, ..., 1, 1, 0, 0) for P'(m+1).  `special_z`
 evaluates these: each s_lam is the dual Jacobi-Trudi determinant
 det[e_(lam'_i - i + j)] over the elementary symmetric functions e_k of the
 N arguments, of size lam_1 = n - 1 (dwbc) or m (ht2, ht-odd) where the
-paper's matrices are N x N.  With no sigma product formed, the pole at
-u_i = +-u_j is refused up front.  Writing each argument as v/d with v in
-Z[zeta] and d an integer, `_schur` forms D e_k, D = prod d, as integer
-pairs; `det_exact` eliminates over the integers Z[zeta] with exact
-division, and the one division by D^lam_1 comes last.
+paper's matrices are N x N.
+
+Each point u = (a + b*zeta)/d is read once, as integers, and its square
+as the triple (a^2 - b^2, 2ab + b^2, d^2), not reduced: equal triples are
+equal squares, so the pole at u_i = +-u_j is refused up front with no sigma
+product formed.  `_elementary` forms E_k = D^2 e_k(u^2), D = prod d, as
+integer pairs; E_0 = D^2 and E_N = P^2 with P = prod (a + b*zeta).  As
+e_k(1/w) = e_(N-k)(w) / e_N(w), the same vector read backwards gives the
+e_k of the u^-2, so no point is inverted and ht-odd builds one vector for
+both Schur factors.  `det_exact` eliminates over Z[zeta] on the pairs with
+exact division.  With e_1 - N + 1 = lam_1 (kinds P and Q), each form is
++-sigma(a)^k times an integral determinant (or a product of two) over
+(P D)^lam_1 (dwbc, ht2) or (P D)^(2 lam_1) (ht-odd): one pair numerator
+over one pair divisor, which `special_z` divides once (`pair_quotient`).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from math import lcm, prod
 from typing import Sequence
 
-from .exactnum import ONE, ZERO, ZETA, Cyclo, sigma
-
-Matrix = tuple[tuple[Cyclo, ...], ...]
+from .exactnum import ZETA, Cyclo, pair_mul, pair_quotient, sigma
 
 
 class DimensionMismatch(ValueError):
@@ -55,68 +62,43 @@ class CoincidentPoints(ValueError):
     """Two coordinates are equal or opposite, putting a pole in the prefactor."""
 
 
-def _exponent_run(bound: int) -> tuple[int, ...]:
-    """Integers e with |e| <= bound, e = bound (mod 2), 3 does not divide e,
-    descending."""
-    return tuple(e for e in range(bound, -bound - 1, -2) if e % 3 != 0)
-
-
 def row_exponents(kind: str, size: int) -> tuple[int, ...]:
-    if kind == "P":
-        exps = _exponent_run(3 * size - 2)
-        want = 2 * size
-    elif kind == "Q":
-        exps = _exponent_run(3 * size - 1)
-        want = 2 * size
-    elif kind == "Pprime":
-        exps = _exponent_run(3 * size - 2)[:-1]
-        want = 2 * size - 1
-    else:
+    """The descending integers e with |e| <= b, e = b (mod 2) and 3 not
+    dividing e, for b = 3 size - 2 (P) or 3 size - 1 (Q); P' drops P's last."""
+    if kind not in ("P", "Q", "Pprime"):
         raise ValueError(f"unknown matrix kind {kind!r}")
-    assert len(exps) == want, (kind, size, exps)
+    bound = 3 * size - (1 if kind == "Q" else 2)
+    exps = tuple(e for e in range(bound, -bound - 1, -2) if e % 3 != 0)
+    exps = exps[:-1] if kind == "Pprime" else exps
+    assert len(exps) == 2 * size - (kind == "Pprime"), (kind, size, exps)
     return exps
 
 
-def det_exact(mat: Matrix) -> Cyclo:
-    """Exact determinant by fraction-free (Bareiss) elimination over Z[zeta].
+def det_exact(mat: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, int]:
+    """Exact determinant of a square matrix over Z[zeta] by fraction-free
+    (Bareiss) elimination, on and to integer pairs (a, b) standing for
+    a + b*zeta.
 
-    Each column is first scaled by the lcm of its entries' denominators, so
-    that every entry is an integer pair (a, b) standing for a + b*zeta; the
-    determinant of the original matrix is that of the scaled one over the
-    product of the column scales.  The matrices `_schur` passes are
-    already integral (elementary symmetric functions times the product of
-    their arguments' denominators), so their column scales are all 1 and
-    the one division is `_schur`'s.  Z[zeta] is an integral domain, so
-    each Bareiss step divides exactly by the previous pivot p: by `//` on
-    both parts when p is rational, otherwise by multiplying with conj(p)
-    and dividing both parts by the integer norm p * conj(p).  The 0 x 0
-    determinant is 1.
+    Z[zeta] is an integral domain, so each Bareiss step divides exactly by
+    the previous pivot p: by `//` on both parts when p is rational,
+    otherwise by multiplying with conj(p) and dividing both parts by the
+    integer norm p * conj(p).  The 0 x 0 determinant is (1, 0); a singular
+    matrix gives (0, 0).
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise DimensionMismatch("matrix must be square")
     if n == 0:
-        return Cyclo.of(1)
-    m = [[None] * n for _ in range(n)]
-    scale = 1
-    for j in range(n):
-        parts = [row[j].integer_parts() for row in mat]
-        col_scale = lcm(*(d for _, _, d in parts))
-        scale *= col_scale
-        for i, (a, b, d) in enumerate(parts):
-            f = col_scale // d
-            m[i][j] = (a * f, b * f)
+        return 1, 0
+    m = [list(row) for row in mat]
     sign = 1
     pa, pb = 1, 0  # the previous pivot
     for k in range(n - 1):
         if m[k][k] == (0, 0):
-            for i in range(k + 1, n):
-                if m[i][k] != (0, 0):
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Cyclo.of(0)
+            i = next((i for i in range(k + 1, n) if m[i][k] != (0, 0)), None)
+            if i is None:
+                return 0, 0
+            m[k], m[i], sign = m[i], m[k], -sign
         rk = m[k]
         ka, kb = rk[k]
         # Divide by p = pa + pb*zeta as t * conj(p) / norm(p), where
@@ -140,7 +122,7 @@ def det_exact(mat: Matrix) -> Cyclo:
                     ri[j] = (ta // pa, tb // pa)
         pa, pb = ka, kb
     a, b = m[n - 1][n - 1]
-    return Cyclo.from_integer_parts(sign * a, sign * b, scale)
+    return sign * a, sign * b
 
 
 def _partition(exps: Sequence[int]) -> tuple[int, ...]:
@@ -150,40 +132,33 @@ def _partition(exps: Sequence[int]) -> tuple[int, ...]:
     return tuple(k[r] - r for r in reversed(range(len(k))))
 
 
-def _schur(lam: Sequence[int], args: Sequence[Cyclo]) -> Cyclo:
-    """s_lam(args) by the dual Jacobi-Trudi determinant det[e_(lam'_i - i + j)]
-    of size lam_1, where e_k is the k-th elementary symmetric function of
-    args (0 outside 0..len(args)) and lam' the conjugate partition.
-
-    Each argument is w = v/d with v in Z[zeta] and d a positive integer.
-    The integer pairs E_k, the coefficients of prod (d + v t), are D e_k
-    with D = prod d, so `det_exact` sees only integral entries and
-    s_lam = det[E_(lam'_i - i + j)] / D^lam_1: one division in all.
-    """
-    e = [(1, 0)] + [(0, 0)] * len(args)  # (a, b) standing for a + b*zeta
-    scale = 1
-    for c, w in enumerate(args, 1):
-        va, vb, d = w.integer_parts()
+def _elementary(args: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """The integer pairs E_0..E_N, the coefficients of prod (d + v t) over
+    the arguments w = v/d given as triples (a, b, d), v = a + b*zeta: so
+    E_k = D e_k(w) with D = prod d, E_0 = D and E_N = prod v."""
+    e = [(1, 0)] + [(0, 0)] * len(args)
+    for c, (va, vb, d) in enumerate(args, 1):
         for k in range(c, 0, -1):
             ea, eb = e[k]
             fa, fb = e[k - 1]
             # d * E_k + v * E_(k-1), with zeta^2 = zeta - 1
             aa = va * fa
             e[k] = (d * ea + aa - vb * fb, d * eb + (va + vb) * (fa + fb) - aa)
-        scale *= d
-        e[0] = (scale, 0)
+        e[0] = (e[0][0] * d, 0)
+    return e
 
-    def entry(k: int) -> Cyclo:
-        return Cyclo(*e[k]) if 0 <= k < len(e) else ZERO
 
+def _schur(lam: Sequence[int], e: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """E_0^lam_1 s_lam(w) from the `_elementary` pairs E_0..E_N of the w's:
+    the dual Jacobi-Trudi determinant det[E_(lam'_i - i + j)] of size lam_1,
+    lam' the conjugate partition and E_k = 0 outside 0..N.  The reversed
+    vector gives E_N^lam_1 s_lam(1/w), as e_k(1/w) = e_(N-k)(w) / e_N(w)."""
     conj = [sum(1 for part in lam if part > i) for i in range(lam[0])]
-    a, b, _ = det_exact(tuple(tuple(entry(c - i + j) for j in range(len(conj)))
-                              for i, c in enumerate(conj))).integer_parts()
-    return Cyclo.from_integer_parts(a, b, scale ** len(conj))
+    return det_exact([[e[c - i + j] if 0 <= c - i + j < len(e) else (0, 0)
+                       for j in range(len(conj))] for i, c in enumerate(conj)])
 
 
-# Each evaluator's matrix kind and smallest size (that of its
-# `icemodel.ModelSpec`).
+# Each evaluator's matrix kind and smallest size (as in `icemodel.ModelSpec`).
 _MODELS = {"dwbc": ("P", 1), "ht2": ("Q", 1), "ht-odd": ("Pprime", 0)}
 
 
@@ -208,21 +183,21 @@ def special_z(model: str, size: int, u: Sequence[Cyclo]) -> Cyclo:
     npts = 2 * size + 1 if ht_odd else 2 * size
     if len(pts) != npts:
         raise DimensionMismatch(f"{model} size {size} needs {npts} points")
-    squares = [x * x for x in pts]
-    for (i, s), (j, t) in combinations(enumerate(squares), 2):
-        if s == t:  # u_i / u_j = +-1
-            raise CoincidentPoints(
-                f"u_{i + 1} = {pts[i]} and u_{j + 1} = {pts[j]} put a pole at "
-                f"sigma(u_{i + 1}/u_{j + 1}) = 0")
-    exps = row_exponents(kind, size + 1 if ht_odd else size)
-    lam = _partition(exps)
-    s_inv = _schur(lam, [s.inverse() for s in squares])
+    parts = [x.integer_parts() for x in pts]
+    squares = [(a * a - b * b, (2 * a + b) * b, d * d) for a, b, d in parts]
+    if len(set(squares)) < npts:  # name the first pair
+        i, j = next((i, j) for (i, s), (j, t) in combinations(enumerate(squares), 2) if s == t)
+        raise CoincidentPoints(f"u_{i + 1} = {pts[i]} and u_{j + 1} = {pts[j]} put a pole "
+                               f"at sigma(u_{i + 1}/u_{j + 1}) = 0")
+    lam = _partition(row_exponents(kind, size + 1 if ht_odd else size))
+    e = _elementary(squares)
+    num = _schur(lam, e[::-1])
     if ht_odd:
-        value = sigma(ZETA) ** (2 * size) * s_inv * _schur(lam, squares)
-        flips = npts * (npts - 1) // 2
+        num, power, flips = pair_mul(num, _schur(lam, e)), 2 * size, npts * (npts - 1) // 2
     else:
-        value = sigma(ZETA) ** size * prod(pts, start=ONE) ** (exps[0] - npts + 1) * s_inv
-        flips = size * (size - 1) // 2
+        power, flips = size, size * (size - 1) // 2
+    pd = reduce(pair_mul, ((a * d, b * d) for a, b, d in parts), (1, 0))
+    value = sigma(ZETA) ** power * pair_quotient(num, pd, lam[0] * (1 + ht_odd))
     return -value if flips % 2 else value
 
 

@@ -11,8 +11,9 @@ so each element has exactly one representation and equality is structural
 (zero is (0, 0, 1); a rational element has b = 0 and a/d in lowest terms).
 Sums, products and inverses are a few integer products followed by one
 three-way gcd.  `integer_parts` and `from_integer_parts` read and build
-this form, for code that computes on the integers directly.  The rational
-parts p = a/d and q = b/d are exposed as `fractions.Fraction`s.
+this form, and `pair_mul` and `pair_quotient` work on integer pairs (a, b)
+standing for a + b*zeta, for code that computes on the integers directly.
+The rational parts p = a/d and q = b/d are exposed as `fractions.Fraction`s.
 Inversion multiplies by the conjugate (zeta -> 1 - zeta) and divides by
 the norm p^2 + p*q + q^2, which is rational and positive for x != 0.
 """
@@ -55,6 +56,8 @@ class Cyclo:
         """Coerce an int, Fraction or Cyclo into the field."""
         if isinstance(value, Cyclo):
             return value
+        if type(value) is Fraction:  # already in lowest terms, d > 0
+            return _make(value.numerator, 0, value.denominator)
         return Cyclo(value)
 
     @property
@@ -202,14 +205,30 @@ def _reduced(a: int, b: int, d: int) -> Cyclo:
 
 def _parts(value: CycloLike) -> tuple[int, int, int]:
     """The canonical (a, b, d) of an int, Fraction or Cyclo."""
-    if type(value) is int:
-        return value, 0, 1
-    return Cyclo.of(value)._abd
+    return (value, 0, 1) if type(value) is int else Cyclo.of(value)._abd
+
+
+def pair_mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """(ua + ub*zeta)(va + vb*zeta) with zeta^2 = zeta - 1, on integer pairs."""
+    ua, ub = u
+    va, vb = v
+    return ua * va - ub * vb, ua * vb + ub * va + ub * vb
+
+
+def pair_quotient(x: tuple[int, int], y: tuple[int, int], k: int = 1) -> Cyclo:
+    """x / y^k for integer pairs x and y = (c, d) != (0, 0): one integer
+    division when d = 0, otherwise x times conj(y)^k over the integer
+    norm(y)^k, conj(y) = c + d - d*zeta; one reduction either way."""
+    c, d = y
+    if d:
+        for _ in range(k):
+            x = pair_mul(x, (c + d, -d))
+        c = c * c + c * d + d * d
+    return Cyclo.from_integer_parts(*x, c ** k)
 
 
 ZETA = Cyclo(0, 1)
 ONE = Cyclo(1)
-ZERO = Cyclo(0)
 
 
 def sigma(x: Cyclo) -> Cyclo:

@@ -10,9 +10,10 @@ from the closed forms; any other x is read off the (t, x) form.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Union
 
 from .enum_asm import census
@@ -31,15 +32,42 @@ def _as_int(f: Fraction, what: str) -> int:
     return f.numerator
 
 
+def _factorial_ratio(num: list[int], den: list[int], what: str) -> int:
+    """prod(k! for k in num) / prod(k! for k in den), by prime exponents: j
+    divides k! once for each k >= j, each j splits into primes by its
+    smallest prime factor, and each p^e is multiplied in once.  A negative
+    exponent means the ratio is not an integer."""
+    net = Counter(num)
+    net.subtract(den)
+    top = max(net, default=0)
+    spf = [0] * (top + 1)
+    for p in range(top, 1, -1):  # the smallest divisor > 1 is set last
+        spf[p::p] = [p] * (top // p)
+    exps, run = [0] * (top + 1), 0
+    for j in range(top, 1, -1):
+        run += net[j]
+        q = j
+        while q > 1:
+            exps[spf[q]] += run
+            q //= spf[q]
+    if min(exps) < 0:
+        raise ArithmeticError(f"{what} is not an integer")
+    return prod(p ** e for p, e in enumerate(exps) if e)
+
+
 @lru_cache(maxsize=None)
 def count_asm(n: int) -> int:
     """1, 2, 7, 42, 429, 7436, ..."""
     if n < 1:
         raise UnsupportedSize("order must be >= 1")
-    total = Fraction(1)
-    for i in range(n):
-        total *= Fraction(factorial(3 * i + 1), factorial(n + i))
-    return _as_int(total, f"count_asm({n})")
+    return _factorial_ratio([3 * i + 1 for i in range(n)], [n + i for i in range(n)],
+                            f"count_asm({n})")
+
+
+def _ht_count(m: int, odd: bool, what: str) -> int:
+    """prod_(i<m) (3i)! (3i+2)! / (m+i)!^2, times m! (3m)! / (2m)!^2 if odd."""
+    return _factorial_ratio([k for i in range(m) for k in (3 * i, 3 * i + 2)] + [m, 3 * m] * odd,
+                            [m + i for i in range(m)] * 2 + [2 * m] * 2 * odd, what)
 
 
 @lru_cache(maxsize=None)
@@ -47,12 +75,7 @@ def count_ht_even(order: int) -> int:
     """2, 10, 140, ... at orders 2, 4, 6; 1 at order 0."""
     if order < 0 or order % 2:
         raise UnsupportedSize("order must be even and >= 0")
-    m = order // 2
-    total = Fraction(1)
-    for i in range(m):
-        total *= Fraction(factorial(3 * i) * factorial(3 * i + 2),
-                          factorial(m + i) ** 2)
-    return _as_int(total, f"count_ht_even({order})")
+    return _ht_count(order // 2, False, f"count_ht_even({order})")
 
 
 @lru_cache(maxsize=None)
@@ -60,9 +83,7 @@ def count_ht_odd(order: int) -> int:
     """1, 3, 25, 588, ... at orders 1, 3, 5, 7."""
     if order < 1 or order % 2 == 0:
         raise UnsupportedSize("order must be odd and >= 1")
-    m = (order - 1) // 2
-    ratio = Fraction(factorial(m) * factorial(3 * m), factorial(2 * m) ** 2)
-    return _as_int(ratio * count_ht_even(2 * m), f"count_ht_odd({order})")
+    return _ht_count((order - 1) // 2, True, f"count_ht_odd({order})")
 
 
 def count_closed(family: str, order: int) -> int:
@@ -102,14 +123,10 @@ def refined_asm_closed(n: int) -> LaurentPoly:
     """Refined counts A(n, r) as a polynomial in t (degree n - 1)."""
     if n < 1:
         raise UnsupportedSize("order must be >= 1")
-    total = count_asm(n)
-    pre = Fraction(factorial(2 * n - 1), factorial(n - 1) * factorial(3 * n - 2))
-    coeffs = []
-    for r in range(1, n + 1):
-        coeffs.append(total * pre *
-                      Fraction(factorial(n + r - 2) * factorial(2 * n - r - 1),
-                               factorial(r - 1) * factorial(n - r)))
-    return _t_poly(coeffs)
+    num = [3 * i + 1 for i in range(n)] + [2 * n - 1]  # A(n) (2n-1)!
+    den = [n + i for i in range(n)] + [n - 1, 3 * n - 2]
+    return _t_poly([_factorial_ratio(num + [n + r - 2, 2 * n - r - 1], den + [r - 1, n - r],
+                                     f"A({n}, {r})") for r in range(1, n + 1)])
 
 
 def census_genfunc_at_x1(order: int, klass: str) -> LaurentPoly:

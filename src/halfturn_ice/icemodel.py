@@ -32,7 +32,7 @@ for p + q*zeta in Z[zeta] (`_pair_weights`, `_run_pairs`).  Each value is
 read once as V/d with V in Z[zeta] and d an integer; every weight triple
 is multiplied by a factor that clears all of its denominators, so the sum
 takes no inverse and no gcd, and the total is divided once, by the product
-of those factors.  The matrix:
+of those factors (`pair_quotient`).  The matrix:
 
 * The plan visits the cells of `_plan_cells`, row by row, left to right;
   step k weighs with the k-th of `fundamental_cells`, the cell itself or
@@ -71,7 +71,7 @@ from typing import Mapping, NamedTuple, Optional, Union
 from . import formulas
 from .asm import Asm, _Frozen, to_state
 from .enum_asm import gen_asms
-from .exactnum import Cyclo
+from .exactnum import Cyclo, pair_mul, pair_quotient
 from .laurent import Coeff, LaurentPoly, NotAMonomial, sigma_of
 
 DEFAULT_MAX_STATES = 10_000_000
@@ -355,7 +355,7 @@ def partition_function(spec: ModelSpec,
         raise SingularAssignment(f"zero value for {', '.join(zeros)} puts a pole in the weights")
     weights, scale = _pair_weights(spec.kind, spec.size, assignment)
     steps, final, _ = _transfer_plan(spec.kind, spec.size)
-    return PartitionResult(Cyclo(*_run_pairs(steps, final, weights)) / Cyclo(*scale), spec, count)
+    return PartitionResult(pair_quotient(_run_pairs(steps, final, weights), scale), spec, count)
 
 
 @lru_cache(maxsize=None)
@@ -369,13 +369,6 @@ def _point_layout(kind: str, size: int):
     cell_pairs = tuple(index.setdefault((xv, yv), len(index))
                        for _, _, xv, yv in fundamental_cells(spec))
     return ("a", *xs, *ys), tuple(index), cell_pairs
-
-
-def _mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    """(ua + ub*zeta)(va + vb*zeta) with zeta^2 = zeta - 1."""
-    ua, ub = u
-    va, vb = v
-    return ua * va - ub * vb, ua * vb + ub * va + ub * vb
 
 
 def _pair_weights(kind: str, size: int, assignment: Mapping[str, Coeff]):
@@ -396,30 +389,24 @@ def _pair_weights(kind: str, size: int, assignment: Mapping[str, Coeff]):
     """
     _, pairs, cell_pairs = _point_layout(kind, size)
     aa, ab, da = Cyclo.of(assignment["a"]).integer_parts()
-    a2 = _mul((aa, ab), (aa, ab))
-    a4 = _mul(a2, a2)
+    a2 = pair_mul((aa, ab), (aa, ab))
+    a4 = pair_mul(a2, a2)
     da2 = da * da
     class0 = a4[0] - da2 * da2, a4[1]
     ad = aa * da, ab * da
     c_a = a2[0] * da2, a2[1] * da2
-    read, triples, cs = {}, [], []
+    triples, cs = [], []
     for xv, yv in pairs:
-        for v in (xv, yv):
-            if v not in read:
-                read[v] = Cyclo.of(assignment[v]).integer_parts()
-        (xa, xb, dx), (ya, yb, dy) = read[xv], read[yv]
-        xy = _mul((xa * dx, xb * dx), (ya * dy, yb * dy))
-        xx = _mul((xa * dy, xb * dy), (xa * dy, xb * dy))
-        yy = _mul((ya * dx, yb * dx), (ya * dx, yb * dx))
-        a2xx, a2yy = _mul(a2, xx), _mul(a2, yy)
-        triples.append((_mul(class0, xy),
-                        _mul(ad, (a2xx[0] - da2 * yy[0], a2xx[1] - da2 * yy[1])),
-                        _mul(ad, (a2yy[0] - da2 * xx[0], a2yy[1] - da2 * xx[1]))))
-        cs.append(_mul(c_a, xy))
-    scale = 1, 0
-    for p in cell_pairs:
-        scale = _mul(scale, cs[p])
-    return [triples[p] for p in cell_pairs], scale
+        (xa, xb, dx), (ya, yb, dy) = (Cyclo.of(assignment[v]).integer_parts() for v in (xv, yv))
+        xy = pair_mul((xa * dx, xb * dx), (ya * dy, yb * dy))
+        xx = pair_mul((xa * dy, xb * dy), (xa * dy, xb * dy))
+        yy = pair_mul((ya * dx, yb * dx), (ya * dx, yb * dx))
+        a2xx, a2yy = pair_mul(a2, xx), pair_mul(a2, yy)
+        triples.append((pair_mul(class0, xy),
+                        pair_mul(ad, (a2xx[0] - da2 * yy[0], a2xx[1] - da2 * yy[1])),
+                        pair_mul(ad, (a2yy[0] - da2 * xx[0], a2yy[1] - da2 * xx[1]))))
+        cs.append(pair_mul(c_a, xy))
+    return [triples[p] for p in cell_pairs], reduce(pair_mul, (cs[p] for p in cell_pairs), (1, 0))
 
 
 def _run_pairs(steps, final, weights) -> tuple[int, int]:

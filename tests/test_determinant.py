@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,19 +58,32 @@ def _sigma_pair_product(u, power=1):
     return total
 
 
+def det_cyclo(mat):
+    """`det_exact` of a matrix over Q(zeta): each row times the lcm of its
+    entries' denominators is a row of integer pairs, and the determinant
+    of those rows is divided by the product of the row scales."""
+    rows, scale = [], 1
+    for row in mat:
+        parts = [x.integer_parts() for x in row]
+        d = lcm(*(e for _, _, e in parts))
+        rows.append([(a * (d // e), b * (d // e)) for a, b, e in parts])
+        scale *= d
+    return Cyclo.from_integer_parts(*det_exact(rows), scale)
+
+
 def reference_special_z(model, size, u):
     """The paper's forms: det P(n), det Q(m) or det P'(m+1; u) det P'(m+1; 1/u)
-    by `det_exact`, times sigma(a)^k over the product of sigma(u_mu/u_nu)."""
+    by `det_cyclo`, times sigma(a)^k over the product of sigma(u_mu/u_nu)."""
     pts = tuple(Cyclo.of(x) for x in u)
     if model in ("dwbc", "ht2"):
         pref = sigma(ZETA) ** size / _sigma_pair_product(pts)
         if (size * (size - 1) // 2) % 2:
             pref = -pref
-        return pref * det_exact(build_matrix("P" if model == "dwbc" else "Q", size, pts))
+        return pref * det_cyclo(build_matrix("P" if model == "dwbc" else "Q", size, pts))
     pref = sigma(ZETA) ** (2 * size) / _sigma_pair_product(pts, power=2)
     inv = tuple(x.inverse() for x in pts)
-    return (pref * det_exact(build_matrix("Pprime", size + 1, pts))
-            * det_exact(build_matrix("Pprime", size + 1, inv)))
+    return (pref * det_cyclo(build_matrix("Pprime", size + 1, pts))
+            * det_cyclo(build_matrix("Pprime", size + 1, inv)))
 
 
 def point_count(model, size):
@@ -86,7 +100,7 @@ def zeta_points(rng, count):
 
 def reference_det(mat):
     """Bareiss elimination with every entry and quotient in Q(zeta): the
-    plain form that `det_exact` must agree with."""
+    plain form that `det_exact` (by `det_cyclo`) must agree with."""
     n = len(mat)
     if n == 0:
         return Cyclo(1)
@@ -153,33 +167,33 @@ def test_build_matrix():
 
 
 def test_det_examples():
-    assert det_exact(build_matrix("P", 1, (Fraction(2), Fraction(3)))) == Fraction(-5, 6)
+    assert det_cyclo(build_matrix("P", 1, (Fraction(2), Fraction(3)))) == Fraction(-5, 6)
     ident = tuple(tuple(Cyclo(int(i == j)) for j in range(3)) for i in range(3))
-    assert det_exact(ident) == Cyclo(1)
+    assert det_cyclo(ident) == Cyclo(1)
     dup = ((Cyclo(1), Cyclo(1)), (Cyclo(2), Cyclo(2)))
-    assert det_exact(dup) == Cyclo(0)
+    assert det_cyclo(dup) == Cyclo(0)
 
 
 def test_empty_determinant_is_one():
-    assert det_exact(()) == Cyclo(1)
+    assert det_cyclo(()) == Cyclo(1)
 
 
 def test_det_rejects_non_square():
     with pytest.raises(DimensionMismatch):
-        det_exact(((Cyclo(1), Cyclo(2)),))
+        det_cyclo(((Cyclo(1), Cyclo(2)),))
 
 
 @settings(max_examples=300, deadline=None)
 @given(square_matrices)
 def test_det_matches_reference(mat):
-    assert det_exact(mat) == reference_det(mat)
+    assert det_cyclo(mat) == reference_det(mat)
 
 
 def test_det_matches_reference_at_p10():
     u = random_distinct_rationals(random.Random(2024), 20)
     mat = build_matrix("P", 10, u)
     assert len(mat) == 20
-    assert det_exact(mat) == reference_det(mat)
+    assert det_cyclo(mat) == reference_det(mat)
 
 
 def test_det_matches_reference_at_zeta_points():
@@ -187,7 +201,7 @@ def test_det_matches_reference_at_zeta_points():
     u = [Cyclo(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                Fraction(rng.randint(1, 9), rng.randint(1, 9))) for _ in range(9)]
     mat = build_matrix("Pprime", 5, u)
-    value = det_exact(mat)
+    value = det_cyclo(mat)
     assert not value.is_rational
     assert value == reference_det(mat)
 
@@ -195,7 +209,20 @@ def test_det_matches_reference_at_zeta_points():
 def test_det_with_zeta_entries():
     mat = ((ZETA, Cyclo(1)), (Cyclo(1), ZETA))
     # zeta^2 - 1 = zeta - 2
-    assert det_exact(mat) == ZETA - 2
+    assert det_cyclo(mat) == ZETA - 2
+
+
+def test_pair_det_edge_cases():
+    assert det_exact(()) == (1, 0)
+    assert det_exact([[(0, 0), (0, 1)], [(2, 0), (3, 1)]]) == (0, -2)  # swap: -2*zeta
+    assert det_exact([[(0, 0), (1, 0), (0, 0)], [(0, 0), (0, 0), (1, 0)],
+                      [(1, 0), (0, 0), (0, 0)]]) == (1, 0)  # two swaps
+    assert det_exact([[(1, 1), (2, 2)], [(3, 0), (6, 0)]]) == (0, 0)
+    assert det_exact([[(0, 0), (1, 0)], [(0, 0), (2, 1)]]) == (0, 0)  # no pivot
+    with pytest.raises(DimensionMismatch):
+        det_exact([[(1, 0), (2, 0)]])
+    with pytest.raises(DimensionMismatch):
+        det_exact([[(1, 0), (2, 0)], [(3, 0)]])
 
 
 def test_dwbc_size_one_is_constant():
@@ -361,3 +388,32 @@ def test_pole_guard_names_the_first_pair(model):
         special_z(model, 2, u)
     with pytest.raises(CoincidentPoints, match=r"^u_1 = .* and u_4 = "):
         reference_special_z(model, 2, u)
+
+
+# (1 + zeta)^2 = 3 zeta: these points' squared triples (a^2 - b^2,
+# 2ab + b^2, d^2) share the factor 3.
+UNREDUCED = (Cyclo(Fraction(1, 3), Fraction(1, 3)), Cyclo(Fraction(2, 3), Fraction(2, 3)),
+             Cyclo(Fraction(-1, 6), Fraction(-1, 6)), Cyclo(Fraction(1, 2)), Cyclo(3))
+
+
+@pytest.mark.parametrize("model,size", [("dwbc", 1), ("dwbc", 2), ("ht2", 1), ("ht2", 2),
+                                        ("ht-odd", 0), ("ht-odd", 1), ("ht-odd", 2)])
+def test_special_z_at_squares_not_in_lowest_terms(model, size):
+    u = UNREDUCED[:point_count(model, size)]
+    a, b, d = u[0].integer_parts()
+    assert gcd(a * a - b * b, (2 * a + b) * b, d * d) == 3
+    assert special_z(model, size, u) == reference_special_z(model, size, u)
+
+
+@pytest.mark.parametrize("model", ["dwbc", "ht2", "ht-odd"])
+def test_pole_guard_names_the_first_combination(model):
+    # u_2 = u_3 = u_4 and u_1 = -u_2, zeta-valued: (1, 2) comes first in
+    # combinations order, before (2, 3) and the other pairs.
+    u = list(random_distinct_rationals(random.Random(6), point_count(model, 2)))
+    u[1] = u[2] = u[3] = Cyclo(Fraction(1, 3), Fraction(-5, 2))
+    u[0] = -u[1]
+    message = f"u_1 = {u[0]} and u_2 = {u[1]} put a pole at sigma(u_1/u_2) = 0"
+    for evaluate in (special_z, reference_special_z):
+        with pytest.raises(CoincidentPoints) as got:
+            evaluate(model, 2, u)
+        assert str(got.value) == message

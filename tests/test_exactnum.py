@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halfturn_ice.exactnum import Cyclo, ZETA, sigma
+from halfturn_ice.exactnum import Cyclo, ZETA, pair_quotient, sigma
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 cyclos = st.builds(Cyclo, rationals, rationals)
@@ -253,3 +253,23 @@ def test_integer_parts_round_trip(x, k):
 def test_from_integer_parts_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         Cyclo.from_integer_parts(1, 2, 0)
+
+
+@pytest.mark.parametrize("f", [Fraction(-7, 3), Fraction(0), Fraction(5), Fraction(-4),
+                               Fraction(1, 9), Fraction(-1)])
+def test_of_fraction_is_canonical(f):
+    x = Cyclo.of(f)
+    assert x.integer_parts() == Cyclo(f).integer_parts() == (f.numerator, 0, f.denominator)
+    assert x == f and f == x
+    assert hash(x) == hash(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
+       st.integers(-50, 50), st.integers(0, 4))
+def test_pair_quotient(a, b, c, d, k):
+    if (c, d) == (0, 0) and k:
+        with pytest.raises(ZeroDivisionError):
+            pair_quotient((a, b), (c, d), k)
+        return
+    assert pair_quotient((a, b), (c, d), k) == Cyclo(a, b) / Cyclo(c, d) ** k

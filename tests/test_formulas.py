@@ -1,9 +1,11 @@
 """Closed-form counts, refined polynomials and the x-enumeration maps."""
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
+from halfturn_ice import formulas
 from halfturn_ice.enum_asm import census
 from halfturn_ice.exactnum import ZETA
 from halfturn_ice.formulas import (
@@ -23,6 +25,38 @@ def test_count_examples():
     assert count_closed("ht-odd-plus", 7) == 336
     assert count_closed("ht-odd-minus", 7) == 252
     assert count_closed("robbins", 5) == 25
+
+
+def _fraction_count(num, den):
+    """prod(k! for k in num) / prod(k! for k in den) as one Fraction."""
+    return prod((Fraction(factorial(k)) for k in num), start=Fraction(1)) / prod(
+        factorial(k) for k in den)
+
+
+def test_counts_match_the_fraction_products():
+    for n in range(1, 41):
+        assert count_asm(n) == _fraction_count(
+            [3 * i + 1 for i in range(n)], [n + i for i in range(n)]), n
+    for m in range(0, 21):
+        even = _fraction_count([3 * i for i in range(m)] + [3 * i + 2 for i in range(m)],
+                               [m + i for i in range(m)] * 2)
+        assert count_ht_even(2 * m) == even, m
+        if 2 * m + 1 <= 40:
+            odd = even * Fraction(factorial(m) * factorial(3 * m), factorial(2 * m) ** 2)
+            assert count_ht_odd(2 * m + 1) == odd, m
+    for n in range(1, 21):  # the refined counts A(n, r)
+        pre = count_asm(n) * Fraction(factorial(2 * n - 1), factorial(n - 1) * factorial(3 * n - 2))
+        want = [pre * _fraction_count([n + r - 2, 2 * n - r - 1], [r - 1, n - r])
+                for r in range(1, n + 1)]
+        assert [refined_asm_closed(n).coeff_of({"t": r - 1}).constant_value()
+                for r in range(1, n + 1)] == want, n
+
+
+def test_factorial_ratio_refuses_a_fraction():
+    assert formulas._factorial_ratio([4], [2], "4!/2!") == 12
+    assert formulas._factorial_ratio([], [], "empty") == 1
+    with pytest.raises(ArithmeticError, match=r"^1!/2! is not an integer$"):
+        formulas._factorial_ratio([1], [2], "1!/2!")
 
 
 def test_split_consistency_up_to_m20():

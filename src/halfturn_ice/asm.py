@@ -26,6 +26,8 @@ notation):
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain, repeat
 from typing import NamedTuple, Optional, Sequence
 
 Grid = tuple[tuple[int, ...], ...]
@@ -125,18 +127,38 @@ class AsmStats(NamedTuple):
     central_entry: Optional[int]  # None for even order
 
 
+@lru_cache(maxsize=None)
+def _alternating(vec: tuple[int, ...]) -> bool:
+    """Whether the nonzero entries of an int vector are exactly 1, -1, ..., 1:
+    the row (or column) condition of an ASM.  Memoized, so each distinct
+    vector is checked once; an order n has 2^(n-1) valid ones."""
+    nonzero = [e for e in vec if e]
+    return nonzero == [1, -1] * (len(nonzero) // 2) + [1]
+
+
 def as_asm(grid: Sequence[Sequence[int]]) -> Asm:
-    """Validate a grid and wrap it as an Asm; raises NotAlternating."""
+    """Validate a grid and wrap it as an Asm; raises NotAlternating.
+
+    A grid of plain ints passes when every row and every column passes
+    `_alternating`.  Otherwise the entry loop runs in row-major order and
+    names the first fault: an entry outside -1/0/1 (tested before any
+    conversion, so 1.0 and True are read as 1 but 1.5 and "1" are refused)
+    or a partial sum that leaves {0, 1}.
+    """
     n = len(grid)
     if n == 0 or any(len(row) != n for row in grid):
         raise NotAlternating("matrix must be square and nonempty")
-    rows = tuple(tuple(map(int, row)) for row in grid)
+    rows = tuple(map(tuple, grid))
+    if (set(map(type, chain.from_iterable(rows))) == {int}
+            and all(map(_alternating, rows)) and all(map(_alternating, zip(*rows)))):
+        return Asm(rows)
     col_sums = [0] * n
     for i, row in enumerate(rows):
         r = 0
         for j, e in enumerate(row):
             if e not in (-1, 0, 1):
-                raise NotAlternating(f"entry {e} at ({i + 1}, {j + 1}) not in -1/0/1")
+                raise NotAlternating(f"entry {e!r} at ({i + 1}, {j + 1}) not in -1/0/1")
+            e = int(e)
             r += e
             if r not in (0, 1):
                 raise NotAlternating(f"row {i + 1} partial sums leave {{0,1}}")
@@ -148,7 +170,7 @@ def as_asm(grid: Sequence[Sequence[int]]) -> Asm:
     bad = [j + 1 for j, s in enumerate(col_sums) if s != 1]
     if bad:
         raise NotAlternating(f"column {bad[0]} does not sum to 1")
-    return Asm(rows)
+    return Asm(tuple(tuple(map(int, row)) for row in rows))
 
 
 def to_state(asm: Asm) -> SixVertexState:
@@ -188,8 +210,6 @@ def inversions(s: Sequence[int]) -> int:
 def stats(asm: Asm) -> AsmStats:
     e = asm.entries
     n = len(e)
-    return AsmStats(
-        minus_ones=sum(row.count(-1) for row in e),
-        first_column_one_pos=[row[0] for row in e].index(1) + 1,
-        central_entry=e[n // 2][n // 2] if n % 2 == 1 else None,
-    )
+    return AsmStats._make((sum(map(tuple.count, e, repeat(-1, n))),
+                           next(zip(*e)).index(1) + 1,
+                           e[n // 2][n // 2] if n % 2 else None))

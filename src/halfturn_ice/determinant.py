@@ -46,6 +46,7 @@ over one pair divisor, which `special_z` divides once (`pair_quotient`).
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -153,7 +154,8 @@ def _schur(lam: Sequence[int], e: Sequence[tuple[int, int]]) -> tuple[int, int]:
     the dual Jacobi-Trudi determinant det[E_(lam'_i - i + j)] of size lam_1,
     lam' the conjugate partition and E_k = 0 outside 0..N.  The reversed
     vector gives E_N^lam_1 s_lam(1/w), as e_k(1/w) = e_(N-k)(w) / e_N(w)."""
-    conj = [sum(1 for part in lam if part > i) for i in range(lam[0])]
+    rise = lam[::-1]
+    conj = [len(lam) - bisect_right(rise, i) for i in range(lam[0])]
     return det_exact([[e[c - i + j] if 0 <= c - i + j < len(e) else (0, 0)
                        for j in range(len(conj))] for i, c in enumerate(conj)])
 

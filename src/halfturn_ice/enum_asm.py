@@ -9,16 +9,19 @@ are emitted in row-major lexicographic order with entries ordered
 
 The valid next rows depend only on the column partial sums, so each stream
 keeps a row-transition table (`_next_rows`) from a 0/1 column-sum vector to
-its (row, new column sums) moves, filled on first use; the depth-first walk
-(`_prefixes`) then only looks rows up.  The table belongs to the stream,
-not to the module, so no state outlives it.
+its (row, new column sums) moves, filled on first use.  The depth-first
+walk (`_prefixes`) only looks rows up, and stops two rows short: a second
+table maps the column sums there to every (row, row) tail that the last
+two steps allow, so each prefix emits all its matrices by one `map`.  Both
+tables belong to the stream, not to the module, so no state outlives it.
 
 The half-turn class fills only rows 1..ceil(n/2) (the middle row of an odd
 order is kept palindromic).  Those rows complete to a half-turn symmetric
 ASM by 180-degree rotation exactly when C_j + C_(n+1-j) = 1 + mid_j for
 every column j, with C their column sums and mid the middle row (0 for
-even n); only prefixes that pass this closing test are completed, and each
-completion is still validated by `as_asm`.
+even n); only prefixes that pass this closing test are completed.  Each
+completion is still validated by `as_asm`, whose check of a plain-int grid
+is one memoized test per row and per column (`asm._alternating`).
 
 Census weights follow the x-enumeration conventions: a matrix with k
 entries equal to -1 weighs x^k in the plain class and x^(k/2) in the
@@ -29,6 +32,7 @@ are kept in the variable "sqrtx" with exponent k (sqrtx^2 = x).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
@@ -107,23 +111,43 @@ def _prefixes(n: int, steps: list[Callable[[Cols], Moves]]) -> Iterator[tuple[Ro
     """Every stack of len(steps) rows that the steps allow, depth first in
     row-major lex order; steps[i] is the transition table of row i + 1.
 
-    The walk keeps one iterator per row on an explicit stack, so each matrix
-    passes through one generator frame, not one per row.
+    The last two rows depend on the rows above only through their column
+    sums, so a second table maps each such sum vector to its (row, row)
+    tails, filled on first use from the last two steps and owned by the
+    stream.  The walk keeps one iterator per row above the tails on an
+    explicit stack, and each prefix emits all its matrices at once as its
+    rows plus each tail, by `map`.
     """
     depth = len(steps)
-    rows: list[Row] = [()] * depth
-    stack = [iter(steps[0]((0,) * n))]
+    zeros = (0,) * n
+    if depth == 1:
+        yield from ((row,) for row, _ in steps[0](zeros))
+        return
+    penult, last = steps[-2], steps[-1]
+    table: dict[Cols, tuple[tuple[Row, Row], ...]] = {}
+
+    def tails(col: Cols) -> tuple[tuple[Row, Row], ...]:
+        found = table.get(col)
+        if found is None:
+            found = table[col] = tuple((row, end) for row, below in penult(col)
+                                       for end, _ in last(below))
+        return found
+
+    if depth == 2:
+        yield from tails(zeros)
+        return
+    head = depth - 2
+    rows: list[Row] = [()] * head
+    stack = [iter(steps[0](zeros))]
     while stack:
         i = len(stack) - 1
-        if i == depth - 1:
-            for row, _ in stack.pop():
-                rows[i] = row
-                yield tuple(rows)
-            continue
         for row, col in stack[i]:
             rows[i] = row
-            stack.append(iter(steps[i + 1](col)))
-            break
+            if i == head - 1:
+                yield from map(tuple(rows).__add__, tails(col))
+            else:
+                stack.append(iter(steps[i + 1](col)))
+                break
         else:
             stack.pop()
 
@@ -131,8 +155,7 @@ def _prefixes(n: int, steps: list[Callable[[Cols], Moves]]) -> Iterator[tuple[Ro
 def _gen_all(n: int) -> Iterator[Asm]:
     done = (1,) * n
     last = _next_rows(False, lambda row, col: col == done)
-    for rows in _prefixes(n, [_next_rows(False)] * (n - 1) + [last]):
-        yield Asm(rows)
+    yield from map(Asm, _prefixes(n, [_next_rows(False)] * (n - 1) + [last]))
 
 
 def _gen_ht(n: int) -> Iterator[Asm]:
@@ -249,6 +272,8 @@ def inversion_genfunc(n: int, klass: str = "all", mode: str = "brute") -> Lauren
     """Sum of z^inv(s) over the class, by brute force or by product formula."""
     if n < 1:
         raise ValueError("order must be >= 1")
+    if klass not in ("all", "ht"):
+        raise ValueError(f"unknown class {klass!r}")
     if n * (n - 1) // 2 > _LIMIT:  # the reversed word's inversions, before anything is built
         raise OverflowError(f"order {n} has up to {n * (n - 1) // 2} inversions, "
                             f"past the exponent range +-{_LIMIT}")
@@ -371,15 +396,11 @@ def census(n: int, klass: str = "all") -> CensusTable:
     odd half-turn orders.  Cached: treat the returned table as read-only."""
     odd_ht = klass == "ht" and n % 2 == 1
     var = "sqrtx" if odd_ht else "x"
+    tally = Counter(map(stats, gen_asms(n, klass)))
     counts: dict[tuple[int, Optional[int]], dict[tuple[int], int]] = {}
-    total = 0
-    for m in gen_asms(n, klass):
-        st = stats(m)
-        k = st.minus_ones
+    for (k, r, central), hits in tally.items():
         exp = (k if (odd_ht or klass == "all") else k // 2,)
-        row = counts.setdefault(
-            (st.first_column_one_pos, st.central_entry if odd_ht else None), {})
-        row[exp] = row.get(exp, 0) + 1
-        total += 1
-    return CensusTable(order=n, klass=klass, weight_var=var, count=total,
+        row = counts.setdefault((r, central if odd_ht else None), {})
+        row[exp] = row.get(exp, 0) + hits
+    return CensusTable(order=n, klass=klass, weight_var=var, count=sum(tally.values()),
                        rows={key: LaurentPoly((var,), row) for key, row in counts.items()})

@@ -1,13 +1,46 @@
 """ASM validation, the six-vertex bijection and matrix statistics."""
 
 import itertools
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfturn_ice.asm import (
     Asm, AsmStats, NotAlternating, SixVertexState, as_asm, inversions, stats,
     to_state)
 from halfturn_ice.enum_asm import gen_asms
+
+
+def reference_as_asm(grid):
+    """The entry loop that once validated every grid, kept as the oracle of
+    the memoized row and column check of `as_asm`: in row-major order, each
+    entry is tested against -1/0/1 before it is read as an int, then the
+    row and column partial sums are checked."""
+    n = len(grid)
+    if n == 0 or any(len(row) != n for row in grid):
+        raise NotAlternating("matrix must be square and nonempty")
+    rows = []
+    col_sums = [0] * n
+    for i, row in enumerate(grid):
+        r = 0
+        for j, e in enumerate(row):
+            if e not in (-1, 0, 1):
+                raise NotAlternating(f"entry {e!r} at ({i + 1}, {j + 1}) not in -1/0/1")
+            e = int(e)
+            r += e
+            if r not in (0, 1):
+                raise NotAlternating(f"row {i + 1} partial sums leave {{0,1}}")
+            col_sums[j] += e
+            if col_sums[j] not in (0, 1):
+                raise NotAlternating(f"column {j + 1} partial sums leave {{0,1}}")
+        if r != 1:
+            raise NotAlternating(f"row {i + 1} sums to {r}, not 1")
+        rows.append(tuple(map(int, row)))
+    bad = [j + 1 for j, s in enumerate(col_sums) if s != 1]
+    if bad:
+        raise NotAlternating(f"column {bad[0]} does not sum to 1")
+    return Asm(tuple(rows))
 
 
 class InconsistentOrientation(ValueError):
@@ -67,6 +100,59 @@ def test_validate_examples():
         as_asm([[1, 0], [1, 0]])
     with pytest.raises(NotAlternating):
         as_asm([])
+
+
+def test_non_integral_entries_are_refused_not_truncated():
+    for grid, entry in (([[1.5]], "1.5"), ([["1"]], "'1'"),
+                        ([[0.9, 0.2], [0.1, 1]], "0.9"), ([[1, 0], [0, 1.5]], "1.5")):
+        with pytest.raises(NotAlternating, match=rf"^entry {entry} at "):
+            as_asm(grid)
+    # Entries equal to -1, 0 or 1 are read as ints.
+    for grid in ([[1.0]], [[True]], [[0, True, 0], [1.0, -1.0, 1], [False, 1, 0]]):
+        m = as_asm(grid)
+        assert m == reference_as_asm(grid)
+        assert {type(x) for row in m.entries for x in row} == {int}
+
+
+ENTRIES = st.sampled_from([-2, -1, 0, 1, 2, 1.0, 1.5, True, "1"])
+
+
+@lru_cache(maxsize=None)
+def _asms(n):
+    return list(gen_asms(n))
+
+
+@st.composite
+def grids(draw):
+    """A square grid of order 1..6: entries drawn at random, or an ASM with
+    up to two entries replaced, its rows and columns perhaps shuffled (all
+    sums stay 1, but partial sums may leave {0, 1})."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "asm", "shuffled"]))
+    if kind == "random":
+        return draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    grid = draw(st.sampled_from(_asms(n))).entries
+    if kind == "shuffled":
+        rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+        grid = [[grid[i][j] for j in cols] for i in rows]
+    grid = [list(row) for row in grid]
+    for _ in range(draw(st.integers(0, 2))):
+        grid[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(ENTRIES)
+    return grid
+
+
+def _outcome(check, grid):
+    try:
+        return repr(check(grid))  # the repr shows each entry's type
+    except NotAlternating as err:
+        return f"NotAlternating: {err}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(grids())
+def test_as_asm_matches_the_entry_loop(grid):
+    assert _outcome(as_asm, grid) == _outcome(reference_as_asm, grid)
 
 
 def test_bijection_small():
@@ -156,6 +242,7 @@ def test_stats_field_by_field():
     for m in itertools.chain(*streams):
         e, n = m.entries, m.order
         s = stats(m)
+        assert type(s) is AsmStats
         assert s.minus_ones == sum(1 for row in e for x in row if x == -1)
         assert s.first_column_one_pos == next(i + 1 for i in range(n) if e[i][0] == 1)
         assert s.central_entry == (e[n // 2][n // 2] if n % 2 == 1 else None)

@@ -5,11 +5,13 @@ import math
 
 import pytest
 
-from halfturn_ice.asm import Asm, NotAlternating, as_asm, stats
+from halfturn_ice.asm import Asm, NotAlternating, stats
 from halfturn_ice.enum_asm import (
     census, gen_asms, ht_permutations, inversion_genfunc)
 from halfturn_ice.formulas import count_closed
 from halfturn_ice.laurent import LaurentPoly
+
+from test_asm import reference_as_asm
 
 
 # ----------------------------------------------------------------------
@@ -51,7 +53,8 @@ def reference_row_candidates(col, force_palindrome):
 
 def reference_gen(n, klass):
     """Backtracking with one recursive generator per node; the half-turn
-    class completes every top half by rotation and keeps what validates."""
+    class completes every top half by rotation and keeps what the entry
+    loop of `reference_as_asm` validates."""
     last = n if klass == "all" else (n + 1) // 2
     rows = []
 
@@ -63,7 +66,7 @@ def reference_gen(n, klass):
                 return
             full = rows + [tuple(reversed(rows[k])) for k in range(n - last - 1, -1, -1)]
             try:
-                yield as_asm(full)
+                yield reference_as_asm(full)
             except NotAlternating:
                 pass
             return
@@ -226,6 +229,9 @@ def test_bad_inputs():
         list(gen_asms(2, "diagonal"))
     with pytest.raises(ValueError):
         inversion_genfunc(2, "all", "guess")
+    for mode in ("brute", "closed"):
+        with pytest.raises(ValueError, match="unknown class 'bogus'"):
+            inversion_genfunc(4, "bogus", mode)
     for n, klass, mode in ((0, "all", "brute"), (0, "ht", "closed"), (-3, "all", "closed")):
         with pytest.raises(ValueError, match="order must be >= 1"):
             inversion_genfunc(n, klass, mode)
@@ -261,12 +267,17 @@ def test_census_is_a_chunked_reduction():
             mono = LaurentPoly(("x",), {(st.minus_ones,): 1})
             merged[key] = merged.get(key, LaurentPoly.zero()) + mono
     assert merged == full.rows
-    # The int-count census against the per-matrix sum: plain x^k, even
-    # half-turn x^(k/2), odd half-turn sqrtx^k keyed by central entry.
-    for n, klass in ((6, "all"), (6, "ht"), (7, "ht")):
-        tab = census(n, klass)
-        matrices = list(reference_gen(n, klass))
-        rows = reference_census_rows(matrices, n, klass)
-        assert tab.rows == rows and list(tab.rows) == list(rows)
-        assert tab.count == len(matrices)
     assert {c for _, c in census(7, "ht").rows} == {-1, 1}
+
+
+@pytest.mark.parametrize("n, klass", [(n, "all") for n in range(1, 7)]
+                         + [(n, "ht") for n in range(1, 9)])
+def test_census_matches_the_per_matrix_sum(n, klass):
+    # The tally of `stats` keys against one monomial per matrix: plain x^k,
+    # even half-turn x^(k/2), odd half-turn sqrtx^k keyed by central entry.
+    matrices = list(reference_gen(n, klass))
+    tab = census(n, klass)
+    rows = reference_census_rows(matrices, n, klass)
+    assert tab.rows == rows and list(tab.rows) == list(rows)
+    assert tab.count == len(matrices)
+    assert tab.weight_var == ("sqrtx" if klass == "ht" and n % 2 else "x")

@@ -26,8 +26,7 @@ notation):
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 Grid = tuple[tuple[int, ...], ...]
@@ -127,33 +126,71 @@ class AsmStats(NamedTuple):
     central_entry: Optional[int]  # None for even order
 
 
-@lru_cache(maxsize=None)
-def _alternating(vec: tuple[int, ...]) -> bool:
-    """Whether the nonzero entries of an int vector are exactly 1, -1, ..., 1:
-    the row (or column) condition of an ASM.  Memoized, so each distinct
-    vector is checked once; an order n has 2^(n-1) valid ones."""
-    nonzero = [e for e in vec if e]
-    return nonzero == [1, -1] * (len(nonzero) // 2) + [1]
+# Every alternating row that `as_asm` has met, keyed by its entries: the
+# row as ints, with its plus and minus masks (bit j set where entry j,
+# 1-based, is 1, resp. -1).  Only rows that pass are stored, so an order n
+# adds at most its 2^(n-1) alternating rows.  Equal numbers hash alike, so
+# a row of 1.0, True or Fraction(1) finds the entry of its ints.
+_ROWS: dict[tuple, tuple[tuple[int, ...], int, int]] = {}
+
+
+def _new_row(row: tuple) -> Optional[tuple[tuple[int, ...], int, int]]:
+    """Check a row not met yet; store and return its memo entry when its
+    entries are -1/0/1 and its partial sums stay in {0, 1} and end at 1,
+    else return None."""
+    if not all(e in (-1, 0, 1) for e in row):
+        return None
+    ints = tuple(map(int, row))
+    r = plus = minus = 0
+    for j, e in enumerate(ints, 1):
+        r += e
+        if r not in (0, 1):
+            return None
+        if e == 1:
+            plus |= 1 << j
+        elif e:
+            minus |= 1 << j
+    if r != 1:
+        return None
+    found = _ROWS[ints] = (ints, plus, minus)
+    return found
 
 
 def as_asm(grid: Sequence[Sequence[int]]) -> Asm:
     """Validate a grid and wrap it as an Asm; raises NotAlternating.
 
-    A grid of plain ints passes when every row and every column passes
-    `_alternating`.  Otherwise the entry loop runs in row-major order and
-    names the first fault: an entry outside -1/0/1 (tested before any
-    conversion, so 1.0 and True are read as 1 but 1.5 and "1" are refused)
-    or a partial sum that leaves {0, 1}.
+    Each row is looked up in a memo of the alternating rows met so far,
+    which holds its ints and its plus and minus masks; a row not met yet is
+    checked once and stored only if it passes.  The columns are checked by
+    walking one int mask C (bit j = C_j) down the rows: a row may put a 1
+    only under a column at 0 and a -1 only under a column at 1, and moves C
+    to C ^ plus ^ minus, which must end with every column at 1.  When that
+    fails, or an entry is unhashable, the entry loop runs in row-major
+    order and names the first fault: an entry outside -1/0/1 (tested before
+    any conversion, so 1.0 and True are read as 1 but 1.5 and "1" are
+    refused) or a partial sum that leaves {0, 1}.
     """
     n = len(grid)
-    if n == 0 or any(len(row) != n for row in grid):
+    if n == 0 or {*map(len, grid)} != {n}:
         raise NotAlternating("matrix must be square and nonempty")
-    rows = tuple(map(tuple, grid))
-    if (set(map(type, chain.from_iterable(rows))) == {int}
-            and all(map(_alternating, rows)) and all(map(_alternating, zip(*rows)))):
-        return Asm(rows)
+    col, rows = 0, []
+    for row in grid:
+        row = tuple(row)
+        try:
+            ints, plus, minus = _ROWS[row]
+        except (KeyError, TypeError):  # a row not met yet, or an unhashable entry
+            found = _new_row(row)
+            if found is None:
+                break
+            ints, plus, minus = found
+        if plus & col or minus & ~col:
+            break
+        col ^= plus ^ minus
+        rows.append(ints)
+    if len(rows) == n and col == (1 << n + 1) - 2:
+        return Asm(tuple(rows))
     col_sums = [0] * n
-    for i, row in enumerate(rows):
+    for i, row in enumerate(grid):
         r = 0
         for j, e in enumerate(row):
             if e not in (-1, 0, 1):
@@ -170,7 +207,7 @@ def as_asm(grid: Sequence[Sequence[int]]) -> Asm:
     bad = [j + 1 for j, s in enumerate(col_sums) if s != 1]
     if bad:
         raise NotAlternating(f"column {bad[0]} does not sum to 1")
-    return Asm(tuple(tuple(map(int, row)) for row in rows))
+    return Asm(tuple(tuple(map(int, row)) for row in grid))
 
 
 def to_state(asm: Asm) -> SixVertexState:

@@ -7,21 +7,28 @@ is row-by-row backtracking on column partial sums (each constrained to
 are emitted in row-major lexicographic order with entries ordered
 -1 < 0 < 1, so two runs are byte-identical.
 
-The valid next rows depend only on the column partial sums, so each stream
-keeps a row-transition table (`_next_rows`) from a 0/1 column-sum vector to
-its (row, new column sums) moves, filled on first use.  The depth-first
-walk (`_prefixes`) only looks rows up, and stops two rows short: a second
-table maps the column sums there to every (row, row) tail that the last
-two steps allow, so each prefix emits all its matrices by one `map`.  Both
-tables belong to the stream, not to the module, so no state outlives it.
+The valid next rows depend only on the column partial sums, kept as one
+int mask C with bit j = C_j, the profile of `icemodel._transfer_plan`
+between two rows.  A row-transition table (`_row_table`) maps C to the
+rows that fit under it, in lex order: with plus and minus the masks of a
+row's 1s and -1s, those with plus & C == 0 and minus & C == minus, each
+moving C to C ^ plus ^ minus.  Each entry is built on first use, one
+column at a time, so no table is larger than the stream needs.  The
+depth-first walk (`_prefixes`) only looks rows up, and stops two rows
+short: a second table maps the mask there to every (row, row) tail that
+the last two steps allow, so each prefix emits all its matrices by one
+`map`.  All tables belong to the stream, not to the module, so no state
+outlives it.
 
 The half-turn class fills only rows 1..ceil(n/2) (the middle row of an odd
-order is kept palindromic).  Those rows complete to a half-turn symmetric
-ASM by 180-degree rotation exactly when C_j + C_(n+1-j) = 1 + mid_j for
-every column j, with C their column sums and mid the middle row (0 for
-even n); only prefixes that pass this closing test are completed.  Each
-completion is still validated by `as_asm`, whose check of a plain-int grid
-is one memoized test per row and per column (`asm._alternating`).
+order is palindromic and must fit on all n columns).  Those rows complete
+to a half-turn symmetric ASM by 180-degree rotation exactly when
+C_j + C_(n+1-j) = 1 + mid_j for every column j, with C their column sums
+and mid the middle row (0 for even n); on masks this is one identity
+between C, C mirrored and the middle row's plus mask
+(`_half_turn_closing`), and only prefixes that pass it are completed.  Each
+completion is still validated by `as_asm`, which walks one column mask down
+rows looked up in its memo.
 
 Census weights follow the x-enumeration conventions: a matrix with k
 entries equal to -1 weighs x^k in the plain class and x^(k/2) in the
@@ -32,6 +39,7 @@ are kept in the variable "sqrtx" with exponent k (sqrtx^2 = x).
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
@@ -40,93 +48,88 @@ from .asm import Asm, as_asm, inversions, stats
 from .laurent import _LIMIT, LaurentPoly
 
 Row = tuple[int, ...]
-Cols = tuple[int, ...]
-Moves = tuple[tuple[Row, Cols], ...]
+Moves = tuple[tuple[Row, int], ...]
 
 
-def _row_candidates(col: tuple[int, ...], force_palindrome: bool) -> Iterator[tuple[int, ...]]:
-    """All valid next rows given column partial sums, in lex order (-1 < 0 < 1)."""
-    n = len(col)
-    row = [0] * n
-    half = (n + 1) // 2
-
-    def fill(j: int, rsum: int):
-        if force_palindrome and j >= half:
-            # Mirror the free prefix and re-check row partial sums.
-            for k in range(half, n):
-                row[k] = row[n - 1 - k]
-            s = 0
-            for k in range(n):
-                s += row[k]
-                if s not in (0, 1):
-                    return
-            if s == 1:
-                yield tuple(row)
-            return
-        if j == n:
-            if rsum == 1:
-                yield tuple(row)
-            return
-        for e in (-1, 0, 1):
-            if rsum + e not in (0, 1):
-                continue
-            if col[j] + e not in (0, 1):
-                continue
-            row[j] = e
-            yield from fill(j + 1, rsum + e)
-        row[j] = 0
-
-    yield from fill(0, 0)
-
-
-def _next_rows(palindrome: bool,
-               closes: Optional[Callable[[Row, Cols], bool]] = None) -> Callable[[Cols], Moves]:
-    """The row-transition table of one stream.
+def _row_table(n: int, palindrome: bool = False,
+               closes: Optional[Callable[[int, int], bool]] = None) -> Callable[[int], Moves]:
+    """The row-transition table of one stream, on int column masks.
 
     Whether a row may follow the rows above it depends on those rows only
-    through their column partial sums: each sum must stay in {0, 1}.  The
-    sums above any row of an ASM form a 0/1 vector, so there are at most
-    2^n table keys.  The table maps each one to its (row, new column sums)
-    moves, in the lex order of `_row_candidates`, which fills it on first
-    use; a table for the last row keeps only the moves that `closes` the
-    matrix.  It lives in the returned closure, so it is built cold for each
-    stream and dies with it.
-    """
-    table: dict[Cols, Moves] = {}
+    through their column partial sums: each must stay in {0, 1}.  The sums
+    above any row of an ASM form a 0/1 vector, kept as the mask C with bit
+    j = C_j, the profile of `icemodel._transfer_plan` between two rows.  A
+    row fits under C when it puts a 1 only under a column at 0 and a -1
+    only under a column at 1 (plus & C == 0 and minus & C == minus, for
+    the masks of its 1s and -1s), and moves C to C ^ plus ^ minus.
 
-    def moves(col: Cols) -> Moves:
+    The table maps C to its (row, new mask) moves in lex order (-1 < 0 < 1),
+    built on first use one column at a time: each prefix, kept as its plus
+    and minus masks and its partial sum, grows by the entries that fit its
+    column and keep the sum in {0, 1}, so every level stays in lex order.
+    The rows are the prefixes whose sum ends at 1, each made a tuple once
+    per table.  A palindromic table keeps only rows equal to their reverse;
+    a table for the last row keeps only the moves for which
+    `closes(new mask, plus)` holds.  It lives in the returned closure, so it
+    is built cold for each stream and dies with it.
+    """
+    table: dict[int, Moves] = {}
+    rows: dict[tuple[int, int], Row] = {}
+    columns = range(1, n + 1)
+
+    def moves(col: int) -> Moves:
         found = table.get(col)
         if found is None:
-            found = tuple((row, tuple(c + e for c, e in zip(col, row)))
-                          for row in _row_candidates(col, palindrome))
-            if closes is not None:
-                found = tuple(move for move in found if closes(*move))
-            table[col] = found
+            level = [(0, 0, 0)]  # (plus, minus, partial sum) of each prefix
+            for j in columns:
+                bit = 1 << j
+                grown = []
+                for plus, minus, r in level:
+                    if r:  # a -1 under a column at 1, or a 0
+                        if col & bit:
+                            grown.append((plus, minus | bit, 0))
+                        grown.append((plus, minus, 1))
+                    else:  # a 0, or a 1 under a column at 0
+                        grown.append((plus, minus, 0))
+                        if not col & bit:
+                            grown.append((plus | bit, minus, 1))
+                level = grown
+            found = []
+            for plus, minus, r in level:
+                if not r:
+                    continue
+                row = rows.get((plus, minus))
+                if row is None:
+                    row = rows[plus, minus] = tuple([(plus >> j & 1) - (minus >> j & 1)
+                                                     for j in columns])
+                if ((not palindrome or row == row[::-1])
+                        and (closes is None or closes(col ^ plus ^ minus, plus))):
+                    found.append((row, col ^ plus ^ minus))
+            found = table[col] = tuple(found)
         return found
 
     return moves
 
 
-def _prefixes(n: int, steps: list[Callable[[Cols], Moves]]) -> Iterator[tuple[Row, ...]]:
+def _prefixes(steps: list[Callable[[int], Moves]]) -> Iterator[tuple[Row, ...]]:
     """Every stack of len(steps) rows that the steps allow, depth first in
     row-major lex order; steps[i] is the transition table of row i + 1.
 
     The last two rows depend on the rows above only through their column
-    sums, so a second table maps each such sum vector to its (row, row)
-    tails, filled on first use from the last two steps and owned by the
-    stream.  The walk keeps one iterator per row above the tails on an
-    explicit stack, and each prefix emits all its matrices at once as its
-    rows plus each tail, by `map`.
+    mask, so a second table maps each mask to its (row, row) tails, filled
+    on first use from the last two steps and owned by the stream.  The walk
+    keeps one iterator per row above the tails on an explicit stack, and
+    each prefix emits all its matrices at once as its rows plus each tail,
+    by `map`.
     """
     depth = len(steps)
-    zeros = (0,) * n
     if depth == 1:
-        yield from ((row,) for row, _ in steps[0](zeros))
+        yield from ((row,) for row, _ in steps[0](0))
         return
     penult, last = steps[-2], steps[-1]
-    table: dict[Cols, tuple[tuple[Row, Row], ...]] = {}
+    table: dict[int, tuple[tuple[Row, Row], ...]] = {}
 
-    def tails(col: Cols) -> tuple[tuple[Row, Row], ...]:
+    def tails(col: int) -> tuple[tuple[Row, Row], ...]:
         found = table.get(col)
         if found is None:
             found = table[col] = tuple((row, end) for row, below in penult(col)
@@ -134,11 +137,11 @@ def _prefixes(n: int, steps: list[Callable[[Cols], Moves]]) -> Iterator[tuple[Ro
         return found
 
     if depth == 2:
-        yield from tails(zeros)
+        yield from tails(0)
         return
     head = depth - 2
     rows: list[Row] = [()] * head
-    stack = [iter(steps[0](zeros))]
+    stack = [iter(steps[0](0))]
     while stack:
         i = len(stack) - 1
         for row, col in stack[i]:
@@ -153,38 +156,54 @@ def _prefixes(n: int, steps: list[Callable[[Cols], Moves]]) -> Iterator[tuple[Ro
 
 
 def _gen_all(n: int) -> Iterator[Asm]:
-    done = (1,) * n
-    last = _next_rows(False, lambda row, col: col == done)
-    yield from map(Asm, _prefixes(n, [_next_rows(False)] * (n - 1) + [last]))
+    done = (1 << n + 1) - 2  # every column at 1
+    last = _row_table(n, closes=lambda col, plus: col == done)
+    yield from map(Asm, _prefixes([_row_table(n)] * (n - 1) + [last]))
+
+
+def _half_turn_closing(n: int) -> Callable[[int, int], bool]:
+    """The closing test of the half-turn class at order n, on the column
+    mask C of the top ceil(n/2) rows and the plus mask of the middle row
+    (odd n; an even order has no middle row, read as 0).
+
+    Row n+1-i of the completion is row i reversed (i <= n/2).  Going down
+    the lower half, column j has the partial sums
+    C_j + (C_(n+1-j) - mid_j) - P, with P running over the 0/1 partial sums
+    of column n+1-j above the middle, down to 0.  So every lower partial sum
+    is 0 or 1 and the column sums to 1 exactly when
+    C_j + C_(n+1-j) = 1 + mid_j for every j.  Summed over all columns both
+    sides are 2|C|, since each top row adds one to |C| and the middle row
+    sums to 1.  A middle row that fits all n columns leaves both bits clear
+    where mid_j = -1, and the identity C & M == plus, with M the mask C
+    mirrored (bit j to bit n+1-j), sets both where mid_j = 1 and at most one
+    where mid_j = 0.  Then no column's left side exceeds its right side, and
+    as the totals agree, every column's sides are equal.  A middle row whose
+    mirrored half does not fit never closes: it took some C_j to 2 or -1,
+    mid_j has that sign, and C_(n+1-j) cannot make up the difference.
+    """
+    odd = n % 2 == 1
+
+    def closes(col: int, plus: int) -> bool:
+        mirror = sum(1 << n + 1 - j for j in range(1, n + 1) if col >> j & 1)
+        return col & mirror == (plus if odd else 0)
+
+    return closes
 
 
 def _gen_ht(n: int) -> Iterator[Asm]:
     half = (n + 1) // 2
     odd = n % 2 == 1
-
-    def closes(last: Row, col: Cols) -> bool:
-        # Row n+1-i of the completion is row i reversed (i <= n/2).  Going
-        # down the lower half, column j has the partial sums
-        # C_j + (C_(n+1-j) - mid_j) - P, with C the column sums of the top
-        # ceil(n/2) rows, mid the middle row (odd n) or 0 (even n), and P
-        # running over the 0/1 partial sums of column n+1-j above the
-        # middle, down to 0.  So every lower partial sum is 0 or 1 and the
-        # column sums to 1 exactly when C_j + C_(n+1-j) = 1 + mid_j.  The
-        # test also rejects a middle row whose mirrored half took some C_j
-        # to 2 or -1: mid_j then has that sign, so C_(n+1-j) cannot make up
-        # the difference.
-        return all(col[j] + col[n - 1 - j] == 1 + (last[j] if odd else 0)
-                   for j in range(half))
-
-    steps = [_next_rows(False)] * (half - 1) + [_next_rows(odd, closes)]
-    for rows in _prefixes(n, steps):
-        yield as_asm(rows + tuple(row[::-1] for row in reversed(rows[:n - half])))
+    steps = [_row_table(n)] * (half - 1) + [_row_table(n, odd, _half_turn_closing(n))]
+    for top in _prefixes(steps):
+        yield as_asm(top + tuple(row[::-1] for row in reversed(top[:n - half])))
 
 
 def gen_asms(n: int, klass: str = "all") -> Iterator[Asm]:
     """Stream every ASM of the class exactly once, deterministically."""
     if n < 1:
         raise ValueError("order must be >= 1")
+    if n > sys.maxsize:  # a row of n entries cannot be indexed
+        raise OverflowError(f"order {n} is past the index range")
     if klass == "all":
         return _gen_all(n)
     if klass == "ht":

@@ -97,8 +97,9 @@ class ModelSpec(_Frozen):
     def __init__(self, kind: str, size: int):
         if kind not in KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
-        if size < 0 or (size == 0 and kind != "ht-odd"):
-            raise ValueError("size parameter out of range")
+        least = 0 if kind == "ht-odd" else 1
+        if size < least:
+            raise ValueError(f"{kind} size must be >= {least}, got {size}")
         _set_kind(self, kind)
         _set_size(self, size)
 

@@ -1,11 +1,16 @@
 """ASM validation, the six-vertex bijection and matrix statistics."""
 
 import itertools
+import random
+import re
+from decimal import Decimal
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from halfturn_ice import asm
 from halfturn_ice.asm import (
     Asm, AsmStats, NotAlternating, SixVertexState, as_asm, inversions, stats,
     to_state)
@@ -114,7 +119,47 @@ def test_non_integral_entries_are_refused_not_truncated():
         assert {type(x) for row in m.entries for x in row} == {int}
 
 
-ENTRIES = st.sampled_from([-2, -1, 0, 1, 2, 1.0, 1.5, True, "1"])
+def test_unhashable_entries_are_named_not_a_type_error():
+    for grid, message in (([[[1]]], "entry [1] at (1, 1) not in -1/0/1"),
+                          ([[1, [0]], [0, 1]], "entry [0] at (1, 2) not in -1/0/1")):
+        with pytest.raises(NotAlternating, match=f"^{re.escape(message)}$"):
+            as_asm(grid)
+
+
+def test_numbers_equal_to_one_are_read_as_ints():
+    for one in (True, 1.0, Fraction(1), Decimal(1)):
+        for grid in ([[one]], [[0, one, 0], [one, -1, 1], [0, 1, 0]]):
+            m = as_asm(grid)
+            assert m == reference_as_asm(grid)
+            assert {type(x) for row in m.entries for x in row} == {int}
+
+
+def test_nan_is_refused():
+    with pytest.raises(NotAlternating, match=r"^entry nan at \(1, 1\) "):
+        as_asm([[float("nan")]])
+    with pytest.raises(NotAlternating, match=r"^entry nan at \(2, 1\) "):
+        as_asm([[1, 0], [float("nan"), 1]])
+
+
+def test_invalid_grids_leave_the_row_memo_alone():
+    # The memo keeps alternating rows only: once it holds every row of order
+    # 6, no invalid grid of that order can grow it.
+    for m in _asms(6):
+        as_asm(m.entries)
+    rows = {row for row in asm._ROWS if len(row) == 6}
+    assert len(rows) == 32 and all(
+        [e for e in row if e] == [1, -1] * (sum(map(abs, row)) // 2) + [1] for row in rows)
+    size = len(asm._ROWS)
+    rng = random.Random(6)
+    for _ in range(1000):
+        grid = [[rng.choice((-1, 0, 0, 0, 1, 1, 2, 1.5)) for _ in range(6)] for _ in range(6)]
+        with pytest.raises(NotAlternating):
+            as_asm(grid)
+    assert len(asm._ROWS) == size
+
+
+ENTRIES = st.sampled_from([-2, -1, 0, 1, 2, 1.0, 1.5, True, "1", Fraction(1), float("nan"),
+                           [1]])
 
 
 @lru_cache(maxsize=None)

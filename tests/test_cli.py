@@ -94,6 +94,13 @@ def test_partition_missing_assignment(capsys):
     assert code == 2 and "missing assignments" in err
 
 
+def test_partition_bad_size_names_model_and_value(capsys):
+    code, _, err = run(capsys, "partition", "--order", "0")
+    assert code == 2 and err == "error: dwbc size must be >= 1, got 0\n"
+    code, _, err = run(capsys, "partition", "--model", "ht-odd", "--m", "-1")
+    assert code == 2 and err == "error: ht-odd size must be >= 0, got -1\n"
+
+
 def test_det(capsys):
     code, out, _ = run(capsys, "det", "--model", "dwbc", "-n", "1", "--u", "2,3")
     assert code == 0 and out.strip() == "-1 + 2*zeta"

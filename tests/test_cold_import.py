@@ -1,7 +1,9 @@
 """Importing the package stays light: no module of it may pull in
 `dataclasses` or `inspect` (which loads `ast`, `dis` and `tokenize`), nor
 `argparse`, which only `cli.build_parser` needs, since every CLI command and
-every benchmark child pays for its imports cold."""
+every benchmark child pays for its imports cold.  Nor may an import do work
+that a command would otherwise do: no cache is filled and no alternating
+row is built until something asks for one."""
 
 import json
 import os
@@ -22,14 +24,56 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-def test_package_import_loads_no_dataclasses_or_inspect():
+# Prints what the import left filled: the size of `as_asm`'s row memo, every
+# `lru_cache` holding an entry, and every module global that holds an
+# alternating row (length 2 or more), directly or as the first item of a
+# tuple such as (row, plus mask, minus mask).
+STATE_PROBE = """
+import importlib, json, sys
+mods = [importlib.import_module(name) for name in sys.argv[1:]]
+
+def alternating(x):
+    if not (isinstance(x, tuple) and len(x) > 1 and all(type(e) is int for e in x)):
+        return False
+    nonzero = [e for e in x if e]
+    return nonzero == [1, -1] * (len(nonzero) // 2) + [1]
+
+filled = []
+for mod in mods:
+    for name, value in vars(mod).items():
+        if hasattr(value, "cache_info") and value.cache_info().currsize:
+            filled.append(f"{mod.__name__}.{name}")
+        if isinstance(value, dict):
+            items = [*value, *value.values()]
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            items = list(value)
+        else:
+            continue
+        if any(alternating(x) or (isinstance(x, tuple) and x and alternating(x[0]))
+               for x in items):
+            filled.append(f"{mod.__name__}.{name}")
+print(json.dumps({"memo": len(sys.modules["halfturn_ice.asm"]._ROWS), "filled": filled}))
+"""
+
+
+def _modules():
     # __main__ runs the CLI when imported; it only imports cli.
-    names = ["halfturn_ice"] + [f"halfturn_ice.{p.stem}"
-                                for p in sorted((SRC / "halfturn_ice").glob("*.py"))
-                                if p.stem not in ("__init__", "__main__")]
+    return ["halfturn_ice"] + [f"halfturn_ice.{p.stem}"
+                               for p in sorted((SRC / "halfturn_ice").glob("*.py"))
+                               if p.stem not in ("__init__", "__main__")]
+
+
+def _probe(probe):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", PROBE, *names], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    added = set(json.loads(out))
-    assert set(names) <= added
+    return json.loads(subprocess.run([sys.executable, "-c", probe, *_modules()], env=env,
+                                     capture_output=True, text=True, check=True).stdout)
+
+
+def test_package_import_loads_no_dataclasses_or_inspect():
+    added = set(_probe(PROBE))
+    assert set(_modules()) <= added
     assert not added & {"dataclasses", "inspect", "argparse"}, sorted(added)
+
+
+def test_package_import_builds_no_rows_and_fills_no_cache():
+    assert _probe(STATE_PROBE) == {"memo": 0, "filled": []}

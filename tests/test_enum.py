@@ -1,13 +1,15 @@
 """Generators, inversion generating functions and censuses."""
 
+import hashlib
 import itertools
 import math
 
 import pytest
 
 from halfturn_ice.asm import Asm, NotAlternating, stats
+from halfturn_ice.cli import main
 from halfturn_ice.enum_asm import (
-    census, gen_asms, ht_permutations, inversion_genfunc)
+    _half_turn_closing, _row_table, census, gen_asms, ht_permutations, inversion_genfunc)
 from halfturn_ice.formulas import count_closed
 from halfturn_ice.laurent import LaurentPoly
 
@@ -79,6 +81,75 @@ def reference_gen(n, klass):
     return rec(0, (0,) * n)
 
 
+def _masks(row):
+    """(plus, minus) of a row: bit j set where entry j (1-based) is 1, resp. -1."""
+    return (sum(1 << j for j, e in enumerate(row, 1) if e == 1),
+            sum(1 << j for j, e in enumerate(row, 1) if e == -1))
+
+
+def _col_sums(mask, n):
+    return tuple(mask >> j & 1 for j in range(1, n + 1))
+
+
+def _fits(col, row):
+    return all(c + e in (0, 1) for c, e in zip(col, row))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_row_tables_match_the_reference_candidates(n):
+    # Every mask reachable from the zero mask, with free and with palindromic
+    # rows: the table lists the reference candidates on the same column sums,
+    # in the same order, each with the mask of its new column sums.  The
+    # palindromic table also asks the mirrored half to fit.
+    free, palindromic = _row_table(n), _row_table(n, True)
+    seen, todo = {0}, [0]
+    while todo:
+        mask = todo.pop()
+        col = _col_sums(mask, n)
+        want = list(reference_row_candidates(col, False))
+        assert all(_fits(col, row) for row in want)
+        assert free(mask) == tuple(
+            (row, _masks(tuple(c + e for c, e in zip(col, row)))[0]) for row in want)
+        assert [row for row, _ in palindromic(mask)] == [
+            row for row in reference_row_candidates(col, True) if _fits(col, row)]
+        for _, below in free(mask):
+            if below not in seen:
+                seen.add(below)
+                todo.append(below)
+    assert len(seen) == 2 ** n
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_mask_closing_agrees_with_the_column_condition(n):
+    # On every candidate move of the last top row (palindromic for odd n,
+    # whether its mirrored half fits or not) under every mask that the rows
+    # above reach, the mask test holds exactly when the rows fit and
+    # C_j + C_(n+1-j) = 1 + mid_j for every column j.
+    half, odd = (n + 1) // 2, n % 2 == 1
+    closes = _half_turn_closing(n)
+    free = _row_table(n)
+    masks = {0}
+    for _ in range(half - 1):
+        masks = {below for mask in masks for _, below in free(mask)}
+    closing = _row_table(n, odd, closes)
+    outcomes = set()
+    for mask in sorted(masks):
+        col = _col_sums(mask, n)
+        closed = []
+        for row in reference_row_candidates(col, odd):
+            new = [c + e for c, e in zip(col, row)]
+            mid = row if odd else (0,) * n
+            want = all(new[j] + new[n - 1 - j] == 1 + mid[j] for j in range(half))
+            plus, minus = _masks(row)
+            got = _fits(col, row) and closes(mask ^ plus ^ minus, plus)
+            assert got == want, (mask, row)
+            outcomes.add(got)
+            if want:
+                closed.append(row)
+        assert [row for row, _ in closing(mask)] == closed
+    assert outcomes == ({True, False} if n > 3 else {True})
+
+
 def zpoly(*coeffs):
     return LaurentPoly(("z",), {(i,): c for i, c in enumerate(coeffs) if c})
 
@@ -122,6 +193,16 @@ def test_interleaved_streams_are_independent():
 
 def test_order9_ht_count():
     assert sum(1 for _ in gen_asms(9, "ht")) == count_closed("ht-odd", 9) == 39204
+
+
+def test_order9_ht_stream_bytes(capsys):
+    # `reference_gen` stops at order 8; the order-9 stream is pinned byte for
+    # byte to the sha256 that the recursive row generator gave.
+    assert main(["enumerate", "--order", "9", "--class", "ht", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 39204
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cce9a2fafd8c9d2deb783e1610dd0908eaa7c949303bd574c1bf6c3b1344e2f5")
 
 
 def is_half_turn_symmetric(asm) -> bool:
@@ -227,6 +308,9 @@ def test_bad_inputs():
         list(gen_asms(0))
     with pytest.raises(ValueError):
         list(gen_asms(2, "diagonal"))
+    for klass in ("all", "ht"):
+        with pytest.raises(OverflowError, match="past the index range"):
+            gen_asms(10 ** 20, klass)
     with pytest.raises(ValueError):
         inversion_genfunc(2, "all", "guess")
     for mode in ("brute", "closed"):

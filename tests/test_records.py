@@ -96,8 +96,9 @@ def test_pickle_and_copy_round_trip():
 def test_model_spec_validation_messages():
     with pytest.raises(ValueError, match=r"^unknown model kind 'foo'$"):
         ModelSpec("foo", 1)
-    for kind, size in (("dwbc", 0), ("ht-even", 0), ("dwbc", -1), ("ht-odd", -1)):
-        with pytest.raises(ValueError, match=r"^size parameter out of range$"):
+    for kind, size, least in (("dwbc", 0, 1), ("ht-even", 0, 1), ("dwbc", -1, 1),
+                              ("ht-odd", -1, 0)):
+        with pytest.raises(ValueError, match=rf"^{kind} size must be >= {least}, got {size}$"):
             ModelSpec(kind, size)
     assert ModelSpec(kind="ht-odd", size=0).order == 1
 

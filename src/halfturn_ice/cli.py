@@ -16,8 +16,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import determinant, formulas, icemodel, verify
-from .enum_asm import census, gen_asms, inversion_genfunc
+from .enum_asm import gen_asms, inversion_genfunc
 from .exactnum import Cyclo
+from .icemodel import census
 
 if TYPE_CHECKING:
     import argparse
@@ -139,7 +140,8 @@ def _cmd_enumerate(args) -> int:
             _emit("\n".join(lines) + "\n", args.out)
         return 0
     if args.count:
-        _emit(f"{sum(1 for _ in gen_asms(n, args.klass))}\n", args.out)
+        counts = icemodel.state_counts(icemodel.class_model(n, args.klass))
+        _emit(f"{sum(counts.values())}\n", args.out)
         return 0
     chunks = []
     row_text: dict = {}

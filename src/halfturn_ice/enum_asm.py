@@ -33,7 +33,14 @@ rows looked up in its memo.
 Census weights follow the x-enumeration conventions: a matrix with k
 entries equal to -1 weighs x^k in the plain class and x^(k/2) in the
 half-turn class.  For odd half-turn orders k may be odd, so those tables
-are kept in the variable "sqrtx" with exponent k (sqrtx^2 = x).
+are kept in the variable "sqrtx" with exponent k (sqrtx^2 = x).  One
+constructor, `CensusTable.from_tally`, applies these conventions for both
+routes to a census.  `census` here is the brute route: it lists every
+matrix and tallies `asm.stats`.  The `refined-1`, `refined-split`, `xenum`
+and `four-enum` suites check the closed forms against it, and the tests
+check the plan route against it.  `icemodel.census`, which the CLI uses,
+is the plan route: it runs the compiled transfer matrix once, behind the
+state guard.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import itertools
 import sys
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .asm import Asm, as_asm, inversions, stats
 from .laurent import _LIMIT, LaurentPoly
@@ -332,6 +339,23 @@ class CensusTable:
         self.rows = {} if rows is None else rows
         self.count = count
 
+    @classmethod
+    def from_tally(cls, order: int, klass: str,
+                   tally: Mapping[tuple[int, int, Optional[int]], int]) -> CensusTable:
+        """The table of {(k, r, central): matrices}, k the number of -1
+        entries and r the row of the first column's 1.  Each matrix weighs
+        x^k in the plain class, x^(k/2) at even half-turn orders and sqrtx^k
+        at odd ones; only odd half-turn rows keep the central entry."""
+        odd_ht = klass == "ht" and order % 2 == 1
+        var = "sqrtx" if odd_ht else "x"
+        counts: dict[tuple[int, Optional[int]], dict[tuple[int], int]] = {}
+        for (k, r, central), hits in tally.items():
+            exp = (k if (odd_ht or klass == "all") else k // 2,)
+            row = counts.setdefault((r, central if odd_ht else None), {})
+            row[exp] = row.get(exp, 0) + hits
+        return cls(order=order, klass=klass, weight_var=var, count=sum(tally.values()),
+                   rows={key: LaurentPoly((var,), row) for key, row in counts.items()})
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return vars(self) == vars(other)
@@ -412,14 +436,7 @@ def _halve_sqrtx(p: LaurentPoly) -> LaurentPoly:
 @lru_cache(maxsize=None)
 def census(n: int, klass: str = "all") -> CensusTable:
     """Exact weighted refined census of a class, split by central entry for
-    odd half-turn orders.  Cached: treat the returned table as read-only."""
-    odd_ht = klass == "ht" and n % 2 == 1
-    var = "sqrtx" if odd_ht else "x"
-    tally = Counter(map(stats, gen_asms(n, klass)))
-    counts: dict[tuple[int, Optional[int]], dict[tuple[int], int]] = {}
-    for (k, r, central), hits in tally.items():
-        exp = (k if (odd_ht or klass == "all") else k // 2,)
-        row = counts.setdefault((r, central if odd_ht else None), {})
-        row[exp] = row.get(exp, 0) + hits
-    return CensusTable(order=n, klass=klass, weight_var=var, count=sum(tally.values()),
-                       rows={key: LaurentPoly((var,), row) for key, row in counts.items()})
+    odd half-turn orders, by listing every matrix: the brute-force oracle of
+    `icemodel.census`, which the CLI uses.  Cached: treat the returned table
+    as read-only."""
+    return CensusTable.from_tally(n, klass, Counter(map(stats, gen_asms(n, klass))))

@@ -27,7 +27,10 @@ in Q(zeta) or Q, and the direct central-entry split of Z_HT(2m+1), in
 Laurent polynomials, run a row transfer matrix over boundary profiles
 instead.  Every state count, split by the central entry or not, is that
 matrix run once with unit weights (`_guarded_counts`, behind the state
-guard).  An evaluated sum runs it on integer pairs (p, q) standing
+guard).  The weighted refined census of an ASM class (`census`, the CLI's
+route) is that matrix run once over monomials in u and t, behind the same
+guard; `enum_asm.census`, which lists every matrix, is its brute-force
+oracle.  An evaluated sum runs it on integer pairs (p, q) standing
 for p + q*zeta in Z[zeta] (`_pair_weights`, `_run_pairs`).  Each value is
 read once as V/d with V in Z[zeta] and d an integer; every weight triple
 is multiplied by a factor that clears all of its denominators, so the sum
@@ -70,7 +73,7 @@ from typing import Mapping, NamedTuple, Optional, Union
 
 from . import formulas
 from .asm import Asm, _Frozen, to_state
-from .enum_asm import gen_asms
+from .enum_asm import CensusTable, gen_asms
 from .exactnum import Cyclo, pair_mul, pair_quotient
 from .laurent import Coeff, LaurentPoly, NotAMonomial, sigma_of
 
@@ -322,6 +325,51 @@ def state_counts(spec: ModelSpec) -> dict[int, int]:
     """{central entry: number of states} (key 0 for dwbc and ht-even), from
     the compiled transfer plan behind the default guard."""
     return dict(_guarded_counts(spec))
+
+
+def class_model(order: int, klass: str) -> ModelSpec:
+    """The model whose states are the ASMs of a class ("all" or "ht") at an
+    order: dwbc, or the half-turn kind of the order's parity."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if klass == "all":
+        return ModelSpec("dwbc", order)
+    if klass == "ht":
+        return ModelSpec("ht-odd" if order % 2 else "ht-even", order // 2)
+    raise ValueError(f"unknown class {klass!r}")
+
+
+def census(order: int, klass: str = "all") -> CensusTable:
+    """The weighted refined census of an ASM class, as `enum_asm.census`
+    builds it by listing, from one run of the compiled transfer plan behind
+    the default guard.
+
+    A cell's class-0 weight (a nonzero entry) is u, times t^(r-1) at a cell
+    that puts the first column's 1 in row r: the plan cell (i, 1) with
+    r = i, or for the half-turn kinds the cell (i, n) that stands for the
+    image cell (n+1-i, 1).  The other classes weigh 1.  A state with N
+    nonzero plan cells has k = (N-n)/2 entries -1 for dwbc, and
+    k = N - floor(n/2) for the half-turn kinds, where each plan cell but the
+    central one stands for two.  Half-turn order 1 is its central cell
+    alone, so r = 1 there.
+    """
+    spec = class_model(order, klass)
+    _guarded_counts(spec)
+    steps, final, _ = _transfer_plan(spec.kind, spec.size)
+    n, turned = order, spec.kind != "dwbc"
+    one, u = LaurentPoly.const(1), LaurentPoly.var("u")
+    weights = []
+    for i, j in _plan_cells(spec):
+        r = i if j == 1 else n + 1 - i if turned and j == n else None
+        weights.append((u if r is None else LaurentPoly.monomial(1, {"u": 1, "t": r - 1}),
+                        one, one))
+    tally = {}
+    for central, poly in _run_plan(steps, final, weights, one).items():
+        for exps, hits in poly.tuple_terms().items():
+            e = dict(zip(poly.vars, exps))
+            k = e.get("u", 0) - n // 2 if turned else (e.get("u", 0) - n) // 2
+            tally[k, e.get("t", 0) + 1, central] = hits
+    return CensusTable.from_tally(order, klass, tally)
 
 
 def _symbolic_weights(kind: str, size: int) -> list:

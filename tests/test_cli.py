@@ -1,9 +1,11 @@
 """CLI: subcommands, formats, exit codes, reproducibility."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -251,10 +253,78 @@ def test_attached_double_dash_is_a_missing_value(capsys, argv):
     ("genfunc", "--order", "99999999999999999999", "--mode", "brute"),
 ])
 def test_oversized_order_is_a_usage_error(capsys, argv):
-    # The order overflows an index (OverflowError) before anything is built.
+    # Refused before anything is built: --count by the state guard, the
+    # brute genfunc by the exponent range.
     result = run(capsys, *argv)
     assert_usage_error(result)
     assert len(result[2].splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,model", [
+    (("enumerate", "-n", "8", "--census"), "dwbc size 8"),
+    (("enumerate", "-n", "8", "--count"), "dwbc size 8"),
+    (("enumerate", "--order", "12", "--class", "ht", "--census"), "ht-even size 6"),
+    (("enumerate", "--order", "12", "--class", "ht", "--count"), "ht-even size 6"),
+    (("enumerate", "--order", "13", "--class", "ht", "--census"), "ht-odd size 6"),
+    (("enumerate", "--order", "5000", "--count"), "dwbc size 5000"),
+])
+def test_enumerate_past_the_state_guard_is_a_usage_error(capsys, argv, model):
+    # A census or count runs the transfer plan, so it passes the state
+    # guard: -n 8 has 10,850,216 matrices and half-turn order 12 has
+    # 198,846,076, and both are refused at once instead of listed.
+    started = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - started < 1
+    assert_usage_error(result, model, "the guard 10000000")
+    assert len(result[2].splitlines()) == 1
+
+
+def test_enumerate_order_below_one_is_a_usage_error(capsys):
+    for flag in ("--census", "--count"):
+        for argv in (("-n", "0"), ("-n", "-3", "--class", "ht")):
+            result = run(capsys, "enumerate", *argv, flag)
+            assert_usage_error(result, "order must be >= 1")
+            assert len(result[2].splitlines()) == 1
+
+
+def test_enumerate_count_past_the_brute_range(capsys):
+    # Counts from the plan, at orders whose listing would take minutes.
+    for argv, family, order in ((("-n", "7"), "asm", 7),
+                                (("--order", "9", "--class", "ht"), "ht-odd", 9),
+                                (("--order", "11", "--class", "ht"), "ht-odd", 11)):
+        code, out, _ = run(capsys, "enumerate", *argv, "--count")
+        assert code == 0 and int(out) == count_closed(family, order)
+
+
+# sha256 of `enumerate ... --census --format F`, recorded from the listing
+# census before the CLI took its censuses from the transfer plan.
+CENSUS_SHA256 = {
+    ("-n 4", "json"): "a73009b151f2efb10e61d8138553bf11e1b025e606fb21ac3f7b4a281d781fec",
+    ("-n 4", "csv"): "ab352ea30846bd1e9299c45bd636546f161176dca60b2f3b4b261d7e7552f58b",
+    ("-n 4", "text"): "61462861de78fa21a63c1eb54fd2a5ee0eb43da230c7582c8fc062fbc10f85a2",
+    ("-n 6", "json"): "98ccf7ad2c09197a5f33572097ead964d8cc43f986c40975541c1817d48a58d5",
+    ("-n 6", "csv"): "70ac0e9eda4b81e41a13e8fd77223a86901ef8d4f319e06f439051b55c581050",
+    ("-n 6", "text"): "1109ff29d18d0b1fdda3e8539b57b3c5d45618adeabc9a2fd4c13aad0a13db9b",
+    ("--order 3 --class ht", "json"):
+        "d08dac8da3342f06ef3fc1eb1d64cede5caea6fd7bab12a1f853273af8d84726",
+    ("--order 3 --class ht", "csv"):
+        "84b6b8060d2ea0fd83a9adb2a29bbbfeb389ef280ade6908b6429f0eb968af67",
+    ("--order 3 --class ht", "text"):
+        "6c9485092a5bec958ad24f35964335f8fd124a58f1bcf1b55585c64a86dee088",
+    ("--order 7 --class ht", "json"):
+        "f5360c6f07973b2b33123192392313f9372ffea5fe67bc050124fd8a08f680a4",
+    ("--order 7 --class ht", "csv"):
+        "a8c31760f888ab891205755664453490a8056adcd657daca1226e9eff3d6c0ad",
+    ("--order 7 --class ht", "text"):
+        "172f6ff12d6e6a6a06609775f56d49504654b63b8639f20f1b33ef1c56bf4c67",
+}
+
+
+@pytest.mark.parametrize("args,fmt", sorted(CENSUS_SHA256))
+def test_census_bytes(capsys, args, fmt):
+    code, out, _ = run(capsys, "enumerate", *args.split(), "--census", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_SHA256[args, fmt]
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,7 @@ from halfturn_ice.asm import to_state
 from halfturn_ice.determinant import random_distinct_rationals, special_z
 from halfturn_ice.enum_asm import census, gen_asms
 from halfturn_ice.exactnum import Cyclo, ZETA
-from halfturn_ice.formulas import count_closed
+from halfturn_ice.formulas import count_closed, refined_asm_closed, refined_ht_odd
 from halfturn_ice import icemodel
 from halfturn_ice.icemodel import (
     ModelSpec, SingularAssignment, SizeTooLarge, _pair_weights, _plan_cells, _run_pairs,
@@ -474,6 +474,33 @@ def test_transfer_counts_are_the_closed_counts():
     counts = state_counts(ModelSpec("dwbc", 3))
     counts[0] += 1  # a copy: the compiled plan's counts stay as they were
     assert state_counts(ModelSpec("dwbc", 3)) == {0: 7}
+
+
+@pytest.mark.parametrize("order,klass", [(n, "all") for n in range(1, 7)]
+                         + [(n, "ht") for n in range(1, 10)])
+def test_plan_census_is_the_listing_census(order, klass):
+    assert icemodel.census(order, klass) == census(order, klass)
+
+
+def test_plan_census_past_the_listing():
+    for order, klass, family in ((7, "all", "asm"), (10, "ht", "ht-even"),
+                                 (11, "ht", "ht-odd")):
+        assert icemodel.census(order, klass).total_count() == count_closed(family, order)
+    one = LaurentPoly.const(1)
+    assert icemodel.census(7).genfunc().substitute_poly("x", one) == refined_asm_closed(7)
+    # x = 1 builds refined_ht_odd from the closed forms; x = None would list order 11.
+    plus, minus = icemodel.census(11, "ht").split_by_center()
+    assert (plus.substitute_poly("x", one), minus.substitute_poly("x", one)) \
+        == refined_ht_odd(5, 1)[:2]
+
+
+def test_plan_census_refuses_bad_classes_and_oversized_orders():
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        icemodel.census(0)
+    with pytest.raises(ValueError, match="unknown class"):
+        icemodel.census(3, "odd")
+    with pytest.raises(SizeTooLarge, match="ht-even size 6"):
+        icemodel.census(12, "ht")
 
 
 def test_transfer_matches_the_determinant_past_the_brute_range():

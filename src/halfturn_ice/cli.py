@@ -125,6 +125,9 @@ def _cmd_enumerate(args) -> int:
         raise UsageError("enumerate requires --order")
     if args.format == "csv" and not args.census:
         raise UsageError("--format csv requires --census")
+    # Every mode runs the order's compiled transfer plan, so every mode
+    # passes the state guard first.
+    counts = icemodel.state_counts(icemodel.class_model(n, args.klass))
     if args.census:
         table = census(n, args.klass)
         if args.format == "csv":
@@ -140,7 +143,6 @@ def _cmd_enumerate(args) -> int:
             _emit("\n".join(lines) + "\n", args.out)
         return 0
     if args.count:
-        counts = icemodel.state_counts(icemodel.class_model(n, args.klass))
         _emit(f"{sum(counts.values())}\n", args.out)
         return 0
     chunks = []
@@ -179,6 +181,8 @@ def _model_spec(args) -> icemodel.ModelSpec:
 
 def _cmd_partition(args) -> int:
     spec = _model_spec(args)
+    if args.max_states is not None and args.max_states < 1:
+        raise UsageError(f"--max-states must be >= 1, got {args.max_states}")
     if args.assign and args.modified:
         raise UsageError("--modified is symbolic only")
     if args.assign:
@@ -221,6 +225,10 @@ def _cmd_formulas(args) -> int:
     family, order = args.family, args.order
     value = formulas.count_closed(family, order)  # refuses an order outside the family
     if args.refined:
+        least = {"asm": 1, "ht-even": 2}.get(family, 3)
+        if order < least:
+            raise UsageError(f"order {order} has no refined {family} form; "
+                             f"it starts at order {least}")
         if family == "asm":
             value = formulas.refined_asm_closed(order)
         elif family == "ht-even":

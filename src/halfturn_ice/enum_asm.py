@@ -1,34 +1,40 @@
-"""Exhaustive ASM generators, inversion generating functions and censuses.
+"""Exhaustive ASM generators, the compiled transfer plan they walk,
+inversion generating functions and censuses.
 
-These are the brute-force oracles behind every enumeration identity in the
-package: every matrix is generated, none is counted by formula.  Generation
-is row-by-row backtracking on column partial sums (each constrained to
-{0, 1}), which enforces the alternating property incrementally; streams
-are emitted in row-major lexicographic order with entries ordered
--1 < 0 < 1, so two runs are byte-identical.
+The streams and the listing census are the brute-force oracles behind the
+enumeration identities: every matrix is generated, none is counted by
+formula.  The transfer plan (`_transfer_plan`) is the square-ice row
+transfer matrix over boundary profiles, compiled once per class and order;
+`icemodel` runs it for its state counts, censuses and evaluated sums, and
+`gen_asms` walks it to list the matrices.
 
-The valid next rows depend only on the column partial sums, kept as one
-int mask C with bit j = C_j, the profile of `icemodel._transfer_plan`
-between two rows.  A row-transition table (`_row_table`) maps C to the
-rows that fit under it, in lex order: with plus and minus the masks of a
-row's 1s and -1s, those with plus & C == 0 and minus & C == minus, each
-moving C to C ^ plus ^ minus.  Each entry is built on first use, one
-column at a time, so no table is larger than the stream needs.  The
-depth-first walk (`_prefixes`) only looks rows up, and stops two rows
-short: a second table maps the mask there to every (row, row) tail that
-the last two steps allow, so each prefix emits all its matrices by one
-`map`.  All tables belong to the stream, not to the module, so no state
-outlives it.
+* The plan visits the cells of `_plan_cells`, row by row, left to right.
+  A partial matrix is keyed by its profile: the column partial sums
+  C_1..C_n above the current cell and the running row sum R to its left,
+  all 0 or 1.  An entry e in {-1, 0, 1} may go at a cell when C + e and
+  R + e both stay in {0, 1}; a row closes only with R = 1.
+* Each move carries the weight class of `asm.to_state`: class 0 (types
+  1/2) when e != 0, which needs C = R and writes e = 1 - 2R; otherwise
+  class 1 (types 3/4) when C = R and class 2 (types 5/6) when C != R.
+* The class "all" runs all n rows and closes with every C = 1.
+* The class "ht" runs only the top floor(n/2) rows, over all n columns.
+  Row n+1-i of the completion is row i reversed, so column j of the full
+  matrix sums to C_j + mid_j + C_(n+1-j), with mid the middle row (none
+  for even n), and its lower partial sums are 1 minus partial sums of
+  column n+1-j: the top half completes exactly when C_j + C_(n+1-j) = 1
+  after the middle row.
+* For odd n = 2m+1 the middle row runs its cells 1..m; its right half
+  mirrors the left.  The central cell's row sums to 2 R_m + e_c = 1, so
+  its entry is e_c = 1 - 2 R_m, and column m+1 sums to 2 C_(m+1) + e_c = 1,
+  so it needs C_(m+1) = R_m.  The central entry keys the closing profiles.
+* Moves that reach no closing profile are pruned, so every path through
+  the plan is one matrix (one top half for "ht").
 
-The half-turn class fills only rows 1..ceil(n/2) (the middle row of an odd
-order is palindromic and must fit on all n columns).  Those rows complete
-to a half-turn symmetric ASM by 180-degree rotation exactly when
-C_j + C_(n+1-j) = 1 + mid_j for every column j, with C their column sums
-and mid the middle row (0 for even n); on masks this is one identity
-between C, C mirrored and the middle row's plus mask
-(`_half_turn_closing`), and only prefixes that pass it are completed.  Each
-completion is still validated by `as_asm`, which walks one column mask down
-rows looked up in its memo.
+`gen_asms` walks the plan one row at a time (`_plan_rows`, `_prefixes`),
+in row-major lexicographic order with entries ordered -1 < 0 < 1, so two
+runs are byte-identical.  The half-turn stream completes each top half by
+180-degree rotation and still validates the completion by `as_asm`, which
+walks one column mask down rows looked up in its memo.
 
 Census weights follow the x-enumeration conventions: a matrix with k
 entries equal to -1 weighs x^k in the plain class and x^(k/2) in the
@@ -39,7 +45,7 @@ routes to a census.  `census` here is the brute route: it lists every
 matrix and tallies `asm.stats`.  The `refined-1`, `refined-split`, `xenum`
 and `four-enum` suites check the closed forms against it, and the tests
 check the plan route against it.  `icemodel.census`, which the CLI uses,
-is the plan route: it runs the compiled transfer matrix once, behind the
+is the plan route: it runs the compiled transfer plan once, behind the
 state guard.
 """
 
@@ -58,76 +64,146 @@ Row = tuple[int, ...]
 Moves = tuple[tuple[Row, int], ...]
 
 
-def _row_table(n: int, palindrome: bool = False,
-               closes: Optional[Callable[[int, int], bool]] = None) -> Callable[[int], Moves]:
-    """The row-transition table of one stream, on int column masks.
+def _plan_cells(n: int, klass: str) -> list[tuple[int, int]]:
+    """The cells the transfer plan of a class at order n visits, row by
+    row, left to right: every cell for "all"; for "ht" the first
+    floor(n^2/2), the top floor(n/2) rows and then the left half of an odd
+    middle row, one cell of every half-turn orbit but the central cell's."""
+    count = n * n if klass == "all" else n * n // 2
+    return [(k // n + 1, k % n + 1) for k in range(count)]
 
-    Whether a row may follow the rows above it depends on those rows only
-    through their column partial sums: each must stay in {0, 1}.  The sums
-    above any row of an ASM form a 0/1 vector, kept as the mask C with bit
-    j = C_j, the profile of `icemodel._transfer_plan` between two rows.  A
-    row fits under C when it puts a 1 only under a column at 0 and a -1
-    only under a column at 1 (plus & C == 0 and minus & C == minus, for
-    the masks of its 1s and -1s), and moves C to C ^ plus ^ minus.
 
-    The table maps C to its (row, new mask) moves in lex order (-1 < 0 < 1),
-    built on first use one column at a time: each prefix, kept as its plus
-    and minus masks and its partial sum, grows by the entries that fit its
-    column and keep the sum in {0, 1}, so every level stays in lex order.
-    The rows are the prefixes whose sum ends at 1, each made a tuple once
-    per table.  A palindromic table keeps only rows equal to their reverse;
-    a table for the last row keeps only the moves for which
-    `closes(new mask, plus)` holds.  It lives in the returned closure, so it
-    is built cold for each stream and dies with it.
+@lru_cache(maxsize=None)
+def _transfer_plan(n: int, klass: str):
+    """The transfer plan of the module docstring for a class ("all" or
+    "ht") at order n, compiled once.
+
+    A profile is one int: bit 0 holds R and bit j holds C_j.  Returns
+    (steps, final, counts).  Step k visits the k-th of `_plan_cells`:
+    (width of the next front, moves), a move being (source, target, weight
+    class) between positions in consecutive fronts, a source's entry-0 move
+    before its class-0 move.  `final` lists (position, central entry) of
+    every closing profile (central entry 0 but at odd half-turn orders);
+    moves that reach no closing profile are pruned.  `counts` is the plan
+    run over ints with unit weights: the matrix count per central entry.
     """
-    table: dict[int, Moves] = {}
-    rows: dict[tuple[int, int], Row] = {}
-    columns = range(1, n + 1)
+    m = n // 2
+    front, steps = [0], []
+    for _, j in _plan_cells(n, klass):
+        flip = 1 << j | 1
+        targets, moves = {}, []
+        for source, key in enumerate(front):
+            if (key >> j ^ key) & 1:  # C != R: only e = 0
+                options = ((key, 2),)
+            else:  # e = 0, or e = 1 - 2C taking both C and R across
+                options = ((key, 1), (key ^ flip, 0))
+            for target, weight_class in options:
+                if j == n:  # the row closes only with R = 1
+                    if not target & 1:
+                        continue
+                    target ^= 1
+                moves.append((source, targets.setdefault(target, len(targets)), weight_class))
+        steps.append(moves)
+        front = list(targets)
+    if klass == "all":
+        final = [(s, 0) for s, key in enumerate(front) if key == (1 << n + 1) - 2]
+    else:
+        final = [(s, 1 - 2 * (key & 1) if n % 2 else 0) for s, key in enumerate(front)
+                 if all((key >> j ^ key >> n + 1 - j) & 1 for j in range(1, m + 1))
+                 and not (n % 2 and (key >> m + 1 ^ key) & 1)]
+    alive = {s for s, _ in final}
+    for t in reversed(range(len(steps))):
+        steps[t] = [move for move in steps[t] if move[1] in alive]
+        alive = {s for s, _, _ in steps[t]}
+    renumber, compiled = {0: 0}, []
+    for moves in steps:
+        targets = {}
+        moves = tuple((renumber[s], targets.setdefault(t, len(targets)), c)
+                      for s, t, c in moves)
+        compiled.append((len(targets), moves))
+        renumber = targets
+    final = tuple((renumber[s], central) for s, central in final)
+    return tuple(compiled), final, _run_plan(compiled, final, [(1, 1, 1)] * len(compiled), 1)
 
-    def moves(col: int) -> Moves:
-        found = table.get(col)
-        if found is None:
-            level = [(0, 0, 0)]  # (plus, minus, partial sum) of each prefix
-            for j in columns:
-                bit = 1 << j
-                grown = []
-                for plus, minus, r in level:
-                    if r:  # a -1 under a column at 1, or a 0
-                        if col & bit:
-                            grown.append((plus, minus | bit, 0))
-                        grown.append((plus, minus, 1))
-                    else:  # a 0, or a 1 under a column at 0
-                        grown.append((plus, minus, 0))
-                        if not col & bit:
-                            grown.append((plus | bit, minus, 1))
-                level = grown
-            found = []
-            for plus, minus, r in level:
-                if not r:
-                    continue
-                row = rows.get((plus, minus))
-                if row is None:
-                    row = rows[plus, minus] = tuple([(plus >> j & 1) - (minus >> j & 1)
-                                                     for j in columns])
-                if ((not palindrome or row == row[::-1])
-                        and (closes is None or closes(col ^ plus ^ minus, plus))):
-                    found.append((row, col ^ plus ^ minus))
-            found = table[col] = tuple(found)
-        return found
 
-    return moves
+def _run_plan(steps, final, weights, one) -> dict:
+    """{central entry: sum} of a compiled transfer plan in any ring, with
+    weights[k] the weight triple of step k."""
+    front = [one]
+    for (width, moves), w in zip(steps, weights):
+        nxt = [None] * width
+        for s, t, c in moves:
+            x = front[s] * w[c]
+            nxt[t] = x if nxt[t] is None else nxt[t] + x
+        front = nxt
+    sums = {}
+    for s, central in final:
+        sums[central] = sums[central] + front[s] if central in sums else front[s]
+    return sums
+
+
+def _plan_rows(n: int, klass: str) -> list[Callable[[int], Moves]]:
+    """The row tables of one stream, one per row of the compiled plan of
+    the class at order n: each maps a position of the front where its row
+    starts to the (row, end position) pairs of the row's cell moves, in lex
+    order, filled on first use.  Every row starts at R = 0; a class-0 move
+    writes 1 - 2R and flips R, so it comes before the source's entry-0 move
+    where R = 1 (-1 < 0) and after it where R = 0; the other classes write
+    0.  An odd middle row takes its central entry from its closing profile
+    and mirrors its left half.  The tables and the one tuple kept per
+    distinct row live in the returned closures, so no state outlives the
+    stream.
+    """
+    steps, final, _ = _transfer_plan(n, klass)
+    central = dict(final)
+    rows: dict[Row, Row] = {}
+    cells = []  # each step's moves grouped by source
+    for _, moves in steps:
+        out = {}
+        for s, t, c in moves:
+            out.setdefault(s, []).append((t, c))
+        cells.append(out)
+
+    def table(row_cells: list, middle: bool) -> Callable[[int], Moves]:
+        found: dict[int, Moves] = {}
+
+        def moves(start: int) -> Moves:
+            got = found.get(start)
+            if got is None:
+                level = [(start, 0, ())]  # (position, R, entries) of each prefix
+                for out in row_cells:
+                    grown = []
+                    for p, r, head in level:
+                        for t, c in (out[p][::-1] if r else out[p]):  # -1 before 0 before 1
+                            grown.append((t, 1 - r, head + (1 - 2 * r,)) if c == 0
+                                         else (t, r, head + (0,)))
+                    level = grown
+                got = []
+                for t, _, head in level:
+                    row = head + (central[t],) + head[::-1] if middle else head
+                    got.append((rows.setdefault(row, row), t))
+                got = found[start] = tuple(got)
+            return got
+
+        return moves
+
+    full = n if klass == "all" else n // 2
+    tables = [table(cells[i * n:(i + 1) * n], False) for i in range(full)]
+    if klass == "ht" and n % 2:
+        tables.append(table(cells[full * n:], True))
+    return tables
 
 
 def _prefixes(steps: list[Callable[[int], Moves]]) -> Iterator[tuple[Row, ...]]:
     """Every stack of len(steps) rows that the steps allow, depth first in
-    row-major lex order; steps[i] is the transition table of row i + 1.
+    row-major lex order; steps[i] is the row table of row i + 1.
 
-    The last two rows depend on the rows above only through their column
-    mask, so a second table maps each mask to its (row, row) tails, filled
-    on first use from the last two steps and owned by the stream.  The walk
-    keeps one iterator per row above the tails on an explicit stack, and
-    each prefix emits all its matrices at once as its rows plus each tail,
-    by `map`.
+    The last two rows depend on the rows above only through the position
+    where they start, so a second table maps each position to its (row,
+    row) tails, filled on first use from the last two steps and owned by
+    the stream.  The walk keeps one iterator per row above the tails on an
+    explicit stack, and each prefix emits all its matrices at once as its
+    rows plus each tail, by `map`.
     """
     depth = len(steps)
     if depth == 1:
@@ -136,11 +212,11 @@ def _prefixes(steps: list[Callable[[int], Moves]]) -> Iterator[tuple[Row, ...]]:
     penult, last = steps[-2], steps[-1]
     table: dict[int, tuple[tuple[Row, Row], ...]] = {}
 
-    def tails(col: int) -> tuple[tuple[Row, Row], ...]:
-        found = table.get(col)
+    def tails(start: int) -> tuple[tuple[Row, Row], ...]:
+        found = table.get(start)
         if found is None:
-            found = table[col] = tuple((row, end) for row, below in penult(col)
-                                       for end, _ in last(below))
+            found = table[start] = tuple((row, end) for row, below in penult(start)
+                                         for end, _ in last(below))
         return found
 
     if depth == 2:
@@ -151,58 +227,24 @@ def _prefixes(steps: list[Callable[[int], Moves]]) -> Iterator[tuple[Row, ...]]:
     stack = [iter(steps[0](0))]
     while stack:
         i = len(stack) - 1
-        for row, col in stack[i]:
+        for row, below in stack[i]:
             rows[i] = row
             if i == head - 1:
-                yield from map(tuple(rows).__add__, tails(col))
+                yield from map(tuple(rows).__add__, tails(below))
             else:
-                stack.append(iter(steps[i + 1](col)))
+                stack.append(iter(steps[i + 1](below)))
                 break
         else:
             stack.pop()
 
 
 def _gen_all(n: int) -> Iterator[Asm]:
-    done = (1 << n + 1) - 2  # every column at 1
-    last = _row_table(n, closes=lambda col, plus: col == done)
-    yield from map(Asm, _prefixes([_row_table(n)] * (n - 1) + [last]))
-
-
-def _half_turn_closing(n: int) -> Callable[[int, int], bool]:
-    """The closing test of the half-turn class at order n, on the column
-    mask C of the top ceil(n/2) rows and the plus mask of the middle row
-    (odd n; an even order has no middle row, read as 0).
-
-    Row n+1-i of the completion is row i reversed (i <= n/2).  Going down
-    the lower half, column j has the partial sums
-    C_j + (C_(n+1-j) - mid_j) - P, with P running over the 0/1 partial sums
-    of column n+1-j above the middle, down to 0.  So every lower partial sum
-    is 0 or 1 and the column sums to 1 exactly when
-    C_j + C_(n+1-j) = 1 + mid_j for every j.  Summed over all columns both
-    sides are 2|C|, since each top row adds one to |C| and the middle row
-    sums to 1.  A middle row that fits all n columns leaves both bits clear
-    where mid_j = -1, and the identity C & M == plus, with M the mask C
-    mirrored (bit j to bit n+1-j), sets both where mid_j = 1 and at most one
-    where mid_j = 0.  Then no column's left side exceeds its right side, and
-    as the totals agree, every column's sides are equal.  A middle row whose
-    mirrored half does not fit never closes: it took some C_j to 2 or -1,
-    mid_j has that sign, and C_(n+1-j) cannot make up the difference.
-    """
-    odd = n % 2 == 1
-
-    def closes(col: int, plus: int) -> bool:
-        mirror = sum(1 << n + 1 - j for j in range(1, n + 1) if col >> j & 1)
-        return col & mirror == (plus if odd else 0)
-
-    return closes
+    yield from map(Asm, _prefixes(_plan_rows(n, "all")))
 
 
 def _gen_ht(n: int) -> Iterator[Asm]:
-    half = (n + 1) // 2
-    odd = n % 2 == 1
-    steps = [_row_table(n)] * (half - 1) + [_row_table(n, odd, _half_turn_closing(n))]
-    for top in _prefixes(steps):
-        yield as_asm(top + tuple(row[::-1] for row in reversed(top[:n - half])))
+    for top in _prefixes(_plan_rows(n, "ht")):
+        yield as_asm(top + tuple(row[::-1] for row in reversed(top[:n // 2])))
 
 
 def gen_asms(n: int, klass: str = "all") -> Iterator[Asm]:

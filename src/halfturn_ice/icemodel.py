@@ -24,45 +24,29 @@ spectral variables, summed over the states the ASM stream lists by
 Horner's rule on shared prefixes of their weight-class codes
 (`_state_sums`, whose one caller is `_symbolic_value`).  Evaluated sums,
 in Q(zeta) or Q, and the direct central-entry split of Z_HT(2m+1), in
-Laurent polynomials, run a row transfer matrix over boundary profiles
-instead.  Every state count, split by the central entry or not, is that
-matrix run once with unit weights (`_guarded_counts`, behind the state
-guard).  The weighted refined census of an ASM class (`census`, the CLI's
-route) is that matrix run once over monomials in u and t, behind the same
-guard; `enum_asm.census`, which lists every matrix, is its brute-force
-oracle.  An evaluated sum runs it on integer pairs (p, q) standing
-for p + q*zeta in Z[zeta] (`_pair_weights`, `_run_pairs`).  Each value is
-read once as V/d with V in Z[zeta] and d an integer; every weight triple
-is multiplied by a factor that clears all of its denominators, so the sum
-takes no inverse and no gcd, and the total is divided once, by the product
-of those factors (`pair_quotient`).  The matrix:
+Laurent polynomials, run the row transfer matrix over boundary profiles
+instead: the compiled plan of the model's ASM class (`ModelSpec.klass`)
+and order, `enum_asm._transfer_plan`, which the ASM stream walks too and
+whose module describes it.  Every state count, split by the central entry
+or not, is that plan run once with unit weights (`_guarded_counts`,
+behind the state guard).  The weighted refined census of an ASM class
+(`census`, the CLI's route) is the plan run once over monomials in u and
+t, behind the same guard; `enum_asm.census`, which lists every matrix, is
+its brute-force oracle.  An evaluated sum runs it on integer pairs (p, q)
+standing for p + q*zeta in Z[zeta] (`_pair_weights`, `_run_pairs`).  Each
+value is read once as V/d with V in Z[zeta] and d an integer; every
+weight triple is multiplied by a factor that clears all of its
+denominators, so the sum takes no inverse and no gcd, and the total is
+divided once, by the product of those factors (`pair_quotient`).
 
-* The plan visits the cells of `_plan_cells`, row by row, left to right;
-  step k weighs with the k-th of `fundamental_cells`, the cell itself or
-  its half-turn image.  A partial state is keyed by its profile: the
-  column partial sums C_1..C_n above the current cell and the running row
-  sum R to its left, all 0 or 1.  An entry e in {-1, 0, 1} may go at a
-  cell when C + e and R + e both stay in {0, 1}; a row closes only with
-  R = 1.
-* The weight class follows `asm.to_state`: class 0 (types 1/2) when
-  e != 0; otherwise class 1 (types 3/4) when C = R and class 2 (types 5/6)
-  when C != R.
-* dwbc runs all n rows and closes with every C = 1.
-* The half-turn kinds run only the top floor(n/2) rows, over all n columns.
-  A top cell (i, j) with j > m stands for its half-turn image, the
-  fundamental cell (n+1-i, n+1-j), and carries its weights
-  (x_i, y_(n+1-j)).  The image has the same entry e and, when e = 0, the
-  partial sums (1-C, 1-R), so C = R holds at both or at neither and the
-  two share a weight class.
-  Column j of the full matrix then sums to C_j + mid_j + C_(n+1-j), with
-  mid the middle row (none for even n), and its lower partial sums are 1
-  minus partial sums of column n+1-j, so the top half completes exactly
-  when C_j + C_(n+1-j) = 1 after the middle row.
-* For odd n = 2m+1 the middle row runs its cells 1..m with x(m+1); its
-  right half mirrors the left.  The central cell has weight 1; the row
-  sums to 2 R_m + e_c = 1, so its entry is e_c = 1 - 2 R_m, and column
-  m+1 sums to 2 C_(m+1) + e_c = 1, so it needs C_(m+1) = R_m.  The
-  central entry keys the two parts of the result.
+Step k of the plan weighs with the k-th of `fundamental_cells`: the plan
+cell itself, or, for the half-turn kinds, a top cell (i, j) with j > m in
+place of its half-turn image, the fundamental cell (n+1-i, n+1-j), with
+that cell's weights (x_i, y_(n+1-j)).  The image has the same entry e
+and, when e = 0, the partial sums (1-C, 1-R), so C = R holds at both or
+at neither and the two share a weight class.  The cells 1..m of an odd
+middle row carry x(m+1), the central cell has weight 1, and its entry
+keys the two parts of the split.
 """
 
 from __future__ import annotations
@@ -73,7 +57,7 @@ from typing import Mapping, NamedTuple, Optional, Union
 
 from . import formulas
 from .asm import Asm, _Frozen, to_state
-from .enum_asm import CensusTable, gen_asms
+from .enum_asm import CensusTable, _plan_cells, _run_plan, _transfer_plan, gen_asms
 from .exactnum import Cyclo, pair_mul, pair_quotient
 from .laurent import Coeff, LaurentPoly, NotAMonomial, sigma_of
 
@@ -115,6 +99,11 @@ class ModelSpec(_Frozen):
         return 2 * self.size + 1
 
     @property
+    def klass(self) -> str:
+        """The ASM class whose matrices are the states: "all" or "ht"."""
+        return "all" if self.kind == "dwbc" else "ht"
+
+    @property
     def x_count(self) -> int:
         return self.size if self.kind != "ht-odd" else self.size + 1
 
@@ -146,16 +135,6 @@ class PartitionResult(NamedTuple):
         }
 
 
-def _plan_cells(spec: ModelSpec) -> list[tuple[int, int]]:
-    """The cells the transfer matrix visits, row by row, left to right:
-    every row for dwbc; for the half-turn kinds the first floor(n^2/2), the
-    top floor(n/2) rows and then the left half of an odd middle row, one
-    cell of every half-turn orbit but the central cell's."""
-    n = spec.order
-    count = n * n if spec.kind == "dwbc" else n * n // 2
-    return [(k // n + 1, k % n + 1) for k in range(count)]
-
-
 def fundamental_cells(spec: ModelSpec) -> tuple[tuple[int, int, str, str], ...]:
     """(i, j, row variable, column variable) of every weighted vertex, one
     per plan cell (i, j) and in its order: the cell itself with (x_i, y_j)
@@ -165,7 +144,7 @@ def fundamental_cells(spec: ModelSpec) -> tuple[tuple[int, int, str, str], ...]:
     half = n if spec.kind == "dwbc" else n // 2
     return tuple((i, j, f"x{i}", f"y{j}") if j <= half
                  else (n + 1 - i, n + 1 - j, f"x{i}", f"y{n + 1 - j}")
-                 for i, j in _plan_cells(spec))
+                 for i, j in _plan_cells(spec.order, spec.klass))
 
 
 # Weight class per vertex type: 0 -> sigma(a^2), 1 -> sigma(a*s), 2 -> sigma(a/s).
@@ -196,7 +175,7 @@ def _state_profiles(kind: str, size: int):
     cells = fundamental_cells(spec)
     mid = (spec.order + 1) // 2
     groups = {}
-    for m in gen_asms(spec.order, "all" if kind == "dwbc" else "ht"):
+    for m in gen_asms(spec.order, spec.klass):
         st = to_state(m)
         groups.setdefault(m[mid, mid] if kind == "ht-odd" else 0, []).append(
             tuple(_WEIGHT_CLASS[st[i, j]] for i, j, _, _ in cells))
@@ -236,75 +215,6 @@ def _state_sums(kind: str, size: int, weights, one):
                         for _, codes in _state_profiles(kind, size)))
 
 
-@lru_cache(maxsize=None)
-def _transfer_plan(kind: str, size: int):
-    """The transfer matrix of the module docstring, compiled once per model.
-
-    A profile is one int: bit 0 holds R and bit j holds C_j.  Returns
-    (steps, final, counts).  Step k visits the k-th of `_plan_cells` and
-    weighs with the k-th fundamental cell: (width of the next front, moves),
-    a move being (source, target, weight class) between positions in
-    consecutive fronts.  `final` lists (position, central entry) of every
-    closing profile; moves that reach no closing profile are pruned.
-    `counts` is the plan run over ints with unit weights: the state count
-    per central entry.
-    """
-    spec = ModelSpec(kind, size)
-    n, m = spec.order, spec.order // 2
-    front, steps = [0], []
-    for _, j in _plan_cells(spec):
-        flip = 1 << j | 1
-        targets, moves = {}, []
-        for source, key in enumerate(front):
-            if (key >> j ^ key) & 1:  # C != R: only e = 0
-                options = ((key, 2),)
-            else:  # e = 0, or e = 1 - 2C taking both C and R across
-                options = ((key, 1), (key ^ flip, 0))
-            for target, klass in options:
-                if j == n:  # the row closes only with R = 1
-                    if not target & 1:
-                        continue
-                    target ^= 1
-                moves.append((source, targets.setdefault(target, len(targets)), klass))
-        steps.append(moves)
-        front = list(targets)
-    if kind == "dwbc":
-        final = [(s, 0) for s, key in enumerate(front) if key == (1 << n + 1) - 2]
-    else:
-        final = [(s, 1 - 2 * (key & 1) if n % 2 else 0) for s, key in enumerate(front)
-                 if all((key >> j ^ key >> n + 1 - j) & 1 for j in range(1, m + 1))
-                 and not (n % 2 and (key >> m + 1 ^ key) & 1)]
-    alive = {s for s, _ in final}
-    for t in reversed(range(len(steps))):
-        steps[t] = [move for move in steps[t] if move[1] in alive]
-        alive = {s for s, _, _ in steps[t]}
-    renumber, compiled = {0: 0}, []
-    for moves in steps:
-        targets = {}
-        moves = tuple((renumber[s], targets.setdefault(t, len(targets)), c)
-                      for s, t, c in moves)
-        compiled.append((len(targets), moves))
-        renumber = targets
-    final = tuple((renumber[s], central) for s, central in final)
-    return tuple(compiled), final, _run_plan(compiled, final, [(1, 1, 1)] * len(compiled), 1)
-
-
-def _run_plan(steps, final, weights, one) -> dict:
-    """{central entry: sum} of a compiled transfer plan in any ring, with
-    weights[k] the weight triple of step k."""
-    front = [one]
-    for (width, moves), w in zip(steps, weights):
-        nxt = [None] * width
-        for s, t, c in moves:
-            x = front[s] * w[c]
-            nxt[t] = x if nxt[t] is None else nxt[t] + x
-        front = nxt
-    sums = {}
-    for s, central in final:
-        sums[central] = sums[central] + front[s] if central in sums else front[s]
-    return sums
-
-
 def _guarded_counts(spec: ModelSpec, max_states: Optional[int] = None) -> dict[int, int]:
     """The compiled plan's {central entry: state count}, once no closed-form
     count up to the model's size passes max_states (DEFAULT_MAX_STATES if
@@ -316,9 +226,9 @@ def _guarded_counts(spec: ModelSpec, max_states: Optional[int] = None) -> dict[i
     for order in range(spec.order % step or step, spec.order + 1, step):
         expected = formulas.count_closed(family, order)
         if expected > limit:
-            raise SizeTooLarge(f"{spec.kind} size {spec.size} has at least {expected} "
-                               f"states, more than the guard {limit}")
-    return _transfer_plan(spec.kind, spec.size)[2]
+            raise SizeTooLarge(f"order {spec.order} ({spec.kind} size {spec.size}) has at "
+                               f"least {expected} states, more than the guard {limit}")
+    return _transfer_plan(spec.order, spec.klass)[2]
 
 
 def state_counts(spec: ModelSpec) -> dict[int, int]:
@@ -355,11 +265,11 @@ def census(order: int, klass: str = "all") -> CensusTable:
     """
     spec = class_model(order, klass)
     _guarded_counts(spec)
-    steps, final, _ = _transfer_plan(spec.kind, spec.size)
-    n, turned = order, spec.kind != "dwbc"
+    steps, final, _ = _transfer_plan(order, klass)
+    n, turned = order, klass == "ht"
     one, u = LaurentPoly.const(1), LaurentPoly.var("u")
     weights = []
-    for i, j in _plan_cells(spec):
+    for i, j in _plan_cells(order, klass):
         r = i if j == 1 else n + 1 - i if turned and j == n else None
         weights.append((u if r is None else LaurentPoly.monomial(1, {"u": 1, "t": r - 1}),
                         one, one))
@@ -403,7 +313,7 @@ def partition_function(spec: ModelSpec,
     if zeros:
         raise SingularAssignment(f"zero value for {', '.join(zeros)} puts a pole in the weights")
     weights, scale = _pair_weights(spec.kind, spec.size, assignment)
-    steps, final, _ = _transfer_plan(spec.kind, spec.size)
+    steps, final, _ = _transfer_plan(spec.order, spec.klass)
     return PartitionResult(pair_quotient(_run_pairs(steps, final, weights), scale), spec, count)
 
 
@@ -540,7 +450,7 @@ def z_split_odd(m: int, method: str = "parity") -> tuple[PartitionResult, Partit
             flipped = -flipped
         parts = {1: _half_int_poly(z + flipped), -1: _half_int_poly(z - flipped)}
     elif method == "direct":
-        steps, final, _ = _transfer_plan("ht-odd", m)
+        steps, final, _ = _transfer_plan(spec.order, "ht")
         parts = _run_plan(steps, final, _symbolic_weights("ht-odd", m), LaurentPoly.const(1))
     else:
         raise ValueError(f"unknown method {method!r}")

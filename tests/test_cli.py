@@ -267,15 +267,20 @@ def test_oversized_order_is_a_usage_error(capsys, argv):
     (("enumerate", "--order", "12", "--class", "ht", "--count"), "ht-even size 6"),
     (("enumerate", "--order", "13", "--class", "ht", "--census"), "ht-odd size 6"),
     (("enumerate", "--order", "5000", "--count"), "dwbc size 5000"),
+    (("enumerate", "-n", "8"), "dwbc size 8"),
+    (("enumerate", "--order", "12", "--class", "ht"), "ht-even size 6"),
+    (("enumerate", "--order", "13", "--class", "ht"), "ht-odd size 6"),
 ])
 def test_enumerate_past_the_state_guard_is_a_usage_error(capsys, argv, model):
-    # A census or count runs the transfer plan, so it passes the state
-    # guard: -n 8 has 10,850,216 matrices and half-turn order 12 has
-    # 198,846,076, and both are refused at once instead of listed.
+    # Every mode runs the transfer plan (the plain stream walks it), so
+    # every mode passes the state guard: -n 8 has 10,850,216 matrices and
+    # half-turn order 12 has 198,846,076, and both are refused at once
+    # instead of listed.  The message names the order as typed.
+    order = argv[2]
     started = time.perf_counter()
     result = run(capsys, *argv)
     assert time.perf_counter() - started < 1
-    assert_usage_error(result, model, "the guard 10000000")
+    assert_usage_error(result, f"order {order} ({model})", "the guard 10000000")
     assert len(result[2].splitlines()) == 1
 
 
@@ -366,6 +371,13 @@ def test_partition_past_the_state_guard_is_a_usage_error(capsys, argv, model):
     assert len(result[2].splitlines()) == 1
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_partition_max_states_below_one_is_a_usage_error(capsys, limit):
+    result = run(capsys, "partition", "-n", "3", "--max-states", limit)
+    assert_usage_error(result, "--max-states", f"got {limit}")
+    assert len(result[2].splitlines()) == 1
+
+
 def test_report_missing_file_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "missing.jsonl"
     assert_usage_error(run(capsys, "report", str(missing)), "missing.jsonl")
@@ -451,6 +463,16 @@ def test_formulas_refined_refuses_an_order_outside_the_family(capsys):
         refined = run(capsys, "formulas", "--family", family, "--order", order, "--refined")
         assert_usage_error(refined, "order")
         assert refined == plain
+
+
+@pytest.mark.parametrize("family,order,least", [
+    ("ht-odd-plus", "1", 3), ("ht-odd", "1", 3), ("robbins", "1", 3), ("ht-even", "0", 2),
+])
+def test_formulas_refined_below_its_first_order_names_the_order(capsys, family, order, least):
+    # These orders have a closed count but no refined form.
+    assert run(capsys, "formulas", "--family", family, "--order", order)[0] == 0
+    result = run(capsys, "formulas", "--family", family, "--order", order, "--refined")
+    assert_usage_error(result, f"order {order}", f"starts at order {least}")
 
 
 def test_enumerate_json_lines_match_jsonline():

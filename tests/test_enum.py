@@ -9,7 +9,7 @@ import pytest
 from halfturn_ice.asm import Asm, NotAlternating, stats
 from halfturn_ice.cli import main
 from halfturn_ice.enum_asm import (
-    _half_turn_closing, _row_table, census, gen_asms, ht_permutations, inversion_genfunc)
+    _plan_rows, census, gen_asms, ht_permutations, inversion_genfunc)
 from halfturn_ice.formulas import count_closed
 from halfturn_ice.laurent import LaurentPoly
 
@@ -81,73 +81,71 @@ def reference_gen(n, klass):
     return rec(0, (0,) * n)
 
 
-def _masks(row):
-    """(plus, minus) of a row: bit j set where entry j (1-based) is 1, resp. -1."""
-    return (sum(1 << j for j, e in enumerate(row, 1) if e == 1),
-            sum(1 << j for j, e in enumerate(row, 1) if e == -1))
-
-
-def _col_sums(mask, n):
-    return tuple(mask >> j & 1 for j in range(1, n + 1))
-
-
 def _fits(col, row):
     return all(c + e in (0, 1) for c, e in zip(col, row))
 
 
+def check_plan_row_tables(n, klass):
+    """Under every position that the row tables of the plan reach from the
+    start, each table lists, in order, exactly the reference candidates on
+    that position's column sums that lead to at least one matrix.  A row
+    leads to one when some candidate below it does, down to the last row,
+    which must close: every column at 1 for "all"; for "ht" (whose last row
+    is the palindromic middle row at odd n, its mirrored half fitting too)
+    C_j + C_(n+1-j) = 1 + mid_j for every column j, mid = 0 at even n.
+    Above the last row, each end position stands for one column-sum vector
+    and no two for the same; each distinct row is one tuple."""
+    tables = _plan_rows(n, klass)
+    last = len(tables) - 1
+    odd = klass == "ht" and n % 2 == 1
+    live = {}
+
+    def live_rows(i, col):
+        if (i, col) not in live:
+            found = []
+            for row in reference_row_candidates(col, odd and i == last):
+                if not _fits(col, row):
+                    continue
+                new = tuple(c + e for c, e in zip(col, row))
+                if i < last:
+                    leads = bool(live_rows(i + 1, new))
+                elif klass == "all":
+                    leads = all(c == 1 for c in new)
+                else:
+                    mid = row if odd else (0,) * n
+                    leads = all(new[j] + new[n - 1 - j] == 1 + mid[j] for j in range(n))
+                if leads:
+                    found.append(row)
+            live[i, col] = found
+        return live[i, col]
+
+    rows, front = {}, {0: (0,) * n}
+    for i, table in enumerate(tables):
+        below = {}
+        for start, col in front.items():
+            moves = table(start)
+            assert [row for row, _ in moves] == live_rows(i, col), (i, col)
+            for row, end in moves:
+                assert rows.setdefault(row, row) is row
+                below.setdefault(end, set()).add(tuple(c + e for c, e in zip(col, row)))
+        if i < last:
+            assert all(len(cols) == 1 for cols in below.values())
+            assert len(set().union(*below.values())) == len(below)
+        front = {end: cols.pop() for end, cols in below.items()}
+    assert rows
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_row_tables_match_the_reference_candidates(n):
-    # Every mask reachable from the zero mask, with free and with palindromic
-    # rows: the table lists the reference candidates on the same column sums,
-    # in the same order, each with the mask of its new column sums.  The
-    # palindromic table also asks the mirrored half to fit.
-    free, palindromic = _row_table(n), _row_table(n, True)
-    seen, todo = {0}, [0]
-    while todo:
-        mask = todo.pop()
-        col = _col_sums(mask, n)
-        want = list(reference_row_candidates(col, False))
-        assert all(_fits(col, row) for row in want)
-        assert free(mask) == tuple(
-            (row, _masks(tuple(c + e for c, e in zip(col, row)))[0]) for row in want)
-        assert [row for row, _ in palindromic(mask)] == [
-            row for row in reference_row_candidates(col, True) if _fits(col, row)]
-        for _, below in free(mask):
-            if below not in seen:
-                seen.add(below)
-                todo.append(below)
-    assert len(seen) == 2 ** n
+    # Every row of the plan, closing with every column at 1.
+    check_plan_row_tables(n, "all")
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_mask_closing_agrees_with_the_column_condition(n):
-    # On every candidate move of the last top row (palindromic for odd n,
-    # whether its mirrored half fits or not) under every mask that the rows
-    # above reach, the mask test holds exactly when the rows fit and
-    # C_j + C_(n+1-j) = 1 + mid_j for every column j.
-    half, odd = (n + 1) // 2, n % 2 == 1
-    closes = _half_turn_closing(n)
-    free = _row_table(n)
-    masks = {0}
-    for _ in range(half - 1):
-        masks = {below for mask in masks for _, below in free(mask)}
-    closing = _row_table(n, odd, closes)
-    outcomes = set()
-    for mask in sorted(masks):
-        col = _col_sums(mask, n)
-        closed = []
-        for row in reference_row_candidates(col, odd):
-            new = [c + e for c, e in zip(col, row)]
-            mid = row if odd else (0,) * n
-            want = all(new[j] + new[n - 1 - j] == 1 + mid[j] for j in range(half))
-            plus, minus = _masks(row)
-            got = _fits(col, row) and closes(mask ^ plus ^ minus, plus)
-            assert got == want, (mask, row)
-            outcomes.add(got)
-            if want:
-                closed.append(row)
-        assert [row for row, _ in closing(mask)] == closed
-    assert outcomes == ({True, False} if n > 3 else {True})
+    # The half-turn top rows, the last closing on the plan's profile-mask
+    # test, against the column condition.
+    check_plan_row_tables(n, "ht")
 
 
 def zpoly(*coeffs):
@@ -203,6 +201,16 @@ def test_order9_ht_stream_bytes(capsys):
     assert out.count("\n") == 39204
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "cce9a2fafd8c9d2deb783e1610dd0908eaa7c949303bd574c1bf6c3b1344e2f5")
+
+
+def test_order7_stream_bytes(capsys):
+    # `reference_gen` stops at order 6; the order-7 stream is pinned byte for
+    # byte to the sha256 that the column-mask row tables gave.
+    assert main(["enumerate", "-n", "7", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == count_closed("asm", 7) == 218348
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7663d2ceed8b998f5049be81161a4ebf7d553c326d681c6a3ce6eb3b30a5e366")
 
 
 def is_half_turn_symmetric(asm) -> bool:

@@ -305,10 +305,11 @@ def test_plan_step_k_is_fundamental_cell_k():
         for size in sizes:
             spec = ModelSpec(kind, size)
             n = spec.order
-            steps, _, _ = _transfer_plan(kind, size)
+            steps, _, _ = _transfer_plan(n, spec.klass)
             cells = fundamental_cells(spec)
-            assert len(steps) == len(cells) == len(_plan_cells(spec)), (kind, size)
-            for (i, j), (fi, fj, _, _) in zip(_plan_cells(spec), cells):
+            plan_cells = _plan_cells(n, spec.klass)
+            assert len(steps) == len(cells) == len(plan_cells), (kind, size)
+            for (i, j), (fi, fj, _, _) in zip(plan_cells, cells):
                 assert (fi, fj) in ((i, j), (n + 1 - i, n + 1 - j)), (kind, size, i, j)
             assert len(set(cells)) == len(cells)
             assert set(cells) == _row_major_cells(spec), (kind, size)
@@ -347,7 +348,7 @@ def test_transfer_matches_brute_sums_at_points():
                 assert transfer_sums(kind, size, weights, Cyclo.of(1)) == brute, (kind, size, a)
                 total = sum((v for v, _ in brute.values()), Cyclo.of(0))
                 assert _state_sums(kind, size, weights, Cyclo.of(1)) == total, (kind, size, a)
-                steps, final, _ = _transfer_plan(kind, size)
+                steps, final, _ = _transfer_plan(spec.order, spec.klass)
                 assert Cyclo(*_run_pairs(steps, final, pairs)) == total, (kind, size, a)
 
 
@@ -359,7 +360,7 @@ def test_pair_run_matches_the_lcm_scaled_reference():
     for kind, sizes in TRANSFER_RANGE:
         for size in sizes:
             spec = ModelSpec(kind, size)
-            steps, final, _ = _transfer_plan(kind, size)
+            steps, final, _ = _transfer_plan(spec.order, spec.klass)
             for a, style in EVALUATED_POINTS:
                 assign = {"a": _point_value(rng, style) if a is None else a}
                 for names in spec.spectral_vars():
@@ -385,7 +386,8 @@ def test_transfer_matches_brute_sums_symbolically():
 def transfer_sums(kind, size, weights, one):
     """{central entry: (sum, state count)} by the compiled transfer plan:
     its sums in the ring of `one`, and its unit-weight counts."""
-    steps, final, counts = _transfer_plan(kind, size)
+    spec = ModelSpec(kind, size)
+    steps, final, counts = _transfer_plan(spec.order, spec.klass)
     return {c: (v, counts[c]) for c, v in _run_plan(steps, final, weights, one).items()}
 
 

@@ -143,7 +143,9 @@ def _cmd_enumerate(args) -> int:
             _emit("\n".join(lines) + "\n", args.out)
         return 0
     if args.count:
-        _emit(f"{sum(counts.values())}\n", args.out)
+        count = sum(counts.values())
+        _emit(_jsonline({"schemaVersion": SCHEMA_VERSION, "order": n, "class": args.klass,
+                         "count": count}) if args.format == "json" else f"{count}\n", args.out)
         return 0
     chunks = []
     row_text: dict = {}

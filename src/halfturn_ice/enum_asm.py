@@ -17,16 +17,16 @@ transfer matrix over boundary profiles, compiled once per class and order;
   1/2) when e != 0, which needs C = R and writes e = 1 - 2R; otherwise
   class 1 (types 3/4) when C = R and class 2 (types 5/6) when C != R.
 * The class "all" runs all n rows and closes with every C = 1.
-* The class "ht" runs only the top floor(n/2) rows, over all n columns.
-  Row n+1-i of the completion is row i reversed, so column j of the full
-  matrix sums to C_j + mid_j + C_(n+1-j), with mid the middle row (none
-  for even n), and its lower partial sums are 1 minus partial sums of
-  column n+1-j: the top half completes exactly when C_j + C_(n+1-j) = 1
-  after the middle row.
-* For odd n = 2m+1 the middle row runs its cells 1..m; its right half
-  mirrors the left.  The central cell's row sums to 2 R_m + e_c = 1, so
-  its entry is e_c = 1 - 2 R_m, and column m+1 sums to 2 C_(m+1) + e_c = 1,
-  so it needs C_(m+1) = R_m.  The central entry keys the closing profiles.
+* The class "ht" runs only the top floor(n/2) rows, over all n columns,
+  and for odd n = 2m+1 the cells 1..m of the middle row, whose right half
+  mirrors the left.  Row n+1-i of the completion is row i reversed, so
+  column j of the full matrix sums to C_j + mid_j + C_(n+1-j), mid the
+  middle row (none for even n), and its lower partial sums are 1 minus
+  partial sums of column n+1-j: the top half completes exactly when
+  C_j + C_(n+1-j) = 1 for j <= m, the m pair conditions.  The central
+  cell's row sums to 2 R_m + e_c = 1, so e_c = 1 - 2 R_m keys the closing
+  profile, and its column needs C_(m+1) = R_m, which the pair conditions
+  imply: each top row sums to 1, so |C| = m + R_m.
 * Moves that reach no closing profile are pruned, so every path through
   the plan is one matrix (one top half for "ht").
 
@@ -36,22 +36,19 @@ runs are byte-identical.  The half-turn stream completes each top half by
 180-degree rotation and still validates the completion by `as_asm`, which
 walks one column mask down rows looked up in its memo.
 
-Census weights follow the x-enumeration conventions: a matrix with k
-entries equal to -1 weighs x^k in the plain class and x^(k/2) in the
-half-turn class.  For odd half-turn orders k may be odd, so those tables
-are kept in the variable "sqrtx" with exponent k (sqrtx^2 = x).  One
-constructor, `CensusTable.from_tally`, applies these conventions for both
-routes to a census.  `census` here is the brute route: it lists every
+Census weights follow the x-enumeration conventions, which one
+constructor, `CensusTable.from_tally`, applies for both routes to a
+census.  `census` here is the brute route: it lists every
 matrix and tallies `asm.stats`.  The `refined-1`, `refined-split`, `xenum`
 and `four-enum` suites check the closed forms against it, and the tests
-check the plan route against it.  `icemodel.census`, which the CLI uses,
-is the plan route: it runs the compiled transfer plan once, behind the
-state guard.
+check the plan route against it: `icemodel.census`, the CLI's, runs the
+compiled transfer plan once, behind the state guard.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from collections import Counter
 from functools import lru_cache
@@ -62,6 +59,8 @@ from .laurent import _LIMIT, LaurentPoly
 
 Row = tuple[int, ...]
 Moves = tuple[tuple[Row, int], ...]
+
+DEFAULT_MAX_STATES = 10_000_000  # the package's one size guard, on states or words listed
 
 
 def _plan_cells(n: int, klass: str) -> list[tuple[int, int]]:
@@ -76,19 +75,18 @@ def _plan_cells(n: int, klass: str) -> list[tuple[int, int]]:
 @lru_cache(maxsize=None)
 def _transfer_plan(n: int, klass: str):
     """The transfer plan of the module docstring for a class ("all" or
-    "ht") at order n, compiled once.
+    "ht") at order n, compiled once: (steps, centrals, counts).
 
-    A profile is one int: bit 0 holds R and bit j holds C_j.  Returns
-    (steps, final, counts).  Step k visits the k-th of `_plan_cells`:
-    (width of the next front, moves), a move being (source, target, weight
-    class) between positions in consecutive fronts, a source's entry-0 move
-    before its class-0 move.  `final` lists (position, central entry) of
-    every closing profile (central entry 0 but at odd half-turn orders);
-    moves that reach no closing profile are pruned.  `counts` is the plan
-    run over ints with unit weights: the matrix count per central entry.
-    """
-    m = n // 2
-    front, steps = [0], []
+    A profile is one int: bit 0 holds R and bit j holds C_j.  Step k
+    visits the k-th of `_plan_cells` and is (width of the next front,
+    moves), moves[p] being the (target, weight class) moves out of
+    position p, the entry-0 move first.  The last front is the closing
+    profiles, centrals[p] the central entry of profile p (0 but at odd
+    half-turn orders).  After the forward pass, one backward pass drops the
+    moves into dead positions, numbers each front's live positions in
+    order and groups the moves by source.  `counts` is the plan run with
+    unit weights: the matrix count per central entry."""
+    front, steps, widest = [0], [], 1
     for _, j in _plan_cells(n, klass):
         flip = 1 << j | 1
         targets, moves = {}, []
@@ -105,40 +103,43 @@ def _transfer_plan(n: int, klass: str):
                 moves.append((source, targets.setdefault(target, len(targets)), weight_class))
         steps.append(moves)
         front = list(targets)
-    if klass == "all":
-        final = [(s, 0) for s, key in enumerate(front) if key == (1 << n + 1) - 2]
-    else:
-        final = [(s, 1 - 2 * (key & 1) if n % 2 else 0) for s, key in enumerate(front)
-                 if all((key >> j ^ key >> n + 1 - j) & 1 for j in range(1, m + 1))
-                 and not (n % 2 and (key >> m + 1 ^ key) & 1)]
-    alive = {s for s, _ in final}
-    for t in reversed(range(len(steps))):
-        steps[t] = [move for move in steps[t] if move[1] in alive]
-        alive = {s for s, _, _ in steps[t]}
-    renumber, compiled = {0: 0}, []
-    for moves in steps:
-        targets = {}
-        moves = tuple((renumber[s], targets.setdefault(t, len(targets)), c)
-                      for s, t, c in moves)
-        compiled.append((len(targets), moves))
-        renumber = targets
-    final = tuple((renumber[s], central) for s, central in final)
-    return tuple(compiled), final, _run_plan(compiled, final, [(1, 1, 1)] * len(compiled), 1)
+        widest = max(widest, len(front))
+    pairs = range(1, n // 2 + 1) if klass == "ht" else ()  # n full rows leave every C_j = 1
+    closing = {s: 1 - 2 * (key & 1) if klass == "ht" and n % 2 else 0
+               for s, key in enumerate(front)
+               if all((key >> j ^ key >> n + 1 - j) & 1 for j in pairs)}
+    alive = {s: p for p, s in enumerate(closing)}  # live positions of the next front
+    shared = [[(p, c) for p in range(widest)] for c in range(3)]  # one tuple per move (p, c)
+    for k in reversed(range(len(steps))):
+        index, grouped = {}, []
+        for s, t, c in steps[k]:  # by source, in order
+            if t in alive:
+                move = shared[c][alive[t]]
+                if s in index:
+                    grouped[-1] += (move,)
+                else:
+                    index[s] = len(grouped)
+                    grouped.append((move,))
+        steps[k] = len(alive), tuple(grouped)
+        alive = index
+    centrals = tuple(closing.values())
+    return tuple(steps), centrals, _run_plan(steps, centrals, [(1, 1, 1)] * len(steps), 1)
 
 
-def _run_plan(steps, final, weights, one) -> dict:
+def _run_plan(steps, centrals, weights, one) -> dict:
     """{central entry: sum} of a compiled transfer plan in any ring, with
     weights[k] the weight triple of step k."""
     front = [one]
     for (width, moves), w in zip(steps, weights):
         nxt = [None] * width
-        for s, t, c in moves:
-            x = front[s] * w[c]
-            nxt[t] = x if nxt[t] is None else nxt[t] + x
+        for x, out in zip(front, moves):
+            for t, c in out:
+                y = x * w[c]
+                nxt[t] = y if nxt[t] is None else nxt[t] + y
         front = nxt
     sums = {}
-    for s, central in final:
-        sums[central] = sums[central] + front[s] if central in sums else front[s]
+    for central, x in zip(centrals, front):
+        sums[central] = sums[central] + x if central in sums else x
     return sums
 
 
@@ -154,24 +155,17 @@ def _plan_rows(n: int, klass: str) -> list[Callable[[int], Moves]]:
     distinct row live in the returned closures, so no state outlives the
     stream.
     """
-    steps, final, _ = _transfer_plan(n, klass)
-    central = dict(final)
+    steps, centrals, _ = _transfer_plan(n, klass)
     rows: dict[Row, Row] = {}
-    cells = []  # each step's moves grouped by source
-    for _, moves in steps:
-        out = {}
-        for s, t, c in moves:
-            out.setdefault(s, []).append((t, c))
-        cells.append(out)
 
-    def table(row_cells: list, middle: bool) -> Callable[[int], Moves]:
+    def table(row_steps: tuple, middle: bool) -> Callable[[int], Moves]:
         found: dict[int, Moves] = {}
 
         def moves(start: int) -> Moves:
             got = found.get(start)
             if got is None:
                 level = [(start, 0, ())]  # (position, R, entries) of each prefix
-                for out in row_cells:
+                for _, out in row_steps:  # out[p]: the moves out of position p
                     grown = []
                     for p, r, head in level:
                         for t, c in (out[p][::-1] if r else out[p]):  # -1 before 0 before 1
@@ -180,7 +174,7 @@ def _plan_rows(n: int, klass: str) -> list[Callable[[int], Moves]]:
                     level = grown
                 got = []
                 for t, _, head in level:
-                    row = head + (central[t],) + head[::-1] if middle else head
+                    row = head + (centrals[t],) + head[::-1] if middle else head
                     got.append((rows.setdefault(row, row), t))
                 got = found[start] = tuple(got)
             return got
@@ -188,10 +182,8 @@ def _plan_rows(n: int, klass: str) -> list[Callable[[int], Moves]]:
         return moves
 
     full = n if klass == "all" else n // 2
-    tables = [table(cells[i * n:(i + 1) * n], False) for i in range(full)]
-    if klass == "ht" and n % 2:
-        tables.append(table(cells[full * n:], True))
-    return tables
+    count = full + (n % 2 if klass == "ht" else 0)  # an odd middle row comes last
+    return [table(steps[i * n:(i + 1) * n], i == full) for i in range(count)]
 
 
 def _prefixes(steps: list[Callable[[int], Moves]]) -> Iterator[tuple[Row, ...]]:
@@ -349,6 +341,10 @@ def inversion_genfunc(n: int, klass: str = "all", mode: str = "brute") -> Lauren
         return phi_closed(n) if klass == "all" else phi_ht_closed(n)
     if mode != "brute":
         raise ValueError(f"unknown mode {mode!r}")
+    m = n // 2  # n! words for "all", 2^m m! for "ht"
+    if (math.factorial(n) if klass == "all" else 2 ** m * math.factorial(m)) > DEFAULT_MAX_STATES:
+        raise ValueError(f"order {n} has more words to list by brute force than the guard "
+                         f"{DEFAULT_MAX_STATES}")
     perms = (itertools.permutations(range(1, n + 1)) if klass == "all"
              else ht_permutations(n))
     counts: dict[tuple, int] = {}

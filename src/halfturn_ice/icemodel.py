@@ -27,8 +27,10 @@ in Q(zeta) or Q, and the direct central-entry split of Z_HT(2m+1), in
 Laurent polynomials, run the row transfer matrix over boundary profiles
 instead: the compiled plan of the model's ASM class (`ModelSpec.klass`)
 and order, `enum_asm._transfer_plan`, which the ASM stream walks too and
-whose module describes it.  Every state count, split by the central entry
-or not, is that plan run once with unit weights (`_guarded_counts`,
+whose module describes it.  A run (`_run_plan`, `_run_pairs`) carries a
+value per position of each front along the moves out of it; its last
+front is the closing profiles.  Every state count, split by the central
+entry or not, is that plan run once with unit weights (`_guarded_counts`,
 behind the state guard).  The weighted refined census of an ASM class
 (`census`, the CLI's route) is the plan run once over monomials in u and
 t, behind the same guard; `enum_asm.census`, which lists every matrix, is
@@ -57,11 +59,10 @@ from typing import Mapping, NamedTuple, Optional, Union
 
 from . import formulas
 from .asm import Asm, _Frozen, to_state
-from .enum_asm import CensusTable, _plan_cells, _run_plan, _transfer_plan, gen_asms
+from .enum_asm import (DEFAULT_MAX_STATES, CensusTable, _plan_cells, _run_plan,
+                       _transfer_plan, gen_asms)
 from .exactnum import Cyclo, pair_mul, pair_quotient
 from .laurent import Coeff, LaurentPoly, NotAMonomial, sigma_of
-
-DEFAULT_MAX_STATES = 10_000_000
 
 KINDS = ("dwbc", "ht-even", "ht-odd")
 
@@ -265,7 +266,7 @@ def census(order: int, klass: str = "all") -> CensusTable:
     """
     spec = class_model(order, klass)
     _guarded_counts(spec)
-    steps, final, _ = _transfer_plan(order, klass)
+    steps, centrals, _ = _transfer_plan(order, klass)
     n, turned = order, klass == "ht"
     one, u = LaurentPoly.const(1), LaurentPoly.var("u")
     weights = []
@@ -274,7 +275,7 @@ def census(order: int, klass: str = "all") -> CensusTable:
         weights.append((u if r is None else LaurentPoly.monomial(1, {"u": 1, "t": r - 1}),
                         one, one))
     tally = {}
-    for central, poly in _run_plan(steps, final, weights, one).items():
+    for central, poly in _run_plan(steps, centrals, weights, one).items():
         for exps, hits in poly.tuple_terms().items():
             e = dict(zip(poly.vars, exps))
             k = e.get("u", 0) - n // 2 if turned else (e.get("u", 0) - n) // 2
@@ -313,8 +314,8 @@ def partition_function(spec: ModelSpec,
     if zeros:
         raise SingularAssignment(f"zero value for {', '.join(zeros)} puts a pole in the weights")
     weights, scale = _pair_weights(spec.kind, spec.size, assignment)
-    steps, final, _ = _transfer_plan(spec.order, spec.klass)
-    return PartitionResult(pair_quotient(_run_pairs(steps, final, weights), scale), spec, count)
+    steps, _, _ = _transfer_plan(spec.order, spec.klass)
+    return PartitionResult(pair_quotient(_run_pairs(steps, weights), scale), spec, count)
 
 
 @lru_cache(maxsize=None)
@@ -368,19 +369,19 @@ def _pair_weights(kind: str, size: int, assignment: Mapping[str, Coeff]):
     return [triples[p] for p in cell_pairs], reduce(pair_mul, (cs[p] for p in cell_pairs), (1, 0))
 
 
-def _run_pairs(steps, final, weights) -> tuple[int, int]:
+def _run_pairs(steps, weights) -> tuple[int, int]:
     """The total over every central entry of a compiled transfer plan, in
     Z[zeta] on integer-pair weights: `_run_plan` with the product inline."""
     fa, fb = [1], [0]
     for (width, moves), w in zip(steps, weights):
         na, nb = [0] * width, [0] * width
-        for s, t, c in moves:
-            xa, xb = fa[s], fb[s]
-            wa, wb = w[c]
-            na[t] += xa * wa - xb * wb
-            nb[t] += xa * wb + xb * (wa + wb)
+        for xa, xb, out in zip(fa, fb, moves):
+            for t, c in out:
+                wa, wb = w[c]
+                na[t] += xa * wa - xb * wb
+                nb[t] += xa * wb + xb * (wa + wb)
         fa, fb = na, nb
-    return sum(fa[s] for s, _ in final), sum(fb[s] for s, _ in final)
+    return sum(fa), sum(fb)
 
 
 def modified_multiplier(spec: ModelSpec) -> LaurentPoly:
@@ -450,8 +451,8 @@ def z_split_odd(m: int, method: str = "parity") -> tuple[PartitionResult, Partit
             flipped = -flipped
         parts = {1: _half_int_poly(z + flipped), -1: _half_int_poly(z - flipped)}
     elif method == "direct":
-        steps, final, _ = _transfer_plan(spec.order, "ht")
-        parts = _run_plan(steps, final, _symbolic_weights("ht-odd", m), LaurentPoly.const(1))
+        steps, centrals, _ = _transfer_plan(spec.order, "ht")
+        parts = _run_plan(steps, centrals, _symbolic_weights("ht-odd", m), LaurentPoly.const(1))
     else:
         raise ValueError(f"unknown method {method!r}")
     return tuple(PartitionResult(parts.get(c, LaurentPoly.zero()), spec, counts.get(c, 0))

@@ -332,6 +332,53 @@ def test_census_bytes(capsys, args, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_SHA256[args, fmt]
 
 
+# sha256 of `enumerate ... --census --format json` at the largest orders the
+# transfer plan serves under the guard, recorded from the plan with its
+# moves kept flat, before they were grouped by source.
+PLAN_CENSUS_SHA256 = {
+    "-n 7": "d2c4c11a0aaaa059873209829ad5e575bb7ea180262c6a3eb5c879481240d6f3",
+    "--order 11 --class ht": "69bf412b5355f8617f0eeb86de477887dc544c009221823eba0893f39d11df0b",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PLAN_CENSUS_SHA256))
+def test_census_bytes_at_the_largest_plan_orders(capsys, args):
+    code, out, _ = run(capsys, "enumerate", *args.split(), "--census", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PLAN_CENSUS_SHA256[args]
+
+
+def test_enumerate_count_json_is_one_object(capsys):
+    # Like every other --format json output: one line, one object with
+    # schemaVersion.  The text form stays the bare count.
+    for argv, klass, order in ((("-n", "6"), "all", 6),
+                               (("--order", "9", "--class", "ht"), "ht", 9)):
+        code, out, _ = run(capsys, "enumerate", *argv, "--count", "--format", "json")
+        assert code == 0 and out.endswith("\n") and out.count("\n") == 1
+        obj = json.loads(out)
+        family = "asm" if klass == "all" else "ht-odd"
+        assert obj == {"schemaVersion": obj["schemaVersion"], "order": order, "class": klass,
+                       "count": count_closed(family, order)}
+        assert isinstance(obj["schemaVersion"], int)
+        code, out, _ = run(capsys, "enumerate", *argv, "--count")
+        assert code == 0 and out == f"{obj['count']}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("genfunc", "--mode", "brute", "--order", "11"),
+    ("genfunc", "--class", "ht", "--mode", "brute", "--order", "16"),
+])
+def test_genfunc_brute_past_the_guard_is_a_usage_error(capsys, argv):
+    # 11! = 39,916,800 and 2^8 8! = 10,321,920 words pass the guard of 10^7
+    # (orders 10 and 15 list 3,628,800 and 645,120): refused before the
+    # first word, where listing order 11 takes minutes.
+    started = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - started < 1
+    assert_usage_error(result, f"order {argv[-1]} has more words", "the guard 10000000")
+    assert len(result[2].splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("genfunc", "--class", "ht", "--mode", "brute", "--order", "99999999999999999999"),
     ("genfunc", "--order", "300"),

@@ -9,7 +9,7 @@ import pytest
 from halfturn_ice.asm import Asm, NotAlternating, stats
 from halfturn_ice.cli import main
 from halfturn_ice.enum_asm import (
-    _plan_rows, census, gen_asms, ht_permutations, inversion_genfunc)
+    _plan_rows, _transfer_plan, census, gen_asms, ht_permutations, inversion_genfunc)
 from halfturn_ice.formulas import count_closed
 from halfturn_ice.laurent import LaurentPoly
 
@@ -146,6 +146,38 @@ def test_mask_closing_agrees_with_the_column_condition(n):
     # The half-turn top rows, the last closing on the plan's profile-mask
     # test, against the column condition.
     check_plan_row_tables(n, "ht")
+
+
+@pytest.mark.parametrize("n, klass", [(n, "all") for n in range(1, 9)]
+                         + [(n, "ht") for n in range(1, 14)])
+def test_plan_layout_past_the_listing(n, klass):
+    # The compiled layout at every order to dwbc 8 and half-turn 13, past
+    # the guard: each front's positions all have a move out and a move in,
+    # the last front is the closing profiles, a source's entry-0 move
+    # (class 1 or 2) comes before its class-0 move, and the unit counts are
+    # the closed counts, split by the central entry at odd half-turn
+    # orders.  No listing reaches ht 10..13, so this is what checks the
+    # closing rule there.
+    steps, centrals, counts = _transfer_plan(n, klass)
+    width = 1
+    for next_width, moves in steps:
+        assert len(moves) == width
+        assert all(out for out in moves)
+        assert {t for out in moves for t, _ in out} == set(range(next_width))
+        for out in moves:
+            classes = [c for _, c in out]
+            assert classes in ([0], [1], [2], [1, 0]), classes
+        width = next_width
+    assert width == len(centrals)
+    if klass == "all":
+        assert set(centrals) == {0} and counts == {0: count_closed("asm", n)}
+    elif n % 2 == 0:
+        assert set(centrals) == {0} and counts == {0: count_closed("ht-even", n)}
+    else:
+        assert set(centrals) <= {1, -1}
+        assert counts.get(1, 0) == count_closed("ht-odd-plus", n)
+        assert counts.get(-1, 0) == count_closed("ht-odd-minus", n)
+        assert sum(counts.values()) == count_closed("ht-odd", n)
 
 
 def zpoly(*coeffs):

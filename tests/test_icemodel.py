@@ -348,8 +348,8 @@ def test_transfer_matches_brute_sums_at_points():
                 assert transfer_sums(kind, size, weights, Cyclo.of(1)) == brute, (kind, size, a)
                 total = sum((v for v, _ in brute.values()), Cyclo.of(0))
                 assert _state_sums(kind, size, weights, Cyclo.of(1)) == total, (kind, size, a)
-                steps, final, _ = _transfer_plan(spec.order, spec.klass)
-                assert Cyclo(*_run_pairs(steps, final, pairs)) == total, (kind, size, a)
+                steps, _, _ = _transfer_plan(spec.order, spec.klass)
+                assert Cyclo(*_run_pairs(steps, pairs)) == total, (kind, size, a)
 
 
 def test_pair_run_matches_the_lcm_scaled_reference():
@@ -360,16 +360,16 @@ def test_pair_run_matches_the_lcm_scaled_reference():
     for kind, sizes in TRANSFER_RANGE:
         for size in sizes:
             spec = ModelSpec(kind, size)
-            steps, final, _ = _transfer_plan(spec.order, spec.klass)
+            steps, centrals, _ = _transfer_plan(spec.order, spec.klass)
             for a, style in EVALUATED_POINTS:
                 assign = {"a": _point_value(rng, style) if a is None else a}
                 for names in spec.spectral_vars():
                     for v in names:
                         assign[v] = _point_value(rng, style)
                 pairs, scale = _pair_weights(kind, size, assign)
-                total = Cyclo(*_run_pairs(steps, final, pairs))
+                total = Cyclo(*_run_pairs(steps, pairs))
                 ref_weights, ref_scale = _lcm_point_weights(spec, assign)
-                ref = sum(_run_plan(steps, final, ref_weights, Cyclo.of(1)).values(),
+                ref = sum(_run_plan(steps, centrals, ref_weights, Cyclo.of(1)).values(),
                           Cyclo.of(0))
                 assert total * ref_scale == ref * Cyclo(*scale), (kind, size, assign)
 
@@ -387,8 +387,8 @@ def transfer_sums(kind, size, weights, one):
     """{central entry: (sum, state count)} by the compiled transfer plan:
     its sums in the ring of `one`, and its unit-weight counts."""
     spec = ModelSpec(kind, size)
-    steps, final, counts = _transfer_plan(spec.order, spec.klass)
-    return {c: (v, counts[c]) for c, v in _run_plan(steps, final, weights, one).items()}
+    steps, centrals, counts = _transfer_plan(spec.order, spec.klass)
+    return {c: (v, counts[c]) for c, v in _run_plan(steps, centrals, weights, one).items()}
 
 
 def reference_state_sums(kind, size, weights, one):

@@ -11,6 +11,7 @@ byte-identical.  Timings are therefore kept out of the reports unless
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -52,6 +53,10 @@ def parse_value(text: str) -> Cyclo:
     return total
 
 
+# A number in exponent notation, as Fraction would read it: 1e3, -2.5E-1.
+_EXPONENT = re.compile(r"\s*[-+]?(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)e[-+]?\d[\d_]*\s*", re.I)
+
+
 def _parse_term(term: str) -> Cyclo:
     if not term:
         raise UsageError("dangling sign in value")
@@ -66,7 +71,7 @@ def _parse_term(term: str) -> Cyclo:
 
 def _fraction(text: str) -> Fraction:
     # Fraction reads "1e999999999" as an integer it would take very long to build.
-    if "e" in text.lower():
+    if _EXPONENT.fullmatch(text):
         raise UsageError(f"exponent notation is not accepted: {text!r}")
     try:
         return Fraction(text)

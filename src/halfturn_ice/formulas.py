@@ -26,6 +26,21 @@ class UnsupportedSize(ValueError):
     """The requested closed form does not apply at this size."""
 
 
+# The most decimal digits a closed form is built to.  A(n) has about
+# 0.11362 n^2 digits (log10 of 3 sqrt(3)/4 per n^2), a half-turn count of
+# order n about half as many, and a refined polynomial up to its order
+# times its count's.
+MAX_DIGITS = 100_000
+
+
+def _check_digits(digits: float, what: str):
+    """Refuse, before any list or sieve is built, a value of about `digits`
+    digits past MAX_DIGITS."""
+    if digits > MAX_DIGITS:
+        raise UnsupportedSize(f"{what} would have about {digits:.3g} digits, "
+                              f"past the limit of {MAX_DIGITS}")
+
+
 def _as_int(f: Fraction, what: str) -> int:
     if f.denominator != 1:
         raise ArithmeticError(f"{what} = {f} is not an integer")
@@ -60,12 +75,14 @@ def count_asm(n: int) -> int:
     """1, 2, 7, 42, 429, 7436, ..."""
     if n < 1:
         raise UnsupportedSize("order must be >= 1")
+    _check_digits(0.11362 * n * n, f"A({n})")
     return _factorial_ratio([3 * i + 1 for i in range(n)], [n + i for i in range(n)],
                             f"count_asm({n})")
 
 
 def _ht_count(m: int, odd: bool, what: str) -> int:
     """prod_(i<m) (3i)! (3i+2)! / (m+i)!^2, times m! (3m)! / (2m)!^2 if odd."""
+    _check_digits(0.05681 * (2 * m + odd) ** 2, what)
     return _factorial_ratio([k for i in range(m) for k in (3 * i, 3 * i + 2)] + [m, 3 * m] * odd,
                             [m + i for i in range(m)] * 2 + [2 * m] * 2 * odd, what)
 
@@ -123,6 +140,7 @@ def refined_asm_closed(n: int) -> LaurentPoly:
     """Refined counts A(n, r) as a polynomial in t (degree n - 1)."""
     if n < 1:
         raise UnsupportedSize("order must be >= 1")
+    _check_digits(0.11362 * n ** 3, f"the refined A({n}; t)")
     num = [3 * i + 1 for i in range(n)] + [2 * n - 1]  # A(n) (2n-1)!
     den = [n + i for i in range(n)] + [n - 1, 3 * n - 2]
     return _t_poly([_factorial_ratio(num + [n + r - 2, 2 * n - r - 1], den + [r - 1, n - r],
@@ -130,10 +148,7 @@ def refined_asm_closed(n: int) -> LaurentPoly:
 
 
 def census_genfunc_at_x1(order: int, klass: str) -> LaurentPoly:
-    g = census(order, klass).genfunc()
-    for wv in ("x", "sqrtx"):
-        g = g.substitute_poly(wv, LaurentPoly.const(1))
-    return g
+    return census(order, klass).genfunc().substitute({"x": 1, "sqrtx": 1})
 
 
 @lru_cache(maxsize=None)
@@ -173,6 +188,7 @@ def refined_ht2_closed(m: int) -> LaurentPoly:
         raise UnsupportedSize("m must be >= 1")
     if m == 1:
         return LaurentPoly(("t",), {(0,): 1, (1,): 1})
+    _check_digits(0.05681 * (2 * m) ** 2 * (m + 1), f"the refined cofactor of order {2 * m}")
     return _refined_ht2_formula(m, ht2_refined_reading())
 
 
@@ -235,6 +251,6 @@ def four_enum_identity(m: int) -> LaurentPoly:
     2^(m-1) * (1 + t) * A(m; t, 4)^2, built on the census oracle."""
     if m < 1:
         raise UnsupportedSize("m must be >= 1")
-    a_m4 = census(m, "all").genfunc().substitute_poly("x", LaurentPoly.const(4))
+    a_m4 = census(m, "all").genfunc().substitute({"x": 4})
     one_plus_t = LaurentPoly(("t",), {(0,): 1, (1,): 1})
     return 2 ** (m - 1) * one_plus_t * a_m4 * a_m4

@@ -446,7 +446,7 @@ def z_split_odd(m: int, method: str = "parity") -> tuple[PartitionResult, Partit
     counts = _guarded_counts(spec)
     if method == "parity":
         z = _symbolic_value("ht-odd", m)
-        flipped = z.negate_var("a")
+        flipped = z.substitute({"a": -LaurentPoly.var("a")})
         if m % 2:
             flipped = -flipped
         parts = {1: _half_int_poly(z + flipped), -1: _half_int_poly(z - flipped)}

@@ -20,14 +20,14 @@ neighbour.
 
 Keys are unpacked only at the edges: `vars` (the variables some term uses,
 derived on first use), `tuple_terms` and everything built on it (`str`,
-`sorted_terms` and the JSON form), `evaluate`, and the leading-term order
-of `exact_div`.  The rest works on the keys in place: `rename_vars` moves
-each renamed digit to its new slot by adding a multiple of the difference
-of the two unit keys, `substitute` does the same for one digit, `coeff_of`
-compares the masked digits of each key with the wanted ones,
-`invert_vars` negates them, `total_degrees` reads digit sums as residues
-modulo 2^W - 1, and `degree_in` and `negate_var` read the one digit they
-need.
+`sorted_terms` and the JSON form), and the leading-term order of
+`exact_div`.  The rest works on the keys in place.  `substitute` replaces
+variables by monomials or constants, all at once: it negates the masked
+digits of the inverted variables, flips a term's sign on the parity of the
+negated ones, and moves every other digit d by d times the difference of
+two keys.  `coeff_of` compares the masked digits of each key with the
+wanted ones, `total_degrees` reads digit sums as residues modulo 2^W - 1,
+and `degree_in` reads the one digit it needs.
 
 Coefficients may be int, Fraction or Cyclo; within one polynomial they are
 kept in a single ring.  `LaurentPoly(vars, {exponent tuple: coeff})` packs
@@ -43,7 +43,6 @@ to the same bytes.
 from __future__ import annotations
 
 import heapq
-import json
 import re
 import threading
 from fractions import Fraction
@@ -330,70 +329,86 @@ class LaurentPoly:
     # evaluation and substitution
     # ------------------------------------------------------------------
 
-    def evaluate(self, assignment: Mapping[str, Coeff]) -> Coeff:
-        """Exact evaluation; a ring homomorphism for total assignments.
+    def substitute(self, mapping: Mapping[str, LaurentPoly | Coeff]) -> LaurentPoly:
+        """Replace the named variables all at once, each by a monomial or a
+        constant with any coefficient; one standing at a negative exponent
+        must be invertible (ints only if +-1).  Names no term uses are
+        skipped, and a mapping that moves nothing returns self.
 
-        Values standing at a negative exponent must be invertible: Fraction
-        and Cyclo values are inverted exactly, plain ints only if +-1.
+        With b = key + bias, subtracting twice the masked digits of b (less
+        their biases) negates the inverted variables' exponents (v -> 1/v);
+        each negated variable (v -> -v) at an odd exponent, which its
+        digit's lowest bit shows (_HALF is even), flips a term's sign.
+        Neither merges terms.  The other moves change keys and coefficients
+        by amounts that depend on the moved digits alone, each pattern once.
         """
-        vs = self.vars
-        missing = [v for v in vs if v not in assignment]
-        if missing:
-            raise KeyError(f"no value assigned for {missing}")
-        # Per variable: its digit's shift, its value and its powers so far.
-        slots = [(_W * _SLOT[v], assignment[v], {}, v) for v in vs]
-        bias = _BIAS[-1] if vs else 0
-        total: Coeff = 0
-        for key, c in self.terms.items():
-            key += bias
-            term = c
-            for shift, value, cache, v in slots:
-                k = (key >> shift & _MASK) - _HALF
-                if k:
-                    if k not in cache:
-                        cache[k] = _power(value, k, v)
-                    term = term * cache[k]
-            total = total + term
-        return total
+        def used(s):  # stops at the first term with a nonzero digit s
+            return any(_digit(k, s) for k in self.terms)
 
-    def substitute(self, var: str, replacement: LaurentPoly) -> LaurentPoly:
-        """Substitute a monomial (unit coefficient) for a variable.
-
-        Handles self-referential rules such as x -> a*x or x -> x^-1; for a
-        swap of two variables use `rename_vars`.
-        """
-        s = _SLOT.get(var)
-        if s is None:
+        inv_mask = inv_half = signs = mask = 0
+        moves = {}  # slot -> (value, shift, key step, coefficient) of the other moves
+        for v, value in mapping.items():
+            s = _SLOT.get(v)
+            if s is None or not used(s):
+                continue
+            if not isinstance(value, LaurentPoly):
+                value = LaurentPoly.const(value)
+            if len(value.terms) > 1:
+                raise NotAMonomial(f"value for {v} must be one monomial or a constant")
+            (rkey, rc), = value.terms.items() or ((0, 0),)
+            unit, shift = _UNIT[s], _W * s
+            if rc == 1 and rkey == -unit:
+                inv_mask |= _MASK << shift
+                inv_half |= _HALF << shift
+            elif rc == -1 and rkey == unit:
+                signs |= 1 << shift
+            elif rc != 1 or rkey != unit:
+                mask |= _MASK << shift
+                moves[s] = value, shift, rkey - unit, rc
+        if not (moves or inv_mask or signs):
             return self
-        if len(replacement.terms) != 1:
-            raise NotAMonomial("substitution value must be one monomial")
-        (rkey, rc), = replacement.terms.items()
-        step = rkey - _UNIT[s]  # a term x^d * rest becomes rest * rkey^d
-        bias, shift = _BIAS[s], _W * s
-        powers: dict = {}  # d -> rc^d
-        top = 0
+        bias = _BIAS[-1]
+        terms = self.terms
+        if inv_mask:
+            terms = {k - 2 * ((k + bias & inv_mask) - inv_half): c for k, c in terms.items()}
+        if signs:
+            terms = {k: -c if (k + bias & signs).bit_count() & 1 else c for k, c in terms.items()}
+        if not moves:
+            return _make(terms, self.bound)
         out: dict = {}
         get = out.get
-        for k, c in self.terms.items():
-            d = ((k + bias) >> shift & _MASK) - _HALF
-            if d:
-                if d > top:
-                    top = d
-                elif -d > top:
-                    top = -d
-                k += d * step
-                if rc != 1:
-                    p = powers.get(d)
-                    if p is None:
-                        p = powers[d] = _power(rc, d, var)
-                    c = c * p
-            out[k] = get(k, 0) + c
-        if not top:
-            return self
-        # Checked only now that the largest power of var is known; out is
-        # discarded if some digit left the range.
-        bound = _check(self.bound + top * replacement.bound)
-        return _make({k: c for k, c in out.items() if c != 0}, bound)
+        patterns: dict = {}
+        for k, c in terms.items():
+            b = k + bias & mask
+            hit = patterns.get(b)
+            if hit is None:
+                step, factor = 0, 1
+                for _, shift, key_step, rc in moves.values():
+                    d = (b >> shift & _MASK) - _HALF
+                    step += d * key_step
+                    if d and rc != 1:
+                        factor = factor * (rc ** d if d > 0 else _unit_inverse(rc) ** -d)
+                hit = patterns[b] = (step, None if factor == 1 else factor)
+            k += hit[0]
+            if hit[1] is not None:
+                c = c * hit[1]
+            s = get(k)
+            s = c if s is None else s + c  # a new term keeps its coefficient object
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)  # cancelled, or sent to zero by a value 0
+        # A slot's bound: its own, if its digit stays, plus top |d| times each
+        # value's exponent there.  out is dropped if some digit left the range.
+        load = {}
+        for value, shift, _, _ in moves.values():
+            top = max(abs((b >> shift & _MASK) - _HALF) for b in patterns)
+            for exps in value.tuple_terms():
+                for name, e in zip(value.vars, exps):
+                    t = _SLOT[name]
+                    kept = load.get(t, self.bound if t not in moves and used(t) else 0)
+                    load[t] = kept + top * abs(e)
+        return _make(out, _check(max([self.bound, *load.values()])))
 
     def substitute_poly(self, var: str, value: LaurentPoly) -> LaurentPoly:
         """Substitute an arbitrary polynomial for a variable occurring only
@@ -414,27 +429,6 @@ class LaurentPoly:
         for d, terms in buckets.items():
             total = total + _make(terms, self.bound) * value ** d
         return total
-
-    def rename_vars(self, mapping: Mapping[str, str]) -> LaurentPoly:
-        """Simultaneously rename variables (may permute existing names);
-        ValueError if two variables would get one name."""
-        new_names = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(new_names)) != len(new_names):
-            raise ValueError(f"repeated variable name in {new_names}")
-        # Per moved slot s -> t: the shift of digit s and the key change
-        # per unit of it, _UNIT[t] - _UNIT[s].
-        moves = [(_W * _SLOT[v], _UNIT[_slot(w)] - _UNIT[_SLOT[v]])
-                 for v, w in zip(self.vars, new_names) if v != w]
-        if not moves:
-            return self
-        bias = _BIAS[-1]  # read after the new names took their slots
-        out = {}
-        for k, c in self.terms.items():
-            b = k + bias
-            for shift, step in moves:
-                k += ((b >> shift & _MASK) - _HALF) * step
-            out[k] = c
-        return _make(out, self.bound)
 
     # ------------------------------------------------------------------
     # coefficient extraction and variable-wise transforms
@@ -462,34 +456,6 @@ class LaurentPoly:
                if (key + bias) & mask == target}
         return _make(out, self.bound)
 
-    def negate_var(self, var: str) -> LaurentPoly:
-        """Multiply each term by (-1)^(exponent of var); no-op if absent."""
-        s = _SLOT.get(var)
-        if s is None:
-            return self
-        return _make({k: (-c if _digit(k, s) & 1 else c) for k, c in self.terms.items()},
-                     self.bound)
-
-    def invert_vars(self, names: Iterable[str]) -> LaurentPoly:
-        """Replace each named variable v by 1/v, all in one pass; names no
-        term uses are skipped, and a repeated name counts once.
-
-        With b = key + bias, the masked digits b & mask less their biases
-        are the sum of d_s * unit_s over the named slots, so subtracting it
-        twice negates exactly those exponents.  |-d| = |d|: the bound holds.
-        """
-        mask = half = 0
-        for v in names:
-            s = _SLOT.get(v)
-            if s is not None:
-                mask |= _MASK << (_W * s)
-                half |= _HALF << (_W * s)
-        if not mask:
-            return self
-        bias = _BIAS[-1]
-        return _make({k - 2 * (((k + bias) & mask) - half): c for k, c in self.terms.items()},
-                     self.bound)
-
     def degree_in(self, var: str) -> int | None:
         """Maximal exponent of `var`, or None for the zero polynomial."""
         if not self.terms:
@@ -504,8 +470,8 @@ class LaurentPoly:
         """The total degrees of the terms, not counting the exponents of the
         variables named in `skip` (names no term uses are ignored).
 
-        The named digits are masked out of each key as in `invert_vars`.
-        Since 2^W = 1 modulo 2^W - 1, a key is the sum of its digits modulo
+        The named digits are masked out of each key as `substitute` masks
+        inverted ones.  Since 2^W = 1 modulo 2^W - 1, a key is the sum of its digits modulo
         2^W - 1, and that sum lies within +-(slots * bound): while that is
         at most _LIMIT, the balanced residue of the key is the sum itself.
         Beyond it, the digits are summed one by one.
@@ -562,9 +528,6 @@ class LaurentPoly:
                       for e, c in self.sorted_terms()],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -615,19 +578,6 @@ def _unit_inverse(c: Coeff) -> Coeff:
             raise NonInvertibleValue("zero is not invertible")
         return c.inverse()
     raise NonInvertibleValue(f"cannot invert {c!r}")
-
-
-def _power(value: Coeff, k: int, varname: str) -> Coeff:
-    if k >= 0:
-        return value ** k
-    if isinstance(value, int):
-        if value in (1, -1):
-            return value ** (-k)
-        raise NonInvertibleValue(
-            f"value {value} for {varname} has no inverse in the integers")
-    if value == 0 or (isinstance(value, Cyclo) and not value):
-        raise NonInvertibleValue(f"zero value for {varname} at negative exponent")
-    return value ** k  # Fraction and Cyclo support negative powers exactly
 
 
 def _coeff_divide(c: Coeff, d: Coeff) -> Coeff:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from halfturn_ice.cli import UsageError, main, parse_value
 from halfturn_ice.exactnum import Cyclo
-from halfturn_ice.formulas import count_closed
+from halfturn_ice.formulas import FAMILIES, MAX_DIGITS, count_closed
 from fractions import Fraction
 
 
@@ -217,6 +217,17 @@ def test_det_bad_points_are_usage_errors(capsys):
                        "nonzero")
     assert_usage_error(run(capsys, "det", "--model", "dwbc", "-n", "1", "--u", "1/0,2"),
                        "1/0")
+
+
+def test_only_numbers_are_refused_for_exponent_notation(capsys):
+    # A token with an "e" that is no number, such as zeta where a rational
+    # is read, cannot be parsed; a number with an exponent is refused as one.
+    result = run(capsys, "det", "--model", "dwbc", "--order", "1", "--u", "1/2,zeta")
+    assert_usage_error(result, "cannot parse value 'zeta'")
+    assert "exponent" not in result[2]
+    for token in ("1e3", "-2.5E-1", ".5e+3", "1_0e2", "7.e1"):
+        result = run(capsys, "det", "--model", "dwbc", "--order", "1", f"--u={token},2")
+        assert_usage_error(result, f"exponent notation is not accepted: '{token}'")
 
 
 def test_exponent_notation_is_a_usage_error(capsys):
@@ -501,6 +512,26 @@ def test_value_parsing_keeps_the_int_digit_cap(capsys):
                            "--assign", "x1=2", "--assign", "y1=3"), "cannot parse value")
     assert_usage_error(run(capsys, "det", "-n", "1", "--u", f"{huge},2"), "cannot parse value")
     assert_rejected_by_parser(run(capsys, "formulas", "--family", "asm", "--order", huge))
+
+
+@pytest.mark.parametrize("refined", [(), ("--refined",)])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_formulas_past_the_digit_limit_refuse_at_once(capsys, family, refined):
+    # A(99999999) would have about 10^15 digits; the count used to build
+    # lists of n and 3n + 1 ints until memory ran out.  Refused before any
+    # list or sieve is built.  ht-even takes even orders only.
+    order = "99999998" if family == "ht-even" else "99999999"
+    started = time.perf_counter()
+    result = run(capsys, "formulas", "--family", family, "--order", order, *refined)
+    assert time.perf_counter() - started < 1
+    assert_usage_error(result, f"({order})", f"past the limit of {MAX_DIGITS}")
+
+
+def test_formulas_refined_past_the_digit_limit(capsys):
+    # A(200) has 4,545 digits, its refined polynomial 200 coefficients.
+    assert run(capsys, "formulas", "--family", "asm", "--order", "200")[0] == 0
+    result = run(capsys, "formulas", "--family", "asm", "--order", "200", "--refined")
+    assert_usage_error(result, "refined A(200; t)", "past the limit")
 
 
 def test_formulas_refined_refuses_an_order_outside_the_family(capsys):

@@ -19,6 +19,15 @@ M = LaurentPoly.monomial
 V = LaurentPoly.var
 
 
+def _at(p, values):
+    """The constant p takes with every variable given a value."""
+    return p.substitute(values).constant_value()
+
+
+def _json(p):
+    return json.dumps(p.to_json_obj(), separators=(",", ":"))
+
+
 def poly_strategy(var_names=("a", "x1", "y1"), max_terms=4, span=3):
     exps = st.tuples(*[st.integers(-span, span)] * len(var_names))
     coeffs = st.integers(-9, 9).filter(lambda c: c != 0)
@@ -60,19 +69,30 @@ def test_sigma_of_examples():
 
 def test_evaluate():
     p = sigma_of(M(1, {"a": 2}))
-    assert p.evaluate({"a": ZETA}) == 2 * ZETA - 1
+    assert _at(p, {"a": ZETA}) == 2 * ZETA - 1
     q = V("X") ** 2 - 2 + M(1, {"X": -2})
-    assert q.evaluate({"X": 1}) == 0
+    assert _at(q, {"X": 1}) == 0
     # sigma(a*x)*sigma(a/x) at a=zeta, x=1 is sigma(zeta)^2 = -3
     prod = sigma_of(M(1, {"a": 1, "x1": 1})) * sigma_of(M(1, {"a": 1, "x1": -1}))
-    assert prod.evaluate({"a": ZETA, "x1": Cyclo(1)}) == -3
+    assert _at(prod, {"a": ZETA, "x1": Cyclo(1)}) == -3
+    # A partial assignment leaves a polynomial; constant_value refuses it.
+    with pytest.raises(NotAMonomial):
+        _at(prod, {"a": ZETA})
+    # A value 0 removes the terms where its variable has a positive exponent.
+    assert (V("X") ** 2 + V("Y") + 3).substitute({"X": 0}) == V("Y") + 3
+    assert (V("X") ** 2 + V("Y")).substitute({"X": 0}).terms == V("Y").terms
 
 
 def test_evaluate_rejects_non_units_at_negative_exponents():
     p = M(1, {"X": -1})
     with pytest.raises(NonInvertibleValue):
-        p.evaluate({"X": 2})
-    assert p.evaluate({"X": Fraction(2)}) == Fraction(1, 2)
+        _at(p, {"X": 2})
+    with pytest.raises(NonInvertibleValue):
+        _at(p, {"X": 0})
+    with pytest.raises(NonInvertibleValue):
+        p.substitute({"X": M(2, {"Y": 1})})
+    assert _at(p, {"X": Fraction(2)}) == Fraction(1, 2)
+    assert p.substitute({"X": M(Fraction(2), {"Y": 1})}) == M(Fraction(1, 2), {"Y": -1})
 
 
 def test_exact_div():
@@ -100,29 +120,49 @@ def test_coeff_extraction():
 
 
 def test_negate_var():
+    flip = {"a": -V("a")}
     even = sigma_of(M(1, {"a": 2}))
-    assert even.negate_var("a") == even
+    assert even.substitute(flip) == even
     odd = sigma_of(V("a"))
-    assert odd.negate_var("a") == -odd
+    assert odd.substitute(flip) == -odd
     p = V("a") ** 3 + V("a") + 7
-    assert p.negate_var("a").negate_var("a") == p
-    assert p.negate_var("missing") == p
+    assert p.substitute(flip).substitute(flip) == p
+    assert p.substitute(flip).bound == p.bound
+    assert p.substitute({"missing": -V("missing")}) is p
 
 
 def test_substitute_monomial():
     p = V("y1") ** 2 + V("x1")
-    q = p.substitute("y1", M(1, {"a": 1, "x1": 1}))
+    q = p.substitute({"y1": M(1, {"a": 1, "x1": 1})})
     assert q == M(1, {"a": 2, "x1": 2}) + V("x1")
-    inv = p.substitute("y1", M(1, {"y1": -1}))
+    inv = p.substitute({"y1": M(1, {"y1": -1})})
     assert inv == M(1, {"y1": -2}) + V("x1")
+    assert p.substitute({"y1": V("y1"), "x1": V("x1")}) is p
+    assert p.substitute({}) is p
+    with pytest.raises(NotAMonomial):
+        p.substitute({"y1": V("x1") + 1})
 
 
 def test_rename_swap():
     p = V("x1") ** 2 * V("x2") + V("x2") ** 3
-    q = p.rename_vars({"x1": "x2", "x2": "x1"})
+    q = p.substitute({"x1": V("x2"), "x2": V("x1")})
     assert q == V("x2") ** 2 * V("x1") + V("x1") ** 3
-    with pytest.raises(ValueError):
-        p.rename_vars({"x1": "x2"})
+    assert q.bound == p.bound
+    # Two variables sent to one name merge; the bound grows to cover it.
+    merged = p.substitute({"x1": V("x2")})
+    assert merged == 2 * V("x2") ** 3
+    assert merged.bound >= 3
+    assert (V("x1") - V("x2")).substitute({"x1": V("x2")}).is_zero()
+
+
+def test_substitute_poly():
+    p = V("x") ** 2 * V("t") + 3 * V("x") + 1
+    one_plus_t = V("t") + 1
+    assert p.substitute_poly("x", one_plus_t) == (
+        one_plus_t ** 2 * V("t") + 3 * one_plus_t + 1)
+    assert p.substitute_poly("absent", one_plus_t) is p
+    with pytest.raises(NonInvertibleValue):
+        M(1, {"x": -1}).substitute_poly("x", one_plus_t)
 
 
 def test_json_round_trip_is_canonical():
@@ -132,7 +172,7 @@ def test_json_round_trip_is_canonical():
     twin = LaurentPoly(tuple(reversed(p.vars)),
                        {e[::-1]: c for e, c in reversed(list(p.tuple_terms().items()))})
     assert twin == p
-    assert twin.to_json() == p.to_json() == (
+    assert _json(twin) == _json(p) == (
         '{"vars":["a","x1","y1"],"terms":[{"exps":[2,1,1],"coef":"1"},'
         '{"exps":[2,1,-1],"coef":"-1"},{"exps":[0,0,1],"coef":"3"},'
         '{"exps":[-2,1,1],"coef":"-1"},{"exps":[0,0,-1],"coef":"-3"},'
@@ -141,8 +181,8 @@ def test_json_round_trip_is_canonical():
 
 def test_json_fraction_and_cyclo_coefficients():
     p = LaurentPoly(("a",), {(1,): Fraction(3, 4), (0,): Cyclo(1, Fraction(-2, 5))})
-    assert p.to_json() == ('{"vars":["a"],"terms":[{"exps":[1],"coef":"3/4"},'
-                           '{"exps":[0],"coef":{"p":"1","q":"-2/5"}}]}')
+    assert _json(p) == ('{"vars":["a"],"terms":[{"exps":[1],"coef":"3/4"},'
+                        '{"exps":[0],"coef":{"p":"1","q":"-2/5"}}]}')
 
 
 @settings(max_examples=500, deadline=None)
@@ -157,8 +197,8 @@ def test_ring_laws(p, q, r):
 @given(poly_strategy(max_terms=3), poly_strategy(max_terms=3))
 def test_evaluation_is_a_homomorphism(p, q):
     at = {"a": Fraction(3, 2), "x1": Fraction(-5, 3), "y1": Fraction(7, 4)}
-    assert (p * q).evaluate(at) == p.evaluate(at) * q.evaluate(at)
-    assert (p + q).evaluate(at) == p.evaluate(at) + q.evaluate(at)
+    assert _at(p * q, at) == _at(p, at) * _at(q, at)
+    assert _at(p + q, at) == _at(p, at) + _at(q, at)
 
 
 @settings(max_examples=300, deadline=None)
@@ -171,10 +211,10 @@ def test_exact_division_round_trip(p, q):
 @given(poly_strategy(max_terms=3))
 def test_substitution_commutes_with_evaluation(p):
     mono = M(1, {"a": 1, "x1": 2})  # rule y1 -> a*x1^2
-    q = p.substitute("y1", mono)
+    q = p.substitute({"y1": mono})
     at = {"a": Fraction(2, 3), "x1": Fraction(5, 7), "y1": Fraction(1)}
-    composed = dict(at, y1=mono.evaluate(at))
-    assert q.evaluate(at) == p.evaluate(composed)
+    composed = dict(at, y1=_at(mono, at))
+    assert _at(q, at) == _at(p, composed)
 
 
 @settings(max_examples=200, deadline=None)
@@ -221,7 +261,7 @@ def test_product_past_the_digit_range_overflows():
     with pytest.raises(OverflowError):
         (top + 1) ** 2
     with pytest.raises(OverflowError):
-        top.substitute("a", M(1, {"x1": 2}))
+        top.substitute({"a": M(1, {"x1": 2})})
     with pytest.raises(OverflowError):
         M(1, {"x1": _LIMIT + 1})
 
@@ -303,9 +343,33 @@ def _ref_substitute(p, i, r, rc):
 
 
 def _ref_rename(p, mapping):
-    """rename_vars through exponent tuples and the constructor."""
+    """A permutation of names through exponent tuples and the constructor."""
     new_names = tuple(mapping.get(v, v) for v in p.vars)
     return LaurentPoly(new_names, p.tuple_terms())
+
+
+def _renamed(p, mapping):
+    return p.substitute({v: V(w) for v, w in mapping.items()})
+
+
+def _ref_map(p, width, values):
+    """Every index i in values replaced at once by the monomial values[i] =
+    (exponents over width names, coefficient); NonInvertibleValue when an
+    int other than +-1 stands at a negative exponent, as in the package."""
+    out = {}
+    for e, c in p.items():
+        new = [0] * width
+        new[:len(e)] = e
+        for i, d in enumerate(e):
+            if i in values:
+                r, rc = values[i]
+                new[i] -= d
+                new = [x + d * y for x, y in zip(new, r)]
+                if d < 0 and isinstance(rc, int) and rc not in (1, -1):
+                    raise NonInvertibleValue(f"{rc} at exponent {d}")
+                c = c * Fraction(rc) ** d if d < 0 else c * rc ** d
+        out[tuple(new)] = out.get(tuple(new), 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def _ref_json(p, names):
@@ -352,23 +416,23 @@ def test_packed_terms_match_tuple_reference(case, n, rc):
     for _ in range(n):
         pn = _ref_mul(pn, p)
     assert _as_ref(P ** n, names) == pn
-    assert P.to_json() == _ref_json(_ref_add(p, {}), names)
-    assert (P * Q).to_json() == _ref_json(pq, names)
+    assert _json(P) == _ref_json(_ref_add(p, {}), names)
+    assert _json(P * Q) == _ref_json(pq, names)
 
     i = data.draw(st.integers(0, len(names) - 1))
     v, k = names[i], data.draw(st.integers(-4, 4))
-    sub = P.substitute(v, LaurentPoly(names, {r: rc}))
+    sub = P.substitute({v: LaurentPoly(names, {r: rc})})
     assert _as_ref(sub, names) == _ref_substitute(p, i, r, rc)
     sliced = {e[:i] + (0,) + e[i + 1:]: c for e, c in p.items() if e[i] == k}
     assert _as_ref(P.coeff_of({v: k}), names) == _ref_add(sliced, {})
-    assert _as_ref(P.negate_var(v), names) == _ref_add(
+    assert _as_ref(P.substitute({v: -V(v)}), names) == _ref_add(
         {e: -c if e[i] % 2 else c for e, c in p.items()}, {})
     live = _ref_add(p, {})
     assert P.degree_in(v) == (max(e[i] for e in live) if live else None)
 
     # Every exponent of v made negative, so each term takes rc^d at d < 0.
     low = {e[:i] + (-abs(e[i]) - 1,) + e[i + 1:]: c for e, c in p.items()}
-    sub = LaurentPoly(names, low).substitute(v, LaurentPoly(names, {r: -1}))
+    sub = LaurentPoly(names, low).substitute({v: LaurentPoly(names, {r: -1})})
     assert _as_ref(sub, names) == _ref_substitute(low, i, r, -1)
 
     # Two or three constrained variables, the last absent from P.
@@ -392,12 +456,15 @@ def test_packed_terms_match_tuple_reference(case, n, rc):
     for mapping in (dict(zip(order[:2], order[1::-1])),
                     dict(zip(order[:3], order[1:3] + order[:1])),
                     {v: fresh}):
-        renamed = P.rename_vars(mapping)
+        renamed = _renamed(P, mapping)
         assert renamed == _ref_rename(P, mapping)
-        assert renamed.to_json() == _ref_rename(P, mapping).to_json()
-    if len(P.vars) > 1:
-        with pytest.raises(ValueError):
-            P.rename_vars({P.vars[0]: P.vars[1]})
+        assert _json(renamed) == _json(_ref_rename(P, mapping))
+        assert renamed.bound == P.bound
+    if len(names) > 1:  # two names made one: their exponents add up
+        j = (i + 1) % len(names)
+        merged = _renamed(P, {v: names[j]})
+        unit = tuple(int(x == j) for x in range(len(names)))
+        assert _as_ref(merged, names) == _ref_map(p, len(names), {i: (unit, 1)})
 
     if q:
         assert _as_ref((P * Q).exact_div(Q), names) == live
@@ -412,7 +479,7 @@ def test_packed_terms_match_tuple_reference(case, n, rc):
         for name, x in zip(names, e):
             term *= at[name] ** x
         want += term
-    assert P.evaluate(at) == want
+    assert _at(P, at) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -423,25 +490,95 @@ def test_invert_vars_matches_chained_substitution(case):
     absent = [n for n in _NAMES if n not in names]
     inverted = data.draw(st.lists(st.sampled_from(names + tuple(absent)), unique=True,
                                   max_size=len(names) + 2))
-    out = P.invert_vars(inverted)
+    out = P.substitute({v: M(1, {v: -1}) for v in inverted})
     chained = P
     for v in inverted:
-        chained = chained.substitute(v, M(1, {v: -1}))
+        chained = chained.substitute({v: M(1, {v: -1})})
     assert out == chained
     flipped = [i for i, v in enumerate(names) if v in inverted]
     assert _as_ref(out, names) == _ref_add(
         {tuple(-x if i in flipped else x for i, x in enumerate(e)): c for e, c in p.items()}, {})
     assert out.bound == P.bound
-    assert out.invert_vars(inverted) == P
-    assert P.invert_vars([]) is P
+    assert out.substitute({v: M(1, {v: -1}) for v in inverted}) == P
+    assert P.substitute({}) is P
 
 
 def test_invert_vars_skips_unregistered_names():
     p = V("x1") ** 2 * M(1, {"y1": -3}) + 5
     fresh = f"fresh{next(_FRESH)}"
-    assert p.invert_vars([fresh]) is p
+    assert p.substitute({fresh: Fraction(1, 2)}) is p
     assert fresh not in laurent._SLOT
-    assert p.invert_vars(["y1", fresh, "y1"]) == V("x1") ** 2 * M(1, {"y1": 3}) + 5
+    assert p.substitute({"y1": M(1, {"y1": -1}), fresh: 2}) == V("x1") ** 2 * M(1, {"y1": 3}) + 5
+
+
+@st.composite
+def _mapping_case(draw):
+    """A case and a random simultaneous mapping over its names and a fresh
+    one, as {index: (kind, exponents over all those names, coefficient)}.
+    Each name is kept, inverted, negated, renamed (onto a name of the case,
+    which may swap, cycle or merge, or onto the fresh one), sent to a
+    monomial such as a*x with coefficient +-1, or sent to a constant: +-1,
+    a nonzero Fraction, or an int other than +-1, which is refused where
+    its variable has a negative exponent."""
+    names, p, *_ = draw(_ref_case())
+    width = len(names) + 1
+    values = {}
+    for i in range(len(names)):
+        kind = draw(st.sampled_from(("keep", "invert", "negate", "rename", "monomial",
+                                     "constant")))
+        unit = [0] * width
+        if kind == "invert":
+            unit[i] = -1
+            values[i] = (kind, tuple(unit), 1)
+        elif kind == "negate":
+            unit[i] = 1
+            values[i] = (kind, tuple(unit), -1)
+        elif kind == "rename":
+            unit[draw(st.integers(0, width - 1))] = 1
+            values[i] = (kind, tuple(unit), 1)
+        elif kind == "monomial":
+            exps = draw(st.tuples(*[st.integers(-2, 2)] * width))
+            values[i] = (kind, exps, draw(st.sampled_from((1, -1))))
+        elif kind == "constant":
+            values[i] = (kind, (0,) * width, draw(st.one_of(
+                st.sampled_from((1, -1, 2, -3)),
+                st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))))
+    return names, p, values
+
+
+def _keeps_bound(p, values):
+    """Whether the mapping only inverts, negates and renames, with no two
+    exponents landing on one name, so no exponent grows."""
+    if any(kind not in ("invert", "negate", "rename") for kind, _, _ in values.values()):
+        return False
+    targets = [r.index(1) for i, (kind, r, _) in values.items()
+               if kind == "rename" and r.index(1) != i]
+    vacated = {i for i, (kind, r, _) in values.items() if kind == "rename" and r.index(1) != i}
+    return len(set(targets)) == len(targets) and all(
+        t in vacated or not any(t < len(e) and e[t] for e in p) for t in targets)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mapping_case())
+def test_simultaneous_substitution_matches_tuple_reference(case):
+    names, p, values = case
+    fresh = f"fresh{next(_FRESH)}"
+    full = names + (fresh,)
+    P = LaurentPoly(names, p)
+    mapping = {names[i]: LaurentPoly(full, {r: rc}) if any(r) else rc
+               for i, (_, r, rc) in values.items()}
+    try:
+        want = _ref_map(p, len(full), {i: (r, rc) for i, (_, r, rc) in values.items()})
+    except NonInvertibleValue:
+        with pytest.raises(NonInvertibleValue):
+            P.substitute(mapping)
+        return
+    out = P.substitute(mapping)
+    assert _as_ref(out, full) == want
+    assert _json(out) == _json(LaurentPoly(full, want))
+    assert out.bound >= max((abs(x) for e in want for x in e), default=0)
+    if _keeps_bound(p, values):
+        assert out.bound == P.bound
 
 
 @settings(max_examples=300, deadline=None)

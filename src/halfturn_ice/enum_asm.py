@@ -42,7 +42,10 @@ census.  `census` here is the brute route: it lists every
 matrix and tallies `asm.stats`.  The `refined-1`, `refined-split`, `xenum`
 and `four-enum` suites check the closed forms against it, and the tests
 check the plan route against it: `icemodel.census`, the CLI's, runs the
-compiled transfer plan once, behind the state guard.
+compiled transfer plan once, behind the state guard, on ints that pack the
+monomials u^i t^j (u per nonzero entry, t^(r-1) for the first column's 1
+in row r) into w-bit slots, w the bit length of the class's count, which
+bounds every coefficient, so no slot carries.
 """
 
 from __future__ import annotations

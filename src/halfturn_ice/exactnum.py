@@ -94,7 +94,12 @@ class Cyclo:
 
     def __add__(self, other: CycloLike) -> Cyclo:
         a1, b1, d1 = self._abd
-        a2, b2, d2 = other._abd if type(other) is Cyclo else _parts(other)
+        if type(other) is Cyclo:
+            a2, b2, d2 = other._abd
+        elif isinstance(other, (int, Fraction)):
+            a2, b2, d2 = _parts(other)
+        else:
+            return NotImplemented
         if d1 == d2:
             return _reduced(a1 + a2, b1 + b2, d1)
         return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
@@ -107,17 +112,29 @@ class Cyclo:
 
     def __sub__(self, other: CycloLike) -> Cyclo:
         a1, b1, d1 = self._abd
-        a2, b2, d2 = other._abd if type(other) is Cyclo else _parts(other)
+        if type(other) is Cyclo:
+            a2, b2, d2 = other._abd
+        elif isinstance(other, (int, Fraction)):
+            a2, b2, d2 = _parts(other)
+        else:
+            return NotImplemented
         if d1 == d2:
             return _reduced(a1 - a2, b1 - b2, d1)
         return _reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __rsub__(self, other: CycloLike) -> Cyclo:
+        if not isinstance(other, (int, Fraction, Cyclo)):
+            return NotImplemented
         return Cyclo.of(other) - self
 
     def __mul__(self, other: CycloLike) -> Cyclo:
         a1, b1, d1 = self._abd
-        a2, b2, d2 = other._abd if type(other) is Cyclo else _parts(other)
+        if type(other) is Cyclo:
+            a2, b2, d2 = other._abd
+        elif isinstance(other, (int, Fraction)):
+            a2, b2, d2 = _parts(other)
+        else:
+            return NotImplemented
         # (a1 + b1 z)(a2 + b2 z) with z^2 -> z - 1, in three products.
         aa = a1 * a2
         bb = b1 * b2
@@ -134,9 +151,13 @@ class Cyclo:
         return _reduced(d * (a + b), -d * b, n)
 
     def __truediv__(self, other: CycloLike) -> Cyclo:
+        if not isinstance(other, (int, Fraction, Cyclo)):
+            return NotImplemented
         return self * Cyclo.of(other).inverse()
 
     def __rtruediv__(self, other: CycloLike) -> Cyclo:
+        if not isinstance(other, (int, Fraction, Cyclo)):
+            return NotImplemented
         return Cyclo.of(other) * self.inverse()
 
     def __pow__(self, exponent: int) -> Cyclo:

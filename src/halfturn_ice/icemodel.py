@@ -33,8 +33,11 @@ front is the closing profiles.  Every state count, split by the central
 entry or not, is that plan run once with unit weights (`_guarded_counts`,
 behind the state guard).  The weighted refined census of an ASM class
 (`census`, the CLI's route) is the plan run once over monomials in u and
-t, behind the same guard; `enum_asm.census`, which lists every matrix, is
-its brute-force oracle.  An evaluated sum runs it on integer pairs (p, q)
+t, behind the same guard, each packed into an int as u^i t^j ->
+2^((i*n + j)*w), with w the bit length of the class's count: every
+coefficient counts distinct matrices, so it stays below 2^w and no w-bit
+slot carries into the next.  `enum_asm.census`, which lists every matrix,
+is its brute-force oracle.  An evaluated sum runs it on integer pairs (p, q)
 standing for p + q*zeta in Z[zeta] (`_pair_weights`, `_run_pairs`).  Each
 value is read once as V/d with V in Z[zeta] and d an integer; every
 weight triple is multiplied by a factor that clears all of its
@@ -253,33 +256,43 @@ def class_model(order: int, klass: str) -> ModelSpec:
 def census(order: int, klass: str = "all") -> CensusTable:
     """The weighted refined census of an ASM class, as `enum_asm.census`
     builds it by listing, from one run of the compiled transfer plan behind
-    the default guard.
+    the default guard, on packed ints.
 
-    A cell's class-0 weight (a nonzero entry) is u, times t^(r-1) at a cell
-    that puts the first column's 1 in row r: the plan cell (i, 1) with
-    r = i, or for the half-turn kinds the cell (i, n) that stands for the
-    image cell (n+1-i, 1).  The other classes weigh 1.  A state with N
-    nonzero plan cells has k = (N-n)/2 entries -1 for dwbc, and
+    Over monomials, a cell's class-0 weight (a nonzero entry) is u, times
+    t^(r-1) at a cell that puts the first column's 1 in row r: the plan
+    cell (i, 1) with r = i, or for the half-turn kinds the cell (i, n) that
+    stands for the image cell (n+1-i, 1).  The other classes weigh 1.  A
+    state with N nonzero plan cells has k = (N-n)/2 entries -1 for dwbc, and
     k = N - floor(n/2) for the half-turn kinds, where each plan cell but the
     central one stands for two.  Half-turn order 1 is its central cell
     alone, so r = 1 there.
+
+    Each monomial u^i t^j is packed as 2^((i*n + j)*w), one w-bit slot per
+    (i, j), since j < n (one cell of a state carries t), with w the bit
+    length of the class's count, so a front value is one int and a move
+    one int product.  No slot carries: the plan is pruned, so every prefix
+    completes, and a coefficient counts distinct prefixes of distinct
+    matrices, at most the count, below 2^w.
     """
-    spec = class_model(order, klass)
-    _guarded_counts(spec)
+    w = sum(_guarded_counts(class_model(order, klass)).values()).bit_length()
     steps, centrals, _ = _transfer_plan(order, klass)
     n, turned = order, klass == "ht"
-    one, u = LaurentPoly.const(1), LaurentPoly.var("u")
     weights = []
     for i, j in _plan_cells(order, klass):
-        r = i if j == 1 else n + 1 - i if turned and j == n else None
-        weights.append((u if r is None else LaurentPoly.monomial(1, {"u": 1, "t": r - 1}),
-                        one, one))
+        e = i - 1 if j == 1 else n - i if turned and j == n else 0  # u * t^e
+        weights.append((1 << (n + e) * w, 1, 1))
+    mask = (1 << w) - 1
     tally = {}
-    for central, poly in _run_plan(steps, centrals, weights, one).items():
-        for exps, hits in poly.tuple_terms().items():
-            e = dict(zip(poly.vars, exps))
-            k = e.get("u", 0) - n // 2 if turned else (e.get("u", 0) - n) // 2
-            tally[k, e.get("t", 0) + 1, central] = hits
+    for central, packed in _run_plan(steps, centrals, weights, 1).items():
+        slot = 0
+        while packed:
+            hits = packed & mask
+            if hits:
+                e_u, e_t = divmod(slot, n)
+                k = e_u - n // 2 if turned else (e_u - n) // 2
+                tally[k, e_t + 1, central] = hits
+            packed >>= w
+            slot += 1
     return CensusTable.from_tally(order, klass, tally)
 
 

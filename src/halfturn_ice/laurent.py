@@ -29,8 +29,11 @@ two keys.  `coeff_of` compares the masked digits of each key with the
 wanted ones, `total_degrees` reads digit sums as residues modulo 2^W - 1,
 and `degree_in` reads the one digit it needs.
 
-Coefficients may be int, Fraction or Cyclo; within one polynomial they are
-kept in a single ring.  `LaurentPoly(vars, {exponent tuple: coeff})` packs
+Coefficients may be int, Fraction or Cyclo, and one polynomial may mix
+them: `substitute` with a Cyclo value leaves the terms it does not reach
+with their int coefficients.  Equal coefficients compare equal across the
+types, and the JSON form writes every coefficient of a polynomial with a
+Cyclo one as a Cyclo.  `LaurentPoly(vars, {exponent tuple: coeff})` packs
 terms given over a list of distinct variable names.
 
 Variable order: a, x1..xk, y1..yk, z, t, v, u1..uk, then anything else
@@ -522,10 +525,12 @@ class LaurentPoly:
         return sorted(self.tuple_terms().items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def to_json_obj(self) -> dict:
+        terms = self.sorted_terms()
+        if any(type(c) is Cyclo for _, c in terms):
+            terms = [(e, Cyclo.of(c)) for e, c in terms]
         return {
             "vars": list(self.vars),
-            "terms": [{"exps": list(e), "coef": _coeff_to_json(c)}
-                      for e, c in self.sorted_terms()],
+            "terms": [{"exps": list(e), "coef": _coeff_to_json(c)} for e, c in terms],
         }
 
     def __str__(self) -> str:

@@ -180,9 +180,29 @@ def test_json_round_trip_is_canonical():
 
 
 def test_json_fraction_and_cyclo_coefficients():
+    q = LaurentPoly(("a",), {(1,): Fraction(3, 4), (0,): 2})
+    assert _json(q) == '{"vars":["a"],"terms":[{"exps":[1],"coef":"3/4"},{"exps":[0],"coef":"2"}]}'
+    # One Cyclo coefficient puts every coefficient in the Cyclo form.
     p = LaurentPoly(("a",), {(1,): Fraction(3, 4), (0,): Cyclo(1, Fraction(-2, 5))})
-    assert _json(p) == ('{"vars":["a"],"terms":[{"exps":[1],"coef":"3/4"},'
+    assert _json(p) == ('{"vars":["a"],"terms":[{"exps":[1],"coef":{"p":"3/4","q":"0"}},'
                         '{"exps":[0],"coef":{"p":"1","q":"-2/5"}}]}')
+
+
+def test_equal_polynomials_with_cyclo_coefficients_serialize_alike():
+    x1 = V("x1")
+    substituted = (V("a") * x1 + 1).substitute({"a": ZETA})
+    plain, lifted = x1 * ZETA + 1, x1 * ZETA + Cyclo.of(1)
+    assert substituted == plain == lifted
+    assert _json(substituted) == _json(plain) == _json(lifted) == (
+        '{"vars":["x1"],"terms":[{"exps":[1],"coef":{"p":"0","q":"1"}},'
+        '{"exps":[0],"coef":{"p":"1","q":"0"}}]}')
+
+
+def test_cyclo_on_the_left_of_a_polynomial():
+    x1 = V("x1")
+    assert ZETA * x1 == x1 * ZETA
+    assert ZETA + x1 == x1 + ZETA
+    assert ZETA - x1 == -(x1 - ZETA)
 
 
 @settings(max_examples=500, deadline=None)

@@ -30,9 +30,10 @@ N arguments, of size lam_1 = n - 1 (dwbc) or m (ht2, ht-odd) where the
 paper's matrices are N x N.
 
 Each point u = (a + b*zeta)/d is read once, as integers, and its square
-as the triple (a^2 - b^2, 2ab + b^2, d^2), not reduced: equal triples are
-equal squares, so the pole at u_i = +-u_j is refused up front with no sigma
-product formed.  `_elementary` forms E_k = D^2 e_k(u^2), D = prod d, as
+as the triple (a^2 - b^2, 2ab + b^2, d^2), not reduced.  The Schur form has
+no pole where the paper's prefactor has one (u_i = +-u_j), so every nonzero
+point is evaluated, the all-ones point of the paper's enumerations
+included.  `_elementary` forms E_k = D^2 e_k(u^2), D = prod d, as
 integer pairs; E_0 = D^2 and E_N = P^2 with P = prod (a + b*zeta).  As
 e_k(1/w) = e_(N-k)(w) / e_N(w), the same vector read backwards gives the
 e_k of the u^-2, so no point is inverted and ht-odd builds one vector for
@@ -49,7 +50,6 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 from typing import Sequence
 
 from .exactnum import ZETA, Cyclo, pair_mul, pair_quotient, sigma
@@ -57,10 +57,6 @@ from .exactnum import ZETA, Cyclo, pair_mul, pair_quotient, sigma
 
 class DimensionMismatch(ValueError):
     """A point vector does not fit the model size, or a matrix is not square."""
-
-
-class CoincidentPoints(ValueError):
-    """Two coordinates are equal or opposite, putting a pole in the prefactor."""
 
 
 def row_exponents(kind: str, size: int) -> tuple[int, ...]:
@@ -170,8 +166,8 @@ def special_z(model: str, size: int, u: Sequence[Cyclo]) -> Cyclo:
     model "dwbc" (size n, 2n points), "ht2" (size m, 2m points) or
     "ht-odd" (size m, 2m+1 points, last coordinate shared between the two
     spectral vectors).  The sizes are those of `icemodel.ModelSpec`: dwbc
-    and ht2 need size >= 1, ht-odd size >= 0.  Two points with u_i = +-u_j
-    put a pole in the paper's prefactor and raise `CoincidentPoints`.
+    and ht2 need size >= 1, ht-odd size >= 0.  Every point must be nonzero;
+    equal or opposite points are evaluated like any others.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown determinant model {model!r}")
@@ -186,13 +182,8 @@ def special_z(model: str, size: int, u: Sequence[Cyclo]) -> Cyclo:
     if len(pts) != npts:
         raise DimensionMismatch(f"{model} size {size} needs {npts} points")
     parts = [x.integer_parts() for x in pts]
-    squares = [(a * a - b * b, (2 * a + b) * b, d * d) for a, b, d in parts]
-    if len(set(squares)) < npts:  # name the first pair
-        i, j = next((i, j) for (i, s), (j, t) in combinations(enumerate(squares), 2) if s == t)
-        raise CoincidentPoints(f"u_{i + 1} = {pts[i]} and u_{j + 1} = {pts[j]} put a pole "
-                               f"at sigma(u_{i + 1}/u_{j + 1}) = 0")
     lam = _partition(row_exponents(kind, size + 1 if ht_odd else size))
-    e = _elementary(squares)
+    e = _elementary([(a * a - b * b, (2 * a + b) * b, d * d) for a, b, d in parts])
     num = _schur(lam, e[::-1])
     if ht_odd:
         num, power, flips = pair_mul(num, _schur(lam, e)), 2 * size, npts * (npts - 1) // 2

@@ -36,6 +36,9 @@ class Cyclo:
     def __new__(cls, p: Rational = 0, q: Rational = 0):
         if type(p) is int and type(q) is int:
             return _make(p, q, 1)
+        if not (isinstance(p, (int, Fraction)) and isinstance(q, (int, Fraction))):
+            raise TypeError(f"Cyclo parts must be int or Fraction, not "
+                            f"{type(p).__name__} and {type(q).__name__}")
         p, q = Fraction(p), Fraction(q)
         pd, qd = p.denominator, q.denominator
         # Over the lcm of two lowest-terms denominators, gcd(a, b, d) = 1.

@@ -23,13 +23,13 @@ Symbolic totals are Laurent polynomials over the integers in a and the
 spectral variables, summed over the states the ASM stream lists by
 Horner's rule on shared prefixes of their weight-class codes
 (`_state_sums`, whose one caller is `_symbolic_value`).  Evaluated sums,
-in Q(zeta) or Q, and the direct central-entry split of Z_HT(2m+1), in
-Laurent polynomials, run the row transfer matrix over boundary profiles
-instead: the compiled plan of the model's ASM class (`ModelSpec.klass`)
-and order, `enum_asm._transfer_plan`, which the ASM stream walks too and
-whose module describes it.  A run (`_run_plan`, `_run_pairs`) carries a
-value per position of each front along the moves out of it; its last
-front is the closing profiles.  Every state count, split by the central
+in Q(zeta) or Q, and the central-entry split of Z_HT(2m+1), in Laurent
+polynomials (`z_split_odd`, its one route), run the row transfer matrix
+over boundary profiles instead: the compiled plan of the model's ASM class
+(`ModelSpec.klass`) and order, `enum_asm._transfer_plan`, which the ASM
+stream walks too and whose module describes it.  A run (`_run_plan`,
+`_run_pairs`) carries a value per position of each front along the moves
+out of it; its last front is the closing profiles.  Every state count, split by the central
 entry or not, is that plan run once with unit weights (`_guarded_counts`,
 behind the state guard).  The weighted refined census of an ASM class
 (`census`, the CLI's route) is the plan run once over monomials in u and
@@ -65,7 +65,7 @@ from .asm import Asm, _Frozen, to_state
 from .enum_asm import (DEFAULT_MAX_STATES, CensusTable, _plan_cells, _run_plan,
                        _transfer_plan, gen_asms)
 from .exactnum import Cyclo, pair_mul, pair_quotient
-from .laurent import Coeff, LaurentPoly, NotAMonomial, sigma_of
+from .laurent import Coeff, LaurentPoly, sigma_of
 
 KINDS = ("dwbc", "ht-even", "ht-odd")
 
@@ -153,20 +153,6 @@ def fundamental_cells(spec: ModelSpec) -> tuple[tuple[int, int, str, str], ...]:
 
 # Weight class per vertex type: 0 -> sigma(a^2), 1 -> sigma(a*s), 2 -> sigma(a/s).
 _WEIGHT_CLASS = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2}
-
-
-def vertex_weight(vertex_type: int, spectral: LaurentPoly) -> LaurentPoly:
-    """Weight of one vertex given its spectral-parameter monomial."""
-    if vertex_type not in _WEIGHT_CLASS:
-        raise ValueError(f"vertex type must be 1..6, got {vertex_type}")
-    cls = _WEIGHT_CLASS[vertex_type]
-    if cls == 0:
-        return sigma_of(LaurentPoly.monomial(1, {"a": 2}))
-    if not spectral.is_monomial():
-        raise NotAMonomial("spectral parameter must be one monomial")
-    a = LaurentPoly.var("a")
-    s = spectral if cls == 1 else spectral ** -1
-    return sigma_of(a * s)
 
 
 @lru_cache(maxsize=None)
@@ -297,10 +283,11 @@ def census(order: int, klass: str = "all") -> CensusTable:
 
 
 def _symbolic_weights(kind: str, size: int) -> list:
-    """Laurent weight triple of every fundamental cell; vertex types 1, 3, 5
-    stand for weight classes 0, 1, 2."""
-    return [tuple(vertex_weight(t, LaurentPoly.monomial(1, {xv: 1, yv: -1}))
-                  for t in (1, 3, 5))
+    """Laurent weight triple (sigma(a^2), sigma(a*s), sigma(a/s)) of every
+    fundamental cell (x, y), s = x/y: weight classes 0, 1 and 2."""
+    class0 = sigma_of(LaurentPoly.monomial(1, {"a": 2}))
+    return [(class0, sigma_of(LaurentPoly.monomial(1, {"a": 1, xv: 1, yv: -1})),
+             sigma_of(LaurentPoly.monomial(1, {"a": 1, xv: -1, yv: 1})))
             for _, _, xv, yv in fundamental_cells(ModelSpec(kind, size))]
 
 
@@ -437,37 +424,15 @@ def modified_z_ht2(m: int) -> LaurentPoly:
                              * modified_multiplier(ModelSpec("dwbc", m)).monomial_inverse())
 
 
-def _half_int_poly(p: LaurentPoly) -> LaurentPoly:
-    out = {}
-    for e, c in p.tuple_terms().items():
-        if c % 2:
-            raise ValueError("polynomial is not divisible by 2")
-        out[e] = c // 2
-    return LaurentPoly(p.vars, out)
-
-
-def z_split_odd(m: int, method: str = "parity") -> tuple[PartitionResult, PartitionResult]:
+def z_split_odd(m: int) -> tuple[PartitionResult, PartitionResult]:
     """Split Z_HT(2m+1) by the central entry of the underlying matrices:
-    the +1 part and the -1 part, each with its own state count.
-
-    parity: half-sums of the listed-state total and its image under a -> -a,
-    using that the plus part carries (-1)^m and the minus part (-1)^(m+1).
-    direct: the transfer matrix's sums, kept apart by the central entry.
-    Both must agree exactly.
+    the +1 part and the -1 part, each with its own state count, from one
+    run of the compiled transfer plan that keeps the central entries apart.
     """
     spec = ModelSpec("ht-odd", m)
     counts = _guarded_counts(spec)
-    if method == "parity":
-        z = _symbolic_value("ht-odd", m)
-        flipped = z.substitute({"a": -LaurentPoly.var("a")})
-        if m % 2:
-            flipped = -flipped
-        parts = {1: _half_int_poly(z + flipped), -1: _half_int_poly(z - flipped)}
-    elif method == "direct":
-        steps, centrals, _ = _transfer_plan(spec.order, "ht")
-        parts = _run_plan(steps, centrals, _symbolic_weights("ht-odd", m), LaurentPoly.const(1))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    steps, centrals, _ = _transfer_plan(spec.order, "ht")
+    parts = _run_plan(steps, centrals, _symbolic_weights("ht-odd", m), LaurentPoly.const(1))
     return tuple(PartitionResult(parts.get(c, LaurentPoly.zero()), spec, counts.get(c, 0))
                  for c in (1, -1))
 

@@ -7,12 +7,14 @@ denominators are checked by cross-multiplication in the Laurent ring,
 never by rational-function normalization; numeric checks run at seeded
 random distinct rational points, exactly, in Q(zeta).
 
-Two typo-suspect readings are resolved empirically and recorded in the
+Three typo-suspect readings are resolved empirically and recorded in the
 report params: the final product in the odd central-minus formula is taken
 at cofactor size 2m+2 (the printed 2m+1 names an object that only exists
-at even sizes), and the even-cofactor leading polynomial carries a minus
-sign on its second term (the plus-sign variant is attempted first and the
-passing sign recorded).
+at even sizes), the even-cofactor leading polynomial carries a minus sign
+on its second term (the plus-sign variant is attempted first and the
+passing sign recorded), and the refined cofactor formula carries a
+factorial (both readings are tried against the census, and the one that
+`formulas.HT2_READING` pins must be the only match).
 """
 
 from __future__ import annotations
@@ -569,19 +571,21 @@ def _suite_theorem1(run: _Run, params: Mapping, rng: random.Random):
 def _suite_theorem2(run: _Run, params: Mapping, rng: random.Random):
     for m in range(0, params["m_max"] + 1):
         c = m + 1
-        plus_p, minus_p = ice.z_split_odd(m, "parity")
-        plus_d, minus_d = ice.z_split_odd(m, "direct")
-        run.check(f"parity split == direct split (+), m={m}", plus_p.value, plus_d.value, m=m)
-        run.check(f"parity split == direct split (-), m={m}", minus_p.value, minus_d.value, m=m)
+        plus, minus = (part.value for part in ice.z_split_odd(m))
+        # The +1 part carries (-1)^m under a -> -a and the -1 part
+        # (-1)^(m+1): with the total, this fixes both parts.
+        z = _Zht(2 * m + 1)
+        run.check(f"split total == listed-state total, m={m}", plus + minus, z, m=m)
+        run.check(f"(-1)^m split difference == total at a -> -a, m={m}",
+                  plus - minus if m % 2 == 0 else minus - plus, z.substitute({"a": -_A}), m=m)
         w = _m(**{f"x{c}": 1, f"y{c}": -1})
         denom = sigma_of(_A) * sigma_of(_A * w) * sigma_of(_A * w.monomial_inverse())
         aa = _A + _A.monomial_inverse()
         ww = w + w.monomial_inverse()
         rhs_plus = aa * _Z(m + 1) * _Z2(m) - ww * _Z(m) * _Z2(m + 1)
         rhs_minus = -ww * _Z(m + 1) * _Z2(m) + aa * _Z(m) * _Z2(m + 1)
-        run.check(f"central +1 part, m={m}", plus_p.value * denom, rhs_plus, m=m)
-        run.check(f"central -1 part (cofactor size 2m+2), m={m}",
-                  minus_p.value * denom, rhs_minus, m=m)
+        run.check(f"central +1 part, m={m}", plus * denom, rhs_plus, m=m)
+        run.check(f"central -1 part (cofactor size 2m+2), m={m}", minus * denom, rhs_minus, m=m)
     return {"eq25_reading": "2m+2",
             "eq25_literal": "inapplicable: no odd-size cofactor exists"}
 
@@ -737,9 +741,13 @@ def _suite_counts_closed(run: _Run, params: Mapping, rng: random.Random):
 
 
 def _suite_refined_1(run: _Run, params: Mapping, rng: random.Random):
-    reading = formulas.ht2_refined_reading()
+    cofactors = {m: formulas.census_genfunc_at_x1(2 * m, "ht")
+                 .exact_div(formulas.census_genfunc_at_x1(m, "all")) for m in (2, 3)}
+    matched = [reading for reading in ("factorial", "plain")
+               if formulas._refined_ht2_formula(2, reading) == cofactors[2]]
+    reading = matched[0] if len(matched) == 1 else None
     run.check_true("one factorial reading matches the census",
-                   reading in ("factorial", "plain"), reading=reading)
+                   reading == formulas.HT2_READING, readings=matched)
     for n in (3, 4):
         closed = formulas.refined_asm_closed(n)
         tab = census(n, "all")
@@ -747,9 +755,7 @@ def _suite_refined_1(run: _Run, params: Mapping, rng: random.Random):
             want = closed.coeff_of({"t": r - 1}).constant_value()
             got = tab.rows[(r, None)].substitute({"x": 1}).constant_value()
             run.check(f"refined count n={n} r={r}", got, want, n=n, r=r)
-    for m in (2, 3):
-        brute = (formulas.census_genfunc_at_x1(2 * m, "ht")
-                 .exact_div(formulas.census_genfunc_at_x1(m, "all")))
+    for m, brute in cofactors.items():
         run.check(f"cofactor refined polynomial m={m}",
                   formulas.refined_ht2_closed(m), brute, m=m)
     run.check("documented base case m=1",

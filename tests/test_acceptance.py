@@ -95,7 +95,7 @@ def test_criterion_08_theorem1():
 def test_criterion_09_theorem2():
     rep = _run("theorem2", {"m_max": 2})
     assert rep.params["eq25_reading"] == "2m+2"
-    _criterion(9, "central-entry split identities, parity == direct == displayed")
+    _criterion(9, "central-entry split identities: total, signed difference, displayed")
 
 
 def test_criterion_10_determinant_oracles():

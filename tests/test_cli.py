@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfturn_ice.cli import UsageError, main, parse_value
+from halfturn_ice.determinant import special_z
 from halfturn_ice.exactnum import Cyclo
 from halfturn_ice.formulas import FAMILIES, MAX_DIGITS, count_closed
 from fractions import Fraction
@@ -106,8 +107,9 @@ def test_partition_bad_size_names_model_and_value(capsys):
 def test_det(capsys):
     code, out, _ = run(capsys, "det", "--model", "dwbc", "-n", "1", "--u", "2,3")
     assert code == 0 and out.strip() == "-1 + 2*zeta"
-    code, _, err = run(capsys, "det", "--model", "dwbc", "-n", "1", "--u", "2,2")
-    assert code == 2
+    # Equal points are no pole of the determinant form.
+    code, out, _ = run(capsys, "det", "--model", "dwbc", "-n", "1", "--u", "2,2")
+    assert code == 0 and out.strip() == "-1 + 2*zeta"
 
 
 def test_formulas(capsys):
@@ -194,8 +196,11 @@ def assert_usage_error(result, *fragments):
 
 
 def test_det_opposite_points_is_a_usage_error(capsys):
-    assert_usage_error(run(capsys, "det", "--model", "dwbc", "-n", "1", "--u", "2,-2"),
-                       "pole")
+    # Opposite points are evaluated; a zero point among them is refused.
+    assert run(capsys, "det", "--model", "dwbc", "-n", "1", "--u", "2,-2") \
+        == (0, "-1 + 2*zeta\n", "")
+    assert_usage_error(run(capsys, "det", "--model", "dwbc", "-n", "1", "--u", "0,-0"),
+                       "nonzero")
 
 
 @pytest.mark.parametrize("argv,pair", [
@@ -204,12 +209,19 @@ def test_det_opposite_points_is_a_usage_error(capsys):
     (("--model", "ht-odd", "--m", "1", "--u", "2,3,-2"), ("2", 1, 3, "-2")),
 ])
 def test_det_pole_message(capsys, argv, pair):
-    # A non-adjacent pair of equal or opposite points: one error line that
-    # names the pair, exit 2.
+    # A non-adjacent pair of equal or opposite points is no pole of the
+    # determinant form: exit 0 with its value, and a zero put in place of
+    # the pair's second point is one error line, exit 2.
     ui, i, j, uj = pair
-    code, out, err = run(capsys, "det", *argv)
-    assert (code, out) == (2, "")
-    assert err == f"error: u_{i} = {ui} and u_{j} = {uj} put a pole at sigma(u_{i}/u_{j}) = 0\n"
+    args = dict(zip(argv[::2], argv[1::2]))
+    u = args["--u"].split(",")
+    assert (u[i - 1], u[j - 1]) == (ui, uj)
+    size = int(args.get("--order", args.get("--m")))
+    want = special_z(args["--model"], size, tuple(parse_value(x) for x in u))
+    assert run(capsys, "det", *argv) == (0, f"{want}\n", "")
+    u[j - 1] = "0"
+    zeroed = argv[:-1] + (",".join(u),)
+    assert run(capsys, "det", *zeroed) == (2, "", "error: points must be nonzero\n")
 
 
 def test_det_bad_points_are_usage_errors(capsys):

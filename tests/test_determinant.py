@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from halfturn_ice import determinant
 from halfturn_ice.determinant import (
-    CoincidentPoints, DimensionMismatch, det_exact, random_distinct_rationals,
-    row_exponents, special_z)
+    DimensionMismatch, det_exact, random_distinct_rationals, row_exponents, special_z)
 from halfturn_ice.exactnum import Cyclo, ZETA, sigma
+from halfturn_ice.formulas import count_asm, count_closed, count_ht_even, count_ht_odd
 from halfturn_ice.icemodel import ModelSpec
+from halfturn_ice.verify import _z2_at, _z_at, _zodd_at
 
 
 # ----------------------------------------------------------------------
@@ -49,12 +50,7 @@ def _sigma_pair_product(u, power=1):
     total = Cyclo(1)
     for i in range(len(u)):
         for j in range(i + 1, len(u)):
-            s = sigma(u[i] / u[j])
-            if not s:  # u_i / u_j = +-1
-                raise CoincidentPoints(
-                    f"u_{i + 1} = {u[i]} and u_{j + 1} = {u[j]} put a pole at "
-                    f"sigma(u_{i + 1}/u_{j + 1}) = 0")
-            total = total * s ** power
+            total = total * sigma(u[i] / u[j]) ** power
     return total
 
 
@@ -73,7 +69,8 @@ def det_cyclo(mat):
 
 def reference_special_z(model, size, u):
     """The paper's forms: det P(n), det Q(m) or det P'(m+1; u) det P'(m+1; 1/u)
-    by `det_cyclo`, times sigma(a)^k over the product of sigma(u_mu/u_nu)."""
+    by `det_cyclo`, times sigma(a)^k over the product of sigma(u_mu/u_nu).
+    Two points with u_i = +-u_j put a pole in that product."""
     pts = tuple(Cyclo.of(x) for x in u)
     if model in ("dwbc", "ht2"):
         pref = sigma(ZETA) ** size / _sigma_pair_product(pts)
@@ -90,9 +87,16 @@ def point_count(model, size):
     return 2 * size + 1 if model == "ht-odd" else 2 * size
 
 
+def state_sum(model, size, u):
+    """The evaluated state sum at a = zeta with the points interleaved as
+    (x1, y1, x2, y2, ...), the central pair of ht-odd sharing the last:
+    the second route, which has no pole at u_i = +-u_j."""
+    return {"dwbc": _z_at, "ht2": _z2_at, "ht-odd": _zodd_at}[model](size, tuple(u))
+
+
 def zeta_points(rng, count):
-    """Points p + q*zeta with q != 0; two of them may still be equal up to
-    sign, which the caller meets as `CoincidentPoints`."""
+    """Points p + q*zeta with q != 0, which may be equal up to sign (the
+    seeded draws below never are)."""
     return [Cyclo(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                   Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)))
             for _ in range(count)]
@@ -233,8 +237,10 @@ def test_dwbc_size_one_is_constant():
 
 
 def test_coincident_points_guard():
-    with pytest.raises(CoincidentPoints):
-        special_z("dwbc", 1, (Fraction(2), Fraction(2)))
+    # No guard: equal points are no pole of the Schur form.
+    assert special_z("dwbc", 1, (Fraction(2), Fraction(2))) == sigma(ZETA)
+    u = (Fraction(2), Fraction(3), Fraction(2), Fraction(5))
+    assert special_z("dwbc", 2, u) == state_sum("dwbc", 2, u)
 
 
 @pytest.mark.parametrize("model,size,u", [
@@ -243,9 +249,11 @@ def test_coincident_points_guard():
     ("ht-odd", 1, (2, 3, -3)),
 ])
 def test_opposite_points_guard(model, size, u):
-    # sigma(u_i/u_j) = sigma(-1) = 0: a pole, not a bare ZeroDivisionError
-    with pytest.raises(CoincidentPoints):
-        special_z(model, size, u)
+    # sigma(u_i/u_j) = sigma(-1) = 0 in the paper's prefactor, yet the form
+    # is the state sum there, and the reference meets a zero divisor.
+    assert special_z(model, size, u) == state_sum(model, size, u)
+    with pytest.raises(ZeroDivisionError):
+        reference_special_z(model, size, u)
 
 
 def test_zero_point_rejected():
@@ -344,12 +352,7 @@ def test_special_z_matches_reference_at_zeta_points(model, sizes):
     for size in sizes:
         for _ in range(3):
             u = zeta_points(rng, point_count(model, size))
-            try:
-                value = special_z(model, size, u)
-            except CoincidentPoints:
-                with pytest.raises(CoincidentPoints):
-                    reference_special_z(model, size, u)
-                continue
+            value = special_z(model, size, u)
             assert value == reference_special_z(model, size, u), (model, size, u)
             irrational += not value.is_rational
     assert irrational > 0
@@ -367,27 +370,18 @@ def _with_pair(model, size, i, j, value, opposite):
 @pytest.mark.parametrize("opposite", [False, True])
 @pytest.mark.parametrize("value", [Fraction(51, 2), Cyclo(Fraction(1, 3), Fraction(-5, 2))])
 def test_pole_guard_at_a_non_adjacent_pair(model, opposite, value):
-    # Points 2 and 4 (1-based) of five or four coincide up to sign.
+    # Points 2 and 4 (1-based) of five or four coincide up to sign: no pole
+    # of the Schur form, which equals the state sum there.
     u = _with_pair(model, 2, 1, 3, value, opposite)
-    message = (f"u_2 = {u[1]} and u_4 = {u[3]} put a pole at sigma(u_2/u_4) = 0")
-    with pytest.raises(CoincidentPoints) as got:
-        special_z(model, 2, u)
-    assert str(got.value) == message
-    with pytest.raises(CoincidentPoints) as want:
-        reference_special_z(model, 2, u)
-    assert str(want.value) == message
+    assert special_z(model, 2, u) == state_sum(model, 2, u)
 
 
 @pytest.mark.parametrize("model", ["dwbc", "ht2", "ht-odd"])
 def test_pole_guard_names_the_first_pair(model):
-    # u_1 = -u_4 and u_2 = u_3: the first pair in (i, j) order is (1, 4),
-    # though (2, 3) closes first.
+    # u_1 = -u_4 and u_2 = u_3: two pairs at once.
     u = list(random_distinct_rationals(random.Random(5), point_count(model, 2)))
     u[3], u[2] = -u[0], u[1]
-    with pytest.raises(CoincidentPoints, match=r"^u_1 = .* and u_4 = .*sigma\(u_1/u_4\) = 0$"):
-        special_z(model, 2, u)
-    with pytest.raises(CoincidentPoints, match=r"^u_1 = .* and u_4 = "):
-        reference_special_z(model, 2, u)
+    assert special_z(model, 2, u) == state_sum(model, 2, u)
 
 
 # (1 + zeta)^2 = 3 zeta: these points' squared triples (a^2 - b^2,
@@ -407,13 +401,63 @@ def test_special_z_at_squares_not_in_lowest_terms(model, size):
 
 @pytest.mark.parametrize("model", ["dwbc", "ht2", "ht-odd"])
 def test_pole_guard_names_the_first_combination(model):
-    # u_2 = u_3 = u_4 and u_1 = -u_2, zeta-valued: (1, 2) comes first in
-    # combinations order, before (2, 3) and the other pairs.
+    # u_2 = u_3 = u_4 and u_1 = -u_2, zeta-valued: four points equal up to
+    # sign.
     u = list(random_distinct_rationals(random.Random(6), point_count(model, 2)))
     u[1] = u[2] = u[3] = Cyclo(Fraction(1, 3), Fraction(-5, 2))
     u[0] = -u[1]
-    message = f"u_1 = {u[0]} and u_2 = {u[1]} put a pole at sigma(u_1/u_2) = 0"
-    for evaluate in (special_z, reference_special_z):
-        with pytest.raises(CoincidentPoints) as got:
-            evaluate(model, 2, u)
-        assert str(got.value) == message
+    assert special_z(model, 2, u) == state_sum(model, 2, u)
+
+
+# ----------------------------------------------------------------------
+# the paper's enumerations by the determinant route
+# ----------------------------------------------------------------------
+#
+# At a = zeta with every spectral parameter 1, each vertex weighs
+# sigma(zeta^2) = sigma(zeta), with sigma(zeta)^2 = -3, and the central
+# cell of an odd order weighs 1: a state sum is sigma(zeta)^k times its
+# number of states, k the number of weighted vertices.
+
+S = sigma(ZETA)
+
+
+def _ones(model, size):
+    return (1,) * point_count(model, size)
+
+
+def test_special_z_at_the_unit_point_counts_the_states():
+    assert S * S == -3 and sigma(ZETA * ZETA) == S
+    for n in range(1, 13):
+        assert special_z("dwbc", n, _ones("dwbc", n)) == S ** (n * n) * count_asm(n), n
+    for m in range(1, 11):
+        cofactor = count_ht_even(2 * m) // count_asm(m)
+        assert special_z("ht2", m, _ones("ht2", m)) == S ** (m * m) * cofactor, m
+    for m in range(0, 11):
+        assert special_z("ht-odd", m, _ones("ht-odd", m)) \
+            == S ** (2 * m * (m + 1)) * count_ht_odd(2 * m + 1), m
+
+
+@pytest.mark.parametrize("model,sizes", [("dwbc", range(1, 7)), ("ht2", range(1, 5)),
+                                         ("ht-odd", range(0, 5))])
+def test_special_z_at_the_unit_point_is_the_state_sum(model, sizes):
+    # Up to dwbc 6 and half-turn order 9.
+    for size in sizes:
+        u = _ones(model, size)
+        assert special_z(model, size, u) == state_sum(model, size, u), (model, size)
+
+
+def test_theorem2_at_the_unit_point_splits_the_odd_count():
+    # Theorem 2 at a = zeta and w = 1, with A(m) and B(m) = A_HT(2m)/A(m)
+    # read off the determinants.
+    def read(model, size):
+        value = special_z(model, size, _ones(model, size)) / S ** (size * size)
+        assert value.is_rational and value.p.denominator == 1
+        return value.p.numerator
+
+    a = {n: read("dwbc", n) for n in range(1, 22)}
+    b = {m: read("ht2", m) for m in range(1, 22)}
+    for m in range(1, 21):
+        assert a[m] == count_asm(m) and a[m] * b[m] == count_ht_even(2 * m), m
+        order = 2 * m + 1
+        assert (2 * a[m] * b[m + 1] - a[m + 1] * b[m]) == 3 * count_closed("ht-odd-plus", order)
+        assert (2 * a[m + 1] * b[m] - a[m] * b[m + 1]) == 3 * count_closed("ht-odd-minus", order)

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -59,6 +60,24 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     assert x + 1 == Cyclo(Fraction(3, 2), 3)
     assert 2 * x == Cyclo(1, 6)
     assert x - Fraction(1, 2) == Cyclo(0, 3)
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, Decimal("0.1"), "1/2", None, ZETA],
+                         ids=["float", "whole-float", "decimal", "string", "none", "cyclo-part"])
+def test_only_ints_and_fractions_make_a_cyclo(value):
+    # Constructing, like the operators, refuses anything but an int or a
+    # Fraction (and Cyclo.of a Cyclo): a float is not read at its binary
+    # value, nor a Decimal or a string through Fraction.
+    with pytest.raises(TypeError):
+        Cyclo(value)
+    with pytest.raises(TypeError):
+        Cyclo(1, value)
+    if value is not ZETA:
+        with pytest.raises(TypeError):
+            Cyclo.of(value)
+        with pytest.raises(TypeError):
+            Cyclo(1) + value
+    assert Cyclo(True, Fraction(1, 2)) == Cyclo(1, Fraction(1, 2))
 
 
 @settings(max_examples=1000, deadline=None)

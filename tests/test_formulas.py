@@ -1,7 +1,11 @@
 """Closed-form counts, refined polynomials and the x-enumeration maps."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,7 @@ from halfturn_ice.enum_asm import census
 from halfturn_ice.exactnum import ZETA
 from halfturn_ice.formulas import (
     UnsupportedSize, count_asm, count_closed,
-    count_ht_even, count_ht_odd, four_enum_identity, ht2_refined_reading,
+    count_ht_even, count_ht_odd, four_enum_identity,
     refined_asm_closed, refined_ht2_closed, refined_ht_odd,
     xenum_map)
 from halfturn_ice.laurent import LaurentPoly
@@ -107,11 +111,27 @@ def test_refined_asm_sums_and_symmetry(n):
 
 
 def test_refined_ht2():
-    assert ht2_refined_reading() == "factorial"
+    # The pinned reading is the one of the two that the census bears out.
+    target = census(4, "ht").genfunc().substitute({"x": 1}).exact_div(
+        census(2, "all").genfunc().substitute({"x": 1}))
+    assert formulas.HT2_READING == "factorial"
+    assert formulas._refined_ht2_formula(2, "factorial") == target
+    assert formulas._refined_ht2_formula(2, "plain") != target
     assert refined_ht2_closed(2) == 2 + T + 2 * T ** 2
     assert refined_ht2_closed(1) == 1 + T  # the base case outside the formula
     with pytest.raises(UnsupportedSize):
         refined_ht2_closed(0)
+
+
+def test_refined_ht2_lists_no_matrix():
+    # Cold, the closed form builds no census and compiles no transfer plan.
+    probe = ("from halfturn_ice import enum_asm, formulas; formulas.refined_ht2_closed(4); "
+             "print(enum_asm.census.cache_info().currsize, "
+             "enum_asm._transfer_plan.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "0"]
 
 
 def test_refined_ht2_reassembles_even_census():

@@ -15,22 +15,38 @@ from halfturn_ice.formulas import count_closed, refined_asm_closed, refined_ht_o
 from halfturn_ice import icemodel
 from halfturn_ice.icemodel import (
     ModelSpec, SingularAssignment, SizeTooLarge, _pair_weights, _plan_cells, _run_pairs,
-    _WEIGHT_CLASS, _run_plan, _state_sums, _symbolic_weights, _transfer_plan, fundamental_cells,
+    _run_plan, _state_sums, _symbolic_weights, _transfer_plan, fundamental_cells,
     modified_multiplier, modified_partition, modified_z_ht2, partition_function, state_counts,
-    vertex_weight, z_ht2, z_split_odd)
+    z_ht2, z_split_odd)
 from halfturn_ice.laurent import LaurentPoly, sigma_of
 
 M = LaurentPoly.monomial
 V = LaurentPoly.var
 
+# The per-state oracles' own weights: vertex types 1/2 weigh sigma(a^2),
+# 3/4 sigma(a*s) and 5/6 sigma(a/s), with s = x/y at the cell (x, y).
+TYPE_CLASS = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2}
+
+
+def vertex_weight(vertex_type, xv, yv):
+    a, s = V("a"), M(1, {xv: 1, yv: -1})
+    return (sigma_of(a * a), sigma_of(a * s),
+            sigma_of(a * s.monomial_inverse()))[TYPE_CLASS[vertex_type]]
+
 
 def test_vertex_weights_standard():
-    s12 = vertex_weight(1, M(1, {"x1": 1, "y1": -1}))
-    assert s12 == sigma_of(M(1, {"a": 2}))
-    w3 = vertex_weight(3, M(1, {"x1": 1, "y2": -1}))
-    assert w3 == sigma_of(M(1, {"a": 1, "x1": 1, "y2": -1}))
-    w5 = vertex_weight(5, M(1, {"x1": 1, "y2": -1}))
-    assert w5 == sigma_of(M(1, {"a": 1, "x1": -1, "y2": 1}))
+    assert vertex_weight(1, "x1", "y1") == sigma_of(M(1, {"a": 2}))
+    assert vertex_weight(3, "x1", "y2") == sigma_of(M(1, {"a": 1, "x1": 1, "y2": -1}))
+    assert vertex_weight(5, "x1", "y2") == sigma_of(M(1, {"a": 1, "x1": -1, "y2": 1}))
+    # The state sums' weight triples are the weights of types 1, 3, 5 and of
+    # 2, 4, 6, cell by cell.
+    for kind, size in (("dwbc", 3), ("ht-even", 2), ("ht-odd", 2)):
+        cells = fundamental_cells(ModelSpec(kind, size))
+        weights = _symbolic_weights(kind, size)
+        assert len(weights) == len(cells)
+        for triple, (_, _, xv, yv) in zip(weights, cells):
+            for types in ((1, 3, 5), (2, 4, 6)):
+                assert triple == tuple(vertex_weight(t, xv, yv) for t in types), (kind, xv, yv)
 
 
 def test_partition_examples():
@@ -130,41 +146,46 @@ def test_z_ht2_small():
 
 
 def test_z_split_examples():
-    plus, minus = z_split_odd(0, "direct")
+    plus, minus = z_split_odd(0)
     assert plus.value == LaurentPoly.const(1) and minus.value.is_zero()
-    plus, minus = z_split_odd(1, "direct")
+    plus, minus = z_split_odd(1)
     assert (plus.state_count, minus.state_count) == (2, 1)
-    pp, pm = z_split_odd(1, "parity")
-    assert pp.value == plus.value and pm.value == minus.value
-    assert pp.value + pm.value == partition_function(ModelSpec("ht-odd", 1)).value
+    assert plus.value + minus.value == partition_function(ModelSpec("ht-odd", 1)).value
+    ones = {"a": ZETA, "x1": 1, "x2": 1, "y1": 1, "y2": 1}
+    assert plus.value.substitute(ones).constant_value() == 2 * 9
+    assert minus.value.substitute(ones).constant_value() == 9
 
 
 def test_z_split_direct_matches_parity_and_counts():
+    # Each part against the per-state reference, and the parity relation:
+    # under a -> -a the +1 part picks up (-1)^m and the -1 part (-1)^(m+1).
+    flip = {"a": -V("a")}
     for m in range(3):
-        plus, minus = z_split_odd(m, "direct")
-        assert plus.value + minus.value == partition_function(ModelSpec("ht-odd", m)).value
-        pp, pm = z_split_odd(m, "parity")
-        assert (plus.value, minus.value) == (pp.value, pm.value)
+        plus, minus = z_split_odd(m)
+        ref = symbolic_reference("ht-odd", m)
+        assert (plus.value, plus.state_count) == ref[1]
+        assert (minus.value, minus.state_count) == ref.get(-1, (LaurentPoly.zero(), 0))
+        sign = (-1) ** m
+        assert plus.value.substitute(flip) == sign * plus.value
+        assert minus.value.substitute(flip) == -sign * minus.value
         assert plus.state_count == count_closed("ht-odd-plus", 2 * m + 1)
         assert minus.state_count == count_closed("ht-odd-minus", 2 * m + 1)
 
 
 def test_split_parts_carry_their_own_counts(monkeypatch):
-    # Both methods give the +1 part the count of the states with central
-    # entry +1, and the -1 part those with -1.  The counts do not depend on
-    # the sums, which are stubbed at m = 3: the symbolic Z_HT(7) takes
+    # The +1 part has the count of the states with central entry +1, and
+    # the -1 part those with -1.  The counts do not depend on the sums,
+    # which are stubbed at m = 3: the symbolic split of Z_HT(7) takes
     # minutes.
     for m in range(4):
         if m == 3:
-            monkeypatch.setattr(icemodel, "_symbolic_value", lambda kind, size: LaurentPoly.zero())
             monkeypatch.setattr(icemodel, "_symbolic_weights",
                                 lambda kind, size: [(LaurentPoly.const(1),) * 3]
                                 * len(fundamental_cells(ModelSpec(kind, size))))
-        direct = [r.state_count for r in z_split_odd(m, "direct")]
-        assert [r.state_count for r in z_split_odd(m, "parity")] == direct, m
         order = 2 * m + 1
-        assert direct == ([1, 0] if m == 0 else
-                          [count_closed("ht-odd-plus", order), count_closed("ht-odd-minus", order)])
+        assert [r.state_count for r in z_split_odd(m)] == (
+            [1, 0] if m == 0 else
+            [count_closed("ht-odd-plus", order), count_closed("ht-odd-minus", order)]), m
 
 
 def test_state_guard(monkeypatch):
@@ -177,9 +198,7 @@ def test_state_guard(monkeypatch):
     with pytest.raises(SizeTooLarge, match="guard 2$"):
         z_ht2(2)
     with pytest.raises(SizeTooLarge, match="guard 2$"):
-        z_split_odd(1, "direct")
-    with pytest.raises(SizeTooLarge, match="guard 2$"):
-        z_split_odd(1, "parity")
+        z_split_odd(1)
     assert z_ht2(1).state_count == 2
     with pytest.raises(SizeTooLarge, match="guard 2$"):
         state_counts(ModelSpec("ht-odd", 1))
@@ -255,7 +274,7 @@ def test_only_modified_partition_is_labelled_modified():
     assert modified.normalization == "modified"
     assert modified.value == plain.value * modified_multiplier(spec)
     assert all(r.normalization == "standard"
-               for r in (z_ht2(1), *z_split_odd(1), *z_split_odd(1, "direct")))
+               for r in (z_ht2(1), *z_split_odd(1)))
 
 
 def test_state_sum_is_chunking_independent():
@@ -268,7 +287,7 @@ def test_state_sum_is_chunking_independent():
         st = to_state(m)
         w = LaurentPoly.const(1)
         for i, j, xv, yv in cells:
-            w = w * vertex_weight(st[i, j], M(1, {xv: 1, yv: -1}))
+            w = w * vertex_weight(st[i, j], xv, yv)
         chunks[idx % 2] = chunks[idx % 2] + w
     assert chunks[0] + chunks[1] == full
 
@@ -405,7 +424,7 @@ def reference_state_sums(kind, size, weights, one):
         st = to_state(m)
         w = one
         for triple, (i, j, _, _) in zip(weights, cells):
-            w = w * triple[_WEIGHT_CLASS[st[i, j]]]
+            w = w * triple[TYPE_CLASS[st[i, j]]]
         parts.setdefault(m[mid, mid] if kind == "ht-odd" else 0, []).append(w)
     sums = {}
     for central, products in parts.items():
@@ -418,9 +437,11 @@ def reference_state_sums(kind, size, weights, one):
 
 @lru_cache(maxsize=None)
 def symbolic_reference(kind, size):
-    """`reference_state_sums` over the symbolic weights, shared by the tests
-    (Z_HT(6) takes seconds)."""
-    return reference_state_sums(kind, size, _symbolic_weights(kind, size), LaurentPoly.const(1))
+    """`reference_state_sums` over the oracle's own symbolic weights, shared
+    by the tests (Z_HT(6) takes seconds)."""
+    weights = [tuple(vertex_weight(t, xv, yv) for t in (1, 3, 5))
+               for _, _, xv, yv in fundamental_cells(ModelSpec(kind, size))]
+    return reference_state_sums(kind, size, weights, LaurentPoly.const(1))
 
 
 def test_horner_sums_match_the_per_state_products():

@@ -165,6 +165,45 @@ def test_theorem_suites_through_run_suite():
         run_suite("theorem4")
 
 
+@pytest.mark.parametrize("tamper", ["swap", "move-term"])
+def test_theorem2_catches_a_wrong_split(monkeypatch, tamper):
+    # At m = 1, swap the two parts, or move one term of the +1 part into the
+    # -1 part.  Either keeps the total, so the sum check passes; the signed
+    # difference check is the one that fails.
+    split = icemodel.z_split_odd
+
+    def wrong(m):
+        plus, minus = split(m)
+        if m != 1:
+            return plus, minus
+        if tamper == "swap":
+            return minus, plus
+        exps, coeff = next(iter(plus.value.tuple_terms().items()))
+        term = LaurentPoly(plus.value.vars, {exps: coeff})
+        return plus._replace(value=plus.value - term), minus._replace(value=minus.value + term)
+
+    monkeypatch.setattr(icemodel, "z_split_odd", wrong)
+    plus, minus = icemodel.z_split_odd(1)
+    assert (plus.value, minus.value) != tuple(r.value for r in split(1))
+    assert plus.value + minus.value == sum(r.value for r in split(1))
+    rep = run_suite("theorem2", {"m_max": 1})
+    assert rep.status == "fail" and rep.checks_run == 8
+    assert rep.witness["check"] == "(-1)^m split difference == total at a -> -a, m=1"
+    assert rep.witness["m"] == "1"
+
+
+def test_refined_1_needs_exactly_one_reading(monkeypatch):
+    # A formula that fits the census under both readings resolves nothing.
+    formula = verify.formulas._refined_ht2_formula
+    monkeypatch.setattr(verify.formulas, "_refined_ht2_formula",
+                        lambda m, reading: formula(m, "factorial"))
+    rep = run_suite("refined-1")
+    assert rep.status == "fail"
+    assert rep.witness == {"check": "one factorial reading matches the census",
+                           "readings": "['factorial', 'plain']"}
+    assert rep.params["ht2_reading"] is None
+
+
 def test_run_keeps_first_failure_and_clips():
     run = _Run()
     run.check("equal", 1, 1)

@@ -238,11 +238,12 @@ def _cmd_formulas(args) -> int:
                              f"it starts at order {least}")
         if family == "asm":
             value = formulas.refined_asm_closed(order)
-        elif family == "ht-even":
-            value = formulas.refined_ht2_closed(order // 2)
+        elif family == "ht-even":  # A(m; t) times the cofactor, whose digit check is first
+            m = order // 2
+            value = formulas.refined_ht2_closed(m) * formulas.refined_asm_closed(m)
         elif family in ("ht-odd", "ht-odd-plus", "ht-odd-minus", "robbins"):
             m = (order - 1) // 2
-            plus, minus, robbins = formulas.refined_ht_odd(m, 1)
+            plus, minus, robbins = formulas.refined_ht_odd(m)
             value = {"ht-odd": plus + minus, "ht-odd-plus": plus,
                      "ht-odd-minus": minus, "robbins": robbins}[family]
         else:

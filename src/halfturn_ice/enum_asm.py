@@ -38,14 +38,14 @@ walks one column mask down rows looked up in its memo.
 
 Census weights follow the x-enumeration conventions, which one
 constructor, `CensusTable.from_tally`, applies for both routes to a
-census.  `census` here is the brute route: it lists every
-matrix and tallies `asm.stats`.  The `refined-1`, `refined-split`, `xenum`
-and `four-enum` suites check the closed forms against it, and the tests
-check the plan route against it: `icemodel.census`, the CLI's, runs the
-compiled transfer plan once, behind the state guard, on ints that pack the
-monomials u^i t^j (u per nonzero entry, t^(r-1) for the first column's 1
-in row r) into w-bit slots, w the bit length of the class's count, which
-bounds every coefficient, so no slot carries.
+census.  The plan route, `icemodel.census`, serves `enumerate --census`
+and the catalog: it runs the compiled transfer plan once, behind the state
+guard, on ints that pack the monomials u^i t^j (u per nonzero entry,
+t^(r-1) for the first column's 1 in row r) into w-bit slots, w the bit
+length of the class's count, which bounds every coefficient, so no slot
+carries.  `census` here is the brute route, the tests' oracle of the plan
+route: it lists every matrix and tallies `asm.stats`.  It stays in the
+package only for the benchmark's traced sample (ROADMAP item 1 moves it).
 """
 
 from __future__ import annotations
@@ -477,7 +477,7 @@ def _halve_sqrtx(p: LaurentPoly) -> LaurentPoly:
 @lru_cache(maxsize=None)
 def census(n: int, klass: str = "all") -> CensusTable:
     """Exact weighted refined census of a class, split by central entry for
-    odd half-turn orders, by listing every matrix: the brute-force oracle of
-    `icemodel.census`, which the CLI uses.  Cached: treat the returned table
-    as read-only."""
+    odd half-turn orders, by listing every matrix: the tests' brute-force
+    oracle of `icemodel.census`, which the CLI and the catalog read.
+    Cached: treat the returned table as read-only."""
     return CensusTable.from_tally(n, klass, Counter(map(stats, gen_asms(n, klass))))

@@ -3,11 +3,11 @@ the x-enumeration change of variables and the 4-enumeration identity.
 
 All arithmetic is exact; whenever a closed form is a ratio of factorials
 that is asserted to be an integer, the integrality is checked at runtime
-rather than assumed.  The central-entry split of the odd refined
-enumerations is built once in (t, x) from the censuses and once at x = 1
-from the closed forms; any other x is read off the (t, x) form.  A closed
-form lists no matrix: the reading of the refined cofactor formula is pinned
-(`HT2_READING`), and the `refined-1` suite resolves it against the census.
+rather than assumed.  A closed form lists no matrix and runs no plan: the
+module imports only `laurent`.  `central_split`, Theorem 2's central-entry
+split in t and x, is fed the closed forms at x = 1 (`refined_ht_odd`) and
+the plan census in `refined-split`.  `HT2_READING` pins the reading of the
+refined cofactor formula, which `refined-1` resolves against the census.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Union
 
-from .enum_asm import census
 from .laurent import LaurentPoly, sigma_of
 
 FAMILIES = ("asm", "ht-even", "ht-odd", "ht-odd-plus", "ht-odd-minus", "robbins")
@@ -149,10 +147,6 @@ def refined_asm_closed(n: int) -> LaurentPoly:
                                      f"A({n}, {r})") for r in range(1, n + 1)])
 
 
-def census_genfunc_at_x1(order: int, klass: str) -> LaurentPoly:
-    return census(order, klass).genfunc().substitute({"x": 1, "sqrtx": 1})
-
-
 # The cofactor's refined formula carries (2m - r - 1)!, "factorial", where
 # the printed (2m - r - 1) is "plain".
 HT2_READING = "factorial"
@@ -190,39 +184,26 @@ def refined_ht2_closed(m: int) -> LaurentPoly:
 # ----------------------------------------------------------------------
 
 
-def _census_refined_pair(m: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """(A(m; t, x), cofactor A_HT(2m; t, x)/A(m; t, x)) from brute force."""
-    amx = census(m, "all").genfunc()
-    ht = census(2 * m, "ht").genfunc()
-    return amx, ht.exact_div(amx)
+def central_split(a_m: LaurentPoly, h_2m: LaurentPoly, a_m1: LaurentPoly,
+                  h_2m2: LaurentPoly, x: LaurentPoly,
+                  ) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """Theorem 2's split of odd order 2m + 1, refined in t: (plus, minus,
+    robbins) from A(m), the cofactor A_HT(2m)/A(m), A(m + 1) and the
+    cofactor of order 2m + 2, at x (a constant or the variable).  The whole
+    is plus + sqrt(x)*minus, and robbins = plus + x*minus."""
+    den = 4 - x
+    plus = (-x * a_m1 * h_2m + 2 * a_m * h_2m2).exact_div(den)
+    minus = (2 * a_m1 * h_2m - a_m * h_2m2).exact_div(den)
+    return plus, minus, plus + x * minus
 
 
-def refined_ht_odd(m: int, x: Union[int, Fraction, None] = 1,
-                   ) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-    """Central-split refined x-enumerations of odd order 2m + 1.
-
-    Returns (plus, minus, robbins) where the full generating function is
-    plus + sqrt(x)*minus and robbins = plus + x*minus.  x = None gives the
-    result in (t, x), from the censuses; x = 1 builds it from the closed
-    forms.  Any other x raises UnsupportedSize: substitute it into the
-    (t, x) result instead (the division by 4 - x is exact there).
-    """
+def refined_ht_odd(m: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """`central_split` of odd order 2m + 1 at x = 1, from the closed forms."""
     if m < 1:
         raise UnsupportedSize("m must be >= 1")
-    if x is None:
-        a_m, h_2m = _census_refined_pair(m)
-        a_m1, h_2m2 = _census_refined_pair(m + 1)
-        xv = LaurentPoly.var("x")
-    elif x == 1:
-        a_m, a_m1 = refined_asm_closed(m), refined_asm_closed(m + 1)
-        h_2m, h_2m2 = refined_ht2_closed(m), refined_ht2_closed(m + 1)
-        xv = LaurentPoly.const(1)
-    else:
-        raise UnsupportedSize(f"x must be 1 or None, got {x}")
-    den = 4 - xv
-    plus = (-xv * a_m1 * h_2m + 2 * a_m * h_2m2).exact_div(den)
-    minus = (2 * a_m1 * h_2m - a_m * h_2m2).exact_div(den)
-    return plus, minus, plus + xv * minus
+    return central_split(refined_asm_closed(m), refined_ht2_closed(m),
+                         refined_asm_closed(m + 1), refined_ht2_closed(m + 1),
+                         LaurentPoly.const(1))
 
 
 # ----------------------------------------------------------------------
@@ -239,11 +220,11 @@ def xenum_map() -> tuple[LaurentPoly, tuple[LaurentPoly, LaurentPoly]]:
     return x, (sigma_of(a * v.monomial_inverse()), sigma_of(a * v))
 
 
-def four_enum_identity(m: int) -> LaurentPoly:
+def four_enum_identity(m: int, a_m4: LaurentPoly) -> LaurentPoly:
     """The 4-enumeration of even half-turn order 2m as
-    2^(m-1) * (1 + t) * A(m; t, 4)^2, built on the census oracle."""
+    2^(m-1) * (1 + t) * A(m; t, 4)^2, from the refined 4-enumeration
+    a_m4 = A(m; t, 4)."""
     if m < 1:
         raise UnsupportedSize("m must be >= 1")
-    a_m4 = census(m, "all").genfunc().substitute({"x": 4})
     one_plus_t = LaurentPoly(("t",), {(0,): 1, (1,): 1})
     return 2 ** (m - 1) * one_plus_t * a_m4 * a_m4

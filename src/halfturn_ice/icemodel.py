@@ -25,24 +25,25 @@ Horner's rule on shared prefixes of their weight-class codes
 (`_state_sums`, whose one caller is `_symbolic_value`).  Evaluated sums,
 in Q(zeta) or Q, and the central-entry split of Z_HT(2m+1), in Laurent
 polynomials (`z_split_odd`, its one route), run the row transfer matrix
-over boundary profiles instead: the compiled plan of the model's ASM class
-(`ModelSpec.klass`) and order, `enum_asm._transfer_plan`, which the ASM
-stream walks too and whose module describes it.  A run (`_run_plan`,
-`_run_pairs`) carries a value per position of each front along the moves
-out of it; its last front is the closing profiles.  Every state count, split by the central
-entry or not, is that plan run once with unit weights (`_guarded_counts`,
-behind the state guard).  The weighted refined census of an ASM class
-(`census`, the CLI's route) is the plan run once over monomials in u and
-t, behind the same guard, each packed into an int as u^i t^j ->
-2^((i*n + j)*w), with w the bit length of the class's count: every
-coefficient counts distinct matrices, so it stays below 2^w and no w-bit
-slot carries into the next.  `enum_asm.census`, which lists every matrix,
-is its brute-force oracle.  An evaluated sum runs it on integer pairs (p, q)
-standing for p + q*zeta in Z[zeta] (`_pair_weights`, `_run_pairs`).  Each
-value is read once as V/d with V in Z[zeta] and d an integer; every
-weight triple is multiplied by a factor that clears all of its
-denominators, so the sum takes no inverse and no gcd, and the total is
-divided once, by the product of those factors (`pair_quotient`).
+over boundary profiles instead: the compiled plan of the model's ASM
+class (`ModelSpec.klass`) and order, `enum_asm._transfer_plan`, which
+the ASM stream walks too and whose module describes it.  A run
+(`_run_plan`, `_run_pairs`) carries a value per position of each front
+along the moves out of it; its last front is the closing profiles.
+Every state count, split by the central entry or not, is that plan run
+once with unit weights (`_guarded_counts`, behind the state guard).  The
+refined census of an ASM class (`census`, what the CLI and the catalog
+read) is the plan run once over monomials in u and t, behind the same
+guard, each packed into an int as u^i t^j -> 2^((i*n + j)*w), w the bit
+length of the class's count: a coefficient counts distinct matrices, so
+it stays below 2^w and no slot carries.  `enum_asm.census`, which lists
+every matrix, is its oracle in the tests.  An evaluated sum runs the plan
+on integer pairs (p, q) standing for p + q*zeta in Z[zeta]
+(`_pair_weights`, `_run_pairs`).  Each value is read once as V/d with V
+in Z[zeta] and d an integer; every weight triple is multiplied by a
+factor that clears all of its denominators, so the sum takes no inverse
+and no gcd, and the total is divided once, by the product of those
+factors (`pair_quotient`).
 
 Step k of the plan weighs with the k-th of `fundamental_cells`: the plan
 cell itself, or, for the half-turn kinds, a top cell (i, j) with j > m in

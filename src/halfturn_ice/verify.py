@@ -5,7 +5,11 @@ reports with failure witnesses.
 Each suite is deterministic given (params, seed).  Identities with
 denominators are checked by cross-multiplication in the Laurent ring,
 never by rational-function normalization; numeric checks run at seeded
-random distinct rational points, exactly, in Q(zeta).
+random distinct rational points, exactly, in Q(zeta).  An ArithmeticError
+in a suite (a quotient that does not divide, a non-integral closed form)
+fails it with the error as witness; a ValueError (oversized input) escapes.
+The censuses are read off the compiled plan (`icemodel.census`, what
+`enumerate --census` prints); the tests check it against the listing.
 
 Three typo-suspect readings are resolved empirically and recorded in the
 report params: the final product in the odd central-minus formula is taken
@@ -30,8 +34,9 @@ from . import determinant as det
 from . import formulas
 from . import icemodel as ice
 from .asm import Asm, inversions, to_state
-from .enum_asm import census, ht_permutations, inversion_genfunc
+from .enum_asm import ht_permutations, inversion_genfunc
 from .exactnum import Cyclo, ZETA, sigma
+from .icemodel import census
 from .laurent import LaurentPoly, sigma_of
 
 DEFAULT_SEED = 42
@@ -136,9 +141,7 @@ def _Z(n: int) -> LaurentPoly:
 
 
 def _Zht(order: int) -> LaurentPoly:
-    if order % 2:
-        return ice.partition_function(ice.ModelSpec("ht-odd", (order - 1) // 2)).value
-    return ice.partition_function(ice.ModelSpec("ht-even", order // 2)).value
+    return ice.partition_function(ice.class_model(order, "ht")).value
 
 
 def _Z2(m: int) -> LaurentPoly:
@@ -740,9 +743,19 @@ def _suite_counts_closed(run: _Run, params: Mapping, rng: random.Random):
                   formulas.count_closed("ht-odd-minus", order), order=order)
 
 
+def _genfunc_at_x1(order: int, klass: str) -> LaurentPoly:
+    return census(order, klass).genfunc().substitute({"x": 1, "sqrtx": 1})
+
+
+def _refined_pair(m: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """(A(m; t, x), the cofactor A_HT(2m; t, x)/A(m; t, x)) off the census."""
+    amx = census(m, "all").genfunc()
+    return amx, census(2 * m, "ht").genfunc().exact_div(amx)
+
+
 def _suite_refined_1(run: _Run, params: Mapping, rng: random.Random):
-    cofactors = {m: formulas.census_genfunc_at_x1(2 * m, "ht")
-                 .exact_div(formulas.census_genfunc_at_x1(m, "all")) for m in (2, 3)}
+    cofactors = {m: _genfunc_at_x1(2 * m, "ht").exact_div(_genfunc_at_x1(m, "all"))
+                 for m in (2, 3)}
     matched = [reading for reading in ("factorial", "plain")
                if formulas._refined_ht2_formula(2, reading) == cofactors[2]]
     reading = matched[0] if len(matched) == 1 else None
@@ -755,9 +768,9 @@ def _suite_refined_1(run: _Run, params: Mapping, rng: random.Random):
             want = closed.coeff_of({"t": r - 1}).constant_value()
             got = tab.rows[(r, None)].substitute({"x": 1}).constant_value()
             run.check(f"refined count n={n} r={r}", got, want, n=n, r=r)
-    for m, brute in cofactors.items():
+    for m, quotient in cofactors.items():
         run.check(f"cofactor refined polynomial m={m}",
-                  formulas.refined_ht2_closed(m), brute, m=m)
+                  formulas.refined_ht2_closed(m), quotient, m=m)
     run.check("documented base case m=1",
               formulas.refined_ht2_closed(1),
               LaurentPoly(("t",), {(0,): 1, (1,): 1}))
@@ -844,23 +857,19 @@ def _orbit_weighted(tab) -> LaurentPoly:
 def _suite_refined_split(run: _Run, params: Mapping, rng: random.Random):
     for order in params["orders"]:
         m = (order - 1) // 2
-        plus, minus, robbins = formulas.refined_ht_odd(m, 1)
-        tab = census(order, "ht")
-        cplus, cminus = tab.split_by_center()
-        cplus1 = cplus.substitute({"x": 1})
-        cminus1 = cminus.substitute({"x": 1})
-        run.check(f"central +1 refined order={order}", plus, cplus1, order=order)
-        run.check(f"central -1 refined order={order}", minus, cminus1, order=order)
+        plus, minus, robbins = formulas.refined_ht_odd(m)
+        cplus, cminus = (p.substitute({"x": 1}) for p in census(order, "ht").split_by_center())
+        run.check(f"central +1 refined order={order}", plus, cplus, order=order)
+        run.check(f"central -1 refined order={order}", minus, cminus, order=order)
         run.check(f"orbit-weighted column order={order}", robbins,
-                  formulas.census_genfunc_at_x1(order, "ht"), order=order)
-        t_one = {"t": 1}
+                  _genfunc_at_x1(order, "ht"), order=order)
         run.check(f"split totals order={order}",
-                  (plus.substitute(t_one).constant_value(),
-                   minus.substitute(t_one).constant_value()),
+                  tuple(p.substitute({"t": 1}).constant_value() for p in (plus, minus)),
                   (formulas.count_closed("ht-odd-plus", order),
                    formulas.count_closed("ht-odd-minus", order)), order=order)
     # fully symbolic split at the smallest size
-    plus, minus, robbins = formulas.refined_ht_odd(1, None)
+    plus, minus, robbins = formulas.central_split(*_refined_pair(1), *_refined_pair(2),
+                                                  LaurentPoly.var("x"))
     tab = census(3, "ht")
     cplus, cminus = tab.split_by_center()
     run.check("symbolic central +1 split m=1", plus, cplus)
@@ -870,8 +879,9 @@ def _suite_refined_split(run: _Run, params: Mapping, rng: random.Random):
 
 def _suite_four_enum(run: _Run, params: Mapping, rng: random.Random):
     for m in range(1, params["m_max"] + 1):
-        brute = census(2 * m, "ht").genfunc().substitute({"x": 4})
-        run.check(f"4-enumeration m={m}", formulas.four_enum_identity(m), brute, m=m)
+        a_m4 = census(m, "all").genfunc().substitute({"x": 4})
+        ht_4 = census(2 * m, "ht").genfunc().substitute({"x": 4})
+        run.check(f"4-enumeration m={m}", formulas.four_enum_identity(m, a_m4), ht_4, m=m)
 
 
 # ----------------------------------------------------------------------
@@ -923,7 +933,13 @@ def run_suite(suite_id: str, params: Optional[Mapping] = None,
     rng = random.Random(seed)
     run = _Run()
     t0 = time.perf_counter()
-    extra = fn(run, merged, rng)
+    try:
+        extra = fn(run, merged, rng)
+    except OverflowError:
+        raise
+    except ArithmeticError as exc:  # a division that does not go, a non-integral form
+        extra = None
+        run.check_true("suite raised", False, error=f"{type(exc).__name__}: {exc}")
     elapsed = time.perf_counter() - t0
     if extra:
         merged.update(extra)

@@ -546,6 +546,21 @@ def test_formulas_refined_past_the_digit_limit(capsys):
     assert_usage_error(result, "refined A(200; t)", "past the limit")
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_formulas_refined_sums_to_the_count(capsys, family):
+    # At t = 1 a family's refined polynomial is its count; ht-even prints
+    # A(m; t) times the cofactor, not the cofactor alone.
+    least = {"asm": 1, "ht-even": 2}.get(family, 3)
+    for order in range(least, 12, 1 if family == "asm" else 2):
+        args = ("formulas", "--family", family, "--order", str(order), "--format", "json")
+        code, plain, _ = run(capsys, *args)
+        assert code == 0
+        code, refined, _ = run(capsys, *args, "--refined")
+        assert code == 0
+        terms = json.loads(refined)["poly"]["terms"]
+        assert sum(int(term["coef"]) for term in terms) == int(json.loads(plain)["value"]), order
+
+
 def test_formulas_refined_refuses_an_order_outside_the_family(capsys):
     for family, order in (("ht-even", "5"), ("ht-odd", "6"), ("robbins", "4"),
                           ("ht-odd-plus", "6")):

@@ -1,5 +1,6 @@
 """Closed-form counts, refined polynomials and the x-enumeration maps."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from halfturn_ice import formulas
 from halfturn_ice.enum_asm import census
 from halfturn_ice.exactnum import ZETA
 from halfturn_ice.formulas import (
-    UnsupportedSize, count_asm, count_closed,
+    UnsupportedSize, central_split, count_asm, count_closed,
     count_ht_even, count_ht_odd, four_enum_identity,
     refined_asm_closed, refined_ht2_closed, refined_ht_odd,
     xenum_map)
@@ -144,36 +145,53 @@ def test_refined_ht2_reassembles_even_census():
 
 
 def test_refined_ht_odd_small():
-    plus, minus, robbins = refined_ht_odd(1, 1)
+    plus, minus, robbins = refined_ht_odd(1)
     assert plus == 1 + T ** 2
     assert minus == T
     assert robbins == 1 + T + T ** 2
     assert (_at(plus, t=1), _at(minus, t=1)) == (2, 1)
-    p2, m2, _ = refined_ht_odd(2, 1)
+    p2, m2, _ = refined_ht_odd(2)
     assert (_at(p2, t=1), _at(m2, t=1)) == (15, 10)
 
 
+def _listing_split(m):
+    """`central_split` in (t, x), fed by the listing census."""
+    def pair(k):
+        amx = census(k, "all").genfunc()
+        return amx, census(2 * k, "ht").genfunc().exact_div(amx)
+    return central_split(*pair(m), *pair(m + 1), LaurentPoly.var("x"))
+
+
 def test_refined_ht_odd_symbolic():
-    plus, minus, robbins = refined_ht_odd(1, None)
+    plus, minus, robbins = _listing_split(1)
     x = LaurentPoly.var("x")
     assert plus == 1 + T ** 2
     assert minus == T
     assert robbins == 1 + x * T + T ** 2
 
 
-def test_refined_ht_odd_refuses_other_x():
-    for x in (3, 0, Fraction(1, 2), 4):
-        with pytest.raises(UnsupportedSize):
-            refined_ht_odd(1, x)
-
-
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_refined_ht_odd_at_x_is_the_census_split(m):
-    # The (t, x) result is the census split as polynomials in x, so it
-    # agrees with the census at every x at once.
-    plus, minus, robbins = refined_ht_odd(m, None)
+    # The (t, x) split is the census split as polynomials in x, so it
+    # agrees with the census at every x at once, and at x = 1 with the
+    # closed forms.
+    plus, minus, robbins = _listing_split(m)
     assert (plus, minus) == census(2 * m + 1, "ht").split_by_center()
     assert robbins == plus + LaurentPoly.var("x") * minus
+    at_1 = tuple(p.substitute({"x": 1}) for p in (plus, minus, robbins))
+    assert at_1 == refined_ht_odd(m)
+
+
+def test_formulas_loads_no_census_route():
+    # A closed form lists no matrix and runs no plan, so the module imports
+    # neither census route; the central split takes no route switch.
+    probe = ("import sys, halfturn_ice.formulas; "
+             "print(sorted(m for m in sys.modules if m.startswith('halfturn_ice')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert "halfturn_ice.enum_asm" not in out and "halfturn_ice.icemodel" not in out, out
+    assert list(inspect.signature(refined_ht_odd).parameters) == ["m"]
 
 
 def test_xenum_map():
@@ -186,7 +204,10 @@ def test_xenum_map():
 
 
 def test_four_enum():
-    assert four_enum_identity(1) == 1 + T
-    assert four_enum_identity(2) == 2 + 6 * T + 6 * T ** 2 + 2 * T ** 3
+    assert four_enum_identity(1, LaurentPoly.const(1)) == 1 + T
+    assert four_enum_identity(2, 1 + T) == 2 + 6 * T + 6 * T ** 2 + 2 * T ** 3
     with pytest.raises(UnsupportedSize):
-        four_enum_identity(0)
+        four_enum_identity(0, LaurentPoly.const(1))
+    for m in (1, 2, 3):  # A(m; t, 4) and the order-2m census at x = 4 by listing
+        a_m4 = census(m, "all").genfunc().substitute({"x": 4})
+        assert four_enum_identity(m, a_m4) == census(2 * m, "ht").genfunc().substitute({"x": 4})

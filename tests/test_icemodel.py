@@ -540,10 +540,10 @@ def test_plan_census_past_the_listing():
                                  (11, "ht", "ht-odd")):
         assert icemodel.census(order, klass).total_count() == count_closed(family, order)
     assert icemodel.census(7).genfunc().substitute({"x": 1}) == refined_asm_closed(7)
-    # x = 1 builds refined_ht_odd from the closed forms; x = None would list order 11.
+    # refined_ht_odd builds the split at x = 1 from the closed forms.
     plus, minus = icemodel.census(11, "ht").split_by_center()
     assert (plus.substitute({"x": 1}), minus.substitute({"x": 1})) \
-        == refined_ht_odd(5, 1)[:2]
+        == refined_ht_odd(5)[:2]
 
 
 def test_plan_census_refuses_bad_classes_and_oversized_orders():

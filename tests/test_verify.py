@@ -1,11 +1,16 @@
 """The verification engine itself: reports, determinism, failure witnesses."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from halfturn_ice import icemodel, verify
+from halfturn_ice.cli import main
 from halfturn_ice.determinant import random_distinct_rationals
 from halfturn_ice.enum_asm import CensusTable
 from halfturn_ice.exactnum import ZETA, Cyclo
@@ -202,6 +207,79 @@ def test_refined_1_needs_exactly_one_reading(monkeypatch):
     assert rep.witness == {"check": "one factorial reading matches the census",
                            "readings": "['factorial', 'plain']"}
     assert rep.params["ht2_reading"] is None
+
+
+def test_an_arithmetic_error_ends_the_suite_as_a_failure(monkeypatch):
+    def raising(run, params, rng):
+        run.check("fine", 1, 1)
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setitem(SUITES, "ybe", (raising, {}))
+    rep = run_suite("ybe")
+    assert (rep.status, rep.checks_run) == ("fail", 2)
+    assert rep.witness == {"check": "suite raised", "error": "ZeroDivisionError: division by zero"}
+
+    def overflowing(run, params, rng):
+        raise OverflowError("too big")
+
+    monkeypatch.setitem(SUITES, "ybe", (overflowing, {}))
+    with pytest.raises(OverflowError):
+        run_suite("ybe")
+
+
+def test_an_oversized_suite_still_raises():
+    with pytest.raises(icemodel.SizeTooLarge):
+        run_suite("theorem3", {"m_max": 6, "points": 1})
+
+
+def test_plain_reading_fails_refined_1_without_raising(monkeypatch, capsys):
+    # Under the plain reading the cofactor's closed form at m = 3 is not an
+    # integer; the suite keeps its first failure, the reading check.
+    monkeypatch.setattr(verify.formulas, "HT2_READING", "plain")
+    rep = run_suite("refined-1")
+    assert (rep.status, rep.checks_run) == ("fail", 10)
+    assert rep.witness == {"check": "one factorial reading matches the census",
+                           "readings": "['factorial']"}
+    assert main(["verify", "--suite", "refined-1"]) == 1
+    capsys.readouterr()
+
+
+def _one_more_ht_matrix(real):
+    """`real` with every half-turn table given one more matrix, at an
+    exponent its first row already has."""
+    def census(order, klass="all"):
+        tab = real(order, klass)
+        if klass != "ht":
+            return tab
+        key, row = tab.ordered_rows()[0]
+        exps = next(iter(row.tuple_terms()))
+        rows = dict(tab.rows)
+        rows[key] = row + LaurentPoly(row.vars, {exps: 1})
+        return CensusTable(tab.order, tab.klass, tab.weight_var, rows, tab.count + 1)
+    return census
+
+
+@pytest.mark.parametrize("suite_id,params", [
+    ("refined-1", None), ("refined-split", None),
+    ("xenum", {"n_max": 3, "m_max": 1}), ("four-enum", None),
+])
+def test_enumeration_suites_fail_on_a_wrong_census(monkeypatch, suite_id, params):
+    monkeypatch.setattr(verify, "census", _one_more_ht_matrix(verify.census))
+    rep = run_suite(suite_id, params)
+    assert rep.status == "fail"
+    assert rep.witness["check"] != "no checks ran"
+
+
+def test_enumeration_suites_list_no_matrix():
+    # The catalog reads the plan census; the listing census stays cold.
+    probe = ("from halfturn_ice import enum_asm, verify\n"
+             "for suite in ('refined-1', 'xenum', 'refined-split', 'four-enum'):\n"
+             "    assert verify.run_suite(suite).passed, suite\n"
+             "print(enum_asm.census.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0"]
 
 
 def test_run_keeps_first_failure_and_clips():

@@ -85,9 +85,6 @@ class Asm(_Frozen):
         i, j = ij
         return self.entries[i - 1][j - 1]
 
-    def to_text(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
-
 
 class SixVertexState(_Frozen):
     """Vertex types (ints 1..6) of a square-ice state with domain-wall

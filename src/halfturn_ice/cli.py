@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import determinant, formulas, icemodel, verify
-from .enum_asm import gen_asms, inversion_genfunc
+from .enum_asm import _prefixes, gen_asms, inversion_genfunc
 from .exactnum import Cyclo
 from .icemodel import census
 
@@ -107,16 +107,34 @@ def _jsonline(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _matrix_jsonline(entries, row_text: dict) -> str:
-    """The _jsonline of a matrix's rows; row_text keeps the JSON of each
-    distinct row, so a stream serializes every row only once."""
-    parts = []
-    for row in entries:
-        text = row_text.get(row)
-        if text is None:
-            text = row_text[row] = json.dumps(row, separators=(",", ":"))
-        parts.append(text)
-    return "[" + ",".join(parts) + "]\n"
+class _RowTexts(dict):
+    """The text of each row of one stream, built on first lookup."""
+
+    def __init__(self, row_text):
+        self.row_text = row_text
+
+    def __missing__(self, row) -> str:
+        text = self[row] = self.row_text(row)
+        return text
+
+
+def _stream_text(blocks, fmt: str) -> str:
+    """The output of a stream of blocks (head rows, tails), one record per
+    matrix head + tail: each distinct row's text is built once, each head's
+    once per block and each tails tuple's once."""
+    start, sep, end, row_text = {  # matrix open, row separator, matrix close
+        "json": ("[", ",", "]\n", lambda row: json.dumps(row, separators=(",", ":"))),
+        "text": ("", "\n", "\n\n", lambda row: " ".join(map(str, row)))}[fmt]
+    text = _RowTexts(row_text).__getitem__
+    known: dict = {}  # id of a tails tuple -> (the tuple, kept so its id stays its own; texts)
+    lines: list[str] = []
+    for head, tails in blocks:
+        got = known.get(id(tails))
+        if got is None:
+            got = known[id(tails)] = tails, ["".join(sep + text(row) for row in tail) + end
+                                             for tail in tails]
+        lines.extend(map((start + sep.join(map(text, head))).__add__, got[1]))
+    return "".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -152,14 +170,11 @@ def _cmd_enumerate(args) -> int:
         _emit(_jsonline({"schemaVersion": SCHEMA_VERSION, "order": n, "class": args.klass,
                          "count": count}) if args.format == "json" else f"{count}\n", args.out)
         return 0
-    chunks = []
-    row_text: dict = {}
-    for m in gen_asms(n, args.klass):
-        if args.format == "json":
-            chunks.append(_matrix_jsonline(m.entries, row_text))
-        else:
-            chunks.append(m.to_text() + "\n\n")
-    _emit("".join(chunks), args.out)
+    if args.klass == "all":
+        blocks = _prefixes(n, "all")
+    else:  # the half-turn stream re-checks every completion, matrix by matrix
+        blocks = ((m.entries, ((),)) for m in gen_asms(n, "ht"))
+    _emit(_stream_text(blocks, args.format), args.out)
     return 0
 
 

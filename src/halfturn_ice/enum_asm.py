@@ -30,11 +30,13 @@ transfer matrix over boundary profiles, compiled once per class and order;
 * Moves that reach no closing profile are pruned, so every path through
   the plan is one matrix (one top half for "ht").
 
-`gen_asms` walks the plan one row at a time (`_plan_rows`, `_prefixes`),
-in row-major lexicographic order with entries ordered -1 < 0 < 1, so two
-runs are byte-identical.  The half-turn stream completes each top half by
-180-degree rotation and still validates the completion by `as_asm`, which
-walks one column mask down rows looked up in its memo.
+The one walker, `_prefixes`, steps through the plan one row at a time in
+row-major lexicographic order with entries ordered -1 < 0 < 1, so two runs
+are byte-identical, and yields blocks (head rows, tails), the tails shared
+by every head that ends at one plan position: `gen_asms` flattens them and
+`enumerate` serializes each once.  The half-turn stream completes each top
+half by 180-degree rotation and still validates the completion by `as_asm`,
+which walks one column mask down rows looked up in its memo.
 
 Census weights follow the x-enumeration conventions, which one
 constructor, `CensusTable.from_tally`, applies for both routes to a
@@ -62,6 +64,7 @@ from .laurent import _LIMIT, LaurentPoly
 
 Row = tuple[int, ...]
 Moves = tuple[tuple[Row, int], ...]
+Tails = tuple[tuple[Row, ...], ...]
 
 DEFAULT_MAX_STATES = 10_000_000  # the package's one size guard, on states or words listed
 
@@ -189,43 +192,38 @@ def _plan_rows(n: int, klass: str) -> list[Callable[[int], Moves]]:
     return [table(steps[i * n:(i + 1) * n], i == full) for i in range(count)]
 
 
-def _prefixes(steps: list[Callable[[int], Moves]]) -> Iterator[tuple[Row, ...]]:
-    """Every stack of len(steps) rows that the steps allow, depth first in
-    row-major lex order; steps[i] is the row table of row i + 1.
+def _prefixes(n: int, klass: str) -> Iterator[tuple[tuple[Row, ...], Tails]]:
+    """The stream of the class at order n (top halves for "ht"), depth
+    first in row-major lex order, as blocks (head, tails) of the matrices
+    head + tail, tail in tails; the head has at least one row.
 
-    The last two rows depend on the rows above only through the position
-    where they start, so a second table maps each position to its (row,
-    row) tails, filled on first use from the last two steps and owned by
-    the stream.  The walk keeps one iterator per row above the tails on an
-    explicit stack, and each prefix emits all its matrices at once as its
-    rows plus each tail, by `map`.
+    The last two rows (one at two rows, none at one) depend on the rows
+    above only through the position where they start, so a table owned by
+    the stream maps each position to its tails, filled on first use.  The
+    walk keeps one iterator per head row on an explicit stack, and every
+    block that ends at one position shares one tails tuple.
     """
-    depth = len(steps)
-    if depth == 1:
-        yield from ((row,) for row, _ in steps[0](0))
-        return
-    penult, last = steps[-2], steps[-1]
-    table: dict[int, tuple[tuple[Row, Row], ...]] = {}
+    steps = _plan_rows(n, klass)
+    split = max(len(steps) - 2, 1)
+    table: dict[int, Tails] = {}
 
-    def tails(start: int) -> tuple[tuple[Row, Row], ...]:
+    def tails(start: int) -> Tails:
         found = table.get(start)
         if found is None:
-            found = table[start] = tuple((row, end) for row, below in penult(start)
-                                         for end, _ in last(below))
+            level: list[tuple[tuple[Row, ...], int]] = [((), start)]
+            for step in steps[split:]:
+                level = [(rows + (row,), end) for rows, p in level for row, end in step(p)]
+            found = table[start] = tuple(rows for rows, _ in level)
         return found
 
-    if depth == 2:
-        yield from tails(0)
-        return
-    head = depth - 2
-    rows: list[Row] = [()] * head
+    rows: list[Row] = [()] * split
     stack = [iter(steps[0](0))]
     while stack:
         i = len(stack) - 1
         for row, below in stack[i]:
             rows[i] = row
-            if i == head - 1:
-                yield from map(tuple(rows).__add__, tails(below))
+            if i == split - 1:
+                yield tuple(rows), tails(below)
             else:
                 stack.append(iter(steps[i + 1](below)))
                 break
@@ -234,12 +232,14 @@ def _prefixes(steps: list[Callable[[int], Moves]]) -> Iterator[tuple[Row, ...]]:
 
 
 def _gen_all(n: int) -> Iterator[Asm]:
-    yield from map(Asm, _prefixes(_plan_rows(n, "all")))
+    for head, tails in _prefixes(n, "all"):
+        yield from map(Asm, map(head.__add__, tails))
 
 
 def _gen_ht(n: int) -> Iterator[Asm]:
-    for top in _prefixes(_plan_rows(n, "ht")):
-        yield as_asm(top + tuple(row[::-1] for row in reversed(top[:n // 2])))
+    for head, tails in _prefixes(n, "ht"):
+        for top in map(head.__add__, tails):
+            yield as_asm(top + tuple(row[::-1] for row in reversed(top[:n // 2])))
 
 
 def gen_asms(n: int, klass: str = "all") -> Iterator[Asm]:

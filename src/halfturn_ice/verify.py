@@ -98,6 +98,7 @@ class _Run:
     def __init__(self):
         self.checks = 0
         self.witness: Optional[dict] = None
+        self.readings: dict = {}  # resolved so far; the report's params keep them
 
     def check(self, name: str, lhs, rhs, **context):
         self.checks += 1
@@ -444,7 +445,7 @@ def _suite_ht_even_recursion(run: _Run, params: Mapping, rng: random.Random):
 
 
 def _suite_ht_even_leading(run: _Run, params: Mapping, rng: random.Random):
-    readings = set()
+    readings = run.readings["cofactor_subleading_sign"] = []
     for m in range(1, params["m_max"] + 1):
         zt = _Zt("ht-even", m)
         c = zt.coeff_of({f"x{i}": 2 * (2 * m - 1) for i in range(1, m + 1)})
@@ -467,16 +468,14 @@ def _suite_ht_even_leading(run: _Run, params: Mapping, rng: random.Random):
         matched = [name for name, cand in candidates.items() if cand == s2]
         run.check_true(f"cofactor subleading m={m} matches one sign reading",
                        len(matched) == 1, extracted=s2)
-        readings.update(matched)
+        readings[:] = sorted({*readings, *matched})
 
         s_ht = zt.coeff_of({f"x{i}": 2 * (2 * m - 1) for i in range(1, m)}
                            | {f"y{i}": 0 for i in range(1, m)})
         s_m = _Zt("dwbc", m).coeff_of({f"x{i}": 2 * (m - 1) for i in range(1, m)}
                                       | {f"y{i}": 0 for i in range(1, m)})
         run.check(f"subleading factorization m={m}", s_ht, s_m * s2, m=m)
-    run.check_true("one sign reading fits all sizes", len(readings) == 1,
-                   readings=sorted(readings))
-    return {"cofactor_subleading_sign": sorted(readings)}
+    run.check_true("one sign reading fits all sizes", len(readings) == 1, readings=readings)
 
 
 def _suite_factorization(run: _Run, params: Mapping, rng: random.Random):
@@ -572,6 +571,8 @@ def _suite_theorem1(run: _Run, params: Mapping, rng: random.Random):
 
 
 def _suite_theorem2(run: _Run, params: Mapping, rng: random.Random):
+    run.readings.update(eq25_reading="2m+2",
+                        eq25_literal="inapplicable: no odd-size cofactor exists")
     for m in range(0, params["m_max"] + 1):
         c = m + 1
         plus, minus = (part.value for part in ice.z_split_odd(m))
@@ -589,8 +590,6 @@ def _suite_theorem2(run: _Run, params: Mapping, rng: random.Random):
         rhs_minus = -ww * _Z(m + 1) * _Z2(m) + aa * _Z(m) * _Z2(m + 1)
         run.check(f"central +1 part, m={m}", plus * denom, rhs_plus, m=m)
         run.check(f"central -1 part (cofactor size 2m+2), m={m}", minus * denom, rhs_minus, m=m)
-    return {"eq25_reading": "2m+2",
-            "eq25_literal": "inapplicable: no odd-size cofactor exists"}
 
 
 def _suite_theorem3(run: _Run, params: Mapping, rng: random.Random):
@@ -743,27 +742,33 @@ def _suite_counts_closed(run: _Run, params: Mapping, rng: random.Random):
                   formulas.count_closed("ht-odd-minus", order), order=order)
 
 
-def _genfunc_at_x1(order: int, klass: str) -> LaurentPoly:
-    return census(order, klass).genfunc().substitute({"x": 1, "sqrtx": 1})
+def _censuses(all_orders, ht_orders) -> dict:
+    """{(order, class): census}, so that a suite builds each census once."""
+    return {(n, k): census(n, k) for k, ns in (("all", all_orders), ("ht", ht_orders)) for n in ns}
 
 
-def _refined_pair(m: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """(A(m; t, x), the cofactor A_HT(2m; t, x)/A(m; t, x)) off the census."""
-    amx = census(m, "all").genfunc()
-    return amx, census(2 * m, "ht").genfunc().exact_div(amx)
+def _genfunc_at_x1(tab) -> LaurentPoly:
+    return tab.genfunc().substitute({"x": 1, "sqrtx": 1})
+
+
+def _refined_pair(tabs: dict, m: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """(A(m; t, x), the cofactor A_HT(2m; t, x)/A(m; t, x)) off the censuses."""
+    amx = tabs[m, "all"].genfunc()
+    return amx, tabs[2 * m, "ht"].genfunc().exact_div(amx)
 
 
 def _suite_refined_1(run: _Run, params: Mapping, rng: random.Random):
-    cofactors = {m: _genfunc_at_x1(2 * m, "ht").exact_div(_genfunc_at_x1(m, "all"))
+    tabs = _censuses((2, 3, 4), (4, 6))
+    cofactors = {m: _genfunc_at_x1(tabs[2 * m, "ht"]).exact_div(_genfunc_at_x1(tabs[m, "all"]))
                  for m in (2, 3)}
     matched = [reading for reading in ("factorial", "plain")
                if formulas._refined_ht2_formula(2, reading) == cofactors[2]]
-    reading = matched[0] if len(matched) == 1 else None
+    reading = run.readings["ht2_reading"] = matched[0] if len(matched) == 1 else None
     run.check_true("one factorial reading matches the census",
                    reading == formulas.HT2_READING, readings=matched)
     for n in (3, 4):
         closed = formulas.refined_asm_closed(n)
-        tab = census(n, "all")
+        tab = tabs[n, "all"]
         for r in range(1, n + 1):
             want = closed.coeff_of({"t": r - 1}).constant_value()
             got = tab.rows[(r, None)].substitute({"x": 1}).constant_value()
@@ -774,14 +779,12 @@ def _suite_refined_1(run: _Run, params: Mapping, rng: random.Random):
     run.check("documented base case m=1",
               formulas.refined_ht2_closed(1),
               LaurentPoly(("t",), {(0,): 1, (1,): 1}))
-    return {"ht2_reading": reading}
 
 
-def _genfunc_av_pair(order: int, klass: str, weight_sub: LaurentPoly,
-                     s_av: LaurentPoly, s_avb: LaurentPoly):
+def _genfunc_av_pair(tab, weight_sub: LaurentPoly, s_av: LaurentPoly, s_avb: LaurentPoly):
     """Census generating function as an (a, v) Laurent pair
     (numerator, sigma(a*v)^(order-1))."""
-    tab = census(order, klass)
+    order = tab.order
     num = LaurentPoly.zero()
     for (r, _), poly in tab.rows.items():
         p = poly.substitute_poly(tab.weight_var, weight_sub)
@@ -790,6 +793,8 @@ def _genfunc_av_pair(order: int, klass: str, weight_sub: LaurentPoly,
 
 
 def _suite_xenum(run: _Run, params: Mapping, rng: random.Random):
+    m_max = params["m_max"]
+    tabs = _censuses(range(1, max(params["n_max"], m_max + 1) + 1), range(2, 2 * m_max + 2))
     a = _A
     x_of_a, (s_avb, s_av) = formulas.xenum_map()
     sqrtx_of_a = LaurentPoly(("a",), {(1,): 1, (-1,): 1})
@@ -799,7 +804,7 @@ def _suite_xenum(run: _Run, params: Mapping, rng: random.Random):
         return _specialize_av(ice.partition_function(spec).value, spec.x_count)
 
     def a_pair(n):
-        return _genfunc_av_pair(n, "all", x_of_a, s_av, s_avb)
+        return _genfunc_av_pair(tabs[n, "all"], x_of_a, s_av, s_avb)
 
     def a2_pair(m):
         z2 = _specialize_av(ice.z_ht2(m).value, m)
@@ -814,7 +819,7 @@ def _suite_xenum(run: _Run, params: Mapping, rng: random.Random):
 
     # cofactor: census ratio == normalized cofactor
     for m in range(1, params["m_max"] + 1):
-        ht_num, ht_den = _genfunc_av_pair(2 * m, "ht", x_of_a, s_av, s_avb)
+        ht_num, ht_den = _genfunc_av_pair(tabs[2 * m, "ht"], x_of_a, s_av, s_avb)
         am_num, am_den = a_pair(m)
         z2_num, z2_den = a2_pair(m)
         run.check(f"cofactor change of variables m={m}",
@@ -823,14 +828,14 @@ def _suite_xenum(run: _Run, params: Mapping, rng: random.Random):
     # odd class: census == normalized odd sum (denominators cancel)
     for m in range(1, params["m_max"] + 1):
         order = 2 * m + 1
-        num, _ = _genfunc_av_pair(order, "ht", sqrtx_of_a, s_av, s_avb)
+        num, _ = _genfunc_av_pair(tabs[order, "ht"], sqrtx_of_a, s_av, s_avb)
         run.check(f"odd class change of variables m={m}",
                   num * sigma_of(a) ** (2 * m * m - m) * _SIG_A2 ** m,
                   zspec("ht-odd", m), m=m)
 
     # three-census recursion with sqrt(x) + 2 denominators
     for m in range(1, params["m_max"] + 1):
-        lhs_num, lhs_den = _genfunc_av_pair(2 * m + 1, "ht", sqrtx_of_a, s_av, s_avb)
+        lhs_num, lhs_den = _genfunc_av_pair(tabs[2 * m + 1, "ht"], sqrtx_of_a, s_av, s_avb)
         am1_num, am1_den = a_pair(m + 1)
         am_num, am_den = a_pair(m)
         h2m_num, h2m_den = a2_pair(m)
@@ -855,22 +860,23 @@ def _orbit_weighted(tab) -> LaurentPoly:
 
 
 def _suite_refined_split(run: _Run, params: Mapping, rng: random.Random):
+    tabs = _censuses((1, 2), sorted({*params["orders"], 2, 3, 4}))
     for order in params["orders"]:
         m = (order - 1) // 2
         plus, minus, robbins = formulas.refined_ht_odd(m)
-        cplus, cminus = (p.substitute({"x": 1}) for p in census(order, "ht").split_by_center())
+        cplus, cminus = (p.substitute({"x": 1}) for p in tabs[order, "ht"].split_by_center())
         run.check(f"central +1 refined order={order}", plus, cplus, order=order)
         run.check(f"central -1 refined order={order}", minus, cminus, order=order)
         run.check(f"orbit-weighted column order={order}", robbins,
-                  _genfunc_at_x1(order, "ht"), order=order)
+                  _genfunc_at_x1(tabs[order, "ht"]), order=order)
         run.check(f"split totals order={order}",
                   tuple(p.substitute({"t": 1}).constant_value() for p in (plus, minus)),
                   (formulas.count_closed("ht-odd-plus", order),
                    formulas.count_closed("ht-odd-minus", order)), order=order)
     # fully symbolic split at the smallest size
-    plus, minus, robbins = formulas.central_split(*_refined_pair(1), *_refined_pair(2),
-                                                  LaurentPoly.var("x"))
-    tab = census(3, "ht")
+    plus, minus, robbins = formulas.central_split(*_refined_pair(tabs, 1),
+                                                  *_refined_pair(tabs, 2), LaurentPoly.var("x"))
+    tab = tabs[3, "ht"]
     cplus, cminus = tab.split_by_center()
     run.check("symbolic central +1 split m=1", plus, cplus)
     run.check("symbolic central -1 split m=1", minus, cminus)
@@ -878,9 +884,10 @@ def _suite_refined_split(run: _Run, params: Mapping, rng: random.Random):
 
 
 def _suite_four_enum(run: _Run, params: Mapping, rng: random.Random):
+    tabs = _censuses(range(1, params["m_max"] + 1), range(2, 2 * params["m_max"] + 1, 2))
     for m in range(1, params["m_max"] + 1):
-        a_m4 = census(m, "all").genfunc().substitute({"x": 4})
-        ht_4 = census(2 * m, "ht").genfunc().substitute({"x": 4})
+        a_m4 = tabs[m, "all"].genfunc().substitute({"x": 4})
+        ht_4 = tabs[2 * m, "ht"].genfunc().substitute({"x": 4})
         run.check(f"4-enumeration m={m}", formulas.four_enum_identity(m, a_m4), ht_4, m=m)
 
 
@@ -888,7 +895,7 @@ def _suite_four_enum(run: _Run, params: Mapping, rng: random.Random):
 # catalog
 # ----------------------------------------------------------------------
 
-SuiteFn = Callable[[_Run, Mapping, random.Random], Optional[dict]]
+SuiteFn = Callable[[_Run, Mapping, random.Random], None]
 
 SUITES: dict[str, tuple[SuiteFn, dict]] = {
     "ybe": (_suite_ybe, {}),
@@ -934,15 +941,13 @@ def run_suite(suite_id: str, params: Optional[Mapping] = None,
     run = _Run()
     t0 = time.perf_counter()
     try:
-        extra = fn(run, merged, rng)
+        fn(run, merged, rng)
     except OverflowError:
         raise
     except ArithmeticError as exc:  # a division that does not go, a non-integral form
-        extra = None
         run.check_true("suite raised", False, error=f"{type(exc).__name__}: {exc}")
     elapsed = time.perf_counter() - t0
-    if extra:
-        merged.update(extra)
+    merged.update(run.readings)
     if not run.checks:
         run.witness = {"check": "no checks ran"}
     status = "pass" if run.witness is None else "fail"

@@ -580,17 +580,46 @@ def test_formulas_refined_below_its_first_order_names_the_order(capsys, family, 
     assert_usage_error(result, f"order {order}", f"starts at order {least}")
 
 
-def test_enumerate_json_lines_match_jsonline():
-    from halfturn_ice.cli import _jsonline, _matrix_jsonline
+def test_enumerate_json_lines_match_jsonline(capsys):
+    # The block serializer against the matrices of `gen_asms`, line by line:
+    # _jsonline of each for json, its rows space-separated for text.
+    from halfturn_ice.cli import _jsonline
     from halfturn_ice.enum_asm import gen_asms
 
-    for klass, orders in (("all", range(1, 6)), ("ht", range(1, 8))):
+    for klass, orders in (("all", range(1, 7)), ("ht", range(1, 10))):
         for n in orders:
-            row_text = {}
-            for m in gen_asms(n, klass):
-                want = _jsonline([list(row) for row in m.entries])
-                assert _matrix_jsonline(m.entries, row_text) == want
-                assert _matrix_jsonline(m.entries, {}) == want
+            matrices = [m.entries for m in gen_asms(n, klass)]
+            code, out, _ = run(capsys, "enumerate", "-n", str(n), "--class", klass,
+                               "--format", "json")
+            assert code == 0
+            assert out.splitlines(keepends=True) == [
+                _jsonline([list(r) for r in m]) for m in matrices]
+            code, out, _ = run(capsys, "enumerate", "-n", str(n), "--class", klass)
+            assert code == 0
+            assert out.split("\n\n")[:-1] == [
+                "\n".join(" ".join(map(str, r)) for r in m) for m in matrices]
+            assert out.endswith("\n\n")
+
+
+# sha256 of `enumerate ARGS` with the closed-form count of its matrices,
+# recorded from the stream that serialized every matrix row by row, before
+# it was serialized a plan block at a time.
+STREAM_SHA256 = {
+    "-n 7 --format json":
+        ("7663d2ceed8b998f5049be81161a4ebf7d553c326d681c6a3ce6eb3b30a5e366", "asm", 7),
+    "-n 7": ("5f338eb3f0aa5e1c218bf4477a180562ba5bbb10edb209c6565b30685060964e", "asm", 7),
+    "--order 9 --class ht --format json":
+        ("cce9a2fafd8c9d2deb783e1610dd0908eaa7c949303bd574c1bf6c3b1344e2f5", "ht-odd", 9),
+}
+
+
+@pytest.mark.parametrize("args", sorted(STREAM_SHA256))
+def test_enumerate_stream_bytes(capsys, args):
+    digest, family, order = STREAM_SHA256[args]
+    code, out, _ = run(capsys, "enumerate", *args.split())
+    assert code == 0
+    assert out.count("\n" if "json" in args else "\n\n") == count_closed(family, order)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def assert_rejected_by_parser(result):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -240,6 +241,8 @@ def test_plain_reading_fails_refined_1_without_raising(monkeypatch, capsys):
     assert (rep.status, rep.checks_run) == ("fail", 10)
     assert rep.witness == {"check": "one factorial reading matches the census",
                            "readings": "['factorial']"}
+    # The reading resolved before the error stays in the report.
+    assert rep.params == {"ht2_reading": "factorial"}
     assert main(["verify", "--suite", "refined-1"]) == 1
     capsys.readouterr()
 
@@ -268,6 +271,19 @@ def test_enumeration_suites_fail_on_a_wrong_census(monkeypatch, suite_id, params
     rep = run_suite(suite_id, params)
     assert rep.status == "fail"
     assert rep.witness["check"] != "no checks ran"
+
+
+@pytest.mark.parametrize("suite_id", ["refined-1", "xenum", "refined-split", "four-enum"])
+def test_enumeration_suites_build_each_census_once(monkeypatch, suite_id):
+    calls, real = Counter(), verify.census
+
+    def counting(order, klass="all"):
+        calls[order, klass] += 1
+        return real(order, klass)
+
+    monkeypatch.setattr(verify, "census", counting)
+    assert run_suite(suite_id).passed
+    assert calls and set(calls.values()) == {1}
 
 
 def test_enumeration_suites_list_no_matrix():

@@ -11,10 +11,11 @@ byte-identical.  Timings are therefore kept out of the reports unless
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import determinant, formulas, icemodel, verify
 from .enum_asm import _prefixes, gen_asms, inversion_genfunc
@@ -95,12 +96,32 @@ def _parse_assignments(pairs: Sequence[str], known: Sequence[str]) -> dict[str, 
     return out
 
 
-def _emit(text: str, out: Optional[str]):
+def _emit(text: str | Iterable[str], out: Optional[str]):
+    """Write text, a string or an iterable of chunks, to the file out or to
+    stdout.  Chunks are written as they come, gathered into writes of about
+    1 MB, so a stream is never held whole.  A reader that closes stdout
+    early ends the output quietly, with the command's own exit code."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            _write(fh, text)
+        return
+    try:
+        _write(sys.stdout, text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the interpreter's final flush then goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _write(fh, text: str | Iterable[str]):
+    batch, size = [], 0
+    for chunk in (text,) if isinstance(text, str) else text:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= 1 << 20:
+            fh.write("".join(batch))
+            batch, size = [], 0
+    if batch:
+        fh.write("".join(batch))
 
 
 def _jsonline(obj) -> str:
@@ -118,23 +139,23 @@ class _RowTexts(dict):
         return text
 
 
-def _stream_text(blocks, fmt: str) -> str:
-    """The output of a stream of blocks (head rows, tails), one record per
-    matrix head + tail: each distinct row's text is built once, each head's
-    once per block and each tails tuple's once."""
+def _stream_text(blocks, fmt: str) -> Iterator[str]:
+    """The output of a stream of blocks (head rows, tails), one string per
+    block holding one record per matrix head + tail: each distinct row's
+    text is built once, each tails tuple's once, and each block's is one
+    join of the tails' texts on its head's."""
     start, sep, end, row_text = {  # matrix open, row separator, matrix close
         "json": ("[", ",", "]\n", lambda row: json.dumps(row, separators=(",", ":"))),
         "text": ("", "\n", "\n\n", lambda row: " ".join(map(str, row)))}[fmt]
     text = _RowTexts(row_text).__getitem__
     known: dict = {}  # id of a tails tuple -> (the tuple, kept so its id stays its own; texts)
-    lines: list[str] = []
     for head, tails in blocks:
         got = known.get(id(tails))
         if got is None:
             got = known[id(tails)] = tails, ["".join(sep + text(row) for row in tail) + end
                                              for tail in tails]
-        lines.extend(map((start + sep.join(map(text, head))).__add__, got[1]))
-    return "".join(lines)
+        h = start + sep.join(map(text, head))
+        yield h + h.join(got[1])
 
 
 # ----------------------------------------------------------------------

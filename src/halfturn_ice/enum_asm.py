@@ -32,8 +32,9 @@ transfer matrix over boundary profiles, compiled once per class and order;
 
 The one walker, `_prefixes`, steps through the plan one row at a time in
 row-major lexicographic order with entries ordered -1 < 0 < 1, so two runs
-are byte-identical, and yields blocks (head rows, tails), the tails shared
-by every head that ends at one plan position: `gen_asms` flattens them and
+are byte-identical, and yields blocks (head rows, tails): the head is the
+top half of the rows, and the tails, the bottom half, are shared by every
+head that ends at one plan position: `gen_asms` flattens them and
 `enumerate` serializes each once.  The half-turn stream completes each top
 half by 180-degree rotation and still validates the completion by `as_asm`,
 which walks one column mask down rows looked up in its memo.
@@ -195,16 +196,17 @@ def _plan_rows(n: int, klass: str) -> list[Callable[[int], Moves]]:
 def _prefixes(n: int, klass: str) -> Iterator[tuple[tuple[Row, ...], Tails]]:
     """The stream of the class at order n (top halves for "ht"), depth
     first in row-major lex order, as blocks (head, tails) of the matrices
-    head + tail, tail in tails; the head has at least one row.
+    head + tail, tail in tails: of the stream's r rows, the head holds the
+    top ceil(r/2) and every tail the bottom floor(r/2).
 
-    The last two rows (one at two rows, none at one) depend on the rows
-    above only through the position where they start, so a table owned by
-    the stream maps each position to its tails, filled on first use.  The
-    walk keeps one iterator per head row on an explicit stack, and every
-    block that ends at one position shares one tails tuple.
+    The rows below a position depend on the rows above only through that
+    position, so a table owned by the stream maps each position to its
+    tails, filled on first use.  The walk keeps one iterator per head row
+    on an explicit stack, and every block that ends at one position shares
+    one tails tuple.
     """
     steps = _plan_rows(n, klass)
-    split = max(len(steps) - 2, 1)
+    split = len(steps) - len(steps) // 2
     table: dict[int, Tails] = {}
 
     def tails(start: int) -> Tails:

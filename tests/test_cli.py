@@ -4,8 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,8 @@ from halfturn_ice.determinant import special_z
 from halfturn_ice.exactnum import Cyclo
 from halfturn_ice.formulas import FAMILIES, MAX_DIGITS, count_closed
 from fractions import Fraction
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -620,6 +625,81 @@ def test_enumerate_stream_bytes(capsys, args):
     assert code == 0
     assert out.count("\n" if "json" in args else "\n\n") == count_closed(family, order)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args", sorted(STREAM_SHA256))
+def test_enumerate_stream_bytes_to_file(capsys, tmp_path, args):
+    path = tmp_path / "stream.txt"
+    code, out, _ = run(capsys, "enumerate", *args.split(), "--out", str(path))
+    assert code == 0 and out == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STREAM_SHA256[args][0]
+
+
+class RecordingStdout:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def flush(self):
+        pass
+
+
+def test_enumerate_stream_is_written_in_bounded_chunks(monkeypatch):
+    # The stream is written as it is made, never joined whole: the -n 7
+    # json stream is 25.5 MB.
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["enumerate", "-n", "7", "--format", "json"]) == 0
+    assert len(stdout.writes) > 1
+    assert max(map(len, stdout.writes)) <= 2 << 20
+    digest = hashlib.sha256("".join(stdout.writes).encode()).hexdigest()
+    assert digest == STREAM_SHA256["-n 7 --format json"][0]
+
+
+# Runs `halfturn-ice ARGS` (only imports the CLI when ARGS is empty), then
+# prints its peak RSS in kB.  VmHWM counts only the process's own memory,
+# where a child's ru_maxrss also counts the parent's memory at the fork.
+PEAK = """
+import sys
+from halfturn_ice.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _cold(argv, **kwargs):
+    """A cold `python argv` process on the package's source."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.Popen([sys.executable, *argv], env=env, **kwargs)
+
+
+def _cold_peak_mb(*args):
+    proc = _cold(["-c", PEAK, *args], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    err = proc.communicate()[1]
+    assert proc.returncode == 0, err
+    return int(err) / 1024
+
+
+def test_enumerate_stream_memory_is_bounded():
+    # Cold, the -n 7 json stream (25.5 MB) peaks within a few MB of a
+    # process that only imports the CLI.
+    imported = _cold_peak_mb()
+    streamed = _cold_peak_mb("enumerate", "-n", "7", "--format", "json")
+    assert streamed <= imported + 10, (streamed, imported)
+
+
+def test_closed_pipe_ends_the_stream_quietly():
+    proc = _cold(["-m", "halfturn_ice", "enumerate", "-n", "7", "--format", "json"],
+                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(20) == b"[[0,0,0,0,0,0,1],[0,"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def assert_rejected_by_parser(result):

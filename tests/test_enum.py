@@ -7,7 +7,7 @@ import pytest
 
 from halfturn_ice.asm import Asm, NotAlternating, stats
 from halfturn_ice.enum_asm import (
-    _plan_rows, _transfer_plan, census, gen_asms, ht_permutations, inversion_genfunc)
+    _plan_rows, _prefixes, _transfer_plan, census, gen_asms, ht_permutations, inversion_genfunc)
 from halfturn_ice.formulas import count_closed
 from halfturn_ice.laurent import LaurentPoly
 
@@ -208,6 +208,20 @@ def test_gen_order_deterministic_and_lex():
                          + [(n, "ht") for n in range(1, 9)])
 def test_gen_matches_reference(n, klass):
     assert list(gen_asms(n, klass)) == list(reference_gen(n, klass))
+
+
+@pytest.mark.parametrize("n, klass", [(n, "all") for n in range(1, 8)]
+                         + [(n, "ht") for n in range(1, 11)])
+def test_blocks_split_the_rows_in_half(n, klass):
+    # The head holds the top ceil(r/2) of the stream's r rows and every tail
+    # the bottom floor(r/2); the blocks flatten to the stream, in order.
+    r = n if klass == "all" else (n + 1) // 2
+    stream = (m.entries[:r] for m in gen_asms(n, klass))
+    for head, tails in _prefixes(n, klass):
+        assert len(head) == r - r // 2 and tails
+        for tail in tails:
+            assert len(tail) == r // 2 and head + tail == next(stream)
+    assert next(stream, None) is None
 
 
 def test_interleaved_streams_are_independent():

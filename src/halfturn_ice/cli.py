@@ -6,6 +6,9 @@ Outputs are deterministic: identical invocations with identical seeds are
 byte-identical.  Timings are therefore kept out of the reports unless
 --timings is passed.  Exit codes: 0 success, 1 verification failure,
 2 usage error (bad arguments or values, poles, unreadable files).
+
+`main` reuses one parser per process, built on its first call
+(`build_parser`), so repeated calls in one process skip the rebuild.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import determinant, formulas, icemodel, verify
@@ -170,8 +174,7 @@ def _cmd_enumerate(args) -> int:
     if args.format == "csv" and not args.census:
         raise UsageError("--format csv requires --census")
     # Every mode runs the order's compiled transfer plan, so every mode
-    # passes the state guard first.
-    counts = icemodel.state_counts(icemodel.class_model(n, args.klass))
+    # passes the state guard first; `census` runs its own.
     if args.census:
         table = census(n, args.klass)
         if args.format == "csv":
@@ -186,6 +189,7 @@ def _cmd_enumerate(args) -> int:
                 lines.append(f"  {tag}: {poly}")
             _emit("\n".join(lines) + "\n", args.out)
         return 0
+    counts = icemodel.state_counts(icemodel.class_model(n, args.klass))
     if args.count:
         count = sum(counts.values())
         _emit(_jsonline({"schemaVersion": SCHEMA_VERSION, "order": n, "class": args.klass,
@@ -387,7 +391,11 @@ def _cmd_report(args) -> int:
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parsing leaves
+    it as it was, so every `main` call after the first reuses it.  Do not
+    change it."""
     import argparse  # deferred: library callers of cli never parse arguments
 
     parser = argparse.ArgumentParser(

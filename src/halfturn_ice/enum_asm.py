@@ -27,8 +27,10 @@ transfer matrix over boundary profiles, compiled once per class and order;
   cell's row sums to 2 R_m + e_c = 1, so e_c = 1 - 2 R_m keys the closing
   profile, and its column needs C_(m+1) = R_m, which the pair conditions
   imply: each top row sums to 1, so |C| = m + R_m.
-* Moves that reach no closing profile are pruned, so every path through
-  the plan is one matrix (one top half for "ht").
+* Moves that reach no closing profile are never kept: `_live_targets`
+  marks the profiles that can still close, from the last step back, and
+  the compile keeps only moves into those, so every path through the plan
+  is one matrix (one top half for "ht").
 
 The one walker, `_prefixes`, steps through the plan one row at a time in
 row-major lexicographic order with entries ordered -1 < 0 < 1, so two runs
@@ -79,6 +81,65 @@ def _plan_cells(n: int, klass: str) -> list[tuple[int, int]]:
     return [(k // n + 1, k % n + 1) for k in range(count)]
 
 
+def _zero_bit(b: int, size: int) -> int:
+    """The profiles below 2^size whose bit b is 0, as a bitset: bit p is
+    set for each such profile p."""
+    bits, width = (1 << (1 << b)) - 1, 2 << b
+    while width < 1 << size:
+        bits |= bits << width
+        width *= 2
+    return bits
+
+
+def _live_targets(n: int, klass: str, cells) -> list[Optional[int]]:
+    """For each step k, the profiles among its moves' targets that can
+    still reach a closing profile, as a bitset (bit p set for profile p),
+    or None where all of them can.
+
+    Two passes of whole-set operations.  Backward, reach[k] is the
+    profiles of front k whose moves of steps k, k+1, ... can reach a
+    closing profile; forward, the live front's moves give the next
+    targets.  At a cell j < n, profile p goes on by e = 0, staying p, and
+    when C_j = R = 0 (both 1) by e = 1 (e = -1) to p + 2^j + 1
+    (p - 2^j - 1); at j = n the row closes only by e = 0 from R = 1, to
+    p - 1, or by e = 1 from R = C_n = 0, to p + 2^n."""
+    size = n + 1
+    everything = (1 << (1 << size)) - 1
+    zero = [_zero_bit(b, size) for b in range(size)]
+    kinds = {j: ((everything, 0), (zero[j] & zero[0], (1 << j) + 1),  # (sources, offset)
+                 (everything & ~(zero[j] | zero[0]), -(1 << j) - 1)) for j in range(1, n)}
+    kinds[n] = (everything & ~zero[0], -1), (zero[0] & zero[n], 1 << n)
+
+    def moved(x: int, offset: int) -> int:
+        return x << offset if offset >= 0 else x >> -offset
+
+    if klass == "ht":  # C_a + C_(n+1-a) = 1 for a <= n/2
+        live = everything
+        for a in range(1, n // 2 + 1):
+            live &= zero[a] ^ zero[n + 1 - a]
+    else:  # every C_j = 1 and R = 0
+        live = 1 << (1 << size) - 2
+    reach = [live]
+    for _, j in reversed(cells):
+        live = 0
+        for sources, offset in kinds[j]:
+            live |= moved(reach[-1], -offset) & sources
+        reach.append(live)
+    reach.reverse()
+    front, found = 1, []  # the start, profile 0
+    for k, (_, j) in enumerate(cells):
+        targets = 0
+        for sources, offset in kinds[j]:
+            targets |= moved(front & sources, offset)
+        front = targets & reach[k + 1]
+        found.append(None if front == targets else front)
+    return found
+
+
+# One byte per binary digit: 0 or 1.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 @lru_cache(maxsize=None)
 def _transfer_plan(n: int, klass: str):
     """The transfer plan of the module docstring for a class ("all" or
@@ -89,48 +150,69 @@ def _transfer_plan(n: int, klass: str):
     moves), moves[p] being the (target, weight class) moves out of
     position p, the entry-0 move first.  The last front is the closing
     profiles, centrals[p] the central entry of profile p (0 but at odd
-    half-turn orders).  After the forward pass, one backward pass drops the
-    moves into dead positions, numbers each front's live positions in
-    order and groups the moves by source.  `counts` is the plan run with
-    unit weights: the matrix count per central entry."""
-    front, steps, widest = [0], [], 1
-    for _, j in _plan_cells(n, klass):
-        flip = 1 << j | 1
-        targets, moves = {}, []
-        for source, key in enumerate(front):
-            if (key >> j ^ key) & 1:  # C != R: only e = 0
-                options = ((key, 2),)
-            else:  # e = 0, or e = 1 - 2C taking both C and R across
-                options = ((key, 1), (key ^ flip, 0))
-            for target, weight_class in options:
-                if j == n:  # the row closes only with R = 1
-                    if not target & 1:
-                        continue
-                    target ^= 1
-                moves.append((source, targets.setdefault(target, len(targets)), weight_class))
-        steps.append(moves)
-        front = list(targets)
+    half-turn orders), and counts the matrix count per central entry.
+
+    The forward pass keeps only the profiles that `_live_targets` marks,
+    so every position is live, numbers each front's in order of first
+    appearance, and keeps two flat lists per step: each source's entry-0
+    and other move's targets, interleaved (-1 for no move), and whether
+    C != R there, which makes the entry-0 move's class 2, not 1.  One
+    backward pass then groups the moves by source and counts the paths
+    from each position to the last front, every central entry at once:
+    the +1 paths count `shift` bits up.
+    """
+    cells = _plan_cells(n, klass)
+    targets_live = _live_targets(n, klass, cells)
+    digits = f"0{2 << n}b"  # one binary digit per profile
+    front, built, widest = [0], [], 1
+    for k, (_, j) in enumerate(cells):
+        slots = [None] * (2 * len(front))  # the target profiles, None for no move
+        if j < n:  # e = 0, and e = 1 - 2C taking both C and R across where C = R
+            flip = 1 << j | 1
+            slots[::2] = front
+            slots[1::2] = flips = [None if (key >> j ^ key) & 1 else key ^ flip for key in front]
+            cross = [f is None for f in flips]
+        else:  # the row closes only with R = 1, which the move clears
+            cross = [(key >> n ^ key) & 1 for key in front]
+            slots[::2] = [key ^ 1 if key & 1 else None for key in front]
+            slots[1::2] = [None if key & 1 or d else key ^ 1 << n for key, d in zip(front, cross)]
+        index = dict.fromkeys(slots, -1)
+        index.pop(None, None)
+        if targets_live[k] is None:
+            front = list(index)
+        else:  # live[p]: 1 if profile p can still close
+            live = format(targets_live[k], digits)[::-1].encode().translate(_DIGIT_BYTES)
+            front = list(itertools.compress(index, map(live.__getitem__, index)))
+        index.update(zip(front, itertools.count()))
+        index[None] = -1
+        built.append((list(map(index.__getitem__, slots)), cross))
         widest = max(widest, len(front))
-    pairs = range(1, n // 2 + 1) if klass == "ht" else ()  # n full rows leave every C_j = 1
-    closing = {s: 1 - 2 * (key & 1) if klass == "ht" and n % 2 else 0
-               for s, key in enumerate(front)
-               if all((key >> j ^ key >> n + 1 - j) & 1 for j in pairs)}
-    alive = {s: p for p, s in enumerate(closing)}  # live positions of the next front
+    odd = klass == "ht" and n % 2
+    centrals = tuple(1 - 2 * (key & 1) if odd else 0 for key in front)
+    shift = len(cells) + 1  # no position starts more than 2^len(cells) paths
+    below = [1 << shift if c == 1 else 1 for c in centrals]  # the paths from each position
     shared = [[(p, c) for p in range(widest)] for c in range(3)]  # one tuple per move (p, c)
-    for k in reversed(range(len(steps))):
-        index, grouped = {}, []
-        for s, t, c in steps[k]:  # by source, in order
-            if t in alive:
-                move = shared[c][alive[t]]
-                if s in index:
-                    grouped[-1] += (move,)
-                else:
-                    index[s] = len(grouped)
-                    grouped.append((move,))
-        steps[k] = len(alive), tuple(grouped)
-        alive = index
-    centrals = tuple(closing.values())
-    return tuple(steps), centrals, _run_plan(steps, centrals, [(1, 1, 1)] * len(steps), 1)
+    zero, other = shared[1:], shared[0]
+    steps = []
+    while built:  # each step's lists go as its moves are grouped
+        targets, cross = built.pop()
+        width = len(below)
+        below.append(0)  # where there is no move
+        grouped, paths = [], []
+        for p, q, d in zip(targets[::2], targets[1::2], cross):
+            if p < 0:
+                grouped.append((other[q],))
+            elif q < 0:
+                grouped.append((zero[d][p],))
+            else:
+                grouped.append((zero[d][p], other[q]))
+            paths.append(below[p] + below[q])
+        steps.append((width, tuple(grouped)))
+        below = paths
+    steps.reverse()
+    total = below[0]
+    counts = {c: total >> shift if c == 1 else total & (1 << shift) - 1 for c in centrals}
+    return tuple(steps), centrals, counts
 
 
 def _run_plan(steps, centrals, weights, one) -> dict:

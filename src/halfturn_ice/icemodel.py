@@ -27,9 +27,11 @@ in Q(zeta) or Q, and the central-entry split of Z_HT(2m+1), in Laurent
 polynomials (`z_split_odd`, its one route), run the row transfer matrix
 over boundary profiles instead: the compiled plan of the model's ASM
 class (`ModelSpec.klass`) and order, `enum_asm._transfer_plan`, which
-the ASM stream walks too and whose module describes it.  A run
-(`_run_plan`, `_run_pairs`) carries a value per position of each front
-along the moves out of it; its last front is the closing profiles.
+the ASM stream walks too and whose module describes it.  A run carries
+a value per position of each front: `_run_plan` forward, along the moves
+out of it, to the last front, the closing profiles; `_run_pairs`
+backward, from the closing profiles, each position summing over its own
+moves.
 Every state count, split by the central entry or not, is that plan run
 once with unit weights (`_guarded_counts`, behind the state guard).  The
 refined census of an ASM class (`census`, what the CLI and the catalog
@@ -372,17 +374,25 @@ def _pair_weights(kind: str, size: int, assignment: Mapping[str, Coeff]):
 
 def _run_pairs(steps, weights) -> tuple[int, int]:
     """The total over every central entry of a compiled transfer plan, in
-    Z[zeta] on integer-pair weights: `_run_plan` with the product inline."""
-    fa, fb = [1], [0]
-    for (width, moves), w in zip(steps, weights):
-        na, nb = [0] * width, [0] * width
-        for xa, xb, out in zip(fa, fb, moves):
+    Z[zeta] on integer-pair weights: `_run_plan` run backward, from 1 at
+    each closing profile, with the product inline.  Each position's value
+    is the weighted sum over its own moves, so the moves grouped by source
+    are read in order and no value is added into a target."""
+    width = steps[-1][0] if steps else 1
+    va, vb = [1] * width, [0] * width
+    for (_, moves), w in zip(reversed(steps), reversed(weights)):
+        na, nb = [], []
+        for out in moves:
+            a = b = 0
             for t, c in out:
                 wa, wb = w[c]
-                na[t] += xa * wa - xb * wb
-                nb[t] += xa * wb + xb * (wa + wb)
-        fa, fb = na, nb
-    return sum(fa), sum(fb)
+                xa, xb = va[t], vb[t]
+                a += xa * wa - xb * wb
+                b += xa * wb + xb * (wa + wb)
+            na.append(a)
+            nb.append(b)
+        va, vb = na, nb
+    return va[0], vb[0]
 
 
 def modified_multiplier(spec: ModelSpec) -> LaurentPoly:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halfturn_ice.cli import UsageError, main, parse_value
+from halfturn_ice.cli import UsageError, build_parser, main, parse_value
 from halfturn_ice.determinant import special_z
 from halfturn_ice.exactnum import Cyclo
 from halfturn_ice.formulas import FAMILIES, MAX_DIGITS, count_closed
@@ -847,3 +847,46 @@ def test_enumerate_count_and_census_are_exclusive(capsys):
     result = run(capsys, "enumerate", "-n", "3", "--count", "--census")
     assert_rejected_by_parser(result)
     assert "--count" in result[2] and "--census" in result[2]
+
+
+# sha256 of `halfturn-ice [COMMAND] --help` at COLUMNS=80, recorded from the
+# CLI that built its parser on every call.  argparse lays help out
+# differently from one Python minor version to the next, so the digests
+# hold for the version that recorded them.
+HELP_SHA256 = {
+    "": "a430926d5aae5e5007ba007149f9239116da578071cb74a7ea5e25a61f208d06",
+    "enumerate": "16a436d541e96f236183058d21fa9c3215c32e95a60417f664ce163519d1fc39",
+    "genfunc": "3d8403afd6795e1c9d104d439c75bf5f3ba2ee0ef578c26f202e94c04074e59a",
+    "partition": "5dcb58fe36c174d9159c0bfd17b3d1c213ca0387434439d94390e43cbb0f6115",
+    "det": "fd234052a2dbcd231c8660741a86d86bf7360a984ab06851878df56e3fc0e24c",
+    "formulas": "87d6dfce3ea615de809dba32efb92d3499af9da20a679cca7c8c7ad35d2837a6",
+    "verify": "6d84aa0ea2dfe8bcf4fea51c6d77a68cdf970976ac40ea5e8adaf46d7a2200cf",
+    "report": "051790201c75995d92c3d4d390ebe4d2d38716a110fa8e77bdc9c8a5c6031dd2",
+}
+HELP_PYTHON = (3, 11)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != HELP_PYTHON,
+                    reason="help digests recorded with the argparse of Python 3.11")
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_bytes(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):  # the second call reuses the parser the first built
+        code, out, err = run(capsys, *filter(None, [command, "--help"]))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+
+
+def test_parser_is_built_once_and_reused(monkeypatch, capsys):
+    # Each command in one process, on the one parser, writes the bytes and
+    # exits with the code of a fresh process: a usage error first, so a
+    # failed parse is shown to leave nothing behind.
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    for argv in ("enumerate -n 3 extra", "enumerate -n 6 --census --format json",
+                 "formulas --family asm -n 5", "enumerate -n 6 --format json"):
+        fresh = subprocess.run([sys.executable, "-m", "halfturn_ice", *argv.split()],
+                               env=env, capture_output=True, text=True)
+        assert run(capsys, *argv.split()) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert build_parser() is build_parser()

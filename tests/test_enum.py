@@ -1,5 +1,6 @@
 """Generators, inversion generating functions and censuses."""
 
+import hashlib
 import itertools
 import math
 
@@ -176,6 +177,48 @@ def test_plan_layout_past_the_listing(n, klass):
         assert counts.get(1, 0) == count_closed("ht-odd-plus", n)
         assert counts.get(-1, 0) == count_closed("ht-odd-minus", n)
         assert sum(counts.values()) == count_closed("ht-odd", n)
+
+
+# sha256 of `plan_dump`, recorded from the compile that built every move as
+# a (source, target, class) tuple and counted the matrices in a third pass.
+PLAN_SHA256 = {
+    ("all", 1): "9673272f641621264867a4546c1e1fafe4d4e200c25ed32661f1563edaf9d4f0",
+    ("all", 2): "84c7c20bc68d4b7334287b05c7d7abdb49e8b23c1fb6221e342caa5d11baf367",
+    ("all", 3): "e6ec0ffd56080fa710415478b92bab0dff194622c4c041556bca54d833ab9581",
+    ("all", 4): "a3fa05f7411ee792e3cbd23f8d95f32f977c72af1bdab19172c8e12936f3e5b0",
+    ("all", 5): "e8d80bac463094bc6ff7e419f55c4878e1057661474e96fc1b080e71dae38b3e",
+    ("all", 6): "8dee318737bd35478d66a649c52a7c6e9c7b71fc37fdac8fd179522f20d77bb1",
+    ("all", 7): "a984a9bb0c77b4e576437f4552d9e5d36b790537c050009f957da40b7400e6eb",
+    ("all", 8): "0034814ff41897d53a6a7268864b97bff86521a7c305641a74ffa313b0d134ba",
+    ("ht", 1): "2d1a1227831cd7fdddb46e1b20546741d19f901bb415e47b3f6cf002933214be",
+    ("ht", 2): "f4d1ee459b696863488864fd71e431a4958ccfc06742f9219e32a5821ac0c24b",
+    ("ht", 3): "39e9b5ab0a7d41730be0a7939742f462dcd6db1d13a761e711c0cee3937a1a1a",
+    ("ht", 4): "5f5813190118321da1ca316b41d357c20485274b4b8ff1514d9361031f029a7e",
+    ("ht", 5): "9b652b44ec6595120ca60e12519baf4eee9591a5cda5d3f0c057311b9d2eff52",
+    ("ht", 6): "9486e257a478d27e41e51391fdfb9de4486af444230b2292fef79279539239ff",
+    ("ht", 7): "b81cb138cdfd7e69252342333b247c2de13482f77c6772bc6eff289061177f82",
+    ("ht", 8): "2fa0e30ce47d2440d7b56a7029fb31e37503bd9b51665953c541a0c101dea286",
+    ("ht", 9): "c5443f5c78f110e0e641d6f6a975867afaf5b59637d5a05b09469eaf26979156",
+    ("ht", 10): "7949ef43f96f5c82e84a97c43099165a4592d4cdbc29d65d0d673c3f7a59519e",
+    ("ht", 11): "d319d95680e6c2950d154ffb029f38051632b089bd137e3b406e29318a0afac0",
+}
+
+
+def plan_dump(n, klass) -> str:
+    """The compiled plan of a class at order n as text that does not depend
+    on how a step stores its moves: per step its width and its sorted
+    (source, target, class) moves, then the central entries and the sorted
+    counts."""
+    steps, centrals, counts = _transfer_plan(n, klass)
+    lines = [f"{width} {sorted((s, t, c) for s, out in enumerate(moves) for t, c in out)}"
+             for width, moves in steps]
+    return "\n".join([*lines, repr(tuple(centrals)), repr(sorted(counts.items()))])
+
+
+@pytest.mark.parametrize("klass, n", sorted(PLAN_SHA256))
+def test_plan_matches_its_pin(klass, n):
+    digest = hashlib.sha256(plan_dump(n, klass).encode()).hexdigest()
+    assert digest == PLAN_SHA256[klass, n]
 
 
 def zpoly(*coeffs):

@@ -8,7 +8,10 @@ byte-identical.  Timings are therefore kept out of the reports unless
 2 usage error (bad arguments or values, poles, unreadable files).
 
 `main` reuses one parser per process, built on its first call
-(`build_parser`), so repeated calls in one process skip the rebuild.
+(`build_parser`), so repeated calls in one process skip the rebuild.  Only
+the top level is built then: each subcommand's parser is built, and its
+arguments added, when a call first selects it, so a call builds at most the
+one subcommand parser it parses with.
 """
 
 from __future__ import annotations
@@ -391,40 +394,30 @@ def _cmd_report(args) -> int:
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use: parsing leaves
-    it as it was, so every `main` call after the first reuses it.  Do not
-    change it."""
-    import argparse  # deferred: library callers of cli never parse arguments
+def _common(p, formats=("json", "text")):
+    p.add_argument("--format", choices=formats, default="text")
+    p.add_argument("--out", metavar="PATH", default=None)
 
-    parser = argparse.ArgumentParser(
-        prog="halfturn-ice",
-        description="Exact ASM enumeration, square-ice partition functions "
-                    "and identity verification.")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("json", "text")):
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--out", metavar="PATH", default=None)
-
-    p = sub.add_parser("enumerate", help="stream or count ASMs, emit censuses")
+def _enumerate_args(p):
     p.add_argument("--order", "-n", type=int)
     p.add_argument("--class", dest="klass", choices=("all", "ht"), default="all")
     what = p.add_mutually_exclusive_group()
     what.add_argument("--census", action="store_true")
     what.add_argument("--count", action="store_true")
-    common(p, ("json", "csv", "text"))
+    _common(p, ("json", "csv", "text"))
     p.set_defaults(fn=_cmd_enumerate)
 
-    p = sub.add_parser("genfunc", help="inversion generating functions")
+
+def _genfunc_args(p):
     p.add_argument("--order", "-n", type=int)
     p.add_argument("--class", dest="klass", choices=("all", "ht"), default="all")
     p.add_argument("--mode", choices=("brute", "closed"), default="closed")
-    common(p)
+    _common(p)
     p.set_defaults(fn=_cmd_genfunc)
 
-    p = sub.add_parser("partition", help="exact partition functions")
+
+def _partition_args(p):
     p.add_argument("--model", choices=icemodel.KINDS, default="dwbc")
     p.add_argument("--order", "-n", type=int)
     p.add_argument("--m", type=int)
@@ -433,26 +426,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assign", action="append", metavar="VAR=VALUE",
                    help="evaluate at values (rationals or zeta-expressions)")
     p.add_argument("--max-states", type=int, default=None)
-    common(p)
+    _common(p)
     p.set_defaults(fn=_cmd_partition)
 
-    p = sub.add_parser("det", help="special-point determinant evaluators")
+
+def _det_args(p):
     p.add_argument("--model", choices=("dwbc", "ht2", "ht-odd"), default="dwbc")
     p.add_argument("--order", "-n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--u", metavar="Q1,Q2,...", default=None,
                    help="comma-separated distinct rationals")
-    common(p)
+    _common(p)
     p.set_defaults(fn=_cmd_det)
 
-    p = sub.add_parser("formulas", help="closed-form counts and refined polynomials")
+
+def _formulas_args(p):
     p.add_argument("--family", choices=formulas.FAMILIES, required=True)
     p.add_argument("--order", "-n", type=int)
     p.add_argument("--refined", action="store_true")
-    common(p)
+    _common(p)
     p.set_defaults(fn=_cmd_formulas)
 
-    p = sub.add_parser("verify", help="run identity-verification suites")
+
+def _verify_args(p):
     p.add_argument("--suite", metavar="ID", action="append")
     p.add_argument("--all", action="store_true")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
@@ -460,14 +456,70 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the point count of random-point suites")
     p.add_argument("--timings", action="store_true",
                    help="include elapsed seconds (not byte-reproducible)")
-    common(p)
+    _common(p)
     p.set_defaults(fn=_cmd_verify, format="json")  # one JSON line per suite
 
-    p = sub.add_parser("report", help="merge verification reports")
+
+def _report_args(p):
     p.add_argument("files", nargs="+", metavar="REPORT.jsonl")
-    common(p)
+    _common(p)
     p.set_defaults(fn=_cmd_report, format="json")
 
+
+# (name, help, configure): the subcommands in the order help lists them;
+# configure adds a subcommand's arguments to its parser.
+_COMMANDS = (
+    ("enumerate", "stream or count ASMs, emit censuses", _enumerate_args),
+    ("genfunc", "inversion generating functions", _genfunc_args),
+    ("partition", "exact partition functions", _partition_args),
+    ("det", "special-point determinant evaluators", _det_args),
+    ("formulas", "closed-form counts and refined polynomials", _formulas_args),
+    ("verify", "run identity-verification suites", _verify_args),
+    ("report", "merge verification reports", _report_args),
+)
+
+
+@lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use and reused by
+    every `main` call after the first.  Do not change it.
+
+    Only the top level is built here.  A subcommand's parser is built, and
+    its arguments added, by the first parse that selects it.  The bytes are
+    those of a parser built whole: in CPython 3.10-3.13 the top-level help,
+    usage and errors read only the names and help strings given to
+    `add_parser`, and argparse calls nothing on a subparser but
+    `parse_known_args`."""
+    import argparse  # deferred: library callers of cli never parse arguments
+    from _thread import allocate_lock  # threading.Lock, without importing threading
+
+    building = allocate_lock()
+
+    class Subcommand(argparse.ArgumentParser):
+        def __init__(self, configure, **kwargs):
+            self.pending = configure, kwargs
+
+        def parse_known_args(self, args=None, namespace=None):
+            if self.pending:
+                with building:  # threads that select it together build it once
+                    if self.pending:
+                        configure, kwargs = self.pending
+                        super().__init__(**kwargs)
+                        configure(self)
+                        self.pending = None
+            return super().parse_known_args(args, namespace)
+
+    prog = "halfturn-ice"
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Exact ASM enumeration, square-ice partition functions "
+                    "and identity verification.")
+    # Given the prefix of its parsers' prog, add_subparsers formats no usage
+    # line to find it.
+    sub = parser.add_subparsers(dest="command", required=True, prog=prog,
+                                parser_class=Subcommand)
+    for name, summary, configure in _COMMANDS:
+        sub.add_parser(name, help=summary, configure=configure)
     return parser
 
 

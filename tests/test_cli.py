@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -849,11 +850,16 @@ def test_enumerate_count_and_census_are_exclusive(capsys):
     assert "--count" in result[2] and "--census" in result[2]
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 # sha256 of `halfturn-ice [COMMAND] --help` at COLUMNS=80, recorded from the
-# CLI that built its parser on every call.  argparse lays help out
-# differently from one Python minor version to the next, so the digests
-# hold for the version that recorded them.
-HELP_SHA256 = {
+# CLI that built every subcommand's parser on every call.  Python 3.10, 3.11
+# and 3.12 print the same bytes; 3.13's argparse wraps usage lines
+# differently (a long choice list stays beside its option), so it has digests
+# of its own for the top level and five of the seven commands.
+_HELP_310_312 = {
     "": "a430926d5aae5e5007ba007149f9239116da578071cb74a7ea5e25a61f208d06",
     "enumerate": "16a436d541e96f236183058d21fa9c3215c32e95a60417f664ce163519d1fc39",
     "genfunc": "3d8403afd6795e1c9d104d439c75bf5f3ba2ee0ef578c26f202e94c04074e59a",
@@ -863,18 +869,149 @@ HELP_SHA256 = {
     "verify": "6d84aa0ea2dfe8bcf4fea51c6d77a68cdf970976ac40ea5e8adaf46d7a2200cf",
     "report": "051790201c75995d92c3d4d390ebe4d2d38716a110fa8e77bdc9c8a5c6031dd2",
 }
-HELP_PYTHON = (3, 11)
+HELP_SHA256 = {
+    (3, 10): _HELP_310_312,
+    (3, 11): _HELP_310_312,
+    (3, 12): _HELP_310_312,
+    (3, 13): _HELP_310_312 | {
+        "": "2f33bbc57446854a3bfae871706014569f0f8b7c4a0e7377272869e35250776e",
+        "enumerate": "466a5aa57fcd8534d4f2b7de68bc013d980c12b287fece34ab3b6bf5373cef89",
+        "genfunc": "7d2c869bae266c0e771d91325ef7365f158921c6ae65f4a9ef3419b5b15815e4",
+        "partition": "9230995d4ac1afaa802f02e8ac3b9e908ee868a2ede0d69c630c7582c283cbb2",
+        "det": "7f1679ce9c78b652bd2a9ff184a2628b6b5f6fca7c883cd0d356cf7a2e9c13ec",
+        "formulas": "bd7fe3ed5823152726bc2f5a10b2253a18d7a41493c7a3e30a85ebf3fd92299c",
+    },
+}
 
 
-@pytest.mark.skipif(sys.version_info[:2] != HELP_PYTHON,
-                    reason="help digests recorded with the argparse of Python 3.11")
-@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+@pytest.mark.skipif(sys.version_info[:2] not in HELP_SHA256,
+                    reason="help digests recorded with the argparse of Python 3.10-3.13")
+@pytest.mark.parametrize("command", sorted(_HELP_310_312))
 def test_help_bytes(monkeypatch, capsys, command):
     monkeypatch.setenv("COLUMNS", "80")
     for _ in range(2):  # the second call reuses the parser the first built
         code, out, err = run(capsys, *filter(None, [command, "--help"]))
         assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+        assert _sha256(out) == HELP_SHA256[sys.version_info[:2]][command]
+
+
+# (exit code, sha256 of stdout, sha256 of stderr) of usage errors at
+# COLUMNS=80, recorded from the CLI that built every subcommand's parser on
+# every call: one bad argument per subcommand, then the top level's own.
+# `-h enumerate` prints the top-level help: -h acts before the command.
+_EMPTY = _sha256("")
+_USAGE_310_312 = {
+    "enumerate --class bad":
+        (2, _EMPTY, "04451afdf3508c24c782c78127fe9879cb8d84808ef79f7fdf6a2dfa4f2da821"),
+    "genfunc --mode bad":
+        (2, _EMPTY, "40cb7f892e3adbdb60a74ea265d3a3c9a6af097b9ff51b91fc2043035894e6a3"),
+    "partition --max-states x":
+        (2, _EMPTY, "c8e650e5013db2d7f027e81d40f2208a925463f9b73e2df25f914d1638825213"),
+    "det --model bad":
+        (2, _EMPTY, "09e79a30d1d1e90fd0ff6bc374ab55476cccb3e55fbcad5edf21c2ceea038c02"),
+    "formulas -n 5":
+        (2, _EMPTY, "051572c4ea5cd8d29f9280ef625612db85b0dc98703667e5f5d20614802526cf"),
+    "verify --seed x":
+        (2, _EMPTY, "5543bddfc0510994d4b1d745a7b13af28d66117a1cea220922c7e0b896bd9d4b"),
+    "report":
+        (2, _EMPTY, "0d1b8da54a03118c5109b86aa7df310d1639b63bc2329c378a524c351f2f8860"),
+    "": (2, _EMPTY, "c399b825d5faf48318591bb6d7e39fccb444e3869931f3729fffa7099c6d6e19"),
+    "bogus": (2, _EMPTY, "5ce2ed13c7c1c2770b1ba4a153e841a29c8fb092e67d48c33149b74ee9012cd2"),
+    "enumerate -n 3 extra":
+        (2, _EMPTY, "e01cdf4fec9f5bd83fd059bebbe8417df1df0b408c143bb0bb8981ec94cf5729"),
+    "-h enumerate": (0, _HELP_310_312[""], _EMPTY),
+}
+USAGE_SHA256 = {
+    (3, 10): _USAGE_310_312,
+    (3, 11): _USAGE_310_312,
+    (3, 12): _USAGE_310_312,
+    (3, 13): _USAGE_310_312 | {
+        "formulas -n 5":
+            (2, _EMPTY, "f7b181cdc2fb62520572969c4eeaec5d3c4dbbaa210f8109dd47412185e8e6c8"),
+        "": (2, _EMPTY, "faedd20342974efe8ab6383e827eef7237d6950b0425be7efcd998dd995d143d"),
+        "bogus":
+            (2, _EMPTY, "342582677af93a678d2c8ec7ee676d172917fa564745cad5039a242d36448f6c"),
+        "enumerate -n 3 extra":
+            (2, _EMPTY, "9d68518ef7d1a8369d53ddb128f17b2436e30b551b5edeb097e4a2355bcc0904"),
+        "-h enumerate": (0, HELP_SHA256[3, 13][""], _EMPTY),
+    },
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in USAGE_SHA256,
+                    reason="usage digests recorded with the argparse of Python 3.10-3.13")
+@pytest.mark.parametrize("argv", sorted(_USAGE_310_312))
+def test_usage_error_bytes(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv.split())
+    assert (code, _sha256(out), _sha256(err)) == USAGE_SHA256[sys.version_info[:2]][argv]
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    fresh = subprocess.run([sys.executable, "-m", "halfturn_ice", *argv.split()],
+                           env=env, capture_output=True, text=True)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)
+
+
+def test_a_call_builds_only_the_parsers_it_parses(monkeypatch, capsys):
+    # The top-level parser, plus the one subcommand's parser the call selects.
+    import argparse
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+
+    def builds(*argv):
+        built.clear()
+        assert run(capsys, *argv)[0] == 0
+        return built[:]
+
+    build_parser.cache_clear()
+    assert builds("enumerate", "-n", "1", "--count") == ["halfturn-ice",
+                                                         "halfturn-ice enumerate"]
+    assert builds("enumerate", "-n", "1", "--count") == []
+    build_parser.cache_clear()
+    assert builds("--help") == ["halfturn-ice"]
+    assert builds("--help") == []
+
+
+def test_threads_build_a_pending_subcommand_once(tmp_path):
+    # In each of 50 attempts more threads than cores select the same unbuilt
+    # subcommand at once, with thread switches as frequent as the
+    # interpreter allows.  A parser built twice, or parsed half built,
+    # raises or rejects the command.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    count = (cores or 1) + 2
+    outs = set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for attempt in range(50):
+            build_parser.cache_clear()
+            build_parser()
+            start = threading.Barrier(count, timeout=30)
+            codes = [None] * count
+            paths = [tmp_path / f"{attempt}-{i}.json" for i in range(count)]
+
+            def work(i):
+                start.wait()
+                codes[i] = main(["enumerate", "-n", "4", "--count", "--format", "json",
+                                 "--out", str(paths[i])])
+
+            threads = [threading.Thread(target=work, args=(i,), daemon=True)
+                       for i in range(count)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads), attempt
+            assert codes == [0] * count, attempt
+            outs.update(path.read_text() for path in paths)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outs) == 1 and json.loads(outs.pop())["count"] == 42
 
 
 def test_parser_is_built_once_and_reused(monkeypatch, capsys):

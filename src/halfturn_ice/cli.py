@@ -186,7 +186,7 @@ def _cmd_enumerate(args) -> int:
             _emit(_jsonline({"schemaVersion": SCHEMA_VERSION} | table.to_json_obj()),
                   args.out)
         else:
-            lines = [f"order {n} class {args.klass}: {table.total_count()} matrices"]
+            lines = [f"order {n} class {args.klass}: {table.count} matrices"]
             for (r, central), poly in table.ordered_rows():
                 tag = f"r={r}" + (f" central={central:+d}" if central is not None else "")
                 lines.append(f"  {tag}: {poly}")

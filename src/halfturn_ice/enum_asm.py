@@ -451,8 +451,8 @@ class CensusTable:
 
     Rows are keyed by (position r of the 1 in the first column, central
     entry or None); values are weight polynomials in "x" (classes all and
-    even ht) or "sqrtx" (odd ht, where sqrtx^2 = x).  Tables compare by
-    their fields.
+    even ht) or "sqrtx" (odd ht, where sqrtx^2 = x), and `count` is the
+    number of matrices.  Tables compare by their fields.
     """
 
     def __init__(self, order: int, klass: str, weight_var: str,
@@ -488,10 +488,6 @@ class CensusTable:
 
     def __repr__(self) -> str:
         return f"CensusTable({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
-    def total_count(self) -> int:
-        """Number of matrices (all weights at x = 1)."""
-        return self.count
 
     def ordered_rows(self) -> list[tuple[tuple[int, Optional[int]], LaurentPoly]]:
         """(key, polynomial) pairs by row, then central entry (-1 before +1)."""

@@ -28,7 +28,7 @@ import json
 import math
 import random
 import time
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import determinant as det
 from . import formulas
@@ -137,26 +137,32 @@ def _siga(k: int) -> LaurentPoly:
     return sigma_of(_m(a=k))
 
 
-def _Z(n: int) -> LaurentPoly:
-    return ice.partition_function(ice.ModelSpec("dwbc", n)).value if n >= 1 else _ONE
+def _Z(model: str, size: int, u: Optional[Sequence] = None) -> LaurentPoly | Cyclo:
+    """The state sum of a model named as `det.special_z` names it: "dwbc",
+    "ht-even", "ht-odd", or the cofactor "ht2" (ht-even divided by dwbc).
+    Symbolic when u is None; otherwise its value at a = zeta and the point
+    u of rationals or Cyclos, assigned by `_assign_interleaved`.  Size 0 of
+    every model but ht-odd is the empty matrix, whose sum is 1."""
+    if size == 0 and model != "ht-odd":
+        return _ONE if u is None else Cyclo.of(1)
+    assign = None if u is None else _assign_interleaved(u, size)
+
+    def z(kind):
+        return ice.partition_function(ice.ModelSpec(kind, size), assign).value
+
+    if model != "ht2":
+        return z(model)
+    return ice.z_ht2(size).value if u is None else z("ht-even") / z("dwbc")
 
 
-def _Zht(order: int) -> LaurentPoly:
-    return ice.partition_function(ice.class_model(order, "ht")).value
-
-
-def _Z2(m: int) -> LaurentPoly:
-    return ice.z_ht2(m).value if m >= 1 else _ONE
-
-
-def _Zt(kind: str, size: int) -> LaurentPoly:
+def _Zt(model: str, size: int) -> LaurentPoly:
+    """The modified form of `_Z(model, size)`, an ordinary polynomial; 1 at
+    size 0."""
     if size == 0:
         return _ONE
-    return ice.modified_partition(ice.ModelSpec(kind, size)).value
-
-
-def _Z2t(m: int) -> LaurentPoly:
-    return ice.modified_z_ht2(m) if m >= 1 else _ONE
+    if model == "ht2":
+        return ice.modified_z_ht2(size)
+    return ice.modified_partition(ice.ModelSpec(model, size)).value
 
 
 _SIG_A2 = _siga(2)
@@ -231,33 +237,16 @@ def _specialize_av(p: LaurentPoly, k: int) -> LaurentPoly:
     return p.substitute(ones | {"y1": _m(v=1)})
 
 
-def _assign_interleaved(u: tuple, size: int) -> dict:
-    """x_i = u_(2i-1), y_i = u_(2i) plus a = zeta, for 2*size coordinates."""
+def _assign_interleaved(u: Sequence, size: int) -> dict:
+    """a = zeta, x_i = u_(2i-1) and y_i = u_(2i) for i <= size, and for a
+    (2*size+1)-th coordinate the central pair x_(size+1) = y_(size+1)."""
     assign = {"a": ZETA}
     for i in range(size):
         assign[f"x{i + 1}"] = Cyclo.of(u[2 * i])
         assign[f"y{i + 1}"] = Cyclo.of(u[2 * i + 1])
+    if len(u) > 2 * size:
+        assign[f"x{size + 1}"] = assign[f"y{size + 1}"] = Cyclo.of(u[2 * size])
     return assign
-
-
-def _z_at(n: int, u: tuple) -> Cyclo:
-    return ice.partition_function(ice.ModelSpec("dwbc", n), _assign_interleaved(u, n)).value
-
-
-def _z2_at(m: int, u: tuple) -> Cyclo:
-    """The cofactor Z_HT(2m)/Z(m) at a point, from two evaluated sums."""
-    if m == 0:
-        return Cyclo.of(1)
-    zht = ice.partition_function(ice.ModelSpec("ht-even", m), _assign_interleaved(u, m)).value
-    return zht / _z_at(m, u)
-
-
-def _zodd_at(m: int, u: tuple) -> Cyclo:
-    """Z_HT(2m+1) at a point of 2m+1 coordinates: interleaved pairs, the
-    central pair x_(m+1) = y_(m+1) sharing the last coordinate."""
-    assign = _assign_interleaved(u, m)
-    assign[f"x{m + 1}"] = assign[f"y{m + 1}"] = Cyclo.of(u[2 * m])
-    return ice.partition_function(ice.ModelSpec("ht-odd", m), assign).value
 
 
 # ----------------------------------------------------------------------
@@ -353,8 +342,8 @@ def _suite_ybe(run: _Run, params: Mapping, rng: random.Random):
 def _suite_dwbc_recursion(run: _Run, params: Mapping, rng: random.Random):
     for n in range(2, params["n_max"] + 1):
         rhs = _SIG_A2 * _pair_prod(_sigma_xy, n, range(1, n))
-        run.check(f"plain recursion n={n}", _at_ax(_Z(n), n),
-                  _at_ax(rhs, n) * _Z(n - 1), n=n)
+        run.check(f"plain recursion n={n}", _at_ax(_Z("dwbc", n), n),
+                  _at_ax(rhs, n) * _Z("dwbc", n - 1), n=n)
         rhs_t = _SIG_A2 * _pair_prod(_modified_xy, n, range(1, n))
         run.check(f"modified recursion n={n}", _at_ax(_Zt("dwbc", n), n),
                   _at_ax(rhs_t, n) * _Zt("dwbc", n - 1), n=n)
@@ -451,7 +440,7 @@ def _suite_ht_even_leading(run: _Run, params: Mapping, rng: random.Random):
         c = zt.coeff_of({f"x{i}": 2 * (2 * m - 1) for i in range(1, m + 1)})
         run.check(f"top coefficient m={m}", c, _siga_prod(range(1, 2 * m + 1)), m=m)
 
-        z2t = _Z2t(m)
+        z2t = _Zt("ht2", m)
         c2 = z2t.coeff_of({f"x{i}": 2 * m for i in range(1, m + 1)})
         run.check(f"cofactor top coefficient m={m}", c2,
                   _siga_prod(2 * i - 1 for i in range(1, m + 1)), m=m)
@@ -480,27 +469,27 @@ def _suite_ht_even_leading(run: _Run, params: Mapping, rng: random.Random):
 
 def _suite_factorization(run: _Run, params: Mapping, rng: random.Random):
     for m in range(1, params["m_max"] + 1):
-        q = ice.z_ht2(m).value
-        run.check(f"quotient times divisor m={m}", q * _Z(m), _Zht(2 * m), m=m)
+        run.check(f"quotient times divisor m={m}", _Z("ht2", m) * _Z("dwbc", m),
+                  _Z("ht-even", m), m=m)
         run.check(f"cofactor degree in y1^2 is m, m={m}",
-                  _Z2t(m).degree_in("y1"), 2 * m, m=m)
+                  _Zt("ht2", m).degree_in("y1"), 2 * m, m=m)
 
 
 def _suite_ht2_recursion(run: _Run, params: Mapping, rng: random.Random):
     for m in range(1, params["m_max"] + 1):
-        z2t = _Z2t(m)
+        z2t = _Zt("ht2", m)
         run.check(f"homogeneous degree 2m^2, m={m}",
                   _spectral_degrees(z2t), {2 * m * m}, m=m)
         rhs = (_SIG_A2 * _m(**{f"x{m}": 1, f"y{m}": 1})
                * _pair_prod(_modified_xy, m, range(1, m)))
         run.check(f"cofactor recursion at y{m} = a*x{m}, m={m}",
-                  _at_ax(z2t, m), _at_ax(rhs, m) * _Z2t(m - 1), m=m)
+                  _at_ax(z2t, m), _at_ax(rhs, m) * _Zt("ht2", m - 1), m=m)
 
 
 def _suite_ht_odd_recursion(run: _Run, params: Mapping, rng: random.Random):
     for m in range(1, params["m_max"] + 1):
         c = m + 1  # the central pair
-        z = _Zht(2 * m + 1)
+        z = _Z("ht-odd", m)
         zt = _Zt("ht-odd", m)
         _check_swaps(run, z, "m", m)
         run.check(f"homogeneous degree 2m(2m+1), m={m}",
@@ -517,23 +506,20 @@ def _suite_ht_odd_recursion(run: _Run, params: Mapping, rng: random.Random):
         shift = ({f"x{i}": f"x{i + 1}" for i in range(1, c)}
                  | {f"y{i}": f"y{i + 1}" for i in range(1, c)})
         run.check(f"reduction at y1 = a*x1, m={m}", _at_ax(z, 1),
-                  _at_ax(rhs, 1) * _renamed(_Zht(2 * m - 1), shift), m=m)
+                  _at_ax(rhs, 1) * _renamed(_Z("ht-odd", m - 1), shift), m=m)
 
         # last-pair reduction of the modified function: y_m = a*x_m
         rhs_t = (_SIG_A2 ** 2 * _pair_prod(_modified_xy, m, [c])
                  * _m(**{f"x{m}": 1, f"y{m}": 1})
                  * _pair_prod(_modified_xy, m, range(1, m)) ** 2)
-        if m >= 2:
-            prev = _renamed(_Zt("ht-odd", m - 1), {f"x{m}": f"x{c}", f"y{m}": f"y{c}"})
-        else:
-            prev = _ONE  # order-1 modified function is 1
+        prev = _renamed(_Zt("ht-odd", m - 1), {f"x{m}": f"x{c}", f"y{m}": f"y{c}"})
         run.check(f"modified reduction at y{m} = a*x{m}, m={m}",
                   _at_ax(zt, m), _at_ax(rhs_t, m) * prev, m=m)
 
         # central-pair reduction: y_c = a*x_c, plain and modified
         rhs_c = _pair_prod(_sigma_xy, c, range(1, c))
         run.check(f"reduction at y{c} = a*x{c}, m={m}",
-                  _at_ax(z, c), _at_ax(rhs_c, c) * _Zht(2 * m), m=m)
+                  _at_ax(z, c), _at_ax(rhs_c, c) * _Z("ht-even", m), m=m)
         rhs_ct = _pair_prod(_modified_xy, c, range(1, c))
         run.check(f"modified reduction at y{c} = a*x{c}, m={m}",
                   _at_ax(zt, c), _at_ax(rhs_ct, c) * _Zt("ht-even", m), m=m)
@@ -541,7 +527,7 @@ def _suite_ht_odd_recursion(run: _Run, params: Mapping, rng: random.Random):
 
 def _suite_ht_odd_inversion(run: _Run, params: Mapping, rng: random.Random):
     for m in range(1, params["m_max"] + 1):
-        z = _Zht(2 * m + 1)
+        z = _Z("ht-odd", m)
         inverted = z.substitute({f"{v}{i}": _m(**{f"{v}{i}": -1})
                                  for i in range(1, m + 2) for v in "xy"})
         run.check(f"invariance under reciprocal variables, m={m}", inverted, z, m=m)
@@ -565,8 +551,9 @@ def _suite_theorem1(run: _Run, params: Mapping, rng: random.Random):
     for m in range(0, params["m_max"] + 1):
         c = m + 1
         xc, yc = LaurentPoly.var(f"x{c}"), LaurentPoly.var(f"y{c}")
-        lhs = _Zht(2 * m + 1) * sigma_of(_A) * (_A * xc + yc) * (_A * yc + xc)
-        rhs = _A * xc * yc * (_Z(m + 1) * _Z2(m) + _Z(m) * _Z2(m + 1))
+        lo, hi = _Z("dwbc", m) * _Z("ht2", m + 1), _Z("dwbc", m + 1) * _Z("ht2", m)
+        lhs = _Z("ht-odd", m) * sigma_of(_A) * (_A * xc + yc) * (_A * yc + xc)
+        rhs = _A * xc * yc * (hi + lo)
         run.check(f"cross-multiplied identity m={m}", lhs, rhs, m=m)
 
 
@@ -578,7 +565,7 @@ def _suite_theorem2(run: _Run, params: Mapping, rng: random.Random):
         plus, minus = (part.value for part in ice.z_split_odd(m))
         # The +1 part carries (-1)^m under a -> -a and the -1 part
         # (-1)^(m+1): with the total, this fixes both parts.
-        z = _Zht(2 * m + 1)
+        z = _Z("ht-odd", m)
         run.check(f"split total == listed-state total, m={m}", plus + minus, z, m=m)
         run.check(f"(-1)^m split difference == total at a -> -a, m={m}",
                   plus - minus if m % 2 == 0 else minus - plus, z.substitute({"a": -_A}), m=m)
@@ -586,8 +573,9 @@ def _suite_theorem2(run: _Run, params: Mapping, rng: random.Random):
         denom = sigma_of(_A) * sigma_of(_A * w) * sigma_of(_A * w.monomial_inverse())
         aa = _A + _A.monomial_inverse()
         ww = w + w.monomial_inverse()
-        rhs_plus = aa * _Z(m + 1) * _Z2(m) - ww * _Z(m) * _Z2(m + 1)
-        rhs_minus = -ww * _Z(m + 1) * _Z2(m) + aa * _Z(m) * _Z2(m + 1)
+        lo, hi = _Z("dwbc", m) * _Z("ht2", m + 1), _Z("dwbc", m + 1) * _Z("ht2", m)
+        rhs_plus = aa * hi - ww * lo
+        rhs_minus = -ww * hi + aa * lo
         run.check(f"central +1 part, m={m}", plus * denom, rhs_plus, m=m)
         run.check(f"central -1 part (cofactor size 2m+2), m={m}", minus * denom, rhs_minus, m=m)
 
@@ -597,18 +585,18 @@ def _suite_theorem3(run: _Run, params: Mapping, rng: random.Random):
         for _ in range(params["points"]):
             u = det.random_distinct_rationals(rng, 2 * m + 1)
             run.check(f"determinant == interleaved state sum, m={m}",
-                      det.special_z("ht-odd", m, u), _zodd_at(m, u), m=m, u=[str(f) for f in u])
+                      det.special_z("ht-odd", m, u), _Z("ht-odd", m, u), m=m, u=[str(f) for f in u])
 
 
 def _suite_parity(run: _Run, params: Mapping, rng: random.Random):
     for n in range(1, params["n_max"] + 1):
-        z = _Z(n)
+        z = _Z("dwbc", n)
         run.check(f"plain sum is even in a, n={n}", z.substitute({"a": -_A}), z, n=n)
     for m in range(1, params["m_max"] + 1):
-        zht = _Zht(2 * m)
+        zht = _Z("ht-even", m)
         want = zht if m % 2 == 0 else -zht
         run.check(f"half-turn sum picks up (-1)^m, m={m}", zht.substitute({"a": -_A}), want, m=m)
-        z2 = _Z2(m)
+        z2 = _Z("ht2", m)
         want2 = z2 if m % 2 == 0 else -z2
         run.check(f"cofactor picks up (-1)^m, m={m}", z2.substitute({"a": -_A}), want2, m=m)
 
@@ -616,84 +604,76 @@ def _suite_parity(run: _Run, params: Mapping, rng: random.Random):
 def _suite_special_recursion(run: _Run, params: Mapping, rng: random.Random):
     a = ZETA
 
-    def reduction(val, size, label):
+    def reduction(model, size, label):
         for _ in range(params["points"]):
             u = [Cyclo.of(f) for f in det.random_distinct_rationals(rng, 2 * size - 1)]
             u.append(a * u[-1])
             pref = sigma(a) * _sigma_prod(a * x / u[-2] for x in u[:-2])
-            run.check(f"{label} size={size}", val(size, tuple(u)),
-                      pref * val(size - 1, tuple(u[:-2])),
+            run.check(f"{label} size={size}", _Z(model, size, u),
+                      pref * _Z(model, size - 1, u[:-2]),
                       size=size, u=[str(x) for x in u])
 
     for n in range(2, params["n_max"] + 1):
-        reduction(_z_at, n, "plain sum at u_2n = a*u_(2n-1)")
+        reduction("dwbc", n, "plain sum at u_2n = a*u_(2n-1)")
     for m in range(1, params["m_max"] + 1):
-        reduction(_z2_at, m, "cofactor at u_2m = a*u_(2m-1)")
+        reduction("ht2", m, "cofactor at u_2m = a*u_(2m-1)")
 
 
 def _suite_three_term(run: _Run, params: Mapping, rng: random.Random):
     a2 = ZETA * ZETA
 
-    def cyclic_sum(val, size, u, mu):
+    def cyclic_sum(model, size, u, mu):
         def prod_sig(shift):
             return _sigma_prod(x / (shift * u[mu]) for nu, x in enumerate(u) if nu != mu)
         shift_up = tuple(x if i != mu else a2 * x for i, x in enumerate(u))
         shift_dn = tuple(x if i != mu else x / a2 for i, x in enumerate(u))
-        return (val(size, u) * prod_sig(Cyclo.of(1))
-                + val(size, shift_up) * prod_sig(a2)
-                + val(size, shift_dn) * prod_sig(a2.inverse()))
+        return (_Z(model, size, u) * prod_sig(Cyclo.of(1))
+                + _Z(model, size, shift_up) * prod_sig(a2)
+                + _Z(model, size, shift_dn) * prod_sig(a2.inverse()))
 
-    for label, val, size_max in (("plain sum", _z_at, params["n_max"]),
-                                 ("cofactor", _z2_at, params["m_max"])):
+    for label, model, size_max in (("plain sum", "dwbc", params["n_max"]),
+                                   ("cofactor", "ht2", params["m_max"])):
         for size in range(1, size_max + 1):
             for mu in range(2 * size):
                 for _ in range(params["points"]):
                     u = tuple(Cyclo.of(f)
                               for f in det.random_distinct_rationals(rng, 2 * size))
-                    s = cyclic_sum(val, size, u, mu)
+                    s = cyclic_sum(model, size, u, mu)
                     run.check(f"{label} three-term size={size} mu={mu + 1}",
                               s, Cyclo.of(0), u=[str(x) for x in u])
 
 
 def _suite_det_oracle(run: _Run, params: Mapping, rng: random.Random):
-    for n in range(1, params["n_max"] + 1):
-        for _ in range(params["points"]):
-            u = det.random_distinct_rationals(rng, 2 * n)
-            run.check(f"plain determinant n={n}", det.special_z("dwbc", n, u),
-                      _z_at(n, tuple(Cyclo.of(f) for f in u)),
-                      n=n, u=[str(f) for f in u])
-    for m in range(1, params["m_max"] + 1):
-        for _ in range(params["points"]):
-            u = det.random_distinct_rationals(rng, 2 * m)
-            run.check(f"cofactor determinant m={m}", det.special_z("ht2", m, u),
-                      _z2_at(m, tuple(Cyclo.of(f) for f in u)),
-                      m=m, u=[str(f) for f in u])
+    for label, model, key, size_max in (("plain", "dwbc", "n", params["n_max"]),
+                                        ("cofactor", "ht2", "m", params["m_max"])):
+        for size in range(1, size_max + 1):
+            for _ in range(params["points"]):
+                u = det.random_distinct_rationals(rng, 2 * size)
+                run.check(f"{label} determinant {key}={size}", det.special_z(model, size, u),
+                          _Z(model, size, u), **{key: size}, u=[str(f) for f in u])
     # At a = zeta the state sums are symmetric in all their coordinates
     # (Stroganov), which is why `special_z` can be a Schur function.  At
     # every a they are symmetric in the x's and in the y's apart, so a drawn
     # transposition within one family is turned into one across the two
     # (the central coordinate of ht-odd belongs to both).
-    for model, at, size, dim in (("dwbc", _z_at, 2, 4), ("ht2", _z2_at, 2, 4),
-                                 ("ht-odd", _zodd_at, 2, 5)):
+    for model, size, dim in (("dwbc", 2, 4), ("ht2", 2, 4), ("ht-odd", 2, 5)):
         u = list(det.random_distinct_rationals(rng, dim))
-        base = at(size, tuple(u))
+        base = _Z(model, size, u)
         i, j = rng.sample(range(dim), 2)
         if (i - j) % 2 == 0 and max(i, j) < 2 * size:
             j ^= 1
         u[i], u[j] = u[j], u[i]
         run.check(f"u-permutation invariance of the state sum, {model}",
-                  at(size, tuple(u)), base, swapped=(i, j))
+                  _Z(model, size, u), base, swapped=(i, j))
 
 
 def _wronskian(m: int, u: tuple) -> Cyclo:
     """Z(lo) Z2(hi) - Z2(lo) Z(hi) for m >= 1, with the last coordinate
     shifted by a^-2 and a^2, from one Z(m) and one Z_HT(2m) per point."""
     a2 = ZETA * ZETA
-    z, zht = [], []
-    for v in (u[:-1] + (u[-1] / a2,), u[:-1] + (a2 * u[-1],)):
-        assign = _assign_interleaved(v, m)
-        z.append(ice.partition_function(ice.ModelSpec("dwbc", m), assign).value)
-        zht.append(ice.partition_function(ice.ModelSpec("ht-even", m), assign).value)
+    points = (u[:-1] + (u[-1] / a2,), u[:-1] + (a2 * u[-1],))
+    z = [_Z("dwbc", m, v) for v in points]
+    zht = [_Z("ht-even", m, v) for v in points]
     return z[0] * zht[1] / z[1] - zht[0] / z[0] * z[1]
 
 
@@ -799,15 +779,11 @@ def _suite_xenum(run: _Run, params: Mapping, rng: random.Random):
     x_of_a, (s_avb, s_av) = formulas.xenum_map()
     sqrtx_of_a = LaurentPoly(("a",), {(1,): 1, (-1,): 1})
 
-    def zspec(kind, size):
-        spec = ice.ModelSpec(kind, size)
-        return _specialize_av(ice.partition_function(spec).value, spec.x_count)
-
     def a_pair(n):
         return _genfunc_av_pair(tabs[n, "all"], x_of_a, s_av, s_avb)
 
     def a2_pair(m):
-        z2 = _specialize_av(ice.z_ht2(m).value, m)
+        z2 = _specialize_av(_Z("ht2", m), m)
         return z2, sigma_of(a) ** (m * m - m) * s_av ** m
 
     # plain class: census == normalized spectral sum (denominators cancel)
@@ -815,7 +791,7 @@ def _suite_xenum(run: _Run, params: Mapping, rng: random.Random):
         num, _ = a_pair(n)
         run.check(f"plain class change of variables n={n}",
                   num * sigma_of(a) ** (n * n - 2 * n + 1) * _SIG_A2 ** n,
-                  zspec("dwbc", n), n=n)
+                  _specialize_av(_Z("dwbc", n), n), n=n)
 
     # cofactor: census ratio == normalized cofactor
     for m in range(1, params["m_max"] + 1):
@@ -831,7 +807,7 @@ def _suite_xenum(run: _Run, params: Mapping, rng: random.Random):
         num, _ = _genfunc_av_pair(tabs[order, "ht"], sqrtx_of_a, s_av, s_avb)
         run.check(f"odd class change of variables m={m}",
                   num * sigma_of(a) ** (2 * m * m - m) * _SIG_A2 ** m,
-                  zspec("ht-odd", m), m=m)
+                  _specialize_av(_Z("ht-odd", m), m + 1), m=m)
 
     # three-census recursion with sqrt(x) + 2 denominators
     for m in range(1, params["m_max"] + 1):

@@ -26,11 +26,11 @@ def _run(suite_id, params=None):
 
 def test_criterion_01_counting_oracle():
     t0 = time.time()
-    assert [census(n, "all").total_count() for n in range(1, 7)] == \
+    assert [census(n, "all").count for n in range(1, 7)] == \
         [formulas.count_asm(n) for n in range(1, 7)] == [1, 2, 7, 42, 429, 7436]
-    assert [census(k, "ht").total_count() for k in (2, 4, 6)] == \
+    assert [census(k, "ht").count for k in (2, 4, 6)] == \
         [formulas.count_ht_even(k) for k in (2, 4, 6)] == [2, 10, 140]
-    assert [census(k, "ht").total_count() for k in (1, 3, 5, 7)] == \
+    assert [census(k, "ht").count for k in (1, 3, 5, 7)] == \
         [formulas.count_ht_odd(k) for k in (1, 3, 5, 7)] == [1, 3, 25, 588]
     elapsed = time.time() - t0
     assert elapsed < 120, f"counting oracle took {elapsed:.1f}s"
@@ -41,7 +41,7 @@ def test_criterion_02_central_entry_split():
     for order, want in ((3, (2, 1)), (5, (15, 10)), (7, (336, 252))):
         mid = (order + 1) // 2
         plus = sum(1 for m in gen_asms(order, "ht") if m[mid, mid] == 1)
-        total = census(order, "ht").total_count()
+        total = census(order, "ht").count
         assert (plus, total - plus) == want
         assert plus == formulas.count_closed("ht-odd-plus", order)
         assert total - plus == formulas.count_closed("ht-odd-minus", order)

@@ -13,7 +13,10 @@ from halfturn_ice.determinant import (
 from halfturn_ice.exactnum import Cyclo, ZETA, sigma
 from halfturn_ice.formulas import count_asm, count_closed, count_ht_even, count_ht_odd
 from halfturn_ice.icemodel import ModelSpec
-from halfturn_ice.verify import _z2_at, _z_at, _zodd_at
+# The evaluated state sum at a = zeta, the points interleaved as (x1, y1,
+# x2, y2, ...) and the central pair of ht-odd sharing the last: the second
+# route, which has no pole at u_i = +-u_j.
+from halfturn_ice.verify import _Z
 
 
 # ----------------------------------------------------------------------
@@ -85,13 +88,6 @@ def reference_special_z(model, size, u):
 
 def point_count(model, size):
     return 2 * size + 1 if model == "ht-odd" else 2 * size
-
-
-def state_sum(model, size, u):
-    """The evaluated state sum at a = zeta with the points interleaved as
-    (x1, y1, x2, y2, ...), the central pair of ht-odd sharing the last:
-    the second route, which has no pole at u_i = +-u_j."""
-    return {"dwbc": _z_at, "ht2": _z2_at, "ht-odd": _zodd_at}[model](size, tuple(u))
 
 
 def zeta_points(rng, count):
@@ -240,7 +236,7 @@ def test_coincident_points_guard():
     # No guard: equal points are no pole of the Schur form.
     assert special_z("dwbc", 1, (Fraction(2), Fraction(2))) == sigma(ZETA)
     u = (Fraction(2), Fraction(3), Fraction(2), Fraction(5))
-    assert special_z("dwbc", 2, u) == state_sum("dwbc", 2, u)
+    assert special_z("dwbc", 2, u) == _Z("dwbc", 2, u)
 
 
 @pytest.mark.parametrize("model,size,u", [
@@ -251,7 +247,7 @@ def test_coincident_points_guard():
 def test_opposite_points_guard(model, size, u):
     # sigma(u_i/u_j) = sigma(-1) = 0 in the paper's prefactor, yet the form
     # is the state sum there, and the reference meets a zero divisor.
-    assert special_z(model, size, u) == state_sum(model, size, u)
+    assert special_z(model, size, u) == _Z(model, size, u)
     with pytest.raises(ZeroDivisionError):
         reference_special_z(model, size, u)
 
@@ -373,7 +369,7 @@ def test_pole_guard_at_a_non_adjacent_pair(model, opposite, value):
     # Points 2 and 4 (1-based) of five or four coincide up to sign: no pole
     # of the Schur form, which equals the state sum there.
     u = _with_pair(model, 2, 1, 3, value, opposite)
-    assert special_z(model, 2, u) == state_sum(model, 2, u)
+    assert special_z(model, 2, u) == _Z(model, 2, u)
 
 
 @pytest.mark.parametrize("model", ["dwbc", "ht2", "ht-odd"])
@@ -381,7 +377,7 @@ def test_pole_guard_names_the_first_pair(model):
     # u_1 = -u_4 and u_2 = u_3: two pairs at once.
     u = list(random_distinct_rationals(random.Random(5), point_count(model, 2)))
     u[3], u[2] = -u[0], u[1]
-    assert special_z(model, 2, u) == state_sum(model, 2, u)
+    assert special_z(model, 2, u) == _Z(model, 2, u)
 
 
 # (1 + zeta)^2 = 3 zeta: these points' squared triples (a^2 - b^2,
@@ -406,7 +402,7 @@ def test_pole_guard_names_the_first_combination(model):
     u = list(random_distinct_rationals(random.Random(6), point_count(model, 2)))
     u[1] = u[2] = u[3] = Cyclo(Fraction(1, 3), Fraction(-5, 2))
     u[0] = -u[1]
-    assert special_z(model, 2, u) == state_sum(model, 2, u)
+    assert special_z(model, 2, u) == _Z(model, 2, u)
 
 
 # ----------------------------------------------------------------------
@@ -443,7 +439,7 @@ def test_special_z_at_the_unit_point_is_the_state_sum(model, sizes):
     # Up to dwbc 6 and half-turn order 9.
     for size in sizes:
         u = _ones(model, size)
-        assert special_z(model, size, u) == state_sum(model, size, u), (model, size)
+        assert special_z(model, size, u) == _Z(model, size, u), (model, size)
 
 
 def test_theorem2_at_the_unit_point_splits_the_odd_count():

@@ -347,7 +347,7 @@ def test_census_order3_all():
     tab = census(3, "all")
     rows = {r: str(p) for (r, _), p in tab.rows.items()}
     assert rows == {1: "2", 2: "x + 2", 3: "2"}
-    assert tab.total_count() == 7
+    assert tab.count == 7
     total = sum(tab.rows.values(), LaurentPoly.zero())
     assert total.substitute({"x": 1}).constant_value() == 7
 

@@ -538,7 +538,7 @@ def test_packed_census_is_the_monomial_census(order, klass):
 def test_plan_census_past_the_listing():
     for order, klass, family in ((7, "all", "asm"), (10, "ht", "ht-even"),
                                  (11, "ht", "ht-odd")):
-        assert icemodel.census(order, klass).total_count() == count_closed(family, order)
+        assert icemodel.census(order, klass).count == count_closed(family, order)
     assert icemodel.census(7).genfunc().substitute({"x": 1}) == refined_asm_closed(7)
     # refined_ht_odd builds the split at x = 1 from the closed forms.
     plus, minus = icemodel.census(11, "ht").split_by_center()

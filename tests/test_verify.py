@@ -12,7 +12,7 @@ import pytest
 
 from halfturn_ice import icemodel, verify
 from halfturn_ice.cli import main
-from halfturn_ice.determinant import random_distinct_rationals
+from halfturn_ice.determinant import random_distinct_rationals, special_z
 from halfturn_ice.enum_asm import CensusTable
 from halfturn_ice.exactnum import ZETA, Cyclo
 from halfturn_ice.laurent import LaurentPoly
@@ -354,11 +354,11 @@ def test_cofactor_at_a_point_is_the_symbolic_cofactor_evaluated():
     # The reference route: the symbolic Z_HT(2m)/Z(m), evaluated.
     rng = random.Random(37)
     for m, points in ((1, 3), (2, 3), (3, 1)):
-        symbolic = icemodel.z_ht2(m).value
+        symbolic = verify._Z("ht2", m)
         for _ in range(points):
             u = tuple(Cyclo.of(f) for f in random_distinct_rationals(rng, 2 * m))
             at = verify._assign_interleaved(u, m)
-            assert verify._z2_at(m, u) == symbolic.substitute(at).constant_value(), (m, u)
+            assert verify._Z("ht2", m, u) == symbolic.substitute(at).constant_value(), (m, u)
 
 
 def test_wronskian_matches_the_cofactor_form():
@@ -370,14 +370,30 @@ def test_wronskian_matches_the_cofactor_form():
         for _ in range(2):
             u = tuple(Cyclo.of(f) for f in random_distinct_rationals(rng, 2 * m))
             lo, hi = u[:-1] + (u[-1] / a2,), u[:-1] + (a2 * u[-1],)
-            want = (verify._z_at(m, lo) * verify._z2_at(m, hi)
-                    - verify._z2_at(m, lo) * verify._z_at(m, hi))
+            want = (verify._Z("dwbc", m, lo) * verify._Z("ht2", m, hi)
+                    - verify._Z("ht2", m, lo) * verify._Z("dwbc", m, hi))
             assert verify._wronskian(m, u) == want, (m, u)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2])
+@pytest.mark.parametrize("model", ["dwbc", "ht-even", "ht-odd", "ht2"])
+def test_state_sum_evaluator_agrees_across_its_modes(model, size):
+    # The symbolic sum substituted at the interleaved point is the evaluated
+    # sum; at a = zeta both are the determinant form where one is defined.
+    rng = random.Random(53)
+    symbolic = verify._Z(model, size)
+    assert isinstance(symbolic, LaurentPoly)
+    for _ in range(2):
+        u = random_distinct_rationals(rng, 2 * size + (model == "ht-odd"))
+        at = verify._Z(model, size, u)
+        assert at == symbolic.substitute(verify._assign_interleaved(u, size)).constant_value()
+        if model != "ht-even" and (size or model == "ht-odd"):
+            assert at == special_z(model, size, u), (model, size, u)
 
 
 @pytest.mark.parametrize("kind,size", [("dwbc", 2), ("dwbc", 3), ("ht-even", 2), ("ht-odd", 2)])
 def test_spectral_degrees_match_the_tuple_reference(kind, size):
-    zt = icemodel.modified_partition(icemodel.ModelSpec(kind, size)).value
+    zt = verify._Zt(kind, size)
     ia = zt.vars.index("a")
     want = {sum(e) - e[ia] for e in zt.tuple_terms()}
     assert len(want) == 1

@@ -87,10 +87,6 @@ class Cyclo:
             raise ZeroDivisionError("zero denominator in Q(zeta)")
         return _reduced(a, b, d)
 
-    @property
-    def is_rational(self) -> bool:
-        return self._abd[1] == 0
-
     def __bool__(self) -> bool:
         a, b, _ = self._abd
         return a != 0 or b != 0

@@ -68,7 +68,7 @@ from .asm import Asm, _Frozen, to_state
 from .enum_asm import (DEFAULT_MAX_STATES, CensusTable, _plan_cells, _run_plan,
                        _transfer_plan, gen_asms)
 from .exactnum import Cyclo, pair_mul, pair_quotient
-from .laurent import Coeff, LaurentPoly, sigma_of
+from .laurent import LaurentPoly, sigma_of
 
 KINDS = ("dwbc", "ht-even", "ht-odd")
 
@@ -125,7 +125,7 @@ _set_size = ModelSpec.size.__set__
 
 
 class PartitionResult(NamedTuple):
-    value: Union[LaurentPoly, Coeff]
+    value: Union[LaurentPoly, Cyclo]
     model: ModelSpec
     state_count: int
     normalization: str = "standard"  # "modified" from modified_partition
@@ -302,7 +302,7 @@ def _symbolic_value(kind: str, size: int) -> LaurentPoly:
 
 
 def partition_function(spec: ModelSpec,
-                       assignment: Optional[Mapping[str, Coeff]] = None,
+                       assignment: Optional[Mapping[str, Cyclo]] = None,
                        max_states: Optional[int] = None) -> PartitionResult:
     """Exact state sum: symbolic Laurent polynomial, or a field value when
     an assignment for a and all spectral variables is given."""
@@ -334,7 +334,7 @@ def _point_layout(kind: str, size: int):
     return ("a", *xs, *ys), tuple(index), cell_pairs
 
 
-def _pair_weights(kind: str, size: int, assignment: Mapping[str, Coeff]):
+def _pair_weights(kind: str, size: int, assignment: Mapping[str, Cyclo]):
     """(weights, scale) at an assignment of a and every spectral variable,
     none of them zero, all as integer pairs (p, q) = p + q*zeta.
 

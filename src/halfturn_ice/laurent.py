@@ -1,4 +1,4 @@
-"""Sparse multivariate Laurent polynomials with exact coefficients.
+"""Sparse multivariate Laurent polynomials over the integers.
 
 Representation
 --------------
@@ -29,12 +29,12 @@ two keys.  `coeff_of` compares the masked digits of each key with the
 wanted ones, `total_degrees` reads digit sums as residues modulo 2^W - 1,
 and `degree_in` reads the one digit it needs.
 
-Coefficients may be int, Fraction or Cyclo, and one polynomial may mix
-them: `substitute` with a Cyclo value leaves the terms it does not reach
-with their int coefficients.  Equal coefficients compare equal across the
-types, and the JSON form writes every coefficient of a polynomial with a
-Cyclo one as a Cyclo.  `LaurentPoly(vars, {exponent tuple: coeff})` packs
-terms given over a list of distinct variable names.
+Every coefficient is an int, and so is every constant and scalar operand:
+each passes `_coeff`, through `const` or the constructor, and a float, a
+fraction or a field element raises TypeError, so arithmetic stays exact and
+stays in Z.  Values at rational or cyclotomic points are computed elsewhere.
+`LaurentPoly(vars, {exponent tuple: coeff})` packs terms given over a list
+of distinct variable names.
 
 Variable order: a, x1..xk, y1..yk, z, t, v, u1..uk, then anything else
 alphabetically.  `vars` and every exponent tuple follow it, and
@@ -48,12 +48,7 @@ from __future__ import annotations
 import heapq
 import re
 import threading
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
-
-from .exactnum import Cyclo
-
-Coeff = Union[int, Fraction, Cyclo]
+from typing import Iterable, Mapping, Sequence
 
 _VAR_GROUP = {"a": 0, "x": 1, "y": 2, "z": 3, "t": 4, "v": 5, "u": 6}
 _VAR_RE = re.compile(r"^([A-Za-z]+)(\d*)$")
@@ -124,6 +119,12 @@ def _check(bound: int) -> int:
     return bound
 
 
+def _coeff(c) -> int:
+    if type(c) is not int:
+        raise TypeError(f"coefficients are ints, not {type(c).__name__}: {c!r}")
+    return c
+
+
 def _make(terms: dict, bound: int) -> LaurentPoly:
     """A polynomial from packed terms (nonzero coefficients) and a bound."""
     p = object.__new__(LaurentPoly)
@@ -134,20 +135,20 @@ def _make(terms: dict, bound: int) -> LaurentPoly:
 
 
 class LaurentPoly:
-    """Immutable-by-convention exact Laurent polynomial."""
+    """Immutable-by-convention Laurent polynomial with int coefficients."""
 
     __slots__ = ("terms", "bound", "_vars")
 
-    def __init__(self, vars: Sequence[str] = (), terms: Mapping[tuple, Coeff] | None = None):
+    def __init__(self, vars: Sequence[str] = (), terms: Mapping[tuple, int] | None = None):
         units = [_UNIT[_slot(v)] for v in vars]
         if len(set(units)) != len(units):
             raise ValueError(f"repeated variable name in {tuple(vars)}")
         packed = {}
         bound = 0
         for e, c in (terms or {}).items():
-            if c != 0:
-                if len(e) != len(units):
-                    raise ValueError(f"exponent tuple {e} does not match {tuple(vars)}")
+            if len(e) != len(units):
+                raise ValueError(f"exponent tuple {e} does not match {tuple(vars)}")
+            if _coeff(c):
                 packed[sum(k * u for k, u in zip(e, units))] = c
                 bound = max(bound, max(map(abs, e), default=0))
         self.terms = packed
@@ -163,15 +164,15 @@ class LaurentPoly:
         return _make({}, 0)
 
     @staticmethod
-    def const(c: Coeff) -> LaurentPoly:
-        return _make({0: c} if c != 0 else {}, 0)
+    def const(c: int) -> LaurentPoly:
+        return _make({0: c} if _coeff(c) else {}, 0)
 
     @staticmethod
     def var(name: str) -> LaurentPoly:
         return _make({_UNIT[_slot(name)]: 1}, 1)
 
     @staticmethod
-    def monomial(coeff: Coeff, exps: Mapping[str, int]) -> LaurentPoly:
+    def monomial(coeff: int, exps: Mapping[str, int]) -> LaurentPoly:
         names = tuple(exps.keys())
         return LaurentPoly(names, {tuple(exps[n] for n in names): coeff})
 
@@ -192,7 +193,7 @@ class LaurentPoly:
             self._vars = tuple(sorted(names, key=_var_key))
         return self._vars
 
-    def tuple_terms(self) -> dict[tuple, Coeff]:
+    def tuple_terms(self) -> dict[tuple, int]:
         """The terms as {exponent tuple in `vars` order: coefficient}."""
         shifts = [_W * _SLOT[v] for v in self.vars]
         bias = _BIAS[-1] if shifts else 0
@@ -211,7 +212,7 @@ class LaurentPoly:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def constant_value(self) -> Coeff:
+    def constant_value(self) -> int:
         """The value of a constant polynomial (zero or a single exponent-free term)."""
         if not self.terms:
             return 0
@@ -223,7 +224,7 @@ class LaurentPoly:
     # ring operations
     # ------------------------------------------------------------------
 
-    def __add__(self, other: LaurentPoly | Coeff) -> LaurentPoly:
+    def __add__(self, other: LaurentPoly | int) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             other = LaurentPoly.const(other)
         a, b = self.terms, other.terms
@@ -243,15 +244,15 @@ class LaurentPoly:
     def __neg__(self) -> LaurentPoly:
         return _make({k: -c for k, c in self.terms.items()}, self.bound)
 
-    def __sub__(self, other: LaurentPoly | Coeff) -> LaurentPoly:
+    def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             other = LaurentPoly.const(other)
         return self + (-other)
 
-    def __rsub__(self, other: Coeff) -> LaurentPoly:
+    def __rsub__(self, other: int) -> LaurentPoly:
         return LaurentPoly.const(other) + (-self)
 
-    def __mul__(self, other: LaurentPoly | Coeff) -> LaurentPoly:
+    def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             other = LaurentPoly.const(other)
         bound = _check(self.bound + other.bound)
@@ -301,7 +302,7 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction, Cyclo)):
+        if isinstance(other, int):
             return self.terms == ({0: other} if other != 0 else {})
         return NotImplemented
 
@@ -332,11 +333,11 @@ class LaurentPoly:
     # evaluation and substitution
     # ------------------------------------------------------------------
 
-    def substitute(self, mapping: Mapping[str, LaurentPoly | Coeff]) -> LaurentPoly:
-        """Replace the named variables all at once, each by a monomial or a
-        constant with any coefficient; one standing at a negative exponent
-        must be invertible (ints only if +-1).  Names no term uses are
-        skipped, and a mapping that moves nothing returns self.
+    def substitute(self, mapping: Mapping[str, LaurentPoly | int]) -> LaurentPoly:
+        """Replace the named variables all at once, each by a monomial or an
+        int constant; one standing at a negative exponent must have a unit
+        coefficient (+-1).  Names no term uses are skipped, and a mapping
+        that moves nothing returns self.
 
         With b = key + bias, subtracting twice the masked digits of b (less
         their biases) negates the inverted variables' exponents (v -> 1/v);
@@ -351,11 +352,11 @@ class LaurentPoly:
         inv_mask = inv_half = signs = mask = 0
         moves = {}  # slot -> (value, shift, key step, coefficient) of the other moves
         for v, value in mapping.items():
+            if not isinstance(value, LaurentPoly):
+                value = LaurentPoly.const(value)
             s = _SLOT.get(v)
             if s is None or not used(s):
                 continue
-            if not isinstance(value, LaurentPoly):
-                value = LaurentPoly.const(value)
             if len(value.terms) > 1:
                 raise NotAMonomial(f"value for {v} must be one monomial or a constant")
             (rkey, rc), = value.terms.items() or ((0, 0),)
@@ -395,8 +396,7 @@ class LaurentPoly:
             k += hit[0]
             if hit[1] is not None:
                 c = c * hit[1]
-            s = get(k)
-            s = c if s is None else s + c  # a new term keeps its coefficient object
+            s = get(k, 0) + c
             if s:
                 out[k] = s
             else:
@@ -438,7 +438,7 @@ class LaurentPoly:
     # ------------------------------------------------------------------
 
     def coeff_of(self, constraints: Mapping[str, int]) -> LaurentPoly:
-        """Coefficient polynomial at fixed exponents for a subset of variables.
+        """The polynomial that multiplies fixed exponents of a subset of variables.
 
         Returns 0 when no term matches; constrained variables are removed
         from the result.
@@ -520,17 +520,14 @@ class LaurentPoly:
     # serialization
     # ------------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple, Coeff]]:
+    def sorted_terms(self) -> list[tuple[tuple, int]]:
         """Terms in descending graded-lex order (canonical)."""
         return sorted(self.tuple_terms().items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def to_json_obj(self) -> dict:
-        terms = self.sorted_terms()
-        if any(type(c) is Cyclo for _, c in terms):
-            terms = [(e, Cyclo.of(c)) for e, c in terms]
         return {
             "vars": list(self.vars),
-            "terms": [{"exps": list(e), "coef": _coeff_to_json(c)} for e, c in terms],
+            "terms": [{"exps": list(e), "coef": str(c)} for e, c in self.sorted_terms()],
         }
 
     def __str__(self) -> str:
@@ -546,8 +543,6 @@ class LaurentPoly:
             elif factors and cs == "-1":
                 body = "-" + "*".join(factors)
             else:
-                if isinstance(c, Cyclo) and not c.is_rational:
-                    cs = f"({cs})"
                 body = "*".join([cs] + factors)
             parts.append(body)
         out = parts[0]
@@ -569,30 +564,10 @@ def sigma_of(m: LaurentPoly) -> LaurentPoly:
     return m - m.monomial_inverse()
 
 
-def _unit_inverse(c: Coeff) -> Coeff:
-    if isinstance(c, int):
-        if c in (1, -1):
-            return c
-        raise NonInvertibleValue(f"integer {c} is not a unit")
-    if isinstance(c, Fraction):
-        if c == 0:
-            raise NonInvertibleValue("zero is not invertible")
-        return 1 / c
-    if isinstance(c, Cyclo):
-        if not c:
-            raise NonInvertibleValue("zero is not invertible")
-        return c.inverse()
-    raise NonInvertibleValue(f"cannot invert {c!r}")
-
-
-def _coeff_divide(c: Coeff, d: Coeff) -> Coeff:
-    """c / d inside the coefficient ring; ints stay ints or fail."""
-    if isinstance(c, int) and isinstance(d, int):
-        q, r = divmod(c, d)
-        if r:
-            raise NotDivisible(f"coefficient {c} not divisible by {d}")
-        return q
-    return c / d
+def _unit_inverse(c: int) -> int:
+    if c in (1, -1):
+        return c
+    raise NonInvertibleValue(f"integer {c} is not a unit")
 
 
 def _shifted(terms: dict, slots: list[int]) -> tuple[dict, int]:
@@ -644,7 +619,9 @@ def _poly_exact_div(num: dict, den: dict, bias: int) -> dict:
         diff = lead - den_lead
         if (diff + bias) & bias != bias:  # some digit of diff is negative
             raise NotDivisible("no exact quotient exists")
-        c = _coeff_divide(rem[lead], den_lc)
+        c, r = divmod(rem[lead], den_lc)
+        if r:
+            raise NotDivisible(f"coefficient {rem[lead]} not divisible by {den_lc}")
         quotient[diff] = c
         diff_deg = -neg_deg - den_deg
         for de, dc, deg in den_items:
@@ -660,16 +637,3 @@ def _poly_exact_div(num: dict, den: dict, bias: int) -> dict:
                 else:
                     rem[ne] = s
     return quotient
-
-
-def _coeff_to_json(c: Coeff):
-    if isinstance(c, Cyclo):
-        return {"p": _frac_str(c.p), "q": _frac_str(c.q)}
-    if isinstance(c, Fraction):
-        return _frac_str(c)
-    return str(c)
-
-
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-

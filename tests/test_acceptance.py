@@ -6,12 +6,18 @@ the stated time budgets.  Run with `pytest tests/test_acceptance.py -v -s`
 to see one pass line per criterion.
 """
 
+import hashlib
 import time
+from pathlib import Path
 
 from halfturn_ice import formulas, verify
 from halfturn_ice.cli import main
 from halfturn_ice.enum_asm import census, gen_asms
 from halfturn_ice.laurent import LaurentPoly
+
+# The sha256 of `verify --all --seed 42 --format json`; CI checks the same
+# digest under two hash seeds.
+VERIFY_ALL_DIGEST = Path(__file__).resolve().parent / "data" / "verify_all_seed42.sha256"
 
 
 def _criterion(num, text):
@@ -144,6 +150,7 @@ def test_criterion_16_full_verify_all(capsys):
     assert code == 0
     assert len(lines) == len(verify.SUITES)
     assert all('"status":"pass"' in line for line in lines)
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST.read_text().strip()
     assert elapsed < 600, f"verify --all took {elapsed:.1f}s"
     with capsys.disabled():
         _criterion(16, f"verify --all: {len(lines)} suites green in {elapsed:.1f}s, exit 0")

@@ -63,16 +63,28 @@ def _modules():
                                if p.stem not in ("__init__", "__main__")]
 
 
-def _probe(probe):
+def _probe(probe, modules=None):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    return json.loads(subprocess.run([sys.executable, "-c", probe, *_modules()], env=env,
-                                     capture_output=True, text=True, check=True).stdout)
+    return json.loads(subprocess.run([sys.executable, "-c", probe, *(modules or _modules())],
+                                     env=env, capture_output=True, text=True,
+                                     check=True).stdout)
 
 
 def test_package_import_loads_no_dataclasses_or_inspect():
     added = set(_probe(PROBE))
     assert set(_modules()) <= added
     assert not added & {"dataclasses", "inspect", "argparse"}, sorted(added)
+
+
+def test_laurent_and_formulas_import_only_their_layers():
+    # laurent is the bottom layer: it imports no other module of the
+    # package.  formulas stands on laurent alone.
+    def package_modules(module):
+        return {m for m in _probe(PROBE, [module]) if m.startswith("halfturn_ice.")}
+
+    assert package_modules("halfturn_ice.laurent") == {"halfturn_ice.laurent"}
+    assert package_modules("halfturn_ice.formulas") == {"halfturn_ice.laurent",
+                                                        "halfturn_ice.formulas"}
 
 
 def test_package_import_builds_no_rows_and_fills_no_cache():

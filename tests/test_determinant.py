@@ -202,7 +202,7 @@ def test_det_matches_reference_at_zeta_points():
                Fraction(rng.randint(1, 9), rng.randint(1, 9))) for _ in range(9)]
     mat = build_matrix("Pprime", 5, u)
     value = det_cyclo(mat)
-    assert not value.is_rational
+    assert value.q != 0
     assert value == reference_det(mat)
 
 
@@ -350,7 +350,7 @@ def test_special_z_matches_reference_at_zeta_points(model, sizes):
             u = zeta_points(rng, point_count(model, size))
             value = special_z(model, size, u)
             assert value == reference_special_z(model, size, u), (model, size, u)
-            irrational += not value.is_rational
+            irrational += value.q != 0
     assert irrational > 0
 
 
@@ -447,7 +447,7 @@ def test_theorem2_at_the_unit_point_splits_the_odd_count():
     # read off the determinants.
     def read(model, size):
         value = special_z(model, size, _ones(model, size)) / S ** (size * size)
-        assert value.is_rational and value.p.denominator == 1
+        assert value.q == 0 and value.p.denominator == 1
         return value.p.numerator
 
     a = {n: read("dwbc", n) for n in range(1, 22)}

@@ -181,7 +181,6 @@ def same(x, ref):
     assert hash(x) == hash(ref)
     assert str(x) == str(ref)
     assert repr(x) == repr(ref)
-    assert x.is_rational == (ref.q == 0)
     assert bool(x) == (ref.p != 0 or ref.q != 0)
 
 
@@ -244,7 +243,7 @@ def test_negative_denominator_is_normalised():
 
 def test_immutable():
     x = Cyclo(1, 2)
-    for name in ("p", "q", "is_rational", "extra"):
+    for name in ("p", "q", "extra"):
         with pytest.raises(AttributeError):
             setattr(x, name, 5)
     with pytest.raises(AttributeError):

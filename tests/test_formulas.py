@@ -19,13 +19,14 @@ from halfturn_ice.formulas import (
     refined_asm_closed, refined_ht2_closed, refined_ht_odd,
     xenum_map)
 from halfturn_ice.laurent import LaurentPoly
+from test_laurent import value_at
 
 T = LaurentPoly.var("t")
 
 
 def _at(p, **values):
-    """The constant p takes with every variable given a value."""
-    return p.substitute(values).constant_value()
+    """The value of p at the point given."""
+    return value_at(p, values)
 
 
 def test_count_examples():

@@ -18,6 +18,7 @@ from halfturn_ice.exactnum import ZETA, Cyclo
 from halfturn_ice.laurent import LaurentPoly
 from halfturn_ice.verify import (
     SUITES, UnknownSuite, _WITNESS_CAP, _Run, _clip, run_suite)
+from test_laurent import value_at
 
 CHEAP_SUITES = [
     "ybe", "leading-C-S", "lemma2-counts", "lemma7-12-counts", "genfunc",
@@ -358,7 +359,7 @@ def test_cofactor_at_a_point_is_the_symbolic_cofactor_evaluated():
         for _ in range(points):
             u = tuple(Cyclo.of(f) for f in random_distinct_rationals(rng, 2 * m))
             at = verify._assign_interleaved(u, m)
-            assert verify._Z("ht2", m, u) == symbolic.substitute(at).constant_value(), (m, u)
+            assert verify._Z("ht2", m, u) == value_at(symbolic, at), (m, u)
 
 
 def test_wronskian_matches_the_cofactor_form():
@@ -378,15 +379,21 @@ def test_wronskian_matches_the_cofactor_form():
 @pytest.mark.parametrize("size", [0, 1, 2])
 @pytest.mark.parametrize("model", ["dwbc", "ht-even", "ht-odd", "ht2"])
 def test_state_sum_evaluator_agrees_across_its_modes(model, size):
-    # The symbolic sum substituted at the interleaved point is the evaluated
+    # The symbolic sum evaluated at the interleaved point is the evaluated
     # sum; at a = zeta both are the determinant form where one is defined.
+    # With a moved off zeta the symbolic sum (in a whenever it is not the
+    # empty matrix's 1) takes another value, so an evaluator that ignored
+    # its point could not pass.
     rng = random.Random(53)
     symbolic = verify._Z(model, size)
     assert isinstance(symbolic, LaurentPoly)
     for _ in range(2):
         u = random_distinct_rationals(rng, 2 * size + (model == "ht-odd"))
         at = verify._Z(model, size, u)
-        assert at == symbolic.substitute(verify._assign_interleaved(u, size)).constant_value()
+        point = verify._assign_interleaved(u, size)
+        assert at == value_at(symbolic, point)
+        if symbolic.vars:
+            assert value_at(symbolic, point | {"a": 2 * ZETA}) != at, (model, size, u)
         if model != "ht-even" and (size or model == "ht-odd"):
             assert at == special_z(model, size, u), (model, size, u)
 

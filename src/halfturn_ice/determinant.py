@@ -29,19 +29,24 @@ det[e_(lam'_i - i + j)] over the elementary symmetric functions e_k of the
 N arguments, of size lam_1 = n - 1 (dwbc) or m (ht2, ht-odd) where the
 paper's matrices are N x N.
 
-Each point u = (a + b*zeta)/d is read once, as integers, and its square
-as the triple (a^2 - b^2, 2ab + b^2, d^2), not reduced.  The Schur form has
-no pole where the paper's prefactor has one (u_i = +-u_j), so every nonzero
-point is evaluated, the all-ones point of the paper's enumerations
-included.  `_elementary` forms E_k = D^2 e_k(u^2), D = prod d, as
-integer pairs; E_0 = D^2 and E_N = P^2 with P = prod (a + b*zeta).  As
+Each point u = (a + b*zeta)/d is read once, as integers, and the points
+choose the ring.  Rational points (b = 0 for all: every caller's, the
+all-ones point of the paper's enumerations included) are evaluated over Z:
+each square is the pair (a^2, d^2), and `_elementary_z` forms the ints
+E_k = D^2 e_k(u^2), D = prod d, by E_k <- d^2 E_k + a^2 E_(k-1).  Other
+points are evaluated over Z[zeta]: each square is the triple
+(a^2 - b^2, 2ab + b^2, d^2), not reduced, and `_elementary` forms the same
+E_k as integer pairs.  Either way E_0 = D^2 and E_N = P^2 with
+P = prod (a + b*zeta).  The Schur form has no pole where the paper's
+prefactor has one (u_i = +-u_j), so every nonzero point is evaluated.  As
 e_k(1/w) = e_(N-k)(w) / e_N(w), the same vector read backwards gives the
 e_k of the u^-2, so no point is inverted and ht-odd builds one vector for
-both Schur factors.  `det_exact` eliminates over Z[zeta] on the pairs with
-exact division.  With e_1 - N + 1 = lam_1 (kinds P and Q), each form is
-+-sigma(a)^k times an integral determinant (or a product of two) over
-(P D)^lam_1 (dwbc, ht2) or (P D)^(2 lam_1) (ht-odd): one pair numerator
-over one pair divisor, which `special_z` divides once (`pair_quotient`).
+both Schur factors.  `det_exact` eliminates with exact division over Z on
+the ints and over Z[zeta] on the pairs.  With e_1 - N + 1 = lam_1 (kinds P
+and Q), each form is +-sigma(a)^k times an integral determinant (or a
+product of two) over (P D)^lam_1 (dwbc, ht2) or (P D)^(2 lam_1) (ht-odd):
+one pair numerator over one pair divisor, which `special_z` divides once
+(`pair_quotient`).
 """
 
 from __future__ import annotations
@@ -71,16 +76,18 @@ def row_exponents(kind: str, size: int) -> tuple[int, ...]:
     return exps
 
 
-def det_exact(mat: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, int]:
-    """Exact determinant of a square matrix over Z[zeta] by fraction-free
-    (Bareiss) elimination, on and to integer pairs (a, b) standing for
-    a + b*zeta.
+def det_exact(mat: Sequence[Sequence[int]] | Sequence[Sequence[tuple[int, int]]]
+              ) -> int | tuple[int, int]:
+    """Exact determinant of a square matrix by fraction-free (Bareiss)
+    elimination: over Z on and to ints, or over Z[zeta] on and to integer
+    pairs (a, b) standing for a + b*zeta.  The first entry's type names the
+    ring.
 
-    Z[zeta] is an integral domain, so each Bareiss step divides exactly by
-    the previous pivot p: by `//` on both parts when p is rational,
-    otherwise by multiplying with conj(p) and dividing both parts by the
-    integer norm p * conj(p).  The 0 x 0 determinant is (1, 0); a singular
-    matrix gives (0, 0).
+    Both rings are integral domains, so each Bareiss step divides exactly
+    by the previous pivot p: over Z by one `//`, over Z[zeta] by `//` on
+    both parts when p is rational, otherwise by multiplying with conj(p)
+    and dividing both parts by the integer norm p * conj(p).  The 0 x 0
+    determinant is (1, 0); a singular matrix gives 0 or (0, 0).
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
@@ -88,6 +95,8 @@ def det_exact(mat: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, int]:
     if n == 0:
         return 1, 0
     m = [list(row) for row in mat]
+    if type(m[0][0]) is int:
+        return _det_z(m)
     sign = 1
     pa, pb = 1, 0  # the previous pivot
     for k in range(n - 1):
@@ -122,6 +131,28 @@ def det_exact(mat: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, int]:
     return sign * a, sign * b
 
 
+def _det_z(m: list[list[int]]) -> int:
+    """`det_exact`'s elimination over Z, in place on a nonempty int matrix:
+    two products and one exact `//` per entry."""
+    n = len(m)
+    sign = p = 1  # p: the previous pivot
+    for k in range(n - 1):
+        if not m[k][k]:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return 0
+            m[k], m[i], sign = m[i], m[k], -sign
+        rk = m[k]
+        pivot = rk[k]
+        for i in range(k + 1, n):
+            ri = m[i]
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pivot - f * rk[j]) // p
+        p = pivot
+    return sign * m[n - 1][n - 1]
+
+
 def _partition(exps: Sequence[int]) -> tuple[int, ...]:
     """The partition lam of a descending exponent run e_1 > ... > e_N: with
     k_r = (e_1 - e_r)/2, lam_j = k_(N+1-j) - (N-j)."""
@@ -145,15 +176,32 @@ def _elementary(args: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]]:
     return e
 
 
-def _schur(lam: Sequence[int], e: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """E_0^lam_1 s_lam(w) from the `_elementary` pairs E_0..E_N of the w's:
-    the dual Jacobi-Trudi determinant det[E_(lam'_i - i + j)] of size lam_1,
-    lam' the conjugate partition and E_k = 0 outside 0..N.  The reversed
-    vector gives E_N^lam_1 s_lam(1/w), as e_k(1/w) = e_(N-k)(w) / e_N(w)."""
+def _elementary_z(args: Sequence[tuple[int, int]]) -> list[int]:
+    """`_elementary` for rational arguments w = v/d given as pairs (v, d):
+    the ints E_0..E_N, by E_k <- d E_k + v E_(k-1)."""
+    e = [1]
+    for v, d in args:
+        out, prev = [], 0
+        for x in e:
+            out.append(d * x + v * prev)
+            prev = x
+        out.append(v * prev)
+        e = out
+    return e
+
+
+def _schur(lam: Sequence[int], e: Sequence[int] | Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """E_0^lam_1 s_lam(w) from the `_elementary` pairs or `_elementary_z`
+    ints E_0..E_N of the w's, as a pair: the dual Jacobi-Trudi determinant
+    det[E_(lam'_i - i + j)] of size lam_1, lam' the conjugate partition and
+    E_k = 0 outside 0..N.  The reversed vector gives E_N^lam_1 s_lam(1/w),
+    as e_k(1/w) = e_(N-k)(w) / e_N(w)."""
     rise = lam[::-1]
     conj = [len(lam) - bisect_right(rise, i) for i in range(lam[0])]
-    return det_exact([[e[c - i + j] if 0 <= c - i + j < len(e) else (0, 0)
-                       for j in range(len(conj))] for i, c in enumerate(conj)])
+    zero = 0 if type(e[0]) is int else (0, 0)
+    det = det_exact([[e[c - i + j] if 0 <= c - i + j < len(e) else zero
+                      for j in range(len(conj))] for i, c in enumerate(conj)])
+    return (det, 0) if type(det) is int else det
 
 
 # Each evaluator's matrix kind and smallest size (as in `icemodel.ModelSpec`).
@@ -167,7 +215,9 @@ def special_z(model: str, size: int, u: Sequence[Cyclo]) -> Cyclo:
     "ht-odd" (size m, 2m+1 points, last coordinate shared between the two
     spectral vectors).  The sizes are those of `icemodel.ModelSpec`: dwbc
     and ht2 need size >= 1, ht-odd size >= 0.  Every point must be nonzero;
-    equal or opposite points are evaluated like any others.
+    equal or opposite points are evaluated like any others.  When every
+    point is rational the Schur functions are evaluated over Z, otherwise
+    over Z[zeta] on integer pairs.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown determinant model {model!r}")
@@ -183,7 +233,10 @@ def special_z(model: str, size: int, u: Sequence[Cyclo]) -> Cyclo:
         raise DimensionMismatch(f"{model} size {size} needs {npts} points")
     parts = [x.integer_parts() for x in pts]
     lam = _partition(row_exponents(kind, size + 1 if ht_odd else size))
-    e = _elementary([(a * a - b * b, (2 * a + b) * b, d * d) for a, b, d in parts])
+    if any(b for _, b, _ in parts):
+        e = _elementary([(a * a - b * b, (2 * a + b) * b, d * d) for a, b, d in parts])
+    else:
+        e = _elementary_z([(a * a, d * d) for a, _, d in parts])
     num = _schur(lam, e[::-1])
     if ht_odd:
         num, power, flips = pair_mul(num, _schur(lam, e)), 2 * size, npts * (npts - 1) // 2
@@ -194,8 +247,16 @@ def special_z(model: str, size: int, u: Sequence[Cyclo]) -> Cyclo:
     return -value if flips % 2 else value
 
 
+# The number of distinct p/q with 1 <= p, q <= 50.
+_DISTINCT_RATIONALS = 1547
+
+
 def random_distinct_rationals(rng: random.Random, count: int) -> tuple[Fraction, ...]:
-    """Distinct positive rationals with numerator and denominator <= 50."""
+    """Distinct positive rationals with numerator and denominator <= 50;
+    there are 1,547 of them, and a larger count raises `ValueError`."""
+    if count > _DISTINCT_RATIONALS:
+        raise ValueError(f"at most {_DISTINCT_RATIONALS} distinct rationals p/q with "
+                         f"1 <= p, q <= 50 exist, {count} requested")
     seen: set[Fraction] = set()
     out = []
     while len(out) < count:

@@ -133,6 +133,14 @@ square_matrices = st.integers(0, 6).flatmap(
                        min_size=n, max_size=n).map(tuple))
 
 
+# Small and large ints, zero about half the time, so that zero pivots, row
+# swaps and singular matrices occur.
+int_entries = st.one_of(st.just(0), st.one_of(st.integers(-9, 9), st.integers()))
+int_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(int_entries, min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
 def test_row_exponent_patterns():
     assert row_exponents("P", 1) == (1, -1)
     assert row_exponents("P", 2) == (4, 2, -2, -4)
@@ -187,6 +195,18 @@ def test_det_rejects_non_square():
 @given(square_matrices)
 def test_det_matches_reference(mat):
     assert det_cyclo(mat) == reference_det(mat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices)
+def test_int_det_matches_pair_det(mat):
+    # The elimination over Z against the one over Z[zeta] on (a, 0).
+    want = det_exact([[(x, 0) for x in row] for row in mat])
+    got = det_exact(mat)
+    if mat:
+        assert type(got) is int and (got, 0) == want
+    else:
+        assert got == want == (1, 0)
 
 
 def test_det_matches_reference_at_p10():
@@ -303,6 +323,16 @@ def test_random_points_are_distinct():
     assert all(0 < p <= 50 for p in pts)
 
 
+def test_random_points_stop_at_the_number_of_distinct_rationals():
+    limit = len({Fraction(p, q) for p in range(1, 51) for q in range(1, 51)})
+    assert limit == 1547
+    pts = random_distinct_rationals(random.Random(1), limit)
+    assert len(set(pts)) == limit
+    assert all(x.numerator <= 50 and x.denominator <= 50 for x in pts)
+    with pytest.raises(ValueError, match="at most 1547 distinct rationals"):
+        random_distinct_rationals(random.Random(1), limit + 1)
+
+
 def test_permutation_symmetry():
     rng = random.Random(9)
     u = list(random_distinct_rationals(rng, 4))
@@ -345,13 +375,26 @@ def test_special_z_matches_reference_at_rational_points(model, sizes):
 def test_special_z_matches_reference_at_zeta_points(model, sizes):
     rng = random.Random(f"special-z-zeta-{model}")
     irrational = 0
+    rational_lists = mixed_lists = 0
     for size in sizes:
+        count = point_count(model, size)
         for _ in range(3):
-            u = zeta_points(rng, point_count(model, size))
+            u = zeta_points(rng, count)
             value = special_z(model, size, u)
             assert value == reference_special_z(model, size, u), (model, size, u)
             irrational += value.q != 0
+        for _ in range(3):
+            # Each coordinate rational or zeta-valued by a coin flip: the
+            # points choose the route over Z or over Z[zeta].
+            rational = [f * rng.choice((-1, 1)) for f in random_distinct_rationals(rng, count)]
+            u = [x if rng.random() < 0.5 else z for x, z in zip(rational, zeta_points(rng, count))]
+            assert special_z(model, size, u) == reference_special_z(model, size, u), (model, size, u)
+            if all(Cyclo.of(x).q == 0 for x in u):
+                rational_lists += 1
+            elif any(Cyclo.of(x).q == 0 for x in u):
+                mixed_lists += 1
     assert irrational > 0
+    assert rational_lists > 0 and mixed_lists > 0
 
 
 def _with_pair(model, size, i, j, value, opposite):

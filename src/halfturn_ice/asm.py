@@ -207,6 +207,10 @@ def as_asm(grid: Sequence[Sequence[int]]) -> Asm:
     return Asm(tuple(tuple(map(int, row)) for row in grid))
 
 
+# The type of a 0 entry, by (column partial sum, row partial sum) through it.
+_ZERO_TYPE = ((3, 5), (6, 4))
+
+
 def to_state(asm: Asm) -> SixVertexState:
     """The six-vertex state of an ASM (the Robbins-Rumsey correspondence)."""
     n = asm.order
@@ -223,7 +227,7 @@ def to_state(asm: Asm) -> SixVertexState:
             elif e == -1:
                 trow.append(2)
             else:
-                trow.append({(0, 0): 3, (1, 1): 4, (0, 1): 5, (1, 0): 6}[(col[j], r)])
+                trow.append(_ZERO_TYPE[col[j]][r])
         types.append(tuple(trow))
     return SixVertexState(tuple(types))
 

@@ -176,8 +176,8 @@ def _cmd_enumerate(args) -> int:
         raise UsageError("enumerate requires --order")
     if args.format == "csv" and not args.census:
         raise UsageError("--format csv requires --census")
-    # Every mode runs the order's compiled transfer plan, so every mode
-    # passes the state guard first; `census` runs its own.
+    # Every mode runs the order's compiled transfer plan, whose compile
+    # refuses orders past the plan bound.
     if args.census:
         table = census(n, args.klass)
         if args.format == "csv":
@@ -192,9 +192,10 @@ def _cmd_enumerate(args) -> int:
                 lines.append(f"  {tag}: {poly}")
             _emit("\n".join(lines) + "\n", args.out)
         return 0
-    counts = icemodel.state_counts(icemodel.class_model(n, args.klass))
+    # A stream lists every matrix, so it is held to the state guard as well.
+    limit = None if args.count else icemodel.DEFAULT_MAX_STATES
+    count = sum(icemodel.state_counts(icemodel.class_model(n, args.klass), limit).values())
     if args.count:
-        count = sum(counts.values())
         _emit(_jsonline({"schemaVersion": SCHEMA_VERSION, "order": n, "class": args.klass,
                          "count": count}) if args.format == "json" else f"{count}\n", args.out)
         return 0

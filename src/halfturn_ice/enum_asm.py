@@ -6,7 +6,9 @@ enumeration identities: every matrix is generated, none is counted by
 formula.  The transfer plan (`_transfer_plan`) is the square-ice row
 transfer matrix over boundary profiles, compiled once per class and order;
 `icemodel` runs it for its state counts, censuses and evaluated sums, and
-`gen_asms` walks it to list the matrices.
+`gen_asms` walks it to list the matrices.  The compile refuses, with
+`SizeTooLarge`, an order whose plan could hold 2^PLAN_BOUND_BITS profile
+positions or more (`_check_plan_size`), before it builds anything.
 
 * The plan visits the cells of `_plan_cells`, row by row, left to right.
   A partial matrix is keyed by its profile: the column partial sums
@@ -44,8 +46,8 @@ which walks one column mask down rows looked up in its memo.
 Census weights follow the x-enumeration conventions, which one
 constructor, `CensusTable.from_tally`, applies for both routes to a
 census.  The plan route, `icemodel.census`, serves `enumerate --census`
-and the catalog: it runs the compiled transfer plan once, behind the state
-guard, on ints that pack the monomials u^i t^j (u per nonzero entry,
+and the catalog: it runs the compiled transfer plan once, behind the plan
+bound, on ints that pack the monomials u^i t^j (u per nonzero entry,
 t^(r-1) for the first column's 1 in row r) into w-bit slots, w the bit
 length of the class's count, which bounds every coefficient, so no slot
 carries.  `census` here is the brute route, the tests' oracle of the plan
@@ -57,7 +59,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Optional
@@ -69,7 +70,31 @@ Row = tuple[int, ...]
 Moves = tuple[tuple[Row, int], ...]
 Tails = tuple[tuple[Row, ...], ...]
 
-DEFAULT_MAX_STATES = 10_000_000  # the package's one size guard, on states or words listed
+# The guard of the routes that list every state or word (streams, symbolic
+# sums, brute inversion counts): an exact count, read from the compiled plan
+# for states.  The plan's own routes (counts, censuses, evaluated sums) are
+# bounded by the plan bound alone.
+DEFAULT_MAX_STATES = 10_000_000
+# No plan compiles that could hold 2^PLAN_BOUND_BITS or more profile
+# positions: half-turn order 15 and order 14, the largest plans under it,
+# compile in about 0.2 and 0.35 s.
+PLAN_BOUND_BITS = 23
+
+
+class SizeTooLarge(ValueError):
+    """An order past the plan bound, or a state count past a guard."""
+
+
+def _check_plan_size(n: int, klass: str) -> None:
+    """Raise SizeTooLarge when the plan of a class at order n could hold
+    2^PLAN_BOUND_BITS or more profile positions: one front per plan cell,
+    of at most 2^(n+1) profiles each.  Reads n alone and compares bit
+    lengths, so an order of any size is refused at once."""
+    cells = n * n if klass == "all" else n * n // 2  # len(_plan_cells(n, klass))
+    if cells.bit_length() + n + 1 > PLAN_BOUND_BITS:
+        raise SizeTooLarge(f"order {n} ({klass}) is past the plan bound: its transfer plan "
+                           f"could hold {cells} x 2^{n + 1} profile positions, not under "
+                           f"2^{PLAN_BOUND_BITS}")
 
 
 def _plan_cells(n: int, klass: str) -> list[tuple[int, int]]:
@@ -161,6 +186,7 @@ def _transfer_plan(n: int, klass: str):
     from each position to the last front, every central entry at once:
     the +1 paths count `shift` bits up.
     """
+    _check_plan_size(n, klass)
     cells = _plan_cells(n, klass)
     targets_live = _live_targets(n, klass, cells)
     digits = f"0{2 << n}b"  # one binary digit per profile
@@ -327,16 +353,14 @@ def _gen_ht(n: int) -> Iterator[Asm]:
 
 
 def gen_asms(n: int, klass: str = "all") -> Iterator[Asm]:
-    """Stream every ASM of the class exactly once, deterministically."""
+    """Stream every ASM of the class exactly once, deterministically.
+    Orders past the plan bound are refused here, not at the first matrix."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    if n > sys.maxsize:  # a row of n entries cannot be indexed
-        raise OverflowError(f"order {n} is past the index range")
-    if klass == "all":
-        return _gen_all(n)
-    if klass == "ht":
-        return _gen_ht(n)
-    raise ValueError(f"unknown class {klass!r}")
+    if klass not in ("all", "ht"):
+        raise ValueError(f"unknown class {klass!r}")
+    _check_plan_size(n, klass)
+    return _gen_all(n) if klass == "all" else _gen_ht(n)
 
 
 # ----------------------------------------------------------------------

@@ -33,19 +33,18 @@ out of it, to the last front, the closing profiles; `_run_pairs`
 backward, from the closing profiles, each position summing over its own
 moves.
 Every state count, split by the central entry or not, is that plan run
-once with unit weights (`_guarded_counts`, behind the state guard).  The
-refined census of an ASM class (`census`, what the CLI and the catalog
-read) is the plan run once over monomials in u and t, behind the same
-guard, each packed into an int as u^i t^j -> 2^((i*n + j)*w), w the bit
-length of the class's count: a coefficient counts distinct matrices, so
-it stays below 2^w and no slot carries.  `enum_asm.census`, which lists
-every matrix, is its oracle in the tests.  An evaluated sum runs the plan
-on integer pairs (p, q) standing for p + q*zeta in Z[zeta]
-(`_pair_weights`, `_run_pairs`).  Each value is read once as V/d with V
-in Z[zeta] and d an integer; every weight triple is multiplied by a
-factor that clears all of its denominators, so the sum takes no inverse
-and no gcd, and the total is divided once, by the product of those
-factors (`pair_quotient`).
+once with unit weights (`state_counts`).  The refined census of an ASM
+class (`census`, what the CLI and the catalog read) is the plan run once
+over monomials in u and t, each packed into an int as u^i t^j ->
+2^((i*n + j)*w), w the bit length of the class's count: a coefficient
+counts distinct matrices, so it stays below 2^w and no slot carries.
+`enum_asm.census`, which lists every matrix, is its oracle in the tests.
+An evaluated sum runs the plan on integer pairs (p, q) standing for
+p + q*zeta in Z[zeta] (`_pair_weights`, `_run_pairs`).  Each value is read
+once as V/d with V in Z[zeta] and d an integer; every weight triple is
+multiplied by a factor that clears all of its denominators, so the sum
+takes no inverse and no gcd, and the total is divided once, by the
+product of those factors (`pair_quotient`).
 
 Step k of the plan weighs with the k-th of `fundamental_cells`: the plan
 cell itself, or, for the half-turn kinds, a top cell (i, j) with j > m in
@@ -55,6 +54,13 @@ and, when e = 0, the partial sums (1-C, 1-R), so C = R holds at both or
 at neither and the two share a weight class.  The cells 1..m of an odd
 middle row carry x(m+1), the central cell has weight 1, and its entry
 keys the two parts of the split.
+
+Two guards bound the work.  The compile refuses an order whose plan could
+hold 2^PLAN_BOUND_BITS profile positions or more (`enum_asm.SizeTooLarge`,
+before anything is built), which is all that the plan's own routes need:
+counts, censuses and evaluated sums.  The routes that list every state, the
+symbolic sums and the central split, also refuse more than
+DEFAULT_MAX_STATES states, counted exactly by the compiled plan.
 """
 
 from __future__ import annotations
@@ -63,18 +69,13 @@ from functools import lru_cache, reduce
 from operator import add
 from typing import Mapping, NamedTuple, Optional, Union
 
-from . import formulas
 from .asm import Asm, _Frozen, to_state
-from .enum_asm import (DEFAULT_MAX_STATES, CensusTable, _plan_cells, _run_plan,
+from .enum_asm import (DEFAULT_MAX_STATES, CensusTable, SizeTooLarge, _plan_cells, _run_plan,
                        _transfer_plan, gen_asms)
 from .exactnum import Cyclo, pair_mul, pair_quotient
 from .laurent import LaurentPoly, sigma_of
 
 KINDS = ("dwbc", "ht-even", "ht-odd")
-
-
-class SizeTooLarge(ValueError):
-    """State count exceeds the configured guard."""
 
 
 class SingularAssignment(ValueError):
@@ -208,26 +209,17 @@ def _state_sums(kind: str, size: int, weights, one):
                         for _, codes in _state_profiles(kind, size)))
 
 
-def _guarded_counts(spec: ModelSpec, max_states: Optional[int] = None) -> dict[int, int]:
-    """The compiled plan's {central entry: state count}, once no closed-form
-    count up to the model's size passes max_states (DEFAULT_MAX_STATES if
-    None): counts grow with the size, so the first size past it refuses,
-    and no count far above the guard is computed."""
-    limit = DEFAULT_MAX_STATES if max_states is None else max_states
-    family = "asm" if spec.kind == "dwbc" else spec.kind
-    step = 1 if spec.kind == "dwbc" else 2
-    for order in range(spec.order % step or step, spec.order + 1, step):
-        expected = formulas.count_closed(family, order)
-        if expected > limit:
-            raise SizeTooLarge(f"order {spec.order} ({spec.kind} size {spec.size}) has at "
-                               f"least {expected} states, more than the guard {limit}")
-    return _transfer_plan(spec.order, spec.klass)[2]
-
-
-def state_counts(spec: ModelSpec) -> dict[int, int]:
+def state_counts(spec: ModelSpec, max_states: Optional[int] = None) -> dict[int, int]:
     """{central entry: number of states} (key 0 for dwbc and ht-even), from
-    the compiled transfer plan behind the default guard."""
-    return dict(_guarded_counts(spec))
+    the compiled transfer plan, whose compile refuses sizes past the plan
+    bound.  Given max_states, a total past it raises SizeTooLarge as well:
+    the guard of the routes that list every state."""
+    counts = _transfer_plan(spec.order, spec.klass)[2]
+    total = sum(counts.values())
+    if max_states is not None and total > max_states:
+        raise SizeTooLarge(f"order {spec.order} ({spec.kind} size {spec.size}) has {total} "
+                           f"states, more than the guard {max_states}")
+    return dict(counts)
 
 
 def class_model(order: int, klass: str) -> ModelSpec:
@@ -244,8 +236,8 @@ def class_model(order: int, klass: str) -> ModelSpec:
 
 def census(order: int, klass: str = "all") -> CensusTable:
     """The weighted refined census of an ASM class, as `enum_asm.census`
-    builds it by listing, from one run of the compiled transfer plan behind
-    the default guard, on packed ints.
+    builds it by listing, from one run of the compiled transfer plan, on
+    packed ints.
 
     Over monomials, a cell's class-0 weight (a nonzero entry) is u, times
     t^(r-1) at a cell that puts the first column's 1 in row r: the plan
@@ -263,8 +255,9 @@ def census(order: int, klass: str = "all") -> CensusTable:
     completes, and a coefficient counts distinct prefixes of distinct
     matrices, at most the count, below 2^w.
     """
-    w = sum(_guarded_counts(class_model(order, klass)).values()).bit_length()
-    steps, centrals, _ = _transfer_plan(order, klass)
+    spec = class_model(order, klass)
+    steps, centrals, counts = _transfer_plan(spec.order, spec.klass)
+    w = sum(counts.values()).bit_length()
     n, turned = order, klass == "ht"
     weights = []
     for i, j in _plan_cells(order, klass):
@@ -305,8 +298,16 @@ def partition_function(spec: ModelSpec,
                        assignment: Optional[Mapping[str, Cyclo]] = None,
                        max_states: Optional[int] = None) -> PartitionResult:
     """Exact state sum: symbolic Laurent polynomial, or a field value when
-    an assignment for a and all spectral variables is given."""
-    count = sum(_guarded_counts(spec, max_states).values())
+    an assignment for a and all spectral variables is given.
+
+    Both run the compiled transfer plan, so both refuse sizes past the plan
+    bound.  max_states, when given, is an exact state count that the sum
+    must not pass; the symbolic sum, which lists every state, takes
+    DEFAULT_MAX_STATES when it is None, and the evaluated one no count
+    guard at all."""
+    if max_states is None and assignment is None:
+        max_states = DEFAULT_MAX_STATES
+    count = sum(state_counts(spec, max_states).values())
     if assignment is None:
         return PartitionResult(_symbolic_value(spec.kind, spec.size), spec, count)
     names, _, _ = _point_layout(spec.kind, spec.size)
@@ -424,7 +425,7 @@ def z_ht2(m: int) -> PartitionResult:
     drifted; the factorization is exact by construction of the models.
     """
     spec = ModelSpec("ht-even", m)
-    count = sum(_guarded_counts(spec).values())
+    count = sum(state_counts(spec, DEFAULT_MAX_STATES).values())
     return PartitionResult(_z_ht2_value(m), spec, count)
 
 
@@ -441,7 +442,7 @@ def z_split_odd(m: int) -> tuple[PartitionResult, PartitionResult]:
     run of the compiled transfer plan that keeps the central entries apart.
     """
     spec = ModelSpec("ht-odd", m)
-    counts = _guarded_counts(spec)
+    counts = state_counts(spec, DEFAULT_MAX_STATES)
     steps, centrals, _ = _transfer_plan(spec.order, "ht")
     parts = _run_plan(steps, centrals, _symbolic_weights("ht-odd", m), LaurentPoly.const(1))
     return tuple(PartitionResult(parts.get(c, LaurentPoly.zero()), spec, counts.get(c, 0))

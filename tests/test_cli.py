@@ -18,6 +18,7 @@ from halfturn_ice.cli import UsageError, build_parser, main, parse_value
 from halfturn_ice.determinant import special_z
 from halfturn_ice.exactnum import Cyclo
 from halfturn_ice.formulas import FAMILIES, MAX_DIGITS, count_closed
+from halfturn_ice.icemodel import ModelSpec
 from fractions import Fraction
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -282,10 +283,12 @@ def test_attached_double_dash_is_a_missing_value(capsys, argv):
     ("genfunc", "--order", "99999999999999999999", "--mode", "brute"),
 ])
 def test_oversized_order_is_a_usage_error(capsys, argv):
-    # Refused before anything is built: --count by the state guard, the
+    # Refused before anything is built: --count by the plan bound, the
     # brute genfunc by the exponent range.
+    started = time.perf_counter()
     result = run(capsys, *argv)
-    assert_usage_error(result)
+    assert time.perf_counter() - started < 1
+    assert_usage_error(result, "order 99999999999999999999")
     assert len(result[2].splitlines()) == 1
 
 
@@ -301,16 +304,30 @@ def test_oversized_order_is_a_usage_error(capsys, argv):
     (("enumerate", "--order", "13", "--class", "ht"), "ht-odd size 6"),
 ])
 def test_enumerate_past_the_state_guard_is_a_usage_error(capsys, argv, model):
-    # Every mode runs the transfer plan (the plain stream walks it), so
-    # every mode passes the state guard: -n 8 has 10,850,216 matrices and
-    # half-turn order 12 has 198,846,076, and both are refused at once
-    # instead of listed.  The message names the order as typed.
+    # Only the streams list every matrix, so only they are held to the
+    # state guard: -n 8 has 10,850,216 matrices and half-turn order 12 has
+    # 198,846,076, and both are refused at once instead of listed.
+    # --census and --count list none: the plan bound alone holds them, so
+    # they answer at these orders and refuse order 5000 at once.  A refusal
+    # names the order as typed.
     order = argv[2]
+    family = "asm" if model.startswith("dwbc") else model.split()[0]
     started = time.perf_counter()
     result = run(capsys, *argv)
+    code, out, err = result
+    if "--census" in argv or "--count" in argv:
+        if order == "5000":
+            assert time.perf_counter() - started < 1
+            assert_usage_error(result, f"order {order} (all) is past the plan bound")
+            assert len(err.splitlines()) == 1
+        else:  # "order 13 class ht: 3994998436 matrices" heads a census
+            total = out.split(":")[1].split()[0] if "--census" in argv else out
+            assert (code, err, int(total)) == (0, "", count_closed(family, int(order)))
+        return
     assert time.perf_counter() - started < 1
-    assert_usage_error(result, f"order {order} ({model})", "the guard 10000000")
-    assert len(result[2].splitlines()) == 1
+    assert_usage_error(result, f"order {order} ({model}) has "
+                       f"{count_closed(family, int(order))} states", "the guard 10000000")
+    assert len(err.splitlines()) == 1
 
 
 def test_enumerate_order_below_one_is_a_usage_error(capsys):
@@ -440,11 +457,36 @@ def test_partition_unparsable_value_is_a_usage_error(capsys):
     (("partition", "-n", "300"), "dwbc size 300"),
 ])
 def test_partition_past_the_state_guard_is_a_usage_error(capsys, argv, model):
-    # The guard tries the sizes upward and refuses at the first one past
-    # it, so no count of thousands of digits is computed or printed.
+    # Sizes past the plan bound are refused before the plan compiles, so
+    # no count of thousands of digits is computed or printed.
+    kind, _, size = model.split()
+    spec = ModelSpec(kind, int(size))
+    started = time.perf_counter()
     result = run(capsys, *argv)
-    assert_usage_error(result, model, "the guard 10000000")
+    assert time.perf_counter() - started < 1
+    assert_usage_error(result, f"order {spec.order} ({spec.klass}) is past the plan bound")
     assert len(result[2].splitlines()) == 1
+
+
+def test_partition_symbolic_past_the_state_guard_is_a_usage_error(capsys):
+    # The symbolic sum lists every state, so it stays held to 10^7 states,
+    # counted exactly by the plan: dwbc 8 has 10,850,216.  --max-states is
+    # an exact count on both routes: 42 states pass 42 and not 41.
+    assert_usage_error(run(capsys, "partition", "-n", "8"),
+                       "order 8 (dwbc size 8) has 10850216 states, more than the guard 10000000")
+    assert_usage_error(run(capsys, "partition", "--model", "ht-odd", "--m", "6"),
+                       "order 13 (ht-odd size 6) has 3994998436 states")
+    assert_usage_error(run(capsys, "partition", "-n", "4", "--max-states", "41"),
+                       "has 42 states, more than the guard 41")
+    code, out, _ = run(capsys, "partition", "-n", "4", "--max-states", "42",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["stateCount"] == 42
+    point = [f"{v}={i + 2}" for i, v in enumerate(("a", "x1", "x2", "x3", "x4",
+                                                   "y1", "y2", "y3", "y4"))]
+    assign = [arg for value in point for arg in ("--assign", value)]
+    assert_usage_error(run(capsys, "partition", "-n", "4", "--max-states", "41", *assign),
+                       "guard 41")
+    assert run(capsys, "partition", "-n", "4", "--max-states", "42", *assign)[0] == 0
 
 
 @pytest.mark.parametrize("limit", ["0", "-1"])

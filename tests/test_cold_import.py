@@ -78,11 +78,13 @@ def test_package_import_loads_no_dataclasses_or_inspect():
 
 def test_laurent_and_formulas_import_only_their_layers():
     # laurent is the bottom layer: it imports no other module of the
-    # package.  formulas stands on laurent alone.
+    # package.  formulas stands on laurent alone, and icemodel, which counts
+    # states by its compiled plan, does not load it.
     def package_modules(module):
         return {m for m in _probe(PROBE, [module]) if m.startswith("halfturn_ice.")}
 
     assert package_modules("halfturn_ice.laurent") == {"halfturn_ice.laurent"}
+    assert "halfturn_ice.formulas" not in package_modules("halfturn_ice.icemodel")
     assert package_modules("halfturn_ice.formulas") == {"halfturn_ice.laurent",
                                                         "halfturn_ice.formulas"}
 

@@ -8,7 +8,8 @@ import pytest
 
 from halfturn_ice.asm import Asm, NotAlternating, stats
 from halfturn_ice.enum_asm import (
-    _plan_rows, _prefixes, _transfer_plan, census, gen_asms, ht_permutations, inversion_genfunc)
+    PLAN_BOUND_BITS, SizeTooLarge, _check_plan_size, _plan_cells, _plan_rows, _prefixes,
+    _transfer_plan, census, gen_asms, ht_permutations, inversion_genfunc)
 from halfturn_ice.formulas import count_closed
 from halfturn_ice.laurent import LaurentPoly
 
@@ -151,7 +152,7 @@ def test_mask_closing_agrees_with_the_column_condition(n):
                          + [(n, "ht") for n in range(1, 14)])
 def test_plan_layout_past_the_listing(n, klass):
     # The compiled layout at every order to dwbc 8 and half-turn 13, past
-    # the guard: each front's positions all have a move out and a move in,
+    # the listing guard: each front's positions all have a move out and a move in,
     # the last front is the closing profiles, a source's entry-0 move
     # (class 1 or 2) comes before its class-0 move, and the unit counts are
     # the closed counts, split by the central entry at odd half-turn
@@ -377,13 +378,27 @@ def test_census_exports():
     assert len(obj["rows"]) == 3
 
 
+def test_plan_bound_admits_half_turn_order_15_and_order_14():
+    # The bound is on cells x 2^(n+1): the plan's fronts, one per cell, of
+    # at most 2^(n+1) profiles each.
+    for n, klass in ((15, "ht"), (14, "all"), (1, "ht"), (1, "all")):
+        _check_plan_size(n, klass)
+        assert len(_plan_cells(n, klass)) << n + 1 < 1 << PLAN_BOUND_BITS
+    for n, klass in ((16, "ht"), (15, "all")):
+        assert len(_plan_cells(n, klass)) << n + 1 >= 1 << PLAN_BOUND_BITS
+        with pytest.raises(SizeTooLarge, match=f"^order {n} [(]{klass}[)] is past the plan bound"):
+            _check_plan_size(n, klass)
+        with pytest.raises(SizeTooLarge):
+            _transfer_plan(n, klass)
+
+
 def test_bad_inputs():
     with pytest.raises(ValueError):
         list(gen_asms(0))
     with pytest.raises(ValueError):
         list(gen_asms(2, "diagonal"))
     for klass in ("all", "ht"):
-        with pytest.raises(OverflowError, match="past the index range"):
+        with pytest.raises(SizeTooLarge, match=f"order {10 ** 20} [(]{klass}[)] is past"):
             gen_asms(10 ** 20, klass)
     with pytest.raises(ValueError):
         inversion_genfunc(2, "all", "guess")

@@ -1,6 +1,7 @@
 """Vertex weights, partition functions, the cofactor and the central split."""
 
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -12,13 +13,14 @@ from halfturn_ice.determinant import random_distinct_rationals, special_z
 from halfturn_ice.enum_asm import CensusTable, census, gen_asms
 from halfturn_ice.exactnum import Cyclo, ZETA
 from halfturn_ice.formulas import count_closed, refined_asm_closed, refined_ht_odd
-from halfturn_ice import icemodel
+from halfturn_ice import cli, enum_asm, icemodel
 from halfturn_ice.icemodel import (
     ModelSpec, SingularAssignment, SizeTooLarge, _pair_weights, _plan_cells, _run_pairs,
     _run_plan, _state_sums, _symbolic_weights, _transfer_plan, fundamental_cells,
     modified_multiplier, modified_partition, modified_z_ht2, partition_function, state_counts,
     z_ht2, z_split_odd)
 from halfturn_ice.laurent import LaurentPoly, sigma_of
+from halfturn_ice.verify import _assign_interleaved
 from test_laurent import value_at
 
 M = LaurentPoly.monomial
@@ -190,9 +192,11 @@ def test_split_parts_carry_their_own_counts(monkeypatch):
 
 
 def test_state_guard(monkeypatch):
-    with pytest.raises(SizeTooLarge, match="guard 10$"):
+    with pytest.raises(SizeTooLarge, match="has 42 states, more than the guard 10$"):
         partition_function(ModelSpec("dwbc", 4), max_states=10)
     assert partition_function(ModelSpec("dwbc", 2)).state_count == 2
+    # The default guard holds the routes that list every state: the
+    # symbolic sums and the central split.
     monkeypatch.setattr(icemodel, "DEFAULT_MAX_STATES", 2)
     with pytest.raises(SizeTooLarge, match="guard 2$"):
         partition_function(ModelSpec("dwbc", 3))
@@ -201,13 +205,20 @@ def test_state_guard(monkeypatch):
     with pytest.raises(SizeTooLarge, match="guard 2$"):
         z_split_odd(1)
     assert z_ht2(1).state_count == 2
-    with pytest.raises(SizeTooLarge, match="guard 2$"):
-        state_counts(ModelSpec("ht-odd", 1))
-    # A caller's own max_states overrides the default guard, for symbolic
-    # and evaluated sums alike: 7 states pass a guard of 100.
+    # The plan's own routes list no state, so the default guard does not
+    # hold them: counts, censuses and evaluated sums.
+    assert state_counts(ModelSpec("ht-odd", 1)) == {1: 2, -1: 1}
+    assert icemodel.census(3, "ht").count == 3
     point = {"a": ZETA, "x1": 2, "x2": 3, "x3": 5, "y1": 7, "y2": 11, "y3": 13}
-    assert partition_function(ModelSpec("dwbc", 3), max_states=100).state_count == 7
-    assert partition_function(ModelSpec("dwbc", 3), point, max_states=100).state_count == 7
+    assert partition_function(ModelSpec("dwbc", 3), point).state_count == 7
+    # A caller's own max_states is an exact count that replaces the default
+    # guard, for symbolic and evaluated sums alike: 7 states pass 7, not 6.
+    for assignment in (None, point):
+        assert partition_function(ModelSpec("dwbc", 3), assignment, 7).state_count == 7
+        with pytest.raises(SizeTooLarge, match="has 7 states, more than the guard 6$"):
+            partition_function(ModelSpec("dwbc", 3), assignment, 6)
+    with pytest.raises(SizeTooLarge, match="guard 2$"):
+        state_counts(ModelSpec("ht-odd", 1), 2)
 
 
 def test_partial_assignment_names_every_missing_variable():
@@ -552,8 +563,10 @@ def test_plan_census_refuses_bad_classes_and_oversized_orders():
         icemodel.census(0)
     with pytest.raises(ValueError, match="unknown class"):
         icemodel.census(3, "odd")
-    with pytest.raises(SizeTooLarge, match="ht-even size 6"):
-        icemodel.census(12, "ht")
+    # Half-turn order 16 and order 15 are the first past the plan bound.
+    for order, klass in ((16, "ht"), (15, "all")):
+        with pytest.raises(SizeTooLarge, match=f"order {order} [(]{klass}[)] is past"):
+            icemodel.census(order, klass)
 
 
 def test_transfer_matches_the_determinant_past_the_brute_range():
@@ -566,3 +579,48 @@ def test_transfer_matches_the_determinant_past_the_brute_range():
         res = partition_function(spec, assign)
         assert res.state_count == count_closed("asm", n)
         assert res.value == special_z("dwbc", n, u)
+
+
+def test_evaluated_sums_and_censuses_reach_the_plan_bound():
+    # Past the 10^7 states that hold the symbolic sums, up to the largest
+    # plans under the plan bound, each against a second route: the
+    # determinant forms at a = zeta and the closed-form counts.
+    rng = random.Random(38)
+    for kind, size, family in (("ht-odd", 7, "ht-odd"), ("ht-even", 7, "ht-even"),
+                               ("dwbc", 12, "asm")):
+        spec = ModelSpec(kind, size)
+        u = random_distinct_rationals(rng, 2 * size + (kind == "ht-odd"))
+        res = partition_function(spec, _assign_interleaved(u, size))
+        assert res.state_count == count_closed(family, spec.order)
+        want = (special_z("dwbc", size, u) * special_z("ht2", size, u) if kind == "ht-even"
+                else special_z(kind, size, u))
+        assert res.value == want, (kind, size)
+    assert icemodel.census(13, "ht").count == count_closed("ht-odd", 13)
+    assert icemodel.census(10).count == count_closed("asm", 10)
+
+
+def test_oversized_plans_are_refused_before_anything_is_built(monkeypatch, capsys):
+    # Each of these once reached _live_targets, whose bitsets have 2^(n+1)
+    # bits each: gigabytes at n = 24 or 30.  The plan bound reads the order
+    # alone, so nothing of the plan is built.
+    def forbidden(*args):
+        raise AssertionError("a refused order started to build its plan")
+
+    monkeypatch.setattr(enum_asm, "_live_targets", forbidden)
+    monkeypatch.setattr(enum_asm, "_plan_cells", forbidden)
+    monkeypatch.setattr(icemodel, "_plan_cells", forbidden)
+    with pytest.raises(SizeTooLarge, match=r"^order 30 \(all\) is past the plan bound"):
+        gen_asms(30)  # at call time, not at the first matrix
+    with pytest.raises(SizeTooLarge, match=r"^order 24 \(all\) is past the plan bound"):
+        partition_function(ModelSpec("dwbc", 24), max_states=10 ** 70)
+    for route in (icemodel.census, census):
+        with pytest.raises(SizeTooLarge, match=r"^order 31 \(all\) is past the plan bound"):
+            route(31)
+    for argv in (["enumerate", "--order", "99999999999999999999", "--count"],
+                 ["partition", "-n", "24", "--max-states", str(10 ** 70)]):
+        started = time.perf_counter()
+        code = cli.main(argv)
+        assert time.perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and len(captured.err.splitlines()) == 1
+        assert "is past the plan bound" in captured.err

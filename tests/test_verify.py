@@ -230,8 +230,10 @@ def test_an_arithmetic_error_ends_the_suite_as_a_failure(monkeypatch):
 
 
 def test_an_oversized_suite_still_raises():
-    with pytest.raises(icemodel.SizeTooLarge):
-        run_suite("theorem3", {"m_max": 6, "points": 1})
+    # Theorem 3 runs through m = 7, ht-odd order 15; order 17 is past the
+    # plan bound.
+    with pytest.raises(icemodel.SizeTooLarge, match=r"order 17 \(ht\) is past the plan bound"):
+        run_suite("theorem3", {"m_max": 8, "points": 1})
 
 
 def test_plain_reading_fails_refined_1_without_raising(monkeypatch, capsys):

@@ -256,7 +256,7 @@ def _cmd_partition(args) -> int:
 def _cmd_det(args) -> int:
     if not args.u:
         raise UsageError("det requires --u with comma-separated rationals")
-    u = tuple(Cyclo(_fraction(tok)) for tok in args.u.split(","))
+    u = tuple(_fraction(tok) for tok in args.u.split(","))
     size = args.order if args.model == "dwbc" else args.m
     if size is None:
         raise UsageError("det requires --order (dwbc) or --m (ht2, ht-odd)")

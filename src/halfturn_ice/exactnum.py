@@ -12,7 +12,8 @@ so each element has exactly one representation and equality is structural
 Sums, products and inverses are a few integer products followed by one
 three-way gcd.  `integer_parts` and `from_integer_parts` read and build
 this form, and `pair_mul` and `pair_quotient` work on integer pairs (a, b)
-standing for a + b*zeta, for code that computes on the integers directly.
+standing for a + b*zeta, for the evaluated state sums (`icemodel`), which
+compute on the integers directly.
 The rational parts p = a/d and q = b/d are exposed as `fractions.Fraction`s.
 Inversion multiplies by the conjugate (zeta -> 1 - zeta) and divides by
 the norm p^2 + p*q + q^2, which is rational and positive for x != 0.
@@ -235,16 +236,15 @@ def pair_mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     return ua * va - ub * vb, ua * vb + ub * va + ub * vb
 
 
-def pair_quotient(x: tuple[int, int], y: tuple[int, int], k: int = 1) -> Cyclo:
-    """x / y^k for integer pairs x and y = (c, d) != (0, 0): one integer
-    division when d = 0, otherwise x times conj(y)^k over the integer
-    norm(y)^k, conj(y) = c + d - d*zeta; one reduction either way."""
+def pair_quotient(x: tuple[int, int], y: tuple[int, int]) -> Cyclo:
+    """x / y for integer pairs x and y = (c, d) != (0, 0): one integer
+    division when d = 0, otherwise x times conj(y) over the integer
+    norm(y), conj(y) = c + d - d*zeta; one reduction either way."""
     c, d = y
     if d:
-        for _ in range(k):
-            x = pair_mul(x, (c + d, -d))
+        x = pair_mul(x, (c + d, -d))
         c = c * c + c * d + d * d
-    return Cyclo.from_integer_parts(*x, c ** k)
+    return Cyclo.from_integer_parts(*x, c)
 
 
 ZETA = Cyclo(0, 1)

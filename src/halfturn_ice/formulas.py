@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, prod
 
 from .laurent import LaurentPoly, sigma_of
@@ -70,7 +69,6 @@ def _factorial_ratio(num: list[int], den: list[int], what: str) -> int:
     return prod(p ** e for p, e in enumerate(exps) if e)
 
 
-@lru_cache(maxsize=None)
 def count_asm(n: int) -> int:
     """1, 2, 7, 42, 429, 7436, ..."""
     if n < 1:
@@ -87,7 +85,6 @@ def _ht_count(m: int, odd: bool, what: str) -> int:
                             [m + i for i in range(m)] * 2 + [2 * m] * 2 * odd, what)
 
 
-@lru_cache(maxsize=None)
 def count_ht_even(order: int) -> int:
     """2, 10, 140, ... at orders 2, 4, 6; 1 at order 0."""
     if order < 0 or order % 2:
@@ -95,7 +92,6 @@ def count_ht_even(order: int) -> int:
     return _ht_count(order // 2, False, f"count_ht_even({order})")
 
 
-@lru_cache(maxsize=None)
 def count_ht_odd(order: int) -> int:
     """1, 3, 25, 588, ... at orders 1, 3, 5, 7."""
     if order < 1 or order % 2 == 0:

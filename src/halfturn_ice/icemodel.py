@@ -32,8 +32,10 @@ a value per position of each front: `_run_plan` forward, along the moves
 out of it, to the last front, the closing profiles; `_run_pairs`
 backward, from the closing profiles, each position summing over its own
 moves.
-Every state count, split by the central entry or not, is that plan run
-once with unit weights (`state_counts`).  The refined census of an ASM
+Every state count, split by the central entry or not, comes from the
+compile: `_transfer_plan`'s backward pass groups the moves by source and
+counts on the way the paths to the closing profiles of each central
+entry, and `state_counts` copies those counts.  The refined census of an ASM
 class (`census`, what the CLI and the catalog read) is the plan run once
 over monomials in u and t, each packed into an int as u^i t^j ->
 2^((i*n + j)*w), w the bit length of the class's count: a coefficient

@@ -9,6 +9,9 @@ does not stay in the package either.
 
 Matching is by name only, so a public name that some local name shadows
 (say, a variable `norm` in another module) escapes this check.
+
+Nor does a module import a name it never reads: every name an import binds
+(`__future__` features aside) must be loaded somewhere in that module.
 """
 
 import ast
@@ -65,3 +68,22 @@ def test_every_private_module_function_has_a_caller_in_the_package():
                     and node.name.startswith("_") and not node.name.startswith("__")
                     and referenced[node.name] == _referenced_names([node])[node.name])
     assert unused == [], f"private functions nothing else in src/ calls: {', '.join(unused)}"
+
+
+def _imported_names(tree):
+    """The name each import of a module binds, `__future__` features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_imported_name_is_read_in_its_module():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}: {name}" for name in _imported_names(tree) if name not in loaded]
+    assert unread == [], f"imported names their module never reads: {', '.join(unread)}"

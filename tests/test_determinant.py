@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,16 +58,18 @@ def _sigma_pair_product(u, power=1):
 
 
 def det_cyclo(mat):
-    """`det_exact` of a matrix over Q(zeta): each row times the lcm of its
-    entries' denominators is a row of integer pairs, and the determinant
-    of those rows is divided by the product of the row scales."""
+    """`det_exact` of a matrix over Q, its entries rational `Cyclo`s: each
+    row times the lcm of its entries' denominators is a row of ints, and
+    the determinant of those rows is divided by the product of the row
+    scales."""
     rows, scale = [], 1
     for row in mat:
         parts = [x.integer_parts() for x in row]
+        assert not any(b for _, b, _ in parts), "rational entries only"
         d = lcm(*(e for _, _, e in parts))
-        rows.append([(a * (d // e), b * (d // e)) for a, b, e in parts])
+        rows.append([a * (d // e) for a, _, e in parts])
         scale *= d
-    return Cyclo.from_integer_parts(*det_exact(rows), scale)
+    return Cyclo.from_integer_parts(det_exact(rows), 0, scale)
 
 
 def reference_special_z(model, size, u):
@@ -90,17 +92,10 @@ def point_count(model, size):
     return 2 * size + 1 if model == "ht-odd" else 2 * size
 
 
-def zeta_points(rng, count):
-    """Points p + q*zeta with q != 0, which may be equal up to sign (the
-    seeded draws below never are)."""
-    return [Cyclo(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                  Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)))
-            for _ in range(count)]
-
-
 def reference_det(mat):
-    """Bareiss elimination with every entry and quotient in Q(zeta): the
-    plain form that `det_exact` (by `det_cyclo`) must agree with."""
+    """Bareiss elimination with every entry and quotient in Q(zeta), on
+    `Cyclo`s: the oracle that `det_exact` (directly, or by `det_cyclo`) must
+    agree with."""
     n = len(mat)
     if n == 0:
         return Cyclo(1)
@@ -123,11 +118,11 @@ def reference_det(mat):
     return sign * m[n - 1][n - 1]
 
 
-# Small Q(zeta) values, zero about half the time, so that pivot swaps,
-# singular matrices and nonzero zeta parts all occur.
+# Small rationals, zero about half the time, so that pivot swaps and
+# singular matrices occur.
 parts = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
                          Fraction(5, 7)])
-entries = st.one_of(st.just(Cyclo(0)), st.builds(Cyclo, parts, parts))
+entries = st.one_of(st.just(Cyclo(0)), st.builds(Cyclo, parts))
 square_matrices = st.integers(0, 6).flatmap(
     lambda n: st.lists(st.lists(entries, min_size=n, max_size=n).map(tuple),
                        min_size=n, max_size=n).map(tuple))
@@ -200,13 +195,9 @@ def test_det_matches_reference(mat):
 @settings(max_examples=300, deadline=None)
 @given(int_matrices)
 def test_int_det_matches_pair_det(mat):
-    # The elimination over Z against the one over Z[zeta] on (a, 0).
-    want = det_exact([[(x, 0) for x in row] for row in mat])
+    # The elimination over Z against the one in Q(zeta) on the same entries.
     got = det_exact(mat)
-    if mat:
-        assert type(got) is int and (got, 0) == want
-    else:
-        assert got == want == (1, 0)
+    assert type(got) is int and got == reference_det([[Cyclo(x) for x in row] for row in mat])
 
 
 def test_det_matches_reference_at_p10():
@@ -216,33 +207,16 @@ def test_det_matches_reference_at_p10():
     assert det_cyclo(mat) == reference_det(mat)
 
 
-def test_det_matches_reference_at_zeta_points():
-    rng = random.Random(11)
-    u = [Cyclo(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-               Fraction(rng.randint(1, 9), rng.randint(1, 9))) for _ in range(9)]
-    mat = build_matrix("Pprime", 5, u)
-    value = det_cyclo(mat)
-    assert value.q != 0
-    assert value == reference_det(mat)
-
-
-def test_det_with_zeta_entries():
-    mat = ((ZETA, Cyclo(1)), (Cyclo(1), ZETA))
-    # zeta^2 - 1 = zeta - 2
-    assert det_cyclo(mat) == ZETA - 2
-
-
 def test_pair_det_edge_cases():
-    assert det_exact(()) == (1, 0)
-    assert det_exact([[(0, 0), (0, 1)], [(2, 0), (3, 1)]]) == (0, -2)  # swap: -2*zeta
-    assert det_exact([[(0, 0), (1, 0), (0, 0)], [(0, 0), (0, 0), (1, 0)],
-                      [(1, 0), (0, 0), (0, 0)]]) == (1, 0)  # two swaps
-    assert det_exact([[(1, 1), (2, 2)], [(3, 0), (6, 0)]]) == (0, 0)
-    assert det_exact([[(0, 0), (1, 0)], [(0, 0), (2, 1)]]) == (0, 0)  # no pivot
+    assert det_exact(()) == 1
+    assert det_exact([[0, 1], [2, 3]]) == -2  # one swap
+    assert det_exact([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1  # two swaps
+    assert det_exact([[1, 2], [3, 6]]) == 0
+    assert det_exact([[0, 1], [0, 2]]) == 0  # no pivot
     with pytest.raises(DimensionMismatch):
-        det_exact([[(1, 0), (2, 0)]])
+        det_exact([[1, 2]])
     with pytest.raises(DimensionMismatch):
-        det_exact([[(1, 0), (2, 0)], [(3, 0)]])
+        det_exact([[1, 2], [3]])
 
 
 def test_dwbc_size_one_is_constant():
@@ -275,6 +249,17 @@ def test_opposite_points_guard(model, size, u):
 def test_zero_point_rejected():
     with pytest.raises(ValueError, match="nonzero"):
         special_z("dwbc", 1, (0, 2))
+
+
+@pytest.mark.parametrize("model", ["dwbc", "ht2", "ht-odd"])
+def test_zeta_point_rejected(model, monkeypatch):
+    # One zeta-valued coordinate among rationals is refused before any
+    # elimination.
+    monkeypatch.setattr(determinant, "det_exact", None)
+    u = list(random_distinct_rationals(random.Random(2), point_count(model, 2)))
+    u[1] = Cyclo(Fraction(1, 3), Fraction(-5, 2))
+    with pytest.raises(ValueError, match="points must be rational"):
+        special_z(model, 2, u)
 
 
 def test_dimension_checks():
@@ -370,33 +355,6 @@ def test_special_z_matches_reference_at_rational_points(model, sizes):
             assert special_z(model, size, u) == reference_special_z(model, size, u), (model, size, u)
 
 
-@pytest.mark.parametrize("model,sizes", [("dwbc", range(1, 5)), ("ht2", range(1, 5)),
-                                         ("ht-odd", range(0, 5))])
-def test_special_z_matches_reference_at_zeta_points(model, sizes):
-    rng = random.Random(f"special-z-zeta-{model}")
-    irrational = 0
-    rational_lists = mixed_lists = 0
-    for size in sizes:
-        count = point_count(model, size)
-        for _ in range(3):
-            u = zeta_points(rng, count)
-            value = special_z(model, size, u)
-            assert value == reference_special_z(model, size, u), (model, size, u)
-            irrational += value.q != 0
-        for _ in range(3):
-            # Each coordinate rational or zeta-valued by a coin flip: the
-            # points choose the route over Z or over Z[zeta].
-            rational = [f * rng.choice((-1, 1)) for f in random_distinct_rationals(rng, count)]
-            u = [x if rng.random() < 0.5 else z for x, z in zip(rational, zeta_points(rng, count))]
-            assert special_z(model, size, u) == reference_special_z(model, size, u), (model, size, u)
-            if all(Cyclo.of(x).q == 0 for x in u):
-                rational_lists += 1
-            elif any(Cyclo.of(x).q == 0 for x in u):
-                mixed_lists += 1
-    assert irrational > 0
-    assert rational_lists > 0 and mixed_lists > 0
-
-
 def _with_pair(model, size, i, j, value, opposite):
     """Seeded distinct rational points with u_i = value and u_j = +-value."""
     u = list(random_distinct_rationals(random.Random(size), point_count(model, size)))
@@ -407,7 +365,7 @@ def _with_pair(model, size, i, j, value, opposite):
 
 @pytest.mark.parametrize("model", ["dwbc", "ht2", "ht-odd"])
 @pytest.mark.parametrize("opposite", [False, True])
-@pytest.mark.parametrize("value", [Fraction(51, 2), Cyclo(Fraction(1, 3), Fraction(-5, 2))])
+@pytest.mark.parametrize("value", [Fraction(51, 2), Fraction(-5, 3)])
 def test_pole_guard_at_a_non_adjacent_pair(model, opposite, value):
     # Points 2 and 4 (1-based) of five or four coincide up to sign: no pole
     # of the Schur form, which equals the state sum there.
@@ -423,27 +381,11 @@ def test_pole_guard_names_the_first_pair(model):
     assert special_z(model, 2, u) == _Z(model, 2, u)
 
 
-# (1 + zeta)^2 = 3 zeta: these points' squared triples (a^2 - b^2,
-# 2ab + b^2, d^2) share the factor 3.
-UNREDUCED = (Cyclo(Fraction(1, 3), Fraction(1, 3)), Cyclo(Fraction(2, 3), Fraction(2, 3)),
-             Cyclo(Fraction(-1, 6), Fraction(-1, 6)), Cyclo(Fraction(1, 2)), Cyclo(3))
-
-
-@pytest.mark.parametrize("model,size", [("dwbc", 1), ("dwbc", 2), ("ht2", 1), ("ht2", 2),
-                                        ("ht-odd", 0), ("ht-odd", 1), ("ht-odd", 2)])
-def test_special_z_at_squares_not_in_lowest_terms(model, size):
-    u = UNREDUCED[:point_count(model, size)]
-    a, b, d = u[0].integer_parts()
-    assert gcd(a * a - b * b, (2 * a + b) * b, d * d) == 3
-    assert special_z(model, size, u) == reference_special_z(model, size, u)
-
-
 @pytest.mark.parametrize("model", ["dwbc", "ht2", "ht-odd"])
 def test_pole_guard_names_the_first_combination(model):
-    # u_2 = u_3 = u_4 and u_1 = -u_2, zeta-valued: four points equal up to
-    # sign.
+    # u_2 = u_3 = u_4 and u_1 = -u_2: four points equal up to sign.
     u = list(random_distinct_rationals(random.Random(6), point_count(model, 2)))
-    u[1] = u[2] = u[3] = Cyclo(Fraction(1, 3), Fraction(-5, 2))
+    u[1] = u[2] = u[3] = Fraction(-5, 2)
     u[0] = -u[1]
     assert special_z(model, 2, u) == _Z(model, 2, u)
 

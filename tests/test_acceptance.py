@@ -6,7 +6,6 @@ the stated time budgets.  Run with `pytest tests/test_acceptance.py -v -s`
 to see one pass line per criterion.
 """
 
-import hashlib
 import time
 from pathlib import Path
 
@@ -15,9 +14,9 @@ from halfturn_ice.cli import main
 from halfturn_ice.enum_asm import census, gen_asms
 from halfturn_ice.laurent import LaurentPoly
 
-# The sha256 of `verify --all --seed 42 --format json`; CI checks the same
-# digest under two hash seeds.
-VERIFY_ALL_DIGEST = Path(__file__).resolve().parent / "data" / "verify_all_seed42.sha256"
+# The expected `verify --all --seed 42 --format json`, one line per suite in
+# catalog order; CI diffs it under two hash seeds, test_verify reads its ids.
+VERIFY_ALL_LINES = Path(__file__).resolve().parent / "data" / "verify_all_seed42.jsonl"
 
 
 def _criterion(num, text):
@@ -146,11 +145,9 @@ def test_criterion_16_full_verify_all(capsys):
     code = main(["verify", "--all", "--seed", "42", "--format", "json"])
     elapsed = time.time() - t0
     out = capsys.readouterr().out
-    lines = [line for line in out.splitlines() if line.strip()]
     assert code == 0
-    assert len(lines) == len(verify.SUITES)
-    assert all('"status":"pass"' in line for line in lines)
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST.read_text().strip()
+    # Line by line, so a failure names the suite whose line moved.
+    assert out.split("\n") == VERIFY_ALL_LINES.read_text().split("\n")
     assert elapsed < 600, f"verify --all took {elapsed:.1f}s"
     with capsys.disabled():
-        _criterion(16, f"verify --all: {len(lines)} suites green in {elapsed:.1f}s, exit 0")
+        _criterion(16, f"verify --all: {len(verify.SUITES)} suites green in {elapsed:.1f}s, exit 0")

@@ -194,7 +194,7 @@ def test_det_matches_reference(mat):
 
 @settings(max_examples=300, deadline=None)
 @given(int_matrices)
-def test_int_det_matches_pair_det(mat):
+def test_det_matches_the_cyclo_oracle(mat):
     # The elimination over Z against the one in Q(zeta) on the same entries.
     got = det_exact(mat)
     assert type(got) is int and got == reference_det([[Cyclo(x) for x in row] for row in mat])
@@ -207,7 +207,7 @@ def test_det_matches_reference_at_p10():
     assert det_cyclo(mat) == reference_det(mat)
 
 
-def test_pair_det_edge_cases():
+def test_det_edge_cases():
     assert det_exact(()) == 1
     assert det_exact([[0, 1], [2, 3]]) == -2  # one swap
     assert det_exact([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1  # two swaps

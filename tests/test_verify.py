@@ -1,5 +1,6 @@
 """The verification engine itself: reports, determinism, failure witnesses."""
 
+import json
 import os
 import random
 import subprocess
@@ -18,6 +19,7 @@ from halfturn_ice.exactnum import ZETA, Cyclo
 from halfturn_ice.laurent import LaurentPoly
 from halfturn_ice.verify import (
     SUITES, UnknownSuite, _WITNESS_CAP, _Run, _clip, run_suite)
+from test_acceptance import VERIFY_ALL_LINES
 from test_laurent import value_at
 
 CHEAP_SUITES = [
@@ -170,6 +172,20 @@ def test_theorem_suites_through_run_suite():
     assert rep3.passed and rep3.checks_run == 10  # m = 0 and m = 1, five points each
     with pytest.raises(UnknownSuite):
         run_suite("theorem4")
+
+
+@pytest.mark.parametrize("suite_id, params, check", [
+    ("theorem1", {"m_max": 1}, "cross-multiplied identity m=0"),
+    ("theorem3", {"m_max": 1, "points": 2}, "determinant == interleaved state sum, m=0"),
+], ids=["theorem1", "theorem3"])
+def test_theorems_1_and_3_fail_on_a_wrong_odd_sum(monkeypatch, suite_id, params, check):
+    # The ht-odd sum times a^2 (symbolic) or zeta (at a point), all else kept.
+    assert run_suite(suite_id, params).passed
+    real, a2 = verify._Z, LaurentPoly.var("a") ** 2
+    monkeypatch.setattr(verify, "_Z", lambda model, size, u=None: real(model, size, u) * (
+        1 if model != "ht-odd" else a2 if u is None else ZETA))
+    rep = run_suite(suite_id, params)
+    assert rep.status == "fail" and rep.witness["check"] == check
 
 
 @pytest.mark.parametrize("tamper", ["swap", "move-term"])
@@ -342,15 +358,10 @@ def test_recorded_readings():
 
 
 def test_catalog_is_complete():
-    expected = {
-        "ybe", "dwbc-recursion", "dwbc-symmetry", "leading-C-S", "lemma2-counts",
-        "lemma7-12-counts", "genfunc", "ht-even-recursion", "ht-even-leading",
-        "factorization", "ht2-recursion", "ht-odd-recursion", "ht-odd-inversion",
-        "ht-odd-leading", "theorem1", "theorem2", "theorem3", "parity",
-        "special-recursion", "three-term", "det-oracle", "wronskian",
-        "counts-closed", "refined-1", "xenum", "refined-split", "four-enum",
-    }
-    assert set(SUITES) == expected
+    # The catalog, in order, is the suites of the pinned seed-42 report, so a
+    # suite cannot be added or dropped without its line.
+    with VERIFY_ALL_LINES.open() as fh:
+        assert list(SUITES) == [json.loads(line)["suiteId"] for line in fh]
 
 
 def test_cofactor_at_a_point_is_the_symbolic_cofactor_evaluated():

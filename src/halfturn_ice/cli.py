@@ -22,7 +22,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import determinant, formulas, icemodel, verify
 from .enum_asm import _prefixes, gen_asms, inversion_genfunc
@@ -105,9 +105,9 @@ def _parse_assignments(pairs: Sequence[str], known: Sequence[str]) -> dict[str, 
 
 def _emit(text: str | Iterable[str], out: Optional[str]):
     """Write text, a string or an iterable of chunks, to the file out or to
-    stdout.  Chunks are written as they come, gathered into writes of about
-    1 MB, so a stream is never held whole.  A reader that closes stdout
-    early ends the output quietly, with the command's own exit code."""
+    stdout.  Each chunk is written as it comes, so a stream is never held
+    whole.  A reader that closes stdout early ends the output quietly, with
+    the command's own exit code."""
     if out:
         with open(out, "w") as fh:
             _write(fh, text)
@@ -120,15 +120,25 @@ def _emit(text: str | Iterable[str], out: Optional[str]):
 
 
 def _write(fh, text: str | Iterable[str]):
-    batch, size = [], 0
     for chunk in (text,) if isinstance(text, str) else text:
-        batch.append(chunk)
-        size += len(chunk)
-        if size >= 1 << 20:
-            fh.write("".join(batch))
-            batch, size = [], 0
-    if batch:
-        fh.write("".join(batch))
+        fh.write(chunk)
+
+
+def _emit_value(args, value, json_obj: Callable[[], dict]):
+    """Write value as text, or json_obj() as a JSON line, per --format.
+    Exact values pass Python's cap on int-to-string digits (4,300 from
+    3.11; A(200) has 4,545), so it is lifted only while they are written;
+    parsing keeps it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = (_jsonline({"schemaVersion": SCHEMA_VERSION} | json_obj())
+                if args.format == "json" else f"{value}\n")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    _emit(text, args.out)
 
 
 def _jsonline(obj) -> str:
@@ -211,12 +221,8 @@ def _cmd_genfunc(args) -> int:
     if args.order is None:
         raise UsageError("genfunc requires --order")
     poly = inversion_genfunc(args.order, args.klass, args.mode)
-    if args.format == "json":
-        _emit(_jsonline({"schemaVersion": SCHEMA_VERSION, "order": args.order,
-                         "class": args.klass, "mode": args.mode,
-                         "poly": poly.to_json_obj()}), args.out)
-    else:
-        _emit(str(poly) + "\n", args.out)
+    _emit_value(args, poly, lambda: {"order": args.order, "class": args.klass,
+                                     "mode": args.mode, "poly": poly.to_json_obj()})
     return 0
 
 
@@ -245,11 +251,7 @@ def _cmd_partition(args) -> int:
         result = icemodel.modified_partition(spec, args.max_states)
     else:
         result = icemodel.partition_function(spec, None, args.max_states)
-    if args.format == "json":
-        _emit(_jsonline({"schemaVersion": SCHEMA_VERSION} | result.to_json_obj()),
-              args.out)
-    else:
-        _emit(f"{result.value}\n", args.out)
+    _emit_value(args, result.value, result.to_json_obj)
     return 0
 
 
@@ -261,12 +263,8 @@ def _cmd_det(args) -> int:
     if size is None:
         raise UsageError("det requires --order (dwbc) or --m (ht2, ht-odd)")
     value = determinant.special_z(args.model, size, u)
-    if args.format == "json":
-        _emit(_jsonline({"schemaVersion": SCHEMA_VERSION, "model": args.model,
-                         "size": size, "u": args.u.split(","), "value": str(value)}),
-              args.out)
-    else:
-        _emit(f"{value}\n", args.out)
+    _emit_value(args, value, lambda: {"model": args.model, "size": size,
+                                      "u": args.u.split(","), "value": str(value)})
     return 0
 
 
@@ -292,24 +290,8 @@ def _cmd_formulas(args) -> int:
                      "ht-odd-minus": minus, "robbins": robbins}[family]
         else:
             raise UsageError(f"no refined form for family {family}")
-    # Exact counts pass Python's cap on int-to-string digits (4,300 from
-    # 3.11; A(200) has 4,545), so it is lifted only while they are written.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        if args.format == "text":
-            text = f"{value}\n"
-        elif args.refined:
-            text = _jsonline({"schemaVersion": SCHEMA_VERSION, "family": family,
-                              "order": order, "refined": True, "poly": value.to_json_obj()})
-        else:
-            text = _jsonline({"schemaVersion": SCHEMA_VERSION, "family": family,
-                              "order": order, "value": str(value)})
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-    _emit(text, args.out)
+    _emit_value(args, value, lambda: {"family": family, "order": order} | (
+        {"refined": True, "poly": value.to_json_obj()} if args.refined else {"value": str(value)}))
     return 0
 
 

@@ -60,9 +60,10 @@ keys the two parts of the split.
 Two guards bound the work.  The compile refuses an order whose plan could
 hold 2^PLAN_BOUND_BITS profile positions or more (`enum_asm.SizeTooLarge`,
 before anything is built), which is all that the plan's own routes need:
-counts, censuses and evaluated sums.  The routes that list every state, the
-symbolic sums and the central split, also refuse more than
-DEFAULT_MAX_STATES states, counted exactly by the compiled plan.
+counts, censuses and evaluated sums.  The symbolic routes, the Horner sums,
+which list every state, and the central split, which runs the plan on
+Laurent weights, also refuse more than DEFAULT_MAX_STATES states, counted
+exactly by the compiled plan.
 """
 
 from __future__ import annotations
@@ -215,7 +216,8 @@ def state_counts(spec: ModelSpec, max_states: Optional[int] = None) -> dict[int,
     """{central entry: number of states} (key 0 for dwbc and ht-even), from
     the compiled transfer plan, whose compile refuses sizes past the plan
     bound.  Given max_states, a total past it raises SizeTooLarge as well:
-    the guard of the routes that list every state."""
+    the guard of the symbolic routes, the Horner sums, which list every
+    state, and the central split."""
     counts = _transfer_plan(spec.order, spec.klass)[2]
     total = sum(counts.values())
     if max_states is not None and total > max_states:

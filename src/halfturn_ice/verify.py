@@ -250,76 +250,55 @@ def _assign_interleaved(u: Sequence, size: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Yang-Baxter triangles
+# Yang-Baxter equation
 # ----------------------------------------------------------------------
 #
-# Each crossing stores its four edge ends in counterclockwise order (ends
-# 0/2 on one line, 1/3 on the other) plus the spectral value of the wedge
-# between ends 0 and 1; adjacent wedges carry inverse values.  Weight of an
-# orientation: zero unless exactly two arrows point in; sigma(a^2) when
-# both in-arrows lie on one line; otherwise sigma(a*w) with w the value of
-# the wedge spanned by the two outgoing arrows.
+# Three lines carry spins 0/1; a crossing of lines i and j at spectral
+# value w is the six-vertex R-matrix R_ij(w) on their two spins.
 
 
-def _crossing_table(w01: LaurentPoly) -> dict[int, LaurentPoly]:
-    """The nonzero weights of one crossing, keyed by its in-arrow set as a
-    bit mask over ends 0..3."""
-    s01, s10 = sigma_of(_A * w01), sigma_of(_A * w01.monomial_inverse())
-    # out-arrows {0, 1} and {2, 3} span wedges of value w01, {1, 2} and
-    # {3, 0} wedges of value w01^-1
-    return {0b0101: _SIG_A2, 0b1010: _SIG_A2,
-            0b1100: s01, 0b0011: s01, 0b1001: s10, 0b0110: s10}
+def _r_matrix(w: LaurentPoly) -> dict:
+    """The nonzero entries of R(w), keyed by (spins in, spins out) of its
+    two lines: sigma(a*w) where both lines keep equal spins, sigma(a/w)
+    where both keep differing spins, sigma(a^2) where they exchange them."""
+    same, differ = sigma_of(_A * w), sigma_of(_A * w.monomial_inverse())
+    return {((0, 0), (0, 0)): same, ((1, 1), (1, 1)): same,
+            ((0, 1), (0, 1)): differ, ((1, 0), (1, 0)): differ,
+            ((0, 1), (1, 0)): _SIG_A2, ((1, 0), (0, 1)): _SIG_A2}
 
 
-def _triangle_sum(crossings, boundary_bits: tuple[int, ...]) -> LaurentPoly:
-    """Sum over the three internal edges' orientations of the product of
-    the crossing weights; `crossings` holds (table, ends) with each end an
-    (edge index, 1 if at the head) pair, the internal edges indexed after
-    the six boundary edges."""
-    total = LaurentPoly.zero()
-    for internal_bits in itertools.product((0, 1), repeat=3):
-        bits = boundary_bits + internal_bits
-        w = _ONE
-        for table, ends in crossings:
-            cw = table.get(sum(1 << k for k, (e, head) in enumerate(ends) if bits[e] == head))
-            if cw is None:
-                break
-            w = w * cw
-        else:
-            total = total + w
-    return total
-
-
-_BOUNDARY = ("lw", "uw", "ue", "le", "nn", "ss")
-
-
-def _ybe_graphs(x: LaurentPoly, y: LaurentPoly, z: LaurentPoly):
-    zb = z.monomial_inverse()
-    left = [
-        ([("zy", False), ("uw", True), ("lw", True), ("zx", False)], zb),
-        ([("ue", True), ("nn", True), ("zy", True), ("yx", False)], y),
-        ([("yx", True), ("zx", True), ("ss", True), ("le", True)], x),
-    ]
-    right = [
-        ([("ue", True), ("zx2", False), ("zy2", False), ("le", True)], zb),
-        ([("nn", True), ("uw", True), ("xy2", False), ("zx2", True)], x),
-        ([("zy2", True), ("xy2", True), ("lw", True), ("ss", True)], y),
-    ]
-    return (left, ("zy", "zx", "yx")), (right, ("zx2", "zy2", "xy2"))
+def _apply_crossings(crossings, spins: tuple[int, ...]) -> dict:
+    """The weighted spin states that the crossings, each (i, j, R-matrix)
+    and applied in turn, take the basis state `spins` to."""
+    state = {spins: _ONE}
+    for i, j, r in crossings:
+        out: dict = {}
+        for s, c in state.items():
+            for (pair_in, (si, sj)), w in r.items():
+                if pair_in == (s[i], s[j]):
+                    t = list(s)
+                    t[i], t[j] = si, sj
+                    t = tuple(t)
+                    out[t] = out.get(t, LaurentPoly.zero()) + c * w
+        state = out
+    return state
 
 
 def ybe_components(x: LaurentPoly, y: LaurentPoly,
                    z: Optional[LaurentPoly] = None) -> dict:
-    """Both triangle sums for all 64 boundary orientations."""
+    """Both sides of R12(x) R13(1/z) R23(y) = R23(y) R13(1/z) R12(x), z =
+    a/(x*y) by default, for all 64 (spins in, spins out) pairs."""
     if z is None:
         z = _A * x.monomial_inverse() * y.monomial_inverse()
-    sides = []
-    for graph, internal in _ybe_graphs(x, y, z):
-        index = {e: k for k, e in enumerate(_BOUNDARY + internal)}
-        sides.append([(_crossing_table(w01), tuple((index[e], int(head)) for e, head in ends))
-                      for ends, w01 in graph])
-    return {bits: (_triangle_sum(sides[0], bits), _triangle_sum(sides[1], bits))
-            for bits in itertools.product((0, 1), repeat=6)}
+    r12, r23 = (0, 1, _r_matrix(x)), (1, 2, _r_matrix(y))
+    r13 = (0, 2, _r_matrix(z.monomial_inverse()))
+    basis = list(itertools.product((0, 1), repeat=3))
+    # an operator product acts right to left
+    sides = [{s: _apply_crossings(order, s) for s in basis}
+             for order in ((r23, r13, r12), (r12, r13, r23))]
+    zero = LaurentPoly.zero()
+    return {(s, t): (sides[0][s].get(t, zero), sides[1][s].get(t, zero))
+            for s in basis for t in basis}
 
 
 # ----------------------------------------------------------------------

@@ -136,7 +136,7 @@ def test_criterion_14_four_enumeration():
 def test_criterion_15_yang_baxter():
     rep = _run("ybe")
     assert rep.checks_run == 129  # 64 symbolic, 1 negative control, 64 at the unit point
-    _criterion(15, "all 64 boundary components of the triangle move agree, "
+    _criterion(15, "all 64 spin components of the R-matrix equation agree, "
                    "symbolically and at the unit point")
 
 

@@ -574,6 +574,22 @@ def test_value_parsing_keeps_the_int_digit_cap(capsys):
     assert_rejected_by_parser(run(capsys, "formulas", "--family", "asm", "--order", huge))
 
 
+@pytest.mark.skipif(not _int_digit_cap(), reason="this Python has no int digit cap")
+def test_point_values_print_past_the_int_digit_cap(capsys):
+    # At a point of 1,501-digit rationals, Z(2) at a = zeta has 9,003 digits.
+    # The state sum and the determinant form both print it, and agree.
+    cap = _int_digit_cap()
+    x1, x2 = str(10 ** 1500 + 1), str(10 ** 1500 + 7)
+    values = []
+    for argv in (("partition", "-n", "2", "--assign", "a=zeta", "--assign", f"x1={x1}",
+                  "--assign", f"x2={x2}", "--assign", "y1=2", "--assign", "y2=3"),
+                 ("det", "-n", "2", "--u", f"{x1},2,{x2},3")):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0 and err == "" and _int_digit_cap() == cap
+        values.append(json.loads(out)["value"])
+    assert values[0] == values[1] and len(values[0]) > cap
+
+
 @pytest.mark.parametrize("refined", [(), ("--refined",)])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_formulas_past_the_digit_limit_refuse_at_once(capsys, family, refined):

@@ -87,6 +87,18 @@ def test_ybe_unit_point(monkeypatch):
     assert rep.witness["check"].startswith("unit component")
 
 
+def test_ybe_r_matrix_carries_the_model_weights():
+    # At w = x1/y1 the suite's R-matrix has the weights of the dwbc cell
+    # (x1, y1): sigma(a^2) where the lines exchange their spins, and where
+    # they keep them sigma(a*x1/y1) for equal spins, sigma(a*y1/x1) else.
+    exchange, equal, differ = icemodel._symbolic_weights("dwbc", 1)[0]
+    r = verify._r_matrix(LaurentPoly.var("x1") * LaurentPoly.var("y1").monomial_inverse())
+    keep = {((p, q), (p, q)): equal if p == q else differ for p in (0, 1) for q in (0, 1)}
+    swap = {((p, 1 - p), (1 - p, p)): exchange for p in (0, 1)}
+    assert r == keep | swap
+    assert len({exchange, equal, differ}) == 3
+
+
 @pytest.mark.parametrize("kind, size, delta, check", [
     ("dwbc", 4, {0: 1}, "plain count n=4"),
     ("ht-even", 3, {0: -1}, "half-turn count order=6"),
